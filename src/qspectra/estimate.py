@@ -6,6 +6,24 @@ a local Lorentzian least-squares fit, classify the mechanical vibration
 relations to the underlying frequencies and couplings with first-order
 uncertainty propagation.
 
+One report scans the spectrum for dip candidates once and fits each
+candidate once; the reported dips and the outer dips that bound the
+full-transmission search are both selected from that one scan.
+
+Noise gate: a dip candidate needs a prominence of at least
+max(depth_threshold, 6 * sigma_noise), where sigma_noise is the median
+absolute deviation of the spectrum's first differences scaled to a
+Gaussian sigma.  On noise-free spectra 6 * sigma_noise stays near 0.02
+even at 401 points, so clean detection is unchanged; under noise the
+gate keeps single-sample wiggles from being fitted as dips.
+
+Fit contract: every reported DipFeature has depth in [0, 1], a FWHM of
+at least half a grid step and a center inside its fit window.  A fitted
+depth above 1 by at most twice the fit's RMS residual (model mismatch
+and noise: clean hybridized dips overshoot by ~0.3-1.4 %) is reported
+as 1.0.  Any other violation rejects the fit; the report's notes count
+the rejected fits by reason.
+
 Uncertainty conventions: a fitted dip contributes FWHM/2 as its 1-sigma
 input uncertainty, a full-transmission point contributes one grid step,
 and no reported uncertainty is ever below half the grid spacing.
@@ -14,15 +32,31 @@ and no reported uncertainty is ever below half the grid spacing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 from scipy.optimize import least_squares
 from scipy.signal import find_peaks
 
 from .params import Frequency, Spectrum
+
+# a dip candidate must be this many noise sigmas prominent (see _noise_sigma)
+_NOISE_GATE = 6.0
+# depth of the dips whose outermost pair bounds the full-transmission search
+_OUTER_DIP_DEPTH = 0.5
+# MAD of the differences of white noise of sigma s is s * sqrt(2) * 0.67449
+_MAD_TO_SIGMA = 1.0 / (0.6744897501960817 * math.sqrt(2.0))
+# rejection reasons, in the order the report notes list them
+_REJECT_REASONS = (
+    "fit did not produce finite values",
+    "depth not above 0",
+    "depth above 1 beyond the fit residual",
+    "FWHM below half a grid step",
+    "center outside the fit window",
+)
 
 
 class InconsistentFeaturesError(ValueError):
@@ -78,6 +112,15 @@ class DipFeature:
         }
 
 
+def _noise_sigma(trans: np.ndarray) -> float:
+    """Robust white-noise sigma of the transmission: the median absolute
+    deviation of the first differences, scaled to a Gaussian sigma.  A
+    smooth spectrum changes little between most neighbouring samples, so
+    its dips do not inflate the estimate."""
+    diffs = np.diff(trans)
+    return _MAD_TO_SIGMA * float(np.median(np.abs(diffs - np.median(diffs))))
+
+
 def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int) -> float:
     """Distance from sample i to the half-depth crossings, averaged over
     the sides where a crossing exists."""
@@ -115,7 +158,7 @@ def _fit_lorentzian_dip(freqs: np.ndarray, trans: np.ndarray,
     dips (their effective linewidth varies across the line); a symmetric
     3-parameter fit biases the center by several percent of the FWHM
     there.  For a true Lorentzian g1 fits to zero and the symmetric
-    result is recovered exactly.
+    result is recovered exactly.  The Jacobian is analytic.
     """
     scale = max(half_width0, 1e-300)
     u = (freqs - center0) / scale
@@ -126,7 +169,19 @@ def _fit_lorentzian_dip(freqs: np.ndarray, trans: np.ndarray,
         width = g0 + g1 * v
         return 1.0 - depth * width**2 / (v**2 + width**2) - trans
 
-    result = least_squares(residuals, x0=[depth0, 0.0, 1.0, 0.0], method="lm")
+    def jacobian(theta):
+        depth, mu, g0, g1 = theta
+        v = u - mu
+        width = g0 + g1 * v
+        denom = v**2 + width**2
+        # d/dG of G**2/denom is 2 G v**2/denom**2; moving the center
+        # shifts v and G together, which leaves 2 G v g0/denom**2
+        common = -2.0 * depth * width * v / denom**2
+        return np.column_stack((-width**2 / denom, common * g0,
+                                common * v, common * v**2))
+
+    result = least_squares(residuals, x0=[depth0, 0.0, 1.0, 0.0],
+                           jac=jacobian, method="lm")
     depth, mu, g0, g1 = result.x
     rms = math.sqrt(2.0 * result.cost / len(freqs))
     if abs(g1) < 0.95:
@@ -137,52 +192,121 @@ def _fit_lorentzian_dip(freqs: np.ndarray, trans: np.ndarray,
     return (center0 + mu * scale, fwhm * scale, float(depth), rms)
 
 
+@dataclass(frozen=True)
+class _Candidate:
+    prominence: float
+    sample_depth: float
+    fitted_depth: float  # before the clamp to 1; ranks merged candidates
+    fit: Union[DipFeature, str]  # the fitted dip, or why it was rejected
+
+
+def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int,
+                   prominence: float, step: float) -> _Candidate:
+    """Fit the candidate minimum at sample i over +-3 naive half-widths
+    (at least 7 samples); its fit is the feature, or why the fit breaks
+    the DipFeature contract."""
+    half_width = _naive_half_width(freqs, trans, i)
+    lo = freqs[i] - 3.0 * half_width
+    hi = freqs[i] + 3.0 * half_width
+    window = (freqs >= lo) & (freqs <= hi)
+    if np.count_nonzero(window) < 7:
+        window = np.zeros_like(window)
+        window[max(0, i - 3):i + 4] = True
+    wf = freqs[window]
+    sample_depth = 1.0 - float(trans[i])
+    center, fwhm, depth, rms = _fit_lorentzian_dip(
+        wf, trans[window], float(freqs[i]), half_width, sample_depth,
+    )
+    if not all(math.isfinite(x) for x in (center, fwhm, depth, rms)):
+        fit = _REJECT_REASONS[0]
+    elif depth <= 0.0:
+        fit = _REJECT_REASONS[1]
+    elif depth > 1.0 + 2.0 * rms:
+        fit = _REJECT_REASONS[2]
+    elif fwhm < 0.5 * step:
+        fit = _REJECT_REASONS[3]
+    elif not wf[0] <= center <= wf[-1]:
+        fit = _REJECT_REASONS[4]
+    else:
+        fit = DipFeature(center=center, fwhm=fwhm, depth=min(depth, 1.0),
+                         fit_residual=rms)
+    return _Candidate(prominence, sample_depth, depth, fit)
+
+
+def _merge_close(candidates: list[_Candidate]) -> list[DipFeature]:
+    """The candidates' features sorted by center, with features closer
+    than half a width collapsed: noise can seed several candidates inside
+    one dip, and their fits land on the same center.  The deeper (then
+    better-fitting) fit is kept."""
+    merged: list[_Candidate] = []
+    for c in sorted(candidates, key=lambda c: c.fit.center):
+        if merged and abs(c.fit.center - merged[-1].fit.center) < 0.5 * max(
+            c.fit.fwhm, merged[-1].fit.fwhm
+        ):
+            if (c.fitted_depth, -c.fit.fit_residual) > (
+                merged[-1].fitted_depth, -merged[-1].fit.fit_residual
+            ):
+                merged[-1] = c
+        else:
+            merged.append(c)
+    return [c.fit for c in merged]
+
+
+class _DipScan:
+    """Every dip candidate of a spectrum down to the lowest of the given
+    depth thresholds, each fitted once.  find_peaks prominences do not
+    depend on the threshold asked for, so select(t) for any given t
+    returns exactly what a scan at t alone would."""
+
+    def __init__(self, spectrum: Spectrum, *depth_thresholds: float) -> None:
+        if not all(0.0 < t < 1.0 for t in depth_thresholds):
+            raise ValueError("depth_threshold must be in (0, 1)")
+        depth_threshold = min(depth_thresholds)
+        trans = spectrum.transmission
+        freqs = spectrum.freqs
+        step = spectrum.grid_step
+        self.gate = _NOISE_GATE * _noise_sigma(trans)
+        indices, props = find_peaks(-trans, prominence=max(depth_threshold, self.gate))
+        self.candidates = [
+            _fit_candidate(freqs, trans, int(i), float(prominence), step)
+            for i, prominence in zip(indices, props["prominences"])
+            if 1.0 - trans[i] >= depth_threshold
+        ]
+
+    def select(self, depth_threshold: float) -> list[DipFeature]:
+        """The merged, in-contract dips of depth >= depth_threshold."""
+        prominence = max(depth_threshold, self.gate)
+        return _merge_close([
+            c for c in self.candidates
+            if isinstance(c.fit, DipFeature)
+            and c.prominence >= prominence and c.sample_depth >= depth_threshold
+        ])
+
+    def rejection_notes(self) -> list[str]:
+        """One deterministic note counting the rejected fits, if any."""
+        rejected = Counter(c.fit for c in self.candidates if isinstance(c.fit, str))
+        if not rejected:
+            return []
+        reasons = ", ".join(f"{rejected[r]} {r}" for r in _REJECT_REASONS if r in rejected)
+        total = sum(rejected.values())
+        return [f"{total} of {len(self.candidates)} dip fits rejected ({reasons})"]
+
+
 def detect_dips(spectrum: Spectrum, depth_threshold: float = 0.1) -> list[DipFeature]:
     """Locate transmission dips of depth >= depth_threshold and refine
     each by a local Lorentzian fit.
 
     Candidate minima come from a prominence scan (so noise wiggles inside
-    one dip do not multiply), and each is fit over a window of +-3 naive
-    half-widths around the discrete minimum.  Returns features sorted by
-    center; empty list when nothing crosses the threshold.
+    one dip do not multiply) with the noise gate of the module doc: the
+    prominence needed is max(depth_threshold, 6 * sigma_noise).  Each
+    candidate is fit over a window of +-3 naive half-widths around the
+    discrete minimum; a fit depth up to twice the RMS residual above 1 is
+    reported as 1.0, and fits with depth <= 0, a larger overshoot, a FWHM
+    below half a grid step or a center outside the window are dropped.
+    Returns features sorted by center; empty list when nothing crosses
+    the threshold.
     """
-    if not 0.0 < depth_threshold < 1.0:
-        raise ValueError("depth_threshold must be in (0, 1)")
-    trans = spectrum.transmission
-    freqs = spectrum.freqs
-    indices, _ = find_peaks(-trans, prominence=depth_threshold)
-    indices = [i for i in indices if 1.0 - trans[i] >= depth_threshold]
-    features = []
-    for i in indices:
-        half_width = _naive_half_width(freqs, trans, i)
-        lo = freqs[i] - 3.0 * half_width
-        hi = freqs[i] + 3.0 * half_width
-        window = (freqs >= lo) & (freqs <= hi)
-        if np.count_nonzero(window) < 7:
-            center = int(i)
-            window = np.zeros_like(window)
-            window[max(0, center - 3):center + 4] = True
-        center, fwhm, depth, rms = _fit_lorentzian_dip(
-            freqs[window], trans[window], float(freqs[i]), half_width,
-            1.0 - float(trans[i]),
-        )
-        features.append(DipFeature(center=center, fwhm=fwhm, depth=depth,
-                                   fit_residual=rms))
-    features.sort(key=lambda f: f.center)
-    # noise can seed several candidates inside one dip; their fits land on
-    # the same center, so collapse features closer than half a width
-    merged: list[DipFeature] = []
-    for feature in features:
-        if merged and abs(feature.center - merged[-1].center) < 0.5 * max(
-            feature.fwhm, merged[-1].fwhm
-        ):
-            if (feature.depth, -feature.fit_residual) > (
-                merged[-1].depth, -merged[-1].fit_residual
-            ):
-                merged[-1] = feature
-        else:
-            merged.append(feature)
-    return merged
+    return _DipScan(spectrum, depth_threshold).select(depth_threshold)
 
 
 def _local_maxima(values: np.ndarray) -> list[int]:
@@ -196,14 +320,9 @@ def _local_maxima(values: np.ndarray) -> list[int]:
     return idx
 
 
-def detect_unity_points(spectrum: Spectrum, tol: float = 0.01) -> list[float]:
-    """Frequencies where the probe passes completely: local maxima with
-    T >= 1 - tol and |phase| <= tol, refined by parabolic interpolation.
-
-    When the spectrum shows two or more dips (depth >= 0.5) only points
-    strictly between the outermost dip centers are reported; this drops
-    the trivial far-detuned transparency of every scatterer.
-    """
+def _unity_points(spectrum: Spectrum, tol: float,
+                  outer_dips: list[DipFeature]) -> list[float]:
+    """detect_unity_points with the depth-0.5 dips already detected."""
     if not 0.0 < tol < 0.1:
         raise ValueError("tol must be in (0, 0.1)")
     trans = spectrum.transmission
@@ -223,12 +342,22 @@ def detect_unity_points(spectrum: Spectrum, tol: float = 0.01) -> list[float]:
             points.append(float(freqs[i] + offset))
         else:
             points.append(float(freqs[i]))
-    dips = detect_dips(spectrum, depth_threshold=0.5)
-    if len(dips) >= 2:
-        lo = dips[0].center
-        hi = dips[-1].center
+    if len(outer_dips) >= 2:
+        lo = outer_dips[0].center
+        hi = outer_dips[-1].center
         points = [x for x in points if lo < x < hi]
     return sorted(points)
+
+
+def detect_unity_points(spectrum: Spectrum, tol: float = 0.01) -> list[float]:
+    """Frequencies where the probe passes completely: local maxima with
+    T >= 1 - tol and |phase| <= tol, refined by parabolic interpolation.
+
+    When the spectrum shows two or more dips (depth >= 0.5) only points
+    strictly between the outermost dip centers are reported; this drops
+    the trivial far-detuned transparency of every scatterer.
+    """
+    return _unity_points(spectrum, tol, detect_dips(spectrum, _OUTER_DIP_DEPTH))
 
 
 def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
@@ -243,7 +372,8 @@ def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
     shifted: classical drive).  Anything else raises
     AmbiguousClassificationError.
     """
-    dips = detect_dips(spectrum, depth_threshold=depth_threshold)
+    scan = _DipScan(spectrum, depth_threshold, _OUTER_DIP_DEPTH)
+    dips = scan.select(depth_threshold)
     if len(dips) == 0:
         raise AmbiguousClassificationError("no transmission dips found")
     if len(dips) > 2:
@@ -251,7 +381,7 @@ def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
             f"{len(dips)} dips found; expected at most two"
         )
     if len(dips) == 2:
-        unity = detect_unity_points(spectrum, tol=unity_tol)
+        unity = _unity_points(spectrum, unity_tol, scan.select(_OUTER_DIP_DEPTH))
         if any(dips[0].center < u < dips[1].center for u in unity):
             return ModelClass.QUANTUM_NMR
         raise AmbiguousClassificationError(
@@ -491,17 +621,19 @@ def estimate_report(spectrum: Spectrum,
     survive thresholding than the deepest two, the extras are reported in
     raw features only and the classification proceeds on the deepest two.
     """
-    all_dips = detect_dips(spectrum, depth_threshold=depth_threshold)
-    unity = detect_unity_points(spectrum, tol=unity_tol)
+    scan = _DipScan(spectrum, depth_threshold, _OUTER_DIP_DEPTH)
+    all_dips = scan.select(depth_threshold)
+    unity = _unity_points(spectrum, unity_tol, scan.select(_OUTER_DIP_DEPTH))
     step = spectrum.grid_step
     floor = 0.5 * step
-    notes: list[str] = []
+    notes = scan.rejection_notes()
 
     if not all_dips:
         return EstimationReport(
             model_class=ModelClass.NO_FEATURES,
             unity_points=tuple(unity),
             grid_step=step,
+            notes=tuple(notes),
         )
 
     working = sorted(all_dips, key=lambda d: d.depth, reverse=True)[:2]

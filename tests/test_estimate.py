@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qspectra import (
     InconsistentFeaturesError,
     ModelClass,
     ModelKind,
+    ModelParams,
     OffLadderError,
     Spectrum,
     add_measurement_noise,
@@ -27,6 +29,8 @@ from qspectra import (
     shifted_qubit_frequency,
     stlr_coupling_from_dips,
 )
+from qspectra import estimate
+from qspectra.estimate import _NOISE_GATE, _noise_sigma
 
 from conftest import COUPLING, GAMMA_C, OMEGA0, OMEGA_B, OMEGA_R
 
@@ -407,3 +411,132 @@ class TestRoundTripCompleteness:
         est = cnmr_coupling_from_shift(windows[0], OMEGA0, OMEGA_B,
                                        sigma_shifted=s.grid_step)
         assert est.value == pytest.approx(COUPLING, rel=0.05)
+
+
+ALL_MODEL_FIXTURES = {
+    ModelKind.QUBIT_ONLY: "qubit_params",
+    ModelKind.QUBIT_QNMR: "qnmr_params",
+    ModelKind.DISPERSIVE: "dispersive_params",
+    ModelKind.QUBIT_CNMR: "cnmr_params",
+    ModelKind.STLR_QUBIT: "stlr_params",
+    ModelKind.STLR_QUBIT_QNMR: "stlr_qnmr_params",
+    ModelKind.STLR_QUBIT_CNMR: "stlr_cnmr_params",
+}
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("kind", list(ALL_MODEL_FIXTURES))
+    def test_noise_gate_inert_on_clean_spectra(self, kind, request):
+        """On noise-free spectra the gate stays below the default depth
+        threshold, so it never removes a candidate there, and the one-scan
+        report finds the same unity points as detect_unity_points alone."""
+        params = request.getfixturevalue(ALL_MODEL_FIXTURES[kind])
+        for n in (401, 2001, 20001, 100001):
+            s = compute_spectrum(kind, params, make_frequency_grid(1.8e9, 2.3e9, n))
+            assert _NOISE_GATE * _noise_sigma(s.transmission) < 0.1, n
+            for tol in (0.01, 0.04):
+                report = estimate_report(s, unity_tol=tol)
+                assert list(report.unity_points) == detect_unity_points(s, tol), (n, tol)
+                assert not any("rejected" in note for note in report.notes)
+
+    def test_one_fit_per_candidate(self, qnmr_spectrum, monkeypatch):
+        fits = []
+        real = estimate.least_squares
+        monkeypatch.setattr(estimate, "least_squares",
+                            lambda *a, **k: fits.append(1) or real(*a, **k))
+        estimate_report(qnmr_spectrum)
+        # two hybrid dips, each fitted once for the report and the unity filter
+        assert len(fits) == 2
+        fits.clear()
+        assert classify(qnmr_spectrum) is ModelClass.QUANTUM_NMR
+        assert len(fits) == 2
+
+    def test_analytic_jacobian_matches_finite_differences(self, qnmr_spectrum,
+                                                          monkeypatch):
+        noisy = add_measurement_noise(qnmr_spectrum, 0.01, 3)
+        analytic = detect_dips(noisy)
+        real = estimate.least_squares
+        monkeypatch.setattr(estimate, "least_squares",
+                            lambda *a, jac=None, **k: real(*a, **k))
+        numeric = detect_dips(noisy)
+        assert len(analytic) == len(numeric) == 2
+        for a, b in zip(analytic, numeric):
+            assert a.center == pytest.approx(b.center, rel=1e-9)
+            assert a.fwhm == pytest.approx(b.fwhm, rel=1e-6)
+            assert a.depth == pytest.approx(b.depth, abs=1e-6)
+
+    def test_clean_overshoot_clamped_to_unit_depth(self, stlr_qnmr_params):
+        # the width-gradient Lorentzian overshoots these dips by ~1.4 %
+        grid = make_frequency_grid(1.8e9, 2.3e9, 4001)
+        s = compute_spectrum(ModelKind.STLR_QUBIT_QNMR, stlr_qnmr_params, grid)
+        dips = detect_dips(s)
+        assert len(dips) == 3
+        assert all(0.0 < d.depth <= 1.0 for d in dips)
+        assert sum(d.depth == 1.0 for d in dips) >= 2
+
+
+def test_dip_contract_under_noise(monkeypatch):
+    """Seeded draws over models, noise levels and grid densities: every
+    reported dip keeps the DipFeature contract, the number of fits per
+    report stays bounded, and 5 %-noise quantum spectra still invert."""
+    fits = []
+    real = estimate.least_squares
+    monkeypatch.setattr(estimate, "least_squares",
+                        lambda *a, **k: fits.append(1) or real(*a, **k))
+    references = {
+        ModelKind.QUBIT_QNMR: {},
+        ModelKind.QUBIT_CNMR: dict(reference_omega0=OMEGA0, reference_omega_b=OMEGA_B),
+        ModelKind.QUBIT_ONLY: dict(reference_omega0=OMEGA0),
+        ModelKind.DISPERSIVE: dict(reference_omega0=OMEGA0, reference_g_q=3e7,
+                                   reference_delta=1e8),
+    }
+    rng = np.random.default_rng(2210)
+    draws = 3
+    quantum_at_5 = []
+    rejection_notes = []
+    for kind, refs in references.items():
+        for n in (2001, 4001):
+            grid = make_frequency_grid(1.8e9, 2.3e9, n)
+            step = grid[1] - grid[0]
+            for sigma in (0.0, 0.01, 0.03, 0.05):
+                for _ in range(draws):
+                    values = dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=GAMMA_C)
+                    if kind is ModelKind.QUBIT_QNMR:
+                        values["g_q"] = rng.uniform(0.8, 1.2) * COUPLING
+                    elif kind is ModelKind.QUBIT_CNMR:
+                        values["g_c"] = rng.uniform(0.8, 1.2) * COUPLING
+                    elif kind is ModelKind.DISPERSIVE:
+                        values.update(g_q=3e7, v_g=3e8, gamma_c=1e6,
+                                      mean_n=float(rng.integers(0, 4)))
+                    else:
+                        del values["omega_b"]
+                    s = add_measurement_noise(
+                        compute_spectrum(kind, ModelParams(**values), grid),
+                        sigma, int(rng.integers(2**31)))
+                    fits.clear()
+                    try:
+                        report = estimate_report(s, unity_tol=0.04, **refs)
+                    except InconsistentFeaturesError:
+                        # noise moved the dips off every consistent inversion;
+                        # the detected features must still keep the contract
+                        report = None
+                    assert len(fits) <= 64, (kind, n, sigma, len(fits))
+                    if report is None:
+                        dips = detect_dips(s)
+                    else:
+                        dips = report.dips
+                        rejection_notes += [x for x in report.notes if "rejected" in x]
+                    for d in dips:
+                        assert 0.0 <= d.depth <= 1.0, d
+                        assert d.fwhm >= 0.5 * step, d
+                        assert grid[0] <= d.center <= grid[-1], d
+                    if kind is ModelKind.QUBIT_QNMR and sigma == 0.05:
+                        quantum_at_5.append(
+                            report is not None
+                            and report.model_class is ModelClass.QUANTUM_NMR
+                            and abs(report.g_est.value - values["g_q"])
+                            <= 3 * report.g_est.sigma)
+    assert sum(quantum_at_5) >= 0.8 * len(quantum_at_5)
+    assert rejection_notes
+    for note in rejection_notes:
+        assert re.fullmatch(r"\d+ of \d+ dip fits rejected \(.+\)", note)

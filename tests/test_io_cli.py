@@ -62,6 +62,30 @@ class TestSpectrumCsv:
         with pytest.raises(ValueError, match="no data"):
             read_spectrum_csv(empty)
 
+    @pytest.mark.parametrize("kind, fixture", [
+        (ModelKind.QUBIT_QNMR, "qnmr_params"),
+        (ModelKind.STLR_QUBIT, "stlr_params"),
+        (ModelKind.STLR_QUBIT_QNMR, "stlr_qnmr_params"),
+        (ModelKind.STLR_QUBIT_CNMR, "stlr_cnmr_params"),
+    ])
+    def test_fine_grid_round_trip(self, kind, fixture, request, tmp_path):
+        # at 100001 points some amplitudes rounded to 9 digits have
+        # |t|**2 a few 1e-10 above 1; the reader must still accept them
+        params = request.getfixturevalue(fixture)
+        spectrum = compute_spectrum(kind, params, make_frequency_grid(1.8e9, 2.3e9, 100001))
+        path = tmp_path / "fine.csv"
+        write_spectrum_csv(path, spectrum)
+        loaded, _ = read_spectrum_csv(path)
+        assert loaded.amplitude is not None
+        assert np.all(np.abs(loaded.amplitude) <= 1.0)
+        assert np.allclose(loaded.transmission, spectrum.transmission, rtol=0, atol=1e-8)
+
+    def test_amplitude_above_one_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("omega,T,phase_rad,re_t,im_t\n1,1,0,1.5,0\n2,1,0,1,0\n")
+        with pytest.raises(ValueError, match="above 1"):
+            read_spectrum_csv(bad)
+
     def test_nine_significant_digits(self, qnmr_spectrum):
         text = spectrum_csv_text(qnmr_spectrum)
         row = text.splitlines()[1].split(",")
