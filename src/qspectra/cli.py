@@ -32,6 +32,7 @@ from .estimate import (
 )
 from .models import (
     REQUIRED_PARAMS,
+    ModelDomainError,
     ModelKind,
     analytic_features,
     compute_spectrum,
@@ -265,7 +266,10 @@ def _write_squid_svg(path, sol, spec) -> None:
 
 
 def _sweep_rows(kind, params, name, value, freqs):
-    point = params.replace(**{name: value})
+    try:
+        point = params.replace(**{name: value})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rows = []
     features = analytic_features(kind, point)
     for freq, width in zip(features.dips,
@@ -416,13 +420,11 @@ def _emit_squid_figures(figure: str, outdir: str, with_svg: bool) -> list[str]:
     left_state = (psi0 - psi1) / math.sqrt(2.0)
     right_state = (psi0 + psi1) / math.sqrt(2.0)
     path = os.path.join(outdir, "fig12.csv")
-    lines = [f"# figure: {figure}",
-             "# config: " + json.dumps(config, sort_keys=True),
-             "flux_over_phi0,psi_left,psi_right"]
-    for phi, a, b in zip(sol.flux_grid / FLUX_QUANTUM, left_state, right_state):
-        lines.append(f"{phi:.8e},{a:.8e},{b:.8e}")
+    text = qio._csv_text(("flux_over_phi0", "psi_left", "psi_right"),
+                         (sol.flux_grid / FLUX_QUANTUM, left_state, right_state),
+                         config=config, figure=figure)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(text)
     written.append(path)
     if with_svg:
         panel = svg.Panel(
@@ -536,14 +538,12 @@ def main(argv=None) -> int:
     except (MissingParameterError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError,) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (BoundaryLeakageError, ConvergenceError, InconsistentFeaturesError,
-            AmbiguousClassificationError, np.linalg.LinAlgError) as exc:
+            AmbiguousClassificationError, ModelDomainError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -45,6 +45,11 @@ from .params import Frequency, ModelParams, Spectrum
 ArrayLike = Union[float, np.ndarray]
 
 
+class ModelDomainError(ValueError):
+    """The parameters lie outside the regime where the model's closed form
+    is defined (e.g. the dispersive readout at zero detuning)."""
+
+
 class ModelKind(str, Enum):
     """The supported scatterer configurations."""
 
@@ -114,7 +119,7 @@ def dispersive_shift(p: ModelParams) -> float:
     p.require("omega0", "omega_b", "g_q")
     delta = p.omega0 - p.omega_b
     if delta == 0:
-        raise ValueError("dispersive regime undefined at zero detuning")
+        raise ModelDomainError("dispersive regime undefined at zero detuning")
     return p.g_q**2 / delta
 
 
@@ -138,7 +143,7 @@ def dispersive_amplitude(omega: ArrayLike, p: ModelParams):
     p.require("omega0", "omega_b", "g_q", "v1", "v_g", "mean_n")
     delta = p.omega0 - p.omega_b
     if delta == 0:
-        raise ValueError("dispersive regime undefined at zero detuning")
+        raise ModelDomainError("dispersive regime undefined at zero detuning")
     if abs(p.g_q / delta) >= 0.5:
         warnings.warn(
             f"|g_q/delta| = {abs(p.g_q / delta):.3g} >= 0.5: dispersive "
@@ -343,6 +348,7 @@ def analytic_features(kind: ModelKind, p: ModelParams) -> FeatureSet:
 __all__ = [
     "AMPLITUDES",
     "FeatureSet",
+    "ModelDomainError",
     "ModelKind",
     "REQUIRED_PARAMS",
     "analytic_features",

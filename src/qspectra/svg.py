@@ -110,7 +110,9 @@ def _panel_svg(panel: Panel, y_offset: int, width: int, height: int) -> list[str
             run = run[good[run]]
             if len(run) < 2:
                 continue
-            pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[run], y[run]))
+            # px/py are elementwise, so each point has the bits of a scalar call
+            xy = np.column_stack((px(x[run]), py(y[run])))
+            pts = " ".join(["%.2f,%.2f"] * len(run)) % tuple(xy.ravel().tolist())
             out.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 'stroke-width="1.3"/>'

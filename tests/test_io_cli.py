@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qspectra import (
+    FLUX_QUANTUM,
     HBAR,
     ModelKind,
     ModelParams,
@@ -14,13 +17,17 @@ from qspectra import (
 )
 from qspectra.cli import main
 from qspectra.io import (
+    _BLOCK_ROWS,
     SCHEMA_VERSION,
     load_report,
     read_spectrum_csv,
     spectrum_csv_text,
+    wavefunction_csv_text,
     write_spectrum_csv,
 )
-from qspectra.svg import Panel, Series, render_chart
+from qspectra.params import Spectrum
+from qspectra.squid import potential, reference_circuit, solve_eigensystem
+from qspectra.svg import Panel, Series, _limits, render_chart
 
 from conftest import GAMMA_C
 
@@ -90,6 +97,168 @@ class TestSpectrumCsv:
         text = spectrum_csv_text(qnmr_spectrum)
         row = text.splitlines()[1].split(",")
         assert row[0] == f"{qnmr_spectrum.freqs[0]:.8e}"
+
+    @pytest.mark.parametrize("n_points", [2001, 100001])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_reader_matches_per_value_parser(self, qnmr_params, n_points, noisy, tmp_path):
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, n_points))
+        if noisy:
+            spectrum = add_measurement_noise(spectrum, 0.02, 7)
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum, config={"model": "qubit-qnmr"})
+        loaded, config = read_spectrum_csv(path)
+        expected, expected_config = _float_reader(path)
+        assert config == expected_config
+        for name in ("freqs", "transmission", "phase"):
+            assert np.array_equal(getattr(loaded, name), getattr(expected, name),
+                                  equal_nan=True)
+        if noisy:
+            assert loaded.amplitude is None and expected.amplitude is None
+        else:
+            assert np.array_equal(loaded.amplitude, expected.amplitude)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        bad = tmp_path / "ragged.csv"
+        bad.write_text("omega,T,phase_rad\n1,0.5,0\n2,0.5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: ragged rows")):
+            read_spectrum_csv(bad)
+        assert main(["estimate", str(bad)]) == 2
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        bad = tmp_path / "abc.csv"
+        bad.write_text("omega,T,phase_rad\n1,0.5,0\n2,abc,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: non-numeric value")):
+            read_spectrum_csv(bad)
+        assert main(["estimate", str(bad)]) == 2
+
+    def test_malformed_config_line_is_format_error(self, qnmr_spectrum, tmp_path, capsys):
+        bad = tmp_path / "config.csv"
+        bad.write_text("# config: {not json\n" + spectrum_csv_text(qnmr_spectrum))
+        with pytest.raises(ValueError, match=re.escape(str(bad))) as info:
+            read_spectrum_csv(bad)
+        assert not isinstance(info.value, json.JSONDecodeError)
+        assert main(["estimate", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+
+def _float_reader(path):
+    """Reference reader: parses every cell with float(), as read_spectrum_csv
+    did before it parsed the data rows as one block."""
+    config, header, rows = None, None, []
+    with open(path, "r", encoding="utf-8") as handle:
+        for raw in handle:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("config:"):
+                    config = json.loads(body[len("config:"):])
+                continue
+            if header is None:
+                header = line.split(",")
+                continue
+            rows.append([float(v) for v in line.split(",")])
+    column = dict(zip(header, np.asarray(rows, dtype=float).T))
+    amp = column["re_t"] + 1j * column["im_t"]
+    if np.all(np.isfinite(amp)):
+        magnitude = np.abs(amp)
+        over = magnitude > 1.0
+        amp[over] /= magnitude[over]
+        return Spectrum.from_amplitude(column["omega"], amp), config
+    return Spectrum(freqs=column["omega"], transmission=np.clip(column["T"], 0.0, 1.0),
+                    phase=column["phase_rad"]), config
+
+
+def _reference_rows(columns) -> str:
+    return "".join(",".join(f"{v:.8e}" for v in row) + "\n" for row in zip(*columns))
+
+
+def _reference_polylines(x, y, y_offset, width=760, height=250):
+    """Polyline point lists of one series, formatted value by value."""
+    left, right, top, bottom = 70, 20, 28, 40
+    plot_w, plot_h = width - left - right, height - top - bottom
+    x_lo, x_hi = _limits(x)
+    y_lo, y_hi = _limits(y)
+    runs, run = [], []
+    for a, b in zip(x, y):
+        if not (np.isfinite(a) and np.isfinite(b)):
+            runs.append(run)
+            run = []
+            continue
+        px = left + (a - x_lo) / (x_hi - x_lo) * plot_w
+        py = y_offset + top + plot_h - (b - y_lo) / (y_hi - y_lo) * plot_h
+        run.append(f"{px:.2f},{py:.2f}")
+    runs.append(run)
+    return [" ".join(r) for r in runs if len(r) >= 2]
+
+
+# values whose formatting is easy to get wrong: signed zero, rounding
+# across a decade, exponents with three digits, non-finite values
+EDGE_VALUES = np.array([-0.0, 0.0, 9.9999999995e9, -9.99999999949e-10, 1e300,
+                        -1.7976931348623157e308, 1e-300, 5e-324, math.nan,
+                        math.inf, -math.inf, 1.0 / 3.0])
+
+
+class TestGoldenBytes:
+    """Writer output equals a per-value '%.8e' / '%.2f' formatter byte for byte."""
+
+    @pytest.mark.parametrize("n_points", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_spectrum_csv_at_block_boundary(self, qnmr_params, n_points, noisy):
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, n_points))
+        if noisy:
+            spectrum = add_measurement_noise(spectrum, 0.02, 3)
+        amp = spectrum.amplitude
+        nan = np.full(n_points, math.nan)
+        columns = (spectrum.freqs, spectrum.transmission, spectrum.phase,
+                   nan if amp is None else amp.real, nan if amp is None else amp.imag)
+        head = '# figure: f\n# config: {"a": 1}\nomega,T,phase_rad,re_t,im_t\n'
+        text = spectrum_csv_text(spectrum, config={"a": 1}, figure="f")
+        assert text == head + _reference_rows(columns)
+
+    def test_spectrum_csv_edge_values(self):
+        freqs = np.array([-1.7976931348623157e308, -1e300, -1e-300, -0.0, 5e-324,
+                          1e-300, 9.99999999949e9, 9.9999999995e9, 1e300])
+        amp = np.array([complex(-0.0, 1.0), complex(0.6, -0.8), complex(1e-300, -1e-300),
+                        complex(-0.0, -0.0), complex(0.0, 0.0), complex(-1.0, -0.0),
+                        complex(9.9999999995e-1, 0.0), complex(-9.9999999995e-11, 0.0),
+                        complex(1.0 / 3.0, -2.0 / 3.0)])
+        spectrum = Spectrum.from_amplitude(freqs, amp)
+        columns = (spectrum.freqs, spectrum.transmission, spectrum.phase,
+                   amp.real, amp.imag)
+        text = spectrum_csv_text(spectrum)
+        assert text == "omega,T,phase_rad,re_t,im_t\n" + _reference_rows(columns)
+        assert "-0.00000000e+00" in text and "1.00000000e+10" in text
+        assert "-1.00000000e+300" in text and "4.94065646e-324" in text
+
+    def test_wavefunction_csv(self):
+        spec = reference_circuit()
+        sol = solve_eigensystem(spec)
+        psi0 = sol.wavefunctions[0].copy()
+        psi0[:len(EDGE_VALUES)] = EDGE_VALUES
+        sol = dataclasses.replace(sol, wavefunctions=np.array([psi0, sol.wavefunctions[1]]))
+        columns = (sol.flux_grid / FLUX_QUANTUM, potential(sol.flux_grid, spec),
+                   sol.wavefunctions[0], sol.wavefunctions[1])
+        text = wavefunction_csv_text(sol, spec, config={"b": 2}, figure="fig11")
+        head = '# figure: fig11\n# config: {"b": 2}\nflux_over_phi0,U_joules,psi0,psi1\n'
+        assert text == head + _reference_rows(columns)
+
+    def test_polylines_with_breaks(self):
+        x = np.linspace(-3.0, 5.0, 20001)
+        y = np.sin(7.0 * x) * 1e-300
+        y[[0, 17, 18, 900, 902, 20000]] = [math.nan, math.inf, -math.inf, math.nan,
+                                           math.nan, math.nan]
+        x[5000] = math.nan
+        y[10000:10003] = -0.0
+        panel = Panel(series=[Series(x, y, label="s")], xlabel="x", ylabel="y")
+        body = render_chart([panel, panel])
+        polylines = re.findall(r'<polyline points="([^"]*)"', body)
+        expected = (_reference_polylines(x, y, 0) + _reference_polylines(x, y, 250))
+        assert len(expected) == 8  # four runs per panel; the run at 901 is one point
+        assert polylines == expected
 
 
 class TestSchema:
@@ -174,6 +343,14 @@ class TestSpectrumCommand:
                      "--output", str(out)]) == 0
         _, written = read_spectrum_csv(out)
         assert written["params"]["omega0"] == 2.2e9
+
+    def test_dispersive_zero_detuning_is_numerical_failure(self, tmp_path, capsys):
+        code = main(["spectrum", "--model", "dispersive", "--omega0", "2e9",
+                     "--omega-b", "2e9", "--g-q", "3e7", "--v1", "1e7", "--v-g", "3e8",
+                     "--mean-n", "0", "--grid", "1.9e9:2.1e9:101",
+                     "--output", str(tmp_path / "d.csv")])
+        assert code == 3
+        assert "zero detuning" in capsys.readouterr().err
 
     def test_svg_output(self, tmp_path):
         out, chart = tmp_path / "s.csv", tmp_path / "s.svg"
@@ -328,6 +505,14 @@ class TestSweepCommand:
                      "--stop", "2.1e9", "--steps", "3",
                      "--output", str(tmp_path / "s.csv")])
         assert code == 1
+
+    def test_invalid_swept_value_is_usage_error(self, tmp_path, capsys):
+        code = main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
+                     "--gamma-c", "3.3e7", "--param", "gamma_c", "--start", "-1",
+                     "--stop", "1e7", "--steps", "3",
+                     "--output", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "gamma_c" in capsys.readouterr().err
 
     def test_unknown_param_rejected(self, tmp_path):
         code = main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
