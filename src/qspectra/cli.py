@@ -189,6 +189,10 @@ def cmd_estimate(args) -> int:
     keys = ("ref_omega0", "ref_omega_b", "ref_g_q", "ref_delta", "b0", "i_p",
             "nmr_length", "depth_threshold", "unity_tol", "output")
     options = _merged(args, keys)
+    for key in ("ref_g_q", "ref_delta"):
+        # the phonon ladder spacing is g_q**2/delta
+        if options.get(key) == 0:
+            raise UsageError(f"--{key.replace('_', '-')} must be nonzero")
     spectrum, _ = qio.read_spectrum_csv(args.input)
     # ambiguity is data, not failure: estimate_report encodes it in the
     # model_class and this command still exits 0

@@ -24,6 +24,14 @@ and noise: clean hybridized dips overshoot by ~0.3-1.4 %) is reported
 as 1.0.  Any other violation rejects the fit; the report's notes count
 the rejected fits by reason.
 
+Fit solver: every fit is MINPACK lmder (Moré 1978) through
+scipy.optimize.leastsq, with the settings of
+scipy.optimize.least_squares(method="lm") written out in least_squares
+below: ftol = xtol = gtol = 1e-8, maxfev = 100 * n, factor = 100 and
+diag=None, i.e. x_scale="jac".  The fits therefore do not follow
+scipy's defaults, which differ between versions (scipy 1.10-1.15 ran
+least_squares(method="lm") with x_scale=1.0).
+
 Uncertainty conventions: a fitted dip contributes FWHM/2 as its 1-sigma
 input uncertainty, a full-transmission point contributes one grid step,
 and no reported uncertainty is ever below half the grid spacing.
@@ -38,7 +46,7 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import OptimizeResult, leastsq
 from scipy.signal import find_peaks
 
 from .params import Frequency, Spectrum
@@ -144,6 +152,32 @@ def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int) -> float:
     return float(np.mean(widths))
 
 
+def least_squares(fun, x0, jac=None, method="lm") -> OptimizeResult:
+    """Levenberg-Marquardt least squares: MINPACK lmder through
+    scipy.optimize.leastsq with the settings of
+    scipy.optimize.least_squares(method="lm", x_scale="jac") written out,
+    so with an analytic jac, x, cost and nfev equal that call's to the bit.
+
+    jac returns the Jacobian column-major, shape (n, m), which is
+    MINPACK's own layout; without jac MINPACK lmdif differences forward.
+    fun must return a new array on every call: MINPACK keeps one returned
+    array as its residual buffer and writes into it.  Returns x,
+    cost = 0.5 * |f|**2, nfev and status, MINPACK's info code (5: the
+    100 * n evaluations of maxfev were used up; the last iterate is
+    returned, without a warning).
+    """
+    if method != "lm":
+        raise ValueError(f"method must be 'lm', got {method!r}")
+    x, _, info, _, status = leastsq(
+        fun, x0, Dfun=jac, full_output=True, col_deriv=True,
+        ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=100 * len(x0),
+        factor=100.0, diag=None,
+    )
+    fvec = info["fvec"]
+    return OptimizeResult(x=x, cost=0.5 * np.dot(fvec, fvec),
+                          nfev=int(info["nfev"]), status=int(status))
+
+
 def _fit_lorentzian_dip(freqs: np.ndarray, trans: np.ndarray,
                         center0: float, half_width0: float,
                         depth0: float) -> tuple[float, float, float, float]:
@@ -158,30 +192,41 @@ def _fit_lorentzian_dip(freqs: np.ndarray, trans: np.ndarray,
     dips (their effective linewidth varies across the line); a symmetric
     3-parameter fit biases the center by several percent of the FWHM
     there.  For a true Lorentzian g1 fits to zero and the symmetric
-    result is recovered exactly.  The Jacobian is analytic.
+    result is recovered exactly.  The Jacobian is analytic; MINPACK asks
+    for the residuals and then the Jacobian at the same parameters, so
+    both share the terms of the last parameter vector seen.
     """
     scale = max(half_width0, 1e-300)
     u = (freqs - center0) / scale
+    jac = np.empty((4, len(u)))
+    last = [None, None]  # parameter bytes, terms
+
+    def terms(theta):
+        key = theta.tobytes()
+        if key != last[0]:
+            v = u - theta[1]
+            width = theta[2] + theta[3] * v
+            v2 = v**2
+            w2 = width**2
+            last[:] = key, (v, width, v2, w2, v2 + w2)
+        return last[1]
 
     def residuals(theta):
-        depth, mu, g0, g1 = theta
-        v = u - mu
-        width = g0 + g1 * v
-        return 1.0 - depth * width**2 / (v**2 + width**2) - trans
+        _, _, _, w2, denom = terms(theta)
+        return 1.0 - theta[0] * w2 / denom - trans
 
     def jacobian(theta):
-        depth, mu, g0, g1 = theta
-        v = u - mu
-        width = g0 + g1 * v
-        denom = v**2 + width**2
+        v, width, v2, w2, denom = terms(theta)
         # d/dG of G**2/denom is 2 G v**2/denom**2; moving the center
         # shifts v and G together, which leaves 2 G v g0/denom**2
-        common = -2.0 * depth * width * v / denom**2
-        return np.column_stack((-width**2 / denom, common * g0,
-                                common * v, common * v**2))
+        common = -2.0 * theta[0] * width * v / denom**2
+        np.divide(np.negative(w2, out=jac[0]), denom, out=jac[0])
+        np.multiply(common, theta[2], out=jac[1])
+        np.multiply(common, v, out=jac[2])
+        np.multiply(common, v2, out=jac[3])
+        return jac
 
-    result = least_squares(residuals, x0=[depth0, 0.0, 1.0, 0.0],
-                           jac=jacobian, method="lm")
+    result = least_squares(residuals, [depth0, 0.0, 1.0, 0.0], jac=jacobian)
     depth, mu, g0, g1 = result.x
     rms = math.sqrt(2.0 * result.cost / len(freqs))
     if abs(g1) < 0.95:
@@ -310,14 +355,11 @@ def detect_dips(spectrum: Spectrum, depth_threshold: float = 0.1) -> list[DipFea
 
 
 def _local_maxima(values: np.ndarray) -> list[int]:
-    idx = []
-    n = len(values)
-    for i in range(1, n - 1):
-        if values[i] >= values[i - 1] and values[i] >= values[i + 1] and (
-            values[i] > values[i - 1] or values[i] > values[i + 1]
-        ):
-            idx.append(i)
-    return idx
+    """Interior samples no lower than either neighbour and higher than at
+    least one: each edge of a flat top counts, its inside does not."""
+    mid, left, right = values[1:-1], values[:-2], values[2:]
+    peak = (mid >= left) & (mid >= right) & ((mid > left) | (mid > right))
+    return (np.flatnonzero(peak) + 1).tolist()
 
 
 def _unity_points(spectrum: Spectrum, tol: float,

@@ -12,6 +12,7 @@ documents carry a schema_version and readers reject unknown major versions.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Optional
 
@@ -69,38 +70,47 @@ def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None,
 def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
     """Parse a spectrum CSV; returns the spectrum and the embedded config
     (None when the file carries none).  Raises ValueError on malformed
-    content."""
+    content.
+
+    Blank and '#' comment lines above the header row are skipped, and a
+    '# config:' line among them is the config.  Below the header the rows
+    go to numpy.loadtxt as they stand: a '#' starts a comment anywhere in
+    a line and empty lines are skipped."""
     config = None
     header = None
-    rows = []
+    first_row = None
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for number, raw in enumerate(handle):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
+            if header is None and line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("config:"):
                     try:
                         config = json.loads(body[len("config:"):])
                     except json.JSONDecodeError as exc:
                         raise ValueError(f"{path}: malformed config line: {exc}") from exc
-                continue
-            if header is None:
+            elif header is None:
                 header = [c.strip() for c in line.split(",")]
-                continue
-            rows.append(line)
-    if header is None or not rows:
-        raise ValueError(f"{path}: no data rows found")
-    for required in ("omega", "T", "phase_rad"):
-        if required not in header:
-            raise ValueError(f"{path}: missing column '{required}'")
-    try:
-        data = np.loadtxt(rows, dtype=float, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        if len({row.count(",") for row in rows}) > 1:
-            raise ValueError(f"{path}: ragged rows") from None
-        raise ValueError(f"{path}: non-numeric value") from None
+            elif not line.startswith("#"):
+                first_row = number
+                break
+        if first_row is None:
+            raise ValueError(f"{path}: no data rows found")
+        for required in ("omega", "T", "phase_rad"):
+            if required not in header:
+                raise ValueError(f"{path}: missing column '{required}'")
+        try:
+            data = np.loadtxt(itertools.chain([raw], handle), dtype=float,
+                              delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            handle.seek(0)
+            rows = (line.split("#", 1)[0].rstrip("\n")
+                    for line in itertools.islice(handle, first_row, None))
+            if {row.count(",") for row in rows if row} != {len(header) - 1}:
+                raise ValueError(f"{path}: ragged rows") from None
+            raise ValueError(f"{path}: non-numeric value") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: ragged rows")
     column = {name: data[:, i] for i, name in enumerate(header)}

@@ -1,8 +1,10 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qspectra import (
     AmbiguousClassificationError,
@@ -540,3 +542,128 @@ def test_dip_contract_under_noise(monkeypatch):
     assert rejection_notes
     for note in rejection_notes:
         assert re.fullmatch(r"\d+ of \d+ dip fits rejected \(.+\)", note)
+
+
+def _loop_local_maxima(values):
+    """The per-sample loop that estimate._local_maxima replaced: the
+    reference for the vectorized form."""
+    idx = []
+    for i in range(1, len(values) - 1):
+        if values[i] >= values[i - 1] and values[i] >= values[i + 1] and (
+            values[i] > values[i - 1] or values[i] > values[i + 1]
+        ):
+            idx.append(i)
+    return idx
+
+
+def test_local_maxima_matches_loop(qnmr_spectrum):
+    noisy = add_measurement_noise(qnmr_spectrum, 0.02, 5).transmission
+    cases = [
+        qnmr_spectrum.transmission,
+        noisy,
+        np.round(noisy, 2),  # runs of equal neighbours
+        np.random.default_rng(41).integers(0, 3, 500).astype(float),
+        np.array([0.0, 1.0, 1.0, 1.0, 0.0]),
+        np.array([1.0, 1.0, 1.0]),
+        np.array([0.0, 1.0, 1.0]),
+        np.array([1.0, 0.0, 1.0]),
+        np.array([0.0, 1.0, 0.0]),
+        np.array([np.nan, 1.0, 0.0, 1.0, np.nan]),
+        np.array([1.0, 2.0]),
+        np.array([1.0]),
+        np.array([]),
+    ]
+    for values in cases:
+        got = estimate._local_maxima(values)
+        assert got == _loop_local_maxima(values), values
+        assert all(type(i) is int for i in got)
+
+
+def _reference_model(freqs, trans, center0, half_width0):
+    """Residuals and row-major Jacobian of the dip fit, each computed from
+    scratch per call as scipy.optimize.least_squares takes them."""
+    u = (freqs - center0) / max(half_width0, 1e-300)
+
+    def residuals(theta):
+        depth, mu, g0, g1 = theta
+        v = u - mu
+        width = g0 + g1 * v
+        return 1.0 - depth * width**2 / (v**2 + width**2) - trans
+
+    def jacobian(theta):
+        depth, mu, g0, g1 = theta
+        v = u - mu
+        width = g0 + g1 * v
+        denom = v**2 + width**2
+        common = -2.0 * depth * width * v / denom**2
+        return np.column_stack((-width**2 / denom, common * g0,
+                                common * v, common * v**2))
+
+    return residuals, jacobian
+
+
+class TestFitKernel:
+    """estimate.least_squares runs MINPACK lmder with the settings of
+    scipy.optimize.least_squares(method="lm", x_scale="jac"), and the
+    dip fit's column-major, shared-term Jacobian has the same values as
+    one built per call."""
+
+    @staticmethod
+    def _record(monkeypatch, spectra):
+        """The fit windows of each spectrum's report, then each window's
+        fit as (least_squares arguments, result)."""
+        windows = []
+        real_fit = estimate._fit_lorentzian_dip
+        monkeypatch.setattr(estimate, "_fit_lorentzian_dip",
+                            lambda *a: windows.append(a) or real_fit(*a))
+        for s in spectra:
+            estimate_report(s)
+        fits = []
+        real = estimate.least_squares
+
+        def recording(fun, x0, jac=None, **kw):
+            fits.append(((fun, x0, jac), real(fun, x0, jac=jac, **kw)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(estimate, "least_squares", recording)
+        for w in windows:
+            real_fit(*w)
+        return windows, fits
+
+    def test_equals_scipy_least_squares(self, qnmr_spectrum, monkeypatch):
+        # the 3 % and 5 % draws of seed 1 each hold one window that uses
+        # up maxfev
+        spectra = [add_measurement_noise(qnmr_spectrum, sigma, seed)
+                   for sigma, seed in ((0.0, 0), (0.01, 0), (0.03, 1), (0.05, 1))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            windows, fits = self._record(monkeypatch, spectra)
+        statuses = [result.status for _, result in fits]
+        assert statuses.count(5) == 2
+        for (freqs, trans, center0, half_width0, depth0), (_, ours) in zip(windows, fits):
+            residuals, jacobian = _reference_model(freqs, trans, center0, half_width0)
+            ref = scipy.optimize.least_squares(residuals, [depth0, 0.0, 1.0, 0.0],
+                                               jac=jacobian, method="lm", x_scale="jac")
+            assert np.array_equal(ours.x, ref.x)
+            assert ours.cost == ref.cost
+            assert ours.nfev == ref.nfev
+            # least_squares reports MINPACK's info 5 (maxfev) as status 0
+            assert (ours.status == 5) == (ref.status == 0)
+            assert ours.nfev <= 400
+
+    def test_fits_share_no_state(self, qnmr_spectrum, monkeypatch):
+        windows, fits = self._record(monkeypatch, [qnmr_spectrum])
+        assert len(fits) == 2
+        models = [_reference_model(*w[:4]) for w in windows]
+        thetas = [result.x for _, result in fits]
+        seen = []
+        # evaluate both fits at both parameter vectors, interleaved, so a
+        # shared cache keyed on the parameters would hand one fit the
+        # other's terms
+        for theta in thetas + thetas[::-1]:
+            for ((fun, _, jac), _), (residuals, jacobian) in zip(fits, models):
+                assert np.array_equal(fun(theta), residuals(theta))
+                j = jac(theta)
+                assert np.array_equal(j, jacobian(theta).T)
+                seen.append(j)
+        assert not np.shares_memory(seen[0], seen[1])

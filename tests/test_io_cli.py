@@ -118,6 +118,18 @@ class TestSpectrumCsv:
         else:
             assert np.array_equal(loaded.amplitude, expected.amplitude)
 
+    def test_comments_below_header(self, tmp_path):
+        # the config comes from the comments above the header; below it
+        # numpy.loadtxt skips comments and empty lines
+        path = tmp_path / "comments.csv"
+        path.write_text('# config: {"a": 1}\nomega,T,phase_rad\n1,0.5,0\n'
+                        '# config: {"a": 2}\n\n2,0.25,0.5 # note\n')
+        loaded, config = read_spectrum_csv(path)
+        assert config == {"a": 1}
+        assert loaded.freqs.tolist() == [1.0, 2.0]
+        assert loaded.transmission.tolist() == [0.5, 0.25]
+        assert loaded.phase.tolist() == [0.0, 0.5]
+
     def test_ragged_rows_rejected(self, tmp_path):
         bad = tmp_path / "ragged.csv"
         bad.write_text("omega,T,phase_rad\n1,0.5,0\n2,0.5\n")
@@ -422,6 +434,19 @@ class TestEstimateCommand:
                      "--output", str(report_path)]) == 0
         assert load_report(report_path)["model_class"] == "classical-nmr"
 
+    @pytest.mark.parametrize("flag", ["--ref-g-q", "--ref-delta"])
+    def test_zero_reference_hint_is_usage_error(self, flag, tmp_path, capsys):
+        csv = tmp_path / "dispersive.csv"
+        assert main(["spectrum", "--model", "dispersive", "--omega0", "2.1e9",
+                     "--g-q", "3e7", "--v-g", "3e8", "--gamma-c", "1e6",
+                     "--omega-b", "2e9", "--mean-n", "1",
+                     "--grid", "2.09e9:2.13e9:2001", "--output", str(csv)]) == 0
+        hints = {"--ref-omega0": "2.1e9", "--ref-g-q": "3e7", "--ref-delta": "1e8"}
+        hints[flag] = "0"
+        argv = ["estimate", str(csv)] + [x for item in hints.items() for x in item]
+        assert main(argv) == 1
+        assert f"{flag} must be nonzero" in capsys.readouterr().err
+
     def test_malformed_input_is_nonzero(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,spectrum\n1,2,3\n")
@@ -573,3 +598,14 @@ class TestSvg:
 
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
+
+
+def test_tracer_hook_names_stay_bound():
+    """bench/tracer.py patches these attributes by name; renaming one makes
+    `python3 bench/run.py --trace 1` fail with AttributeError."""
+    from qspectra import cli, estimate, params, squid
+
+    for owner, name in ((estimate, "least_squares"), (estimate, "find_peaks"),
+                        (cli, "ThreadPoolExecutor"), (squid, "eigh_tridiagonal"),
+                        (params.Spectrum, "__post_init__")):
+        assert callable(getattr(owner, name, None)), name
