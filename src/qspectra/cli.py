@@ -149,6 +149,17 @@ def _model_kind(options: dict) -> ModelKind:
         raise UsageError(f"unknown model {name!r}; choose from: {names}") from exc
 
 
+def _parse_noise_sigma(value) -> float:
+    """--noise-sigma: finite and >= 0; unset or 0 means a clean spectrum."""
+    try:
+        sigma = float(value or 0.0)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"noise_sigma must be a number, got {value!r}") from exc
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise UsageError(f"noise_sigma must be finite and >= 0, got {sigma}")
+    return sigma
+
+
 def cmd_spectrum(args) -> int:
     keys = ("model", "grid", "noise_sigma", "seed", "output", "svg") + PARAM_FIELDS
     options = _merged(args, keys)
@@ -166,9 +177,9 @@ def cmd_spectrum(args) -> int:
     if not output:
         raise UsageError("missing required option: output")
 
-    spectrum = compute_spectrum(kind, params, freqs)
-    sigma = float(options.get("noise_sigma") or 0.0)
+    sigma = _parse_noise_sigma(options.get("noise_sigma"))
     seed = int(options.get("seed") or 0)
+    spectrum = compute_spectrum(kind, params, freqs)
     if sigma > 0:
         spectrum = add_measurement_noise(spectrum, sigma, seed)
     config = {
@@ -307,13 +318,12 @@ def cmd_sweep(args) -> int:
     output = options.get("output")
     if not output:
         raise UsageError("missing required option: output")
-    # validate once before fanning out so errors carry a usable message
-    _sweep_rows(kind, params, name, float(values[0]), freqs)
-
+    # the first step runs alone, so errors carry a usable message
+    results = [_sweep_rows(kind, params, name, float(values[0]), freqs)]
     with ThreadPoolExecutor(max_workers=min(thread_cap(), len(values))) as pool:
-        results = list(pool.map(
-            lambda v: _sweep_rows(kind, params, name, float(v), freqs), values
-        ))
+        results += pool.map(
+            lambda v: _sweep_rows(kind, params, name, float(v), freqs), values[1:]
+        )
     lines = [
         "# config: " + json.dumps({
             "command": "sweep", "model": kind.value, "param": name,

@@ -583,16 +583,27 @@ def add_measurement_noise(spectrum: Spectrum, sigma: float, seed: int) -> Spectr
     """Gaussian measurement noise on transmission (clamped to [0, 1]) and
     small-angle noise of the same scale on phase; deterministic per seed.
     The complex amplitude is dropped because it no longer exists
-    consistently.  sigma = 0 returns the spectrum unchanged."""
+    consistently.  sigma must be finite and >= 0; sigma = 0 returns the
+    spectrum unchanged."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return spectrum
     rng = np.random.default_rng(seed)
     n = spectrum.n_points
-    trans = np.clip(spectrum.transmission + rng.normal(0.0, sigma, n), 0.0, 1.0)
-    phase = spectrum.phase + rng.normal(0.0, sigma, n)
-    phase = np.mod(phase + np.pi, 2.0 * np.pi) - np.pi
+    trans = rng.normal(0.0, sigma, n)
+    trans += spectrum.transmission
+    np.clip(trans, 0.0, 1.0, out=trans)
+    phase = rng.normal(0.0, sigma, n)
+    phase += spectrum.phase
+    phase += np.pi
+    # wrap to [0, 2 pi); np.mod is the identity on samples already there
+    outside = phase >= 2.0 * np.pi
+    outside |= phase < 0.0
+    phase[outside] = np.mod(phase[outside], 2.0 * np.pi)
+    phase -= np.pi
     return Spectrum(freqs=spectrum.freqs, transmission=trans, phase=phase,
                     amplitude=None)
 

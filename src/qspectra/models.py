@@ -81,11 +81,17 @@ def _checked(omega: ArrayLike) -> np.ndarray:
 
 
 def _elastic(x: ArrayLike, y: ArrayLike, omega: ArrayLike):
-    """t = x/(x + i y); collapses to a python complex for scalar input."""
-    t = x / (x + 1j * np.asarray(y))
+    """t = x/(x + i y); collapses to a python complex for scalar input.
+
+    On a grid the denominator and the quotient share one complex buffer;
+    every element goes through the same IEEE operations as in
+    ``x / (x + 1j * y)``.
+    """
     if np.ndim(omega) == 0:
-        return complex(t)
-    return t
+        return complex(x / (x + 1j * np.asarray(y)))
+    t = np.multiply(1j, y, out=np.empty(np.shape(x), dtype=complex))
+    t += x
+    return np.divide(x, t, out=t)
 
 
 def qubit_amplitude(omega: ArrayLike, p: ModelParams):
@@ -109,9 +115,12 @@ def qubit_qnmr_amplitude(omega: ArrayLike, p: ModelParams):
     """
     p.require("omega0", "omega_b", "gamma_c", "g_q")
     w = _checked(omega)
-    x = (w - p.omega_b) * (w - p.omega0) - p.g_q**2
-    y = p.gamma_c * (w - p.omega_b)
-    return _elastic(x, y, omega)
+    detuning_b = w - p.omega_b
+    x = w - p.omega0
+    x *= detuning_b
+    x -= p.g_q**2
+    detuning_b *= p.gamma_c  # y
+    return _elastic(x, detuning_b, omega)
 
 
 def dispersive_shift(p: ModelParams) -> float:
@@ -199,6 +208,18 @@ def stlr_amplitude(omega: ArrayLike, p: ModelParams):
     return _elastic(p.v_g * (w - p.omega_r), p.v2**2, omega)
 
 
+def _stlr_dressed(w: np.ndarray, omega_q: float, p: ModelParams, omega: ArrayLike):
+    """Resonator hybridized with a qubit line at omega_q:
+    x = v_g[(w-omega_r)(w-omega_q) - g_rq**2], y = v2**2 (w-omega_q)."""
+    detuning_q = w - omega_q
+    x = w - p.omega_r
+    x *= detuning_q
+    x -= p.g_rq**2
+    x *= p.v_g
+    detuning_q *= p.v2**2  # y
+    return _elastic(x, detuning_q, omega)
+
+
 def stlr_qubit_amplitude(omega: ArrayLike, p: ModelParams):
     """Transmission amplitude of the resonator hybridized with the qubit.
 
@@ -208,9 +229,7 @@ def stlr_qubit_amplitude(omega: ArrayLike, p: ModelParams):
     """
     p.require("omega0", "omega_r", "g_rq", "v2", "v_g")
     w = _checked(omega)
-    x = p.v_g * ((w - p.omega_r) * (w - p.omega0) - p.g_rq**2)
-    y = p.v2**2 * (w - p.omega0)
-    return _elastic(x, y, omega)
+    return _stlr_dressed(w, p.omega0, p, omega)
 
 
 def stlr_qubit_qnmr_amplitude(omega: ArrayLike, p: ModelParams):
@@ -223,10 +242,17 @@ def stlr_qubit_qnmr_amplitude(omega: ArrayLike, p: ModelParams):
     """
     p.require("omega0", "omega_b", "omega_r", "g_rq", "g_q", "v2", "v_g")
     w = _checked(omega)
-    q = (w - p.omega0) * (w - p.omega_b) - p.g_q**2
-    x = p.v_g * ((w - p.omega_r) * q - p.g_rq**2 * (w - p.omega_b))
-    y = p.v2**2 * q
-    return _elastic(x, y, omega)
+    detuning_b = w - p.omega_b
+    q = w - p.omega0
+    q *= detuning_b
+    q -= p.g_q**2
+    x = w - p.omega_r
+    x *= q
+    detuning_b *= p.g_rq**2
+    x -= detuning_b
+    x *= p.v_g
+    q *= p.v2**2  # y
+    return _elastic(x, q, omega)
 
 
 def stlr_qubit_cnmr_amplitude(omega: ArrayLike, p: ModelParams):
@@ -236,9 +262,7 @@ def stlr_qubit_cnmr_amplitude(omega: ArrayLike, p: ModelParams):
     p.require("omega0", "omega_b", "omega_r", "g_rq", "g_c", "v2", "v_g")
     w = _checked(omega)
     shifted = shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c)
-    x = p.v_g * ((w - p.omega_r) * (w - shifted) - p.g_rq**2)
-    y = p.v2**2 * (w - shifted)
-    return _elastic(x, y, omega)
+    return _stlr_dressed(w, shifted, p, omega)
 
 
 AMPLITUDES = {

@@ -135,12 +135,6 @@ class ModelParams:
         return cls.from_dict(json.loads(text))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """A frequency grid with transmission probability and phase per point.
@@ -149,6 +143,8 @@ class Spectrum:
     ``transmission`` and ``phase`` are derived from it via ``|t|**2`` and
     ``arg(t)``.  Spectra that went through measurement noise carry
     ``amplitude=None`` because no consistent complex amplitude exists.
+    Each stored array is a read-only copy of the value passed in, so
+    later changes to the caller's arrays do not reach the spectrum.
     """
 
     freqs: np.ndarray
@@ -157,45 +153,58 @@ class Spectrum:
     amplitude: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.freqs, dtype=float)
-        trans = np.asarray(self.transmission, dtype=float)
-        phase = np.asarray(self.phase, dtype=float)
+        # one owned copy per array; clipping and the phase convention are
+        # applied to it in place
+        freqs = np.array(self.freqs, dtype=float)
+        trans = np.array(self.transmission, dtype=float)
+        phase = np.array(self.phase, dtype=float)
         if freqs.ndim != 1 or len(freqs) < 2:
             raise ValueError("a spectrum needs a 1-d grid of at least 2 frequencies")
         if trans.shape != freqs.shape or phase.shape != freqs.shape:
             raise ValueError("transmission/phase arrays must match the grid shape")
         if not np.all(np.isfinite(freqs)):
             raise ValueError("frequency grid contains non-finite values")
-        if np.any(np.diff(freqs) <= 0):
+        # on finite values b - a <= 0 exactly when b <= a
+        if np.any(freqs[1:] <= freqs[:-1]):
             raise ValueError("frequency grid must be strictly increasing")
         if np.any(trans < -1e-9) or np.any(trans > 1 + 1e-9):
             raise ValueError("transmission values must lie in [0, 1]")
-        trans = np.clip(trans, 0.0, 1.0)
+        np.clip(trans, 0.0, 1.0, out=trans)
         # phase convention: (-pi, pi]
-        phase = np.where(phase == -np.pi, np.pi, phase)
-        if np.any(np.abs(phase) > np.pi + 1e-9):
+        phase[phase == -np.pi] = np.pi
+        limit = np.pi + 1e-9
+        if np.any(phase > limit) or np.any(phase < -limit):
             raise ValueError("phase values must lie in (-pi, pi]")
         amp = self.amplitude
         if amp is not None:
-            amp = np.asarray(amp, dtype=complex)
+            amp = np.array(amp, dtype=complex)
             if amp.shape != freqs.shape:
                 raise ValueError("amplitude array must match the grid shape")
-            mag2 = np.abs(amp) ** 2
-            mismatch = np.abs(mag2 - trans)
-            # 1e-12 relative, with an absolute floor for points near zero
-            if np.any(mismatch > np.maximum(1e-12 * mag2, 1e-15)):
+            mag2 = np.abs(amp)
+            mag2 *= mag2
+            mismatch = np.subtract(mag2, trans)
+            np.abs(mismatch, out=mismatch)
+            # 1e-12 relative, with an absolute floor for points near zero;
+            # the bound overwrites mag2
+            mag2 *= 1e-12
+            np.maximum(mag2, 1e-15, out=mag2)
+            if np.any(mismatch > mag2):
                 raise ValueError("transmission is not |amplitude|**2")
-            amp = _readonly(amp)
-        object.__setattr__(self, "freqs", _readonly(freqs))
-        object.__setattr__(self, "transmission", _readonly(trans))
-        object.__setattr__(self, "phase", _readonly(phase))
+            amp.flags.writeable = False
+        for array in (freqs, trans, phase):
+            array.flags.writeable = False
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "transmission", trans)
+        object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "amplitude", amp)
 
     @classmethod
     def from_amplitude(cls, freqs: np.ndarray, amplitude: np.ndarray) -> "Spectrum":
         """Build a spectrum from the complex transmission amplitude."""
         amplitude = np.asarray(amplitude, dtype=complex)
-        transmission = np.abs(amplitude) ** 2
+        # squared in place: x * x is what ** 2 computes
+        transmission = np.abs(amplitude)
+        transmission *= transmission
         phase = np.angle(amplitude)
         return cls(freqs=np.asarray(freqs, dtype=float), transmission=transmission,
                    phase=phase, amplitude=amplitude)

@@ -277,6 +277,37 @@ class TestMeasurementNoise:
         with pytest.raises(ValueError):
             add_measurement_noise(qnmr_spectrum, -0.1, 1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, qnmr_spectrum, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            add_measurement_noise(qnmr_spectrum, sigma, 1)
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.5, 3.0])
+    def test_matches_reference_expressions(self, qnmr_spectrum, sigma):
+        """Bit-identical to the whole-array expressions, on the qubit-qnmr
+        spectrum and on one whose T spans [0, 1] and whose phase spans
+        (-pi, pi], given with exact -pi and pi entries, so that clips and
+        wraps occur at every sigma."""
+        n = 4001
+        phase = np.linspace(-np.pi, np.pi, n)
+        phase[::400] = -np.pi
+        edges = Spectrum(freqs=qnmr_spectrum.freqs,
+                         transmission=np.linspace(0.0, 1.0, n), phase=phase)
+        assert np.array_equal(edges.phase, np.where(phase == -np.pi, np.pi, phase))
+        for seed, spectrum in enumerate((qnmr_spectrum, edges)):
+            rng = np.random.default_rng(seed)
+            raw_t = spectrum.transmission + rng.normal(0.0, sigma, n)
+            raw_phase = spectrum.phase + rng.normal(0.0, sigma, n) + np.pi
+            ref_phase = np.mod(raw_phase, 2.0 * np.pi) - np.pi
+            noisy = add_measurement_noise(spectrum, sigma, seed)
+            assert np.array_equal(noisy.freqs, spectrum.freqs)
+            assert np.array_equal(noisy.transmission, np.clip(raw_t, 0.0, 1.0))
+            assert np.array_equal(noisy.phase,
+                                  np.where(ref_phase == -np.pi, np.pi, ref_phase))
+        # the edge spectrum exercised both the clip and the wrap
+        assert np.any((raw_t < 0) | (raw_t > 1))
+        assert np.any((raw_phase < 0) | (raw_phase >= 2.0 * np.pi))
+
 
 class TestEstimateReport:
     def test_quantum_round_trip(self, qnmr_spectrum):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -364,6 +365,23 @@ class TestSpectrumCommand:
         assert code == 3
         assert "zero detuning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf", "-inf"])
+    def test_out_of_contract_noise_sigma_is_usage_error(self, sigma, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        # the "=" form lets argparse take "-inf" as a value
+        code = main(FIG3_ARGS + [f"--noise-sigma={sigma}", "--seed", "7",
+                                 "--output", str(out)])
+        assert code == 1
+        assert "noise_sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_noise_sigma_in_config_is_usage_error(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"noise_sigma": "lots"}))
+        code = main(FIG3_ARGS + ["--config", str(config),
+                                 "--output", str(tmp_path / "n.csv")])
+        assert code == 1
+
     def test_svg_output(self, tmp_path):
         out, chart = tmp_path / "s.csv", tmp_path / "s.svg"
         assert main(FIG3_ARGS + ["--output", str(out), "--svg", str(chart)]) == 0
@@ -522,6 +540,27 @@ class TestSweepCommand:
         monkeypatch.setenv("QSPECTRA_THREADS", "1")
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_each_step_evaluated_once(self, tmp_path, monkeypatch):
+        from qspectra import cli
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return compute_spectrum(*args)
+
+        monkeypatch.setattr(cli, "compute_spectrum", counting)
+        monkeypatch.setenv("QSPECTRA_THREADS", "2")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", "qubit-qnmr", "--omega0", "2.1e9",
+                     "--omega-b", "2e9", "--gamma-c", "3.3e7", "--param", "g_q",
+                     "--start", "5e7", "--stop", "2e8", "--steps", "5",
+                     "--grid", "1.8e9:2.3e9:1001", "--output", str(out)]) == 0
+        assert sorted(p.g_q for p in calls) == list(np.linspace(5e7, 2e8, 5))
+        # the bytes written when the first step was evaluated twice
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "01c91da19748a2bae09abfe38a5947c226e9adee9cc38885a2b23f0c263c8066")
 
     def test_bad_thread_env_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSPECTRA_THREADS", "zero")

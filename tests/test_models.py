@@ -394,6 +394,69 @@ class TestProbabilityBounds:
                 assert np.all(trans >= 0)
 
 
+# The parent expressions for (x, y) of each configuration, evaluated
+# without in-place arithmetic; the kernels must match them bit for bit.
+REFERENCE_XY = {
+    ModelKind.QUBIT_ONLY: lambda w, p: (w - p.omega0, p.gamma_c),
+    ModelKind.QUBIT_QNMR: lambda w, p: ((w - p.omega_b) * (w - p.omega0) - p.g_q**2,
+                                        p.gamma_c * (w - p.omega_b)),
+    ModelKind.DISPERSIVE: lambda w, p: (w - dispersive_dip_frequency(p), p.gamma_c),
+    ModelKind.QUBIT_CNMR: lambda w, p: (
+        w - shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c), p.gamma_c),
+    ModelKind.STLR_QUBIT: lambda w, p: (
+        p.v_g * ((w - p.omega_r) * (w - p.omega0) - p.g_rq**2), p.v2**2 * (w - p.omega0)),
+    ModelKind.STLR_QUBIT_QNMR: lambda w, p: _reference_stlr_qnmr_xy(w, p),
+    ModelKind.STLR_QUBIT_CNMR: lambda w, p: _reference_stlr_cnmr_xy(
+        w, p, shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c)),
+}
+
+
+def _reference_stlr_qnmr_xy(w, p):
+    q = (w - p.omega0) * (w - p.omega_b) - p.g_q**2
+    return p.v_g * ((w - p.omega_r) * q - p.g_rq**2 * (w - p.omega_b)), p.v2**2 * q
+
+
+def _reference_stlr_cnmr_xy(w, p, shifted):
+    return p.v_g * ((w - p.omega_r) * (w - shifted) - p.g_rq**2), p.v2**2 * (w - shifted)
+
+
+class TestForwardGoldenBits:
+    """compute_spectrum equals the parent's whole-array expressions:
+    t = x / (x + 1j*y), |t|**2, np.angle, np.clip and the -pi -> pi map."""
+
+    @pytest.mark.parametrize("n_points", [1000, 100000])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_compute_spectrum(self, kind, n_points, qubit_params, qnmr_params,
+                              cnmr_params, dispersive_params, stlr_params,
+                              stlr_qnmr_params, stlr_cnmr_params):
+        fixture = {
+            ModelKind.QUBIT_ONLY: qubit_params,
+            ModelKind.QUBIT_QNMR: qnmr_params,
+            ModelKind.DISPERSIVE: dispersive_params,
+            ModelKind.QUBIT_CNMR: cnmr_params,
+            ModelKind.STLR_QUBIT: stlr_params,
+            ModelKind.STLR_QUBIT_QNMR: stlr_qnmr_params,
+            ModelKind.STLR_QUBIT_CNMR: stlr_cnmr_params,
+        }[kind]
+        rng = np.random.default_rng(n_points)
+        w = make_frequency_grid(1.8e9, 2.3e9, n_points)
+        for p in [fixture] + [_random_params(rng) for _ in range(3)]:
+            i = n_points // 3
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                s = compute_spectrum(kind, p, w)
+                scalar = transmission_amplitude(kind, float(w[i]), p)
+            x, y = REFERENCE_XY[kind](w, p)
+            amplitude = x / (x + 1j * np.asarray(y))
+            phase = np.angle(amplitude)
+            assert np.array_equal(s.freqs, w)
+            assert np.array_equal(s.amplitude, amplitude)
+            assert np.array_equal(s.transmission, np.clip(np.abs(amplitude) ** 2, 0.0, 1.0))
+            assert np.array_equal(s.phase, np.where(phase == -np.pi, np.pi, phase))
+            # a scalar probe still collapses to the same python complex
+            assert scalar == complex(amplitude[i])
+
+
 def _random_params(rng):
     omega0 = rng.uniform(1.8e9, 2.4e9)
     return ModelParams(

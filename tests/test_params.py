@@ -137,6 +137,25 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             s.transmission[0] = 0.3
 
+    def test_isolated_from_inputs(self):
+        freqs = make_frequency_grid(1e9, 2e9, 11)
+        amp = np.full(11, 0.6 + 0.0j)
+        trans = np.abs(amp) ** 2
+        phase = np.zeros(11)
+        s = Spectrum(freqs=freqs, transmission=trans, phase=phase, amplitude=amp)
+        built = Spectrum.from_amplitude(freqs, amp)
+        expected = [a.copy() for a in (freqs, trans, phase, amp)]
+        for a in (freqs, trans, phase, amp):
+            a[3] = 0.0
+        for spectrum in (s, built):
+            stored = (spectrum.freqs, spectrum.transmission, spectrum.phase,
+                      spectrum.amplitude)
+            for value, want in zip(stored, expected):
+                assert np.array_equal(value, want)
+                assert not value.flags.writeable
+                with pytest.raises(ValueError):
+                    value[0] = 0.0
+
     def test_grid_step(self):
         s = Spectrum.from_amplitude(make_frequency_grid(0, 10, 11),
                                     np.full(11, 1.0 + 0j))
