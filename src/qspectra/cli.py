@@ -11,6 +11,7 @@ including the noise seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from .squid import (
     BoundaryLeakageError,
     CircuitSpec,
     ConvergenceError,
+    circulating_current_states,
     potential,
     reference_circuit,
     solve_eigensystem,
@@ -160,6 +162,20 @@ def _parse_noise_sigma(value) -> float:
     return sigma
 
 
+def _parse_seed(value) -> int:
+    """--seed: a non-negative integer; unset means 0."""
+    if value is None:
+        return 0
+    try:
+        seed = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"seed must be a non-negative integer, got {value!r}") from exc
+    # int() truncates a float; 5.0 from a JSON config is still accepted
+    if isinstance(value, bool) or (isinstance(value, float) and seed != value) or seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def cmd_spectrum(args) -> int:
     keys = ("model", "grid", "noise_sigma", "seed", "output", "svg") + PARAM_FIELDS
     options = _merged(args, keys)
@@ -178,7 +194,7 @@ def cmd_spectrum(args) -> int:
         raise UsageError("missing required option: output")
 
     sigma = _parse_noise_sigma(options.get("noise_sigma"))
-    seed = int(options.get("seed") or 0)
+    seed = _parse_seed(options.get("seed"))
     spectrum = compute_spectrum(kind, params, freqs)
     if sigma > 0:
         spectrum = add_measurement_noise(spectrum, sigma, seed)
@@ -427,12 +443,7 @@ def _emit_squid_figures(figure: str, outdir: str, with_svg: bool) -> list[str]:
             written.append(svg_path)
         return written
     # fig12: the circulating-current combinations of the doublet
-    psi0, psi1 = sol.wavefunctions[0], sol.wavefunctions[1]
-    right = sol.flux_grid > spec.bias_flux
-    if float(np.sum(psi0[right] * psi1[right]) * sol.flux_step) < 0:
-        psi1 = -psi1
-    left_state = (psi0 - psi1) / math.sqrt(2.0)
-    right_state = (psi0 + psi1) / math.sqrt(2.0)
+    left_state, right_state = circulating_current_states(sol, spec)
     path = os.path.join(outdir, "fig12.csv")
     text = qio._csv_text(("flux_over_phi0", "psi_left", "psi_right"),
                          (sol.flux_grid / FLUX_QUANTUM, left_state, right_state),
@@ -541,10 +552,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args returns a fresh namespace per call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

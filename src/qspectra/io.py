@@ -4,10 +4,15 @@ CSV files are comma separated with '#'-prefixed comment lines; the first
 comment lines carry the generating configuration as a JSON object so every
 file is self-describing.  Numbers are written as ``%.8e``: scientific
 notation with 9 significant digits, which makes identical configurations
-produce byte identical files.  The writers format a block of rows with one
-``%`` operation; ``"%.8e" % x`` and ``f"{x:.8e}"`` run the same CPython
-routine, so the bytes are those of a value-by-value formatter.  JSON
-documents carry a schema_version and readers reject unknown major versions.
+produce byte identical files.  The writers format blocks of rows in
+whole-array numpy (``_numtext.format_table``): each value is scaled by a
+correctly rounded power of ten into ``[1e8, 1e9)``, within about 2.3e-7 of
+the exact product, and rounded to its nine digits.  Values whose scaled
+fraction lies within 1e-6 of one half, zeros, NaN, infinities and
+magnitudes outside ``[1e-280, 1e280]`` are formatted by CPython's own
+``"%.8e" % x`` instead, so the bytes are those of a value-by-value
+formatter.  JSON documents carry a schema_version and readers reject
+unknown major versions.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._numtext import format_table
 from .params import Spectrum
 from .squid import CircuitSpec, EigenSolution, potential
 
@@ -25,10 +31,6 @@ SCHEMA_VERSION = "1.0"
 
 SPECTRUM_COLUMNS = ("omega", "T", "phase_rad", "re_t", "im_t")
 WAVEFUNCTION_COLUMNS = ("flux_over_phi0", "U_joules", "psi0", "psi1")
-
-
-# rows formatted per % operation; bounds the temporary tuple of floats
-_BLOCK_ROWS = 4096
 
 
 def _csv_text(names, columns, config: Optional[dict] = None,
@@ -41,10 +43,8 @@ def _csv_text(names, columns, config: Optional[dict] = None,
     if config is not None:
         lines.append("# config: " + json.dumps(config, sort_keys=True))
     lines.append(",".join(names))
-    table = np.column_stack(columns)
-    row = ",".join(["%.8e"] * len(names)) + "\n"
-    blocks = (table[i:i + _BLOCK_ROWS] for i in range(0, len(table), _BLOCK_ROWS))
-    body = "".join(row * len(b) % tuple(b.ravel().tolist()) for b in blocks)
+    body = format_table(np.column_stack(columns), "%.8e",
+                        "," * (len(names) - 1) + "\n")
     return "\n".join(lines) + "\n" + body
 
 
@@ -115,8 +115,8 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
         raise ValueError(f"{path}: ragged rows")
     column = {name: data[:, i] for i, name in enumerate(header)}
     trans = column["T"]
-    if np.any(trans < -1e-6) or np.any(trans > 1 + 1e-6):
-        raise ValueError(f"{path}: transmission outside [0, 1]")
+    if not np.all((trans >= -1e-6) & (trans <= 1 + 1e-6)):  # false for NaN too
+        raise ValueError(f"{path}: transmission outside [0, 1] or not a number")
     trans = np.clip(trans, 0.0, 1.0)
     if "re_t" in column and "im_t" in column:
         amp = column["re_t"] + 1j * column["im_t"]

@@ -167,13 +167,14 @@ class Spectrum:
         # on finite values b - a <= 0 exactly when b <= a
         if np.any(freqs[1:] <= freqs[:-1]):
             raise ValueError("frequency grid must be strictly increasing")
-        if np.any(trans < -1e-9) or np.any(trans > 1 + 1e-9):
+        # "all in range" is false for NaN, where "any out of range" is not
+        if not np.all((trans >= -1e-9) & (trans <= 1 + 1e-9)):
             raise ValueError("transmission values must lie in [0, 1]")
         np.clip(trans, 0.0, 1.0, out=trans)
         # phase convention: (-pi, pi]
         phase[phase == -np.pi] = np.pi
         limit = np.pi + 1e-9
-        if np.any(phase > limit) or np.any(phase < -limit):
+        if not np.all((phase <= limit) & (phase >= -limit)):
             raise ValueError("phase values must lie in (-pi, pi]")
         amp = self.amplitude
         if amp is not None:
@@ -188,7 +189,7 @@ class Spectrum:
             # the bound overwrites mag2
             mag2 *= 1e-12
             np.maximum(mag2, 1e-15, out=mag2)
-            if np.any(mismatch > mag2):
+            if not np.all(mismatch <= mag2):
                 raise ValueError("transmission is not |amplitude|**2")
             amp.flags.writeable = False
         for array in (freqs, trans, phase):

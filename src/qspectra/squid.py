@@ -238,6 +238,17 @@ class TruncationReport:
         )
 
 
+def circulating_current_states(sol: EigenSolution,
+                               spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The doublet combinations (psi0 - psi1)/sqrt(2) and (psi0 + psi1)/sqrt(2),
+    with psi1's sign chosen so that the first is the left-well state."""
+    psi0, psi1 = sol.wavefunctions[0], sol.wavefunctions[1]
+    right = sol.flux_grid > spec.bias_flux
+    if np.sum(psi0[right] * psi1[right]) * sol.flux_step < 0:
+        psi1 = -psi1
+    return (psi0 - psi1) / math.sqrt(2.0), (psi0 + psi1) / math.sqrt(2.0)
+
+
 def qubit_truncation_check(sol: EigenSolution, spec: CircuitSpec) -> TruncationReport:
     """Evaluate <i|H|j> in the numerical eigenbasis and the well
     localization of the doublet combinations (psi0 -/+ psi1)/sqrt(2)."""
@@ -258,12 +269,8 @@ def qubit_truncation_check(sol: EigenSolution, spec: CircuitSpec) -> TruncationR
     offdiag = float(np.sum(psi0 * h_psi1) * step)
     diag = min(abs(sol.energies[0]), abs(sol.energies[1]))
 
-    # orient psi1 so (psi0 - psi1)/sqrt(2) is the left-well state
+    left_state, right_state = circulating_current_states(sol, spec)
     right = phi > spec.bias_flux
-    if np.sum(psi0[right] * psi1[right]) * step < 0:
-        psi1 = -psi1
-    left_state = (psi0 - psi1) / math.sqrt(2.0)
-    right_state = (psi0 + psi1) / math.sqrt(2.0)
     left = phi < spec.bias_flux
     left_fraction = float(np.sum(left_state[left] ** 2) * step)
     right_fraction = float(np.sum(right_state[right] ** 2) * step)
@@ -382,6 +389,7 @@ __all__ = [
     "MechanicalSpec",
     "TruncationReport",
     "amplitude_length_product",
+    "circulating_current_states",
     "classical_amplitude",
     "cnmr_coupling",
     "current_matrix_elements",

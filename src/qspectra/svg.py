@@ -11,6 +11,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._numtext import format_table
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
@@ -103,16 +105,18 @@ def _panel_svg(panel: Panel, y_offset: int, width: int, height: int) -> list[str
         color = PALETTE[k % len(PALETTE)]
         x = np.asarray(series.x, float)
         y = np.asarray(series.y, float)
-        good = np.isfinite(x) & np.isfinite(y)
-        # break the polyline at non-finite samples
-        runs = np.split(np.arange(len(x)), np.nonzero(~good)[0])
-        for run in runs:
-            run = run[good[run]]
-            if len(run) < 2:
+        good = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+        # the polyline breaks at non-finite samples: a point ends its run
+        # with a newline where the next sample is not the next finite one
+        run_end = np.diff(good, append=-1) != 1
+        separators = np.column_stack((np.full(len(good), ord(",")),
+                                      np.where(run_end, ord("\n"), ord(" "))))
+        # px/py are elementwise, so each point has the bits of a scalar call
+        xy = np.column_stack((px(x[good]), py(y[good])))
+        runs = format_table(xy, "%.2f", separators).split("\n")
+        for pts, n_points in zip(runs, np.diff(np.flatnonzero(run_end), prepend=-1)):
+            if n_points < 2:
                 continue
-            # px/py are elementwise, so each point has the bits of a scalar call
-            xy = np.column_stack((px(x[run]), py(y[run])))
-            pts = " ".join(["%.2f,%.2f"] * len(run)) % tuple(xy.ravel().tolist())
             out.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 'stroke-width="1.3"/>'

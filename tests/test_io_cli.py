@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -17,9 +18,10 @@ from qspectra import (
     make_frequency_grid,
 )
 from qspectra.cli import main
+from qspectra._numtext import _BLOCK_ROWS, format_table
 from qspectra.io import (
-    _BLOCK_ROWS,
     SCHEMA_VERSION,
+    _csv_text,
     load_report,
     read_spectrum_csv,
     spectrum_csv_text,
@@ -155,6 +157,20 @@ class TestSpectrumCsv:
         assert str(bad) in capsys.readouterr().err
 
 
+REFERENCE_DIGESTS = pathlib.Path(__file__).parent.parent / "bench" / "reference_digests.json"
+
+
+def _reference_digests() -> dict:
+    """sha256 of the benchmark's output files, keyed 'figures/<name>' and
+    'spectrum/<model>/<points>/<variant>.<ext>'; only read here."""
+    with open(REFERENCE_DIGESTS, "r", encoding="utf-8") as handle:
+        return json.load(handle)["digests"]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
 def _float_reader(path):
     """Reference reader: parses every cell with float(), as read_spectrum_csv
     did before it parsed the data rows as one block."""
@@ -258,6 +274,47 @@ class TestGoldenBytes:
         text = wavefunction_csv_text(sol, spec, config={"b": 2}, figure="fig11")
         head = '# figure: fig11\n# config: {"b": 2}\nflux_over_phi0,U_joules,psi0,psi1\n'
         assert text == head + _reference_rows(columns)
+
+    @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS + 1])
+    def test_csv_matches_cpython_on_random_bits(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        bits = rng.integers(0, 2**64, size=(n_rows, 5), dtype=np.uint64)
+        # every exponent class, including subnormals (exponent field 0),
+        # NaN payloads and infinities (exponent field 2047)
+        bits[::7, 1] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+        bits[::11, 2] |= np.uint64(0x7FF0_0000_0000_0000)
+        columns = tuple(bits.view(np.float64).T)
+        names = ("a", "b", "c", "d", "e")
+        expected = "a,b,c,d,e\n" + _reference_rows(columns)
+        assert _csv_text(names, columns) == expected
+
+    @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("conversion", ["%.8e", "%.2f"])
+    def test_formatter_matches_cpython_on_edge_values(self, conversion, n_rows):
+        rng = np.random.default_rng(7)
+        powers = np.array([10.0**k for k in range(-323, 309)])
+        edges = np.concatenate([
+            EDGE_VALUES,
+            [1234567885.0, 1234567895.0, 0.125, 0.375, 2.675, 1.005, 0.005, -0.005],
+            # exact ties at 9 significant digits and at 2 decimals
+            rng.integers(10**9, 10**10, 64) * 10.0 + 5.0,
+            (rng.integers(0, 10**7, 64) * 8 + rng.choice([1, 3, 5, 7], 64)) / 8.0,
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            # rounding up across a decade
+            9.9999999995 * powers[300:340], 9.99999999949 * powers[300:340],
+            [9.995, 99.995, 9.996, 999999.995, 999999.996, 9999999.996, 1e15, 1e300],
+            # subnormals and three-digit exponents
+            rng.integers(1, 2**52, 64).view(np.float64),
+            rng.uniform(1.0, 10.0, 64) * 10.0 ** rng.integers(-320, 309, 64),
+            [-0.0, -0.001, -0.004999, -1e-300, -5e-324],
+            [math.nan, -math.nan, math.inf, -math.inf],
+        ])
+        edges = np.concatenate([edges, -edges])
+        table = rng.choice(edges, size=(n_rows, 3))
+        table[:, 2] = rng.permutation(np.resize(edges, n_rows))
+        expected = "".join(conversion % v + sep for row in table.tolist()
+                           for v, sep in zip(row, ", \n"))
+        assert format_table(table, conversion, ", \n") == expected
 
     def test_polylines_with_breaks(self):
         x = np.linspace(-3.0, 5.0, 20001)
@@ -382,6 +439,48 @@ class TestSpectrumCommand:
                                  "--output", str(tmp_path / "n.csv")])
         assert code == 1
 
+    def test_noisy_bytes_match_reference_digests(self, tmp_path):
+        # the benchmark's synth-artifacts argv for this key
+        key = "spectrum/qubit-qnmr/4001/noise0.01-seed3"
+        stem = tmp_path / "s"
+        argv = ["spectrum", "--model", "qubit-qnmr", "--omega0", "2100000000.0",
+                "--omega-b", "2000000000.0", "--gamma-c", "33000000.0",
+                "--g-q", "100000000.0", "--grid", "1.8e9:2.3e9:4001",
+                "--output", f"{stem}.csv", "--noise-sigma", "0.01", "--seed", "3",
+                "--svg", f"{stem}.svg"]
+        assert main(argv) == 0
+        references = _reference_digests()
+        for ext in ("csv", "svg"):
+            assert _sha256(f"{stem}.{ext}") == references[f"{key}.{ext}"], ext
+
+    @pytest.mark.parametrize("flag", ["--seed=-1", "--seed=1.5", "--seed=x"])
+    def test_bad_seed_is_usage_error(self, flag, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        code = main(FIG3_ARGS + ["--noise-sigma", "0.01", flag, "--output", str(out)])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
+    def test_bad_seed_in_config_is_usage_error(self, seed, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"noise_sigma": 0.01, "seed": seed}))
+        out = tmp_path / "n.csv"
+        assert main(FIG3_ARGS + ["--config", str(config), "--output", str(out)]) == 1
+        assert not out.exists()
+
+    def test_options_do_not_leak_between_calls(self, tmp_path):
+        seeded, unseeded, fresh = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+        noisy = FIG3_ARGS + ["--noise-sigma", "0.01"]
+        assert main(noisy + ["--seed", "5", "--output", str(seeded)]) == 0
+        assert main(noisy + ["--output", str(unseeded)]) == 0
+        assert main(noisy + ["--seed", "0", "--output", str(fresh)]) == 0
+        assert read_spectrum_csv(seeded)[1]["noise"]["seed"] == 5
+        assert read_spectrum_csv(unseeded)[1]["noise"]["seed"] == 0
+        assert unseeded.read_bytes() == fresh.read_bytes()
+        assert main(FIG3_ARGS + ["--output", str(unseeded)]) == 0
+        assert "noise" not in read_spectrum_csv(unseeded)[1]
+
     def test_svg_output(self, tmp_path):
         out, chart = tmp_path / "s.csv", tmp_path / "s.svg"
         assert main(FIG3_ARGS + ["--output", str(out), "--svg", str(chart)]) == 0
@@ -464,6 +563,18 @@ class TestEstimateCommand:
         argv = ["estimate", str(csv)] + [x for item in hints.items() for x in item]
         assert main(argv) == 1
         assert f"{flag} must be nonzero" in capsys.readouterr().err
+
+    def test_nan_transmission_is_format_error(self, qnmr_spectrum, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        rows = spectrum_csv_text(qnmr_spectrum).splitlines()
+        cells = rows[100].split(",")
+        cells[1] = "nan"
+        rows[100] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="transmission"):
+            read_spectrum_csv(path)
+        assert main(["estimate", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_malformed_input_is_nonzero(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -612,6 +723,13 @@ class TestFiguresCommand:
             assert (tmp_path / f"{name}.csv").exists()
         for n in range(4):
             assert (tmp_path / f"fig4_n{n}.csv").exists()
+
+    def test_bytes_match_reference_digests(self, tmp_path):
+        references = _reference_digests()
+        assert main(["figures", "--which", "all", "--outdir", str(tmp_path), "--svg"]) == 0
+        expected = {key[len("figures/"):]: digest for key, digest in references.items()
+                    if key.startswith("figures/")}
+        assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == expected
 
     def test_unknown_figure_rejected(self, tmp_path):
         assert main(["figures", "--which", "fig99", "--outdir", str(tmp_path)]) == 1

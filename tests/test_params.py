@@ -131,6 +131,22 @@ class TestSpectrum:
             Spectrum(freqs=freqs, transmission=np.array([0.0, 1.5, 0.0]),
                      phase=np.zeros(3))
 
+    @pytest.mark.parametrize("column", ["transmission", "phase"])
+    def test_nan_rejected(self, column):
+        values = {"transmission": np.full(3, 0.5), "phase": np.zeros(3)}
+        values[column][1] = np.nan
+        with pytest.raises(ValueError, match=column):
+            Spectrum(freqs=np.array([1.0, 2.0, 3.0]), **values)
+
+    def test_nan_amplitude_rejected(self):
+        freqs = np.array([1.0, 2.0, 3.0])
+        amp = np.array([0.5, np.nan, 0.5], dtype=complex)
+        with pytest.raises(ValueError, match="transmission"):
+            Spectrum.from_amplitude(freqs, amp)
+        with pytest.raises(ValueError, match="amplitude"):
+            Spectrum(freqs=freqs, transmission=np.full(3, 0.25), phase=np.zeros(3),
+                     amplitude=amp)
+
     def test_arrays_are_immutable(self):
         freqs = make_frequency_grid(1e9, 2e9, 11)
         s = Spectrum.from_amplitude(freqs, np.full(11, 0.5 + 0j))
