@@ -57,14 +57,21 @@ def _nul_padded(text: str) -> str:
     return text.rjust(4, "\0")
 
 
+def _exponent(k: int) -> str:
+    """'e+05', 'e-123': the exponent as '%.8e' writes it, with a NUL in
+    place of a missing hundreds digit."""
+    text = f"e{k:+03d}"
+    return text if len(text) == 5 else text[:2] + "\0" + text[2:]
+
+
 _QUADS = _words(f"{i:04d}" for i in range(10000))
 
 # %.8e: [-][lead digit][.] for lead + 10 * negative, and the exponent
 # e + 999 as [e][sign][hundreds][tens] and [units]
 _LEADS = _words(f"{sign}{d}.\0" for sign in ("\0", "-") for d in range(10))
-_EXP_HEADS = _words(f"e{'-' if k < 0 else '+'}{abs(k) // 100 or chr(0)}{abs(k) // 10 % 10}"
-                    for k in range(-999, 1000))
-_EXP_TAILS = _words(f"{abs(k) % 10}\0\0\0" for k in range(-999, 1000))
+_EXPONENTS = [_exponent(k) for k in range(-999, 1000)]
+_EXP_HEADS = _words(text[:4] for text in _EXPONENTS)
+_EXP_TAILS = _words(text[4] + "\0\0\0" for text in _EXPONENTS)
 
 # %.2f: the integer part's high digits with the sign, for high + 101 *
 # negative (high <= 100); its low four digits, for low + 10000 * (high == 0)
