@@ -10,6 +10,10 @@ One report scans the spectrum for dip candidates once and fits each
 candidate once; the reported dips and the outer dips that bound the
 full-transmission search are both selected from that one scan.
 
+One rule (_decide) maps those dips and points to a vibration class:
+estimate_report applies it and inverts what the class allows, and
+classify is its raising form.
+
 Noise gate: a dip candidate needs a prominence of at least
 max(depth_threshold, 6 * sigma_noise), where sigma_noise is the median
 absolute deviation of the spectrum's first differences scaled to a
@@ -402,43 +406,74 @@ def detect_unity_points(spectrum: Spectrum, tol: float = 0.01) -> list[float]:
     return _unity_points(spectrum, tol, detect_dips(spectrum, _OUTER_DIP_DEPTH))
 
 
+def _observe(spectrum: Spectrum, depth_threshold: float,
+             unity_tol: float) -> tuple[list[DipFeature], list[float], list[str]]:
+    """One scan of the spectrum: the dips of depth >= depth_threshold,
+    the full-transmission points between the outer depth-0.5 dips, and
+    the notes counting rejected fits."""
+    scan = _DipScan(spectrum, depth_threshold, _OUTER_DIP_DEPTH)
+    unity = _unity_points(spectrum, unity_tol, scan.select(_OUTER_DIP_DEPTH))
+    return scan.select(depth_threshold), unity, scan.rejection_notes()
+
+
+def _decide(spectrum: Spectrum, dips: list[DipFeature], unity: list[float],
+            reference_omega0: Optional[Frequency],
+            dispersive: bool) -> tuple[ModelClass, list[DipFeature], list[str]]:
+    """The classification rule: the class, the deepest two dips sorted by
+    center that it rests on, and the notes that explain it.
+
+    Two dips with a full-transmission point between them mean the
+    mechanical mode is quantized; two without one are ambiguous.  A
+    single dip needs reference_omega0: it is a dispersive phonon readout
+    when dispersive, the bare scatterer when it sits within
+    max(FWHM/2, grid step) of the reference, and a classical drive
+    otherwise.
+    """
+    pair = sorted(dips, key=lambda d: d.depth, reverse=True)[:2]
+    pair.sort(key=lambda d: d.center)
+    notes = []
+    if len(dips) > 2:
+        notes.append(f"{len(dips)} dips detected; classification used the deepest two")
+    if not pair:
+        return ModelClass.NO_FEATURES, pair, notes
+    if len(pair) == 2:
+        if any(pair[0].center < u < pair[1].center for u in unity):
+            return ModelClass.QUANTUM_NMR, pair, notes
+        notes.append("two dips but no transparency window between them")
+        return ModelClass.AMBIGUOUS, pair, notes
+    if reference_omega0 is None:
+        notes.append(
+            "dispersive readout needs reference_omega0" if dispersive
+            else "single dip: supply reference_omega0 to separate 'no mechanics' "
+            "from 'classical drive'"
+        )
+        return ModelClass.AMBIGUOUS, pair, notes
+    if dispersive:
+        return ModelClass.DISPERSIVE, pair, notes
+    dip = pair[0]
+    if abs(dip.center - reference_omega0) <= max(0.5 * dip.fwhm, spectrum.grid_step):
+        return ModelClass.NO_NMR, pair, notes
+    return ModelClass.CLASSICAL_NMR, pair, notes
+
+
 def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
              depth_threshold: float = 0.5,
              unity_tol: float = 0.01) -> ModelClass:
     """Classify the mechanical vibration from the dip/window structure.
 
-    Two dips with a full-transmission point between them mean the
-    mechanical mode is quantized.  A single dip is either the bare
-    scatterer or a classically driven one; telling those apart needs a
-    reference qubit frequency (dip on the reference: no mechanics; dip
-    shifted: classical drive).  Anything else raises
-    AmbiguousClassificationError.
+    This is the raising form of the rule estimate_report applies: two
+    dips with a full-transmission point between them mean the mechanical
+    mode is quantized; a single dip is the bare scatterer when it sits on
+    reference_omega0 and classically driven when shifted from it.  Where
+    that report would be ambiguous or find no dips, or where more than
+    two dips pass depth_threshold, AmbiguousClassificationError carries
+    the class and the report's notes.
     """
-    scan = _DipScan(spectrum, depth_threshold, _OUTER_DIP_DEPTH)
-    dips = scan.select(depth_threshold)
-    if len(dips) == 0:
-        raise AmbiguousClassificationError("no transmission dips found")
-    if len(dips) > 2:
-        raise AmbiguousClassificationError(
-            f"{len(dips)} dips found; expected at most two"
-        )
-    if len(dips) == 2:
-        unity = _unity_points(spectrum, unity_tol, scan.select(_OUTER_DIP_DEPTH))
-        if any(dips[0].center < u < dips[1].center for u in unity):
-            return ModelClass.QUANTUM_NMR
-        raise AmbiguousClassificationError(
-            "two dips but no full-transmission point between them"
-        )
-    if reference_omega0 is None:
-        raise AmbiguousClassificationError(
-            "single dip: need a reference qubit frequency to separate "
-            "'no mechanics' from 'classical drive'"
-        )
-    dip = dips[0]
-    tolerance = max(0.5 * dip.fwhm, spectrum.grid_step)
-    if abs(dip.center - reference_omega0) <= tolerance:
-        return ModelClass.NO_NMR
-    return ModelClass.CLASSICAL_NMR
+    dips, unity, _ = _observe(spectrum, depth_threshold, unity_tol)
+    model_class, pair, notes = _decide(spectrum, dips, unity, reference_omega0, False)
+    if model_class in (ModelClass.AMBIGUOUS, ModelClass.NO_FEATURES) or len(dips) > len(pair):
+        raise AmbiguousClassificationError("; ".join([model_class.value, *notes]))
+    return model_class
 
 
 def _splitting_inverse(split: float, mismatch: float,
@@ -664,54 +699,30 @@ def estimate_report(spectrum: Spectrum,
     """Full estimation pipeline for spectra taken on the qubit-scattering
     configurations.
 
-    Detects features, classifies the vibration, and inverts whatever the
-    class allows: two dips plus a window give the mechanical frequency,
-    the qubit frequency and the coupling; a single shifted dip gives the
-    classical coupling (needs reference_omega0 and reference_omega_b) and
-    the vibration amplitude when field, persistent_current and nmr_length
-    are supplied; with reference_g_q and reference_delta a single dip is
-    read as a dispersive phonon-number measurement.  When more dips
+    Detects features, classifies the vibration by the rule classify also
+    applies, and inverts whatever the class allows: two dips plus a window
+    give the mechanical frequency, the qubit frequency and the coupling; a
+    single shifted dip gives the classical coupling (needs
+    reference_omega0 and reference_omega_b) and the vibration amplitude
+    when field, persistent_current and nmr_length are supplied; with
+    reference_g_q and reference_delta a single dip is read as a
+    dispersive phonon-number measurement.  When more dips
     survive thresholding than the deepest two, the extras are reported in
     raw features only and the classification proceeds on the deepest two.
     """
-    scan = _DipScan(spectrum, depth_threshold, _OUTER_DIP_DEPTH)
-    all_dips = scan.select(depth_threshold)
-    unity = _unity_points(spectrum, unity_tol, scan.select(_OUTER_DIP_DEPTH))
+    all_dips, unity, notes = _observe(spectrum, depth_threshold, unity_tol)
+    model_class, working, decision_notes = _decide(
+        spectrum, all_dips, unity, reference_omega0,
+        dispersive=reference_g_q is not None and reference_delta is not None,
+    )
+    notes += decision_notes
     step = spectrum.grid_step
     floor = 0.5 * step
-    notes = scan.rejection_notes()
+    found = {}
 
-    if not all_dips:
-        return EstimationReport(
-            model_class=ModelClass.NO_FEATURES,
-            unity_points=tuple(unity),
-            grid_step=step,
-            notes=tuple(notes),
-        )
-
-    working = sorted(all_dips, key=lambda d: d.depth, reverse=True)[:2]
-    working.sort(key=lambda d: d.center)
-    if len(all_dips) > 2:
-        notes.append(
-            f"{len(all_dips)} dips detected; classification used the deepest two"
-        )
-
-    def report(model_class: ModelClass, **kw) -> EstimationReport:
-        return EstimationReport(
-            model_class=model_class,
-            dips=tuple(all_dips),
-            unity_points=tuple(unity),
-            grid_step=step,
-            notes=tuple(notes),
-            **kw,
-        )
-
-    if len(working) == 2:
+    if model_class is ModelClass.QUANTUM_NMR:
         low, high = working
         between = [u for u in unity if low.center < u < high.center]
-        if not between:
-            notes.append("two dips but no transparency window between them")
-            return report(ModelClass.AMBIGUOUS)
         # under noise several near-unity samples qualify; the phase zero
         # crossing is steep there, so the smallest |phase| picks best
         window = min(
@@ -732,63 +743,41 @@ def estimate_report(spectrum: Spectrum,
             sigma_plus=sig_hi, sigma_minus=sig_lo,
             sigma_omega0=omega0.sigma, sigma_omega_b=omega_b.sigma,
         )
-        return report(
-            ModelClass.QUANTUM_NMR,
-            omega0_est=_floored(omega0, floor),
-            omega_b_est=_floored(omega_b, floor),
-            g_est=_floored(g, floor),
-        )
-
-    dip = working[0]
-    sigma_dip = max(0.5 * dip.fwhm, floor)
-
-    if reference_g_q is not None and reference_delta is not None:
-        if reference_omega0 is None:
-            notes.append("dispersive readout needs reference_omega0")
-            return report(ModelClass.AMBIGUOUS)
-        count = phonon_number_from_dip(dip.center, reference_omega0,
+        found = dict(omega0_est=_floored(omega0, floor),
+                     omega_b_est=_floored(omega_b, floor),
+                     g_est=_floored(g, floor))
+    elif model_class is ModelClass.DISPERSIVE:
+        count = phonon_number_from_dip(working[0].center, reference_omega0,
                                        reference_g_q, reference_delta)
-        return report(
-            ModelClass.DISPERSIVE,
-            omega0_est=Estimate(float(reference_omega0), floor),
-            phonon_n_est=count.n,
-            phonon_residual=count.residual,
-        )
+        found = dict(omega0_est=Estimate(float(reference_omega0), floor),
+                     phonon_n_est=count.n, phonon_residual=count.residual)
+    elif model_class is ModelClass.NO_NMR:
+        dip = working[0]
+        found = dict(omega0_est=_floored(Estimate(dip.center, 0.5 * dip.fwhm), floor))
+    elif model_class is ModelClass.CLASSICAL_NMR:
+        dip = _floored(Estimate(working[0].center, 0.5 * working[0].fwhm), floor)
+        if reference_omega_b is not None:
+            g = _floored(
+                cnmr_coupling_from_shift(dip.value, reference_omega0, reference_omega_b,
+                                         sigma_shifted=dip.sigma),
+                floor,
+            )
+            found = dict(omega_b_est=Estimate(float(reference_omega_b), floor), g_est=g)
+            if field is not None and persistent_current is not None and nmr_length is not None:
+                from .squid import classical_amplitude
 
-    if reference_omega0 is None:
-        notes.append(
-            "single dip: supply reference_omega0 to separate 'no mechanics' "
-            "from 'classical drive'"
-        )
-        return report(ModelClass.AMBIGUOUS)
-
-    if abs(dip.center - reference_omega0) <= max(0.5 * dip.fwhm, step):
-        return report(
-            ModelClass.NO_NMR,
-            omega0_est=Estimate(dip.center, sigma_dip),
-        )
-
-    g = None
-    amplitude = None
-    if reference_omega_b is not None:
-        g = _floored(
-            cnmr_coupling_from_shift(dip.center, reference_omega0,
-                                     reference_omega_b, sigma_shifted=sigma_dip),
-            floor,
-        )
-        if field is not None and persistent_current is not None and nmr_length is not None:
-            from .squid import classical_amplitude
-
-            value = classical_amplitude(g.value, field, persistent_current, nmr_length)
-            amplitude = Estimate(value, value * g.sigma / g.value if g.value else 0.0)
-    else:
-        notes.append("classical coupling needs reference_omega_b")
-    return report(
-        ModelClass.CLASSICAL_NMR,
-        omega_b_est=None if reference_omega_b is None
-        else Estimate(float(reference_omega_b), floor),
-        g_est=g,
-        amplitude_est=amplitude,
+                value = classical_amplitude(g.value, field, persistent_current, nmr_length)
+                found["amplitude_est"] = Estimate(
+                    value, value * g.sigma / g.value if g.value else 0.0)
+        else:
+            notes.append("classical coupling needs reference_omega_b")
+    return EstimationReport(
+        model_class=model_class,
+        dips=tuple(all_dips),
+        unity_points=tuple(unity),
+        grid_step=step,
+        notes=tuple(notes),
+        **found,
     )
 
 

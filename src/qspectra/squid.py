@@ -182,10 +182,7 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2,
                 "is doubled; increase grid_points"
             )
 
-    current = (phi - spec.bias_flux) / spec.inductance
-    offdiag = float(np.sum(states[1] * current * states[0]) * step)
-    diag0 = float(np.sum(states[0] * current * states[0]) * step)
-    diag1 = float(np.sum(states[1] * current * states[1]) * step)
+    offdiag, diag0, diag1 = _current_elements(states, phi, step, spec)
     return EigenSolution(
         energies=energies,
         wavefunctions=states,
@@ -207,12 +204,15 @@ def current_matrix_elements(sol: EigenSolution, spec: CircuitSpec):
     """
     if len(sol.energies) < 2:
         raise ValueError("need at least two states")
-    current = (sol.flux_grid - spec.bias_flux) / spec.inductance
-    step = sol.flux_step
-    offdiag = float(np.sum(sol.wavefunctions[1] * current * sol.wavefunctions[0]) * step)
-    diag0 = float(np.sum(sol.wavefunctions[0] * current * sol.wavefunctions[0]) * step)
-    diag1 = float(np.sum(sol.wavefunctions[1] * current * sol.wavefunctions[1]) * step)
-    return offdiag, diag0, diag1
+    return _current_elements(sol.wavefunctions, sol.flux_grid, sol.flux_step, spec)
+
+
+def _current_elements(states: np.ndarray, flux_grid: np.ndarray, step: float,
+                      spec: CircuitSpec) -> tuple[float, float, float]:
+    """<1|I|0>, <0|I|0>, <1|I|1> of the loop current I = (Phi - Phi_e)/L."""
+    current = (flux_grid - spec.bias_flux) / spec.inductance
+    return tuple(float(np.sum(states[i] * current * states[j]) * step)
+                 for i, j in ((1, 0), (0, 0), (1, 1)))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -33,6 +34,7 @@ from qspectra import (
 )
 from qspectra import estimate
 from qspectra.estimate import _NOISE_GATE, _noise_sigma
+from qspectra.io import report_json_text
 
 from conftest import COUPLING, GAMMA_C, OMEGA0, OMEGA_B, OMEGA_R
 
@@ -698,3 +700,105 @@ class TestFitKernel:
                 assert np.array_equal(j, jacobian(theta).T)
                 seen.append(j)
         assert not np.shares_memory(seen[0], seen[1])
+
+
+PINNED_MODELS = {
+    ModelKind.QUBIT_ONLY: dict(omega0=OMEGA0, gamma_c=GAMMA_C),
+    ModelKind.QUBIT_QNMR: dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=GAMMA_C,
+                               g_q=COUPLING),
+    ModelKind.QUBIT_CNMR: dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=GAMMA_C,
+                               g_c=COUPLING),
+    ModelKind.DISPERSIVE: dict(omega0=OMEGA0, omega_b=OMEGA_B, g_q=3e7, v_g=3e8,
+                               gamma_c=1e6, mean_n=1.0),
+}
+PINNED_REFERENCES = (
+    {},
+    dict(reference_omega0=OMEGA0),
+    dict(reference_omega0=OMEGA0, reference_omega_b=OMEGA_B),
+    # inside half the bare dip's FWHM: no mechanics, by the dip's tolerance
+    dict(reference_omega0=OMEGA0 + 3e7, reference_omega_b=OMEGA_B),
+    dict(reference_omega0=OMEGA0, reference_g_q=3e7, reference_delta=1e8),
+    dict(reference_g_q=3e7, reference_delta=1e8),
+)
+
+
+def _edge_spectra(grid):
+    """A flat spectrum, the three-dip resonator spectrum, and two bare
+    dips with no full-transmission point between them."""
+    yield Spectrum.from_amplitude(grid, np.ones(len(grid), dtype=complex))
+    yield compute_spectrum(ModelKind.STLR_QUBIT_QNMR,
+                           ModelParams(**PINNED_MODELS[ModelKind.QUBIT_QNMR],
+                                       omega_r=OMEGA_R, g_rq=COUPLING, v2=1e8,
+                                       v_g=3e8), grid)
+    pair = [compute_spectrum(ModelKind.QUBIT_ONLY,
+                             ModelParams(omega0=w, gamma_c=GAMMA_C), grid)
+            for w in (1.95e9, 2.15e9)]
+    yield add_measurement_noise(
+        Spectrum.from_amplitude(grid, pair[0].amplitude * pair[1].amplitude), 0.01, 7)
+
+
+def _pinned_spectra():
+    """The four scattering models at 0, 1 and 5 % noise on 2001 points,
+    then the edge spectra."""
+    grid = make_frequency_grid(1.8e9, 2.3e9, 2001)
+    for kind, values in PINNED_MODELS.items():
+        clean = compute_spectrum(kind, ModelParams(**values), grid)
+        for sigma in (0.0, 0.01, 0.05):
+            yield add_measurement_noise(clean, sigma, 7)
+    yield from _edge_spectra(grid)
+
+
+def test_report_bytes_pinned():
+    """Every report of a fixed table, serialized as the estimate command
+    writes it (or the inversion error it raises), hashes to the bytes the
+    reports had before classify and estimate_report shared one rule."""
+    digest = hashlib.sha256()
+    classes = set()
+    for s in _pinned_spectra():
+        for refs in PINNED_REFERENCES:
+            try:
+                report = estimate_report(s, **refs)
+            except InconsistentFeaturesError as exc:
+                text = f"{type(exc).__name__}: {exc}\n"
+            else:
+                classes.add(report.model_class)
+                text = report_json_text(report)
+            digest.update(text.encode())
+    assert classes == set(ModelClass)
+    assert digest.hexdigest() == (
+        "41f0e7179c2b4ffc11e9b088499a2227df79e31518363e13bc96b30c8802d6f6")
+
+
+def test_classify_agrees_with_report():
+    """classify is the raising form of the report's rule: on seeded draws
+    over models, noise and references it returns the report's class, and
+    raises exactly when the report is ambiguous, finds nothing, or keeps
+    more than two dips."""
+    rng = np.random.default_rng(1978)
+    grid = make_frequency_grid(1.8e9, 2.3e9, 2001)
+    spectra = list(_edge_spectra(grid))
+    for kind, values in PINNED_MODELS.items():
+        clean = compute_spectrum(kind, ModelParams(**values), grid)
+        spectra += [add_measurement_noise(clean, sigma, int(rng.integers(2**31)))
+                    for sigma in (0.0, 0.01, 0.03, 0.05)]
+    outcomes = set()
+    for s in spectra:
+        for ref in (None, OMEGA0, OMEGA0 + 3e7):
+            try:
+                report = estimate_report(s, reference_omega0=ref, depth_threshold=0.5)
+            except InconsistentFeaturesError:
+                # the class was decided; the inversion after it failed
+                continue
+            raises = (report.model_class in (ModelClass.AMBIGUOUS,
+                                             ModelClass.NO_FEATURES)
+                      or len(report.dips) > 2)
+            outcomes.add((report.model_class, raises))
+            if raises:
+                with pytest.raises(AmbiguousClassificationError):
+                    classify(s, ref, depth_threshold=0.5)
+            else:
+                assert classify(s, ref, depth_threshold=0.5) is report.model_class
+    assert {c for c, raises in outcomes if not raises} == {
+        ModelClass.NO_NMR, ModelClass.CLASSICAL_NMR, ModelClass.QUANTUM_NMR}
+    assert {c for c, raises in outcomes if raises} == {
+        ModelClass.AMBIGUOUS, ModelClass.NO_FEATURES, ModelClass.QUANTUM_NMR}

@@ -8,6 +8,7 @@ from qspectra import (
     ModelKind,
     ModelParams,
     MissingParameterError,
+    REQUIRED_PARAMS,
     analytic_features,
     compute_spectrum,
     coupled_mode_frequencies,
@@ -471,3 +472,20 @@ def _random_params(rng):
         g_rq=rng.uniform(3e7, 2e8),
         mean_n=rng.uniform(0, 5),
     )
+
+
+def test_kernels_check_required_params():
+    """Each kernel checks exactly the names of REQUIRED_PARAMS[kind]:
+    params holding only those evaluate, and params missing any one of
+    them raise MissingParameterError naming it."""
+    values = dict(omega0=OMEGA0, omega_b=OMEGA_B, omega_r=OMEGA_R, gamma_c=GAMMA_C,
+                  v_g=V_G, v1=math.sqrt(GAMMA_C * V_G), v2=1e8, g_q=3e7,
+                  g_c=COUPLING, g_rq=COUPLING, mean_n=1.0)
+    grid = make_frequency_grid(1.9e9, 2.3e9, 11)
+    for kind in ModelKind:
+        required = REQUIRED_PARAMS[kind]
+        transmission_amplitude(kind, grid, ModelParams(**{n: values[n] for n in required}))
+        for name in required:
+            partial = ModelParams(**{n: values[n] for n in required if n != name})
+            with pytest.raises(MissingParameterError, match=f"'{name}'"):
+                transmission_amplitude(kind, grid, partial)
