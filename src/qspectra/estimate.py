@@ -755,11 +755,11 @@ def estimate_report(spectrum: Spectrum,
         dip = working[0]
         found = dict(omega0_est=_floored(Estimate(dip.center, 0.5 * dip.fwhm), floor))
     elif model_class is ModelClass.CLASSICAL_NMR:
-        dip = _floored(Estimate(working[0].center, 0.5 * working[0].fwhm), floor)
+        shifted = _floored(Estimate(working[0].center, 0.5 * working[0].fwhm), floor)
         if reference_omega_b is not None:
             g = _floored(
-                cnmr_coupling_from_shift(dip.value, reference_omega0, reference_omega_b,
-                                         sigma_shifted=dip.sigma),
+                cnmr_coupling_from_shift(shifted.value, reference_omega0, reference_omega_b,
+                                         sigma_shifted=shifted.sigma),
                 floor,
             )
             found = dict(omega_b_est=Estimate(float(reference_omega_b), floor), g_est=g)
