@@ -28,13 +28,19 @@ and noise: clean hybridized dips overshoot by ~0.3-1.4 %) is reported
 as 1.0.  Any other violation rejects the fit; the report's notes count
 the rejected fits by reason.
 
-Fit solver: every fit is MINPACK lmder (Moré 1978) through
-scipy.optimize.leastsq, with the settings of
-scipy.optimize.least_squares(method="lm") written out in least_squares
-below: ftol = xtol = gtol = 1e-8, maxfev = 100 * n, factor = 100 and
-diag=None, i.e. x_scale="jac".  The fits therefore do not follow
+Fit solver: every fit is MINPACK lmder (Moré 1978), called through
+scipy's _minpack extension, the entry scipy.optimize.leastsq and
+least_squares(method="lm") both call.  least_squares below passes it
+leastsq's arguments for the settings of least_squares(method="lm")
+written out: ftol = xtol = gtol = 1e-8, maxfev = 100 * n, factor = 100
+and diag=None, i.e. x_scale="jac".  It leaves out leastsq's shape probe
+(one extra residual and Jacobian call per fit) and its covariance
+matrix, whose results the fits never read.  The fits do not follow
 scipy's defaults, which differ between versions (scipy 1.10-1.15 ran
-least_squares(method="lm") with x_scale=1.0).
+least_squares(method="lm") with x_scale=1.0), and
+tests/test_estimate.py::TestFitKernel compares them bit for bit with
+both public scipy calls, which guards against a scipy release that
+changes the private entry.
 
 Uncertainty conventions: a fitted dip contributes FWHM/2 as its 1-sigma
 input uncertainty, a full-transmission point contributes one grid step,
@@ -50,7 +56,7 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import OptimizeResult, leastsq
+from scipy.optimize import OptimizeResult, _minpack
 from scipy.signal import find_peaks
 
 from .params import Frequency, Spectrum
@@ -61,6 +67,8 @@ _NOISE_GATE = 6.0
 _OUTER_DIP_DEPTH = 0.5
 # MAD of the differences of white noise of sigma s is s * sqrt(2) * 0.67449
 _MAD_TO_SIGMA = 1.0 / (0.6744897501960817 * math.sqrt(2.0))
+# leastsq's default epsfcn for float64 residuals
+_EPS = float(np.finfo(float).eps)
 # rejection reasons, in the order the report notes list them
 _REJECT_REASONS = (
     "fit did not produce finite values",
@@ -135,48 +143,63 @@ def _noise_sigma(trans: np.ndarray) -> float:
 
 def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int) -> float:
     """Distance from sample i to the half-depth crossings, averaged over
-    the sides where a crossing exists."""
+    the sides where a crossing exists.  The crossing on each side is the
+    sample nearest i at or above the half level; none exists when sample
+    i itself is (T[i] >= 1)."""
     half_level = 0.5 * (1.0 + trans[i])
     widths = []
-    j = i
-    while j > 0 and trans[j] < half_level:
-        j -= 1
-    if trans[j] >= half_level and j < i:
+    above = np.flatnonzero(trans[:i + 1] >= half_level)
+    if above.size and above[-1] < i:
+        j = above[-1]
         frac = (half_level - trans[j + 1]) / max(trans[j] - trans[j + 1], 1e-300)
         widths.append(freqs[i] - (freqs[j + 1] - frac * (freqs[j + 1] - freqs[j])))
-    j = i
-    n = len(freqs)
-    while j < n - 1 and trans[j] < half_level:
-        j += 1
-    if trans[j] >= half_level and j > i:
+    above = np.flatnonzero(trans[i:] >= half_level)
+    if above.size and above[0] > 0:
+        j = i + above[0]
         frac = (half_level - trans[j - 1]) / max(trans[j] - trans[j - 1], 1e-300)
         widths.append((freqs[j - 1] + frac * (freqs[j] - freqs[j - 1])) - freqs[i])
     if not widths:
         return float(freqs[1] - freqs[0])
-    return float(np.mean(widths))
+    return float(sum(widths) / len(widths))
 
 
 def least_squares(fun, x0, jac=None, method="lm") -> OptimizeResult:
-    """Levenberg-Marquardt least squares: MINPACK lmder through
-    scipy.optimize.leastsq with the settings of
-    scipy.optimize.least_squares(method="lm", x_scale="jac") written out,
-    so with an analytic jac, x, cost and nfev equal that call's to the bit.
+    """Levenberg-Marquardt least squares: MINPACK lmder, or lmdif when jac
+    is None, called through scipy's _minpack extension with the arguments
+    scipy.optimize.leastsq passes it for ftol = xtol = gtol = 1e-8,
+    maxfev = 100 * n, factor = 100 and diag=None (x_scale="jac").  With
+    an analytic jac, x, cost and nfev therefore equal
+    scipy.optimize.least_squares(method="lm", x_scale="jac")'s to the
+    bit.  leastsq's shape probe (one extra call of fun and of jac) and its
+    covariance matrix are left out.  TestFitKernel in
+    tests/test_estimate.py compares both branches bit for bit with the
+    public scipy calls, so a scipy release that changes the private entry
+    fails there.
 
     jac returns the Jacobian column-major, shape (n, m), which is
-    MINPACK's own layout; without jac MINPACK lmdif differences forward.
-    fun must return a new array on every call: MINPACK keeps one returned
-    array as its residual buffer and writes into it.  Returns x,
+    MINPACK's own layout; lmdif differences forward with leastsq's
+    default epsfcn, the float64 machine epsilon.  fun must return a new
+    float64 array of length m >= n on every call: MINPACK keeps one
+    returned array as its residual buffer and writes into it.  Returns x,
     cost = 0.5 * |f|**2, nfev and status, MINPACK's info code (5: the
     100 * n evaluations of maxfev were used up; the last iterate is
     returned, without a warning).
     """
     if method != "lm":
         raise ValueError(f"method must be 'lm', got {method!r}")
-    x, _, info, _, status = leastsq(
-        fun, x0, Dfun=jac, full_output=True, col_deriv=True,
-        ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=100 * len(x0),
-        factor=100.0, diag=None,
-    )
+    # MINPACK iterates in the array it is given and returns it as x
+    x = np.array(x0, dtype=float)
+    maxfev = 100 * len(x)
+    # the argument orders scipy's leastsq uses:
+    # _lmdif(fun, x0, args, full_output, ftol, xtol, gtol, maxfev, epsfcn, factor, diag)
+    # _lmder(fun, Dfun, x0, args, full_output, col_deriv, ftol, xtol, gtol, maxfev,
+    #        factor, diag)
+    if jac is None:
+        x, info, status = _minpack._lmdif(fun, x, (), 1, 1e-8, 1e-8, 1e-8, maxfev,
+                                          _EPS, 100.0, None)
+    else:
+        x, info, status = _minpack._lmder(fun, jac, x, (), 1, 1, 1e-8, 1e-8, 1e-8,
+                                          maxfev, 100.0, None)
     fvec = info["fvec"]
     return OptimizeResult(x=x, cost=0.5 * np.dot(fvec, fvec),
                           nfev=int(info["nfev"]), status=int(status))
@@ -249,18 +272,24 @@ class _Candidate:
     fit: Union[DipFeature, str]  # the fitted dip, or why it was rejected
 
 
+def _fit_window(freqs: np.ndarray, i: int, half_width: float) -> slice:
+    """The samples within +-3 half-widths of sample i, or the 7 samples
+    around i when fewer lie there.  The grid increases strictly, so
+    either is one slice of it."""
+    start = int(np.searchsorted(freqs, freqs[i] - 3.0 * half_width, side="left"))
+    stop = int(np.searchsorted(freqs, freqs[i] + 3.0 * half_width, side="right"))
+    if stop - start < 7:
+        return slice(max(0, i - 3), i + 4)
+    return slice(start, stop)
+
+
 def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int,
                    prominence: float, step: float) -> _Candidate:
     """Fit the candidate minimum at sample i over +-3 naive half-widths
     (at least 7 samples); its fit is the feature, or why the fit breaks
     the DipFeature contract."""
     half_width = _naive_half_width(freqs, trans, i)
-    lo = freqs[i] - 3.0 * half_width
-    hi = freqs[i] + 3.0 * half_width
-    window = (freqs >= lo) & (freqs <= hi)
-    if np.count_nonzero(window) < 7:
-        window = np.zeros_like(window)
-        window[max(0, i - 3):i + 4] = True
+    window = _fit_window(freqs, i, half_width)
     wf = freqs[window]
     sample_depth = 1.0 - float(trans[i])
     center, fwhm, depth, rms = _fit_lorentzian_dip(

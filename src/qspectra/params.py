@@ -8,6 +8,7 @@ respect, so the choice only matters when comparing against lab values.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -111,10 +112,9 @@ class ModelParams:
                 raise MissingParameterError(f"missing required parameter '{name}'")
 
     def replace(self, **changes) -> "ModelParams":
-        """Copy with the given fields replaced (re-validated)."""
-        values = asdict(self)
-        values.update(changes)
-        return ModelParams(**values)
+        """Copy with the given fields replaced (re-validated); an unknown
+        field name raises TypeError."""
+        return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}

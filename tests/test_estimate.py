@@ -577,6 +577,47 @@ def test_dip_contract_under_noise(monkeypatch):
         assert re.fullmatch(r"\d+ of \d+ dip fits rejected \(.+\)", note)
 
 
+def test_one_callback_per_minpack_evaluation(qnmr_spectrum, monkeypatch):
+    """A dip fit calls its residuals once per MINPACK evaluation (nfev)
+    plus once more at the start point, where scipy's _minpack extension
+    sizes the residual buffer before MINPACK starts; nothing else around
+    the solver calls the residuals or the Jacobian.  Each Jacobian is
+    asked for at the parameters of the residual call just before it,
+    which the dip fit's shared terms rely on."""
+    counts = []
+    real = estimate.least_squares
+
+    def counting(fun, x0, jac=None, **kw):
+        calls = []
+
+        def residuals(theta):
+            calls.append(("fun", theta.tobytes()))
+            return fun(theta)
+
+        def jacobian(theta):
+            calls.append(("jac", theta.tobytes()))
+            return jac(theta)
+
+        result = real(residuals, x0, jac=jacobian, **kw)
+        counts.append((np.array(x0, dtype=float).tobytes(), calls, result))
+        return result
+
+    monkeypatch.setattr(estimate, "least_squares", counting)
+    for sigma in (0.0, 0.03):
+        estimate_report(add_measurement_noise(qnmr_spectrum, sigma, 1))
+    assert len(counts) > 2
+    # the 3 % draw of seed 1 holds a fit that uses up maxfev
+    assert any(result.status == 5 for *_, result in counts)
+    for start, calls, result in counts:
+        kinds = [kind for kind, _ in calls]
+        assert kinds.count("fun") == result.nfev + 1
+        assert calls[:2] == [("fun", start)] * 2
+        assert 1 <= kinds.count("jac") <= result.nfev
+        for before, (kind, theta) in zip(calls, calls[1:]):
+            if kind == "jac":
+                assert before == ("fun", theta)
+
+
 def _loop_local_maxima(values):
     """The per-sample loop that estimate._local_maxima replaced: the
     reference for the vectorized form."""
@@ -610,6 +651,85 @@ def test_local_maxima_matches_loop(qnmr_spectrum):
         got = estimate._local_maxima(values)
         assert got == _loop_local_maxima(values), values
         assert all(type(i) is int for i in got)
+
+
+def _loop_naive_half_width(freqs, trans, i):
+    """The sample-by-sample walk that estimate._naive_half_width replaced:
+    the reference for the loop-free form."""
+    half_level = 0.5 * (1.0 + trans[i])
+    widths = []
+    j = i
+    while j > 0 and trans[j] < half_level:
+        j -= 1
+    if trans[j] >= half_level and j < i:
+        frac = (half_level - trans[j + 1]) / max(trans[j] - trans[j + 1], 1e-300)
+        widths.append(freqs[i] - (freqs[j + 1] - frac * (freqs[j + 1] - freqs[j])))
+    j = i
+    n = len(freqs)
+    while j < n - 1 and trans[j] < half_level:
+        j += 1
+    if trans[j] >= half_level and j > i:
+        frac = (half_level - trans[j - 1]) / max(trans[j] - trans[j - 1], 1e-300)
+        widths.append((freqs[j - 1] + frac * (freqs[j] - freqs[j - 1])) - freqs[i])
+    if not widths:
+        return float(freqs[1] - freqs[0])
+    return float(np.mean(widths))
+
+
+def _mask_window(freqs, i, half_width):
+    """The boolean-mask fit window that estimate._fit_window replaced: the
+    reference for the slice form."""
+    window = (freqs >= freqs[i] - 3.0 * half_width) & (freqs <= freqs[i] + 3.0 * half_width)
+    if np.count_nonzero(window) < 7:
+        window = np.zeros_like(window)
+        window[max(0, i - 3):i + 4] = True
+    return window
+
+
+def test_naive_half_width_matches_loop(qnmr_spectrum):
+    rng = np.random.default_rng(1978)
+    noisy = add_measurement_noise(qnmr_spectrum, 0.03, 5)
+    cases = [
+        (qnmr_spectrum.freqs, qnmr_spectrum.transmission),
+        (noisy.freqs, noisy.transmission),
+        # eighths: samples exactly at the half level, at T = 1, and runs
+        (np.arange(300.0), rng.integers(0, 9, 300) / 8.0),
+        (np.cumsum(rng.uniform(0.5, 2.0, 300)), rng.uniform(0.0, 1.0, 300)),
+        (np.arange(7.0), np.array([0.75, 0.5, 0.0, 0.25, 0.625, 1.0, 0.5])),
+        (np.arange(5.0), np.array([0.0, 0.25, 0.0, 0.125, 0.0])),  # no crossing
+        (np.arange(5.0), np.array([1.0, 0.5, 0.0, 0.25, 0.375])),  # left side only
+        (np.arange(5.0), np.ones(5)),
+        (np.arange(2.0), np.array([0.0, 1.0])),
+    ]
+    for freqs, trans in cases:
+        # every sample, so i = 0 and i = n - 1 are included
+        for i in range(len(freqs)):
+            got = estimate._naive_half_width(freqs, trans, i)
+            assert got == _loop_naive_half_width(freqs, trans, i), (trans, i)
+    # sample 2 of the 7-sample case sits at T = 0: the sample at 0.5 on
+    # its left is exactly at the level, and the level is 2/3 of the way
+    # from 0.25 to 0.625 on its right
+    assert estimate._naive_half_width(*cases[4], 2) == pytest.approx(0.5 * (1.0 + 5.0 / 3.0))
+
+
+def test_fit_window_matches_mask(qnmr_spectrum):
+    rng = np.random.default_rng(1979)
+    grids = [qnmr_spectrum.freqs, np.arange(40.0),
+             np.cumsum(rng.uniform(0.5, 2.0, 200))]
+    for freqs in grids:
+        step = freqs[1] - freqs[0]
+        n = len(freqs)
+        # edges (the 7-sample fallback within 3 samples of either end),
+        # random samples, and half-widths of 0, below, at and above the
+        # step; on the integer grid +-3 half-widths of 1/3 and 1 land
+        # exactly on grid points
+        for i in [0, 1, 2, 3, n - 4, n - 3, n - 2, n - 1, *rng.integers(0, n, 20)]:
+            for half_width in (0.0, 1.0 / 3.0, 1.0, rng.uniform(0.1, 5.0),
+                               0.5 * step, step, 4.0 * step, 1e3 * step):
+                expected = np.flatnonzero(_mask_window(freqs, i, half_width))
+                window = estimate._fit_window(freqs, i, half_width)
+                assert np.array_equal(np.arange(n)[window], expected), (i, half_width)
+                assert np.array_equal(freqs[window], freqs[expected])
 
 
 def _reference_model(freqs, trans, center0, half_width0):
@@ -663,14 +783,17 @@ class TestFitKernel:
             real_fit(*w)
         return windows, fits
 
-    def test_equals_scipy_least_squares(self, qnmr_spectrum, monkeypatch):
+    @staticmethod
+    def _spectra(qnmr_spectrum):
         # the 3 % and 5 % draws of seed 1 each hold one window that uses
         # up maxfev
-        spectra = [add_measurement_noise(qnmr_spectrum, sigma, seed)
-                   for sigma, seed in ((0.0, 0), (0.01, 0), (0.03, 1), (0.05, 1))]
+        return [add_measurement_noise(qnmr_spectrum, sigma, seed)
+                for sigma, seed in ((0.0, 0), (0.01, 0), (0.03, 1), (0.05, 1))]
+
+    def test_equals_scipy_least_squares(self, qnmr_spectrum, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            windows, fits = self._record(monkeypatch, spectra)
+            windows, fits = self._record(monkeypatch, self._spectra(qnmr_spectrum))
         statuses = [result.status for _, result in fits]
         assert statuses.count(5) == 2
         for (freqs, trans, center0, half_width0, depth0), (_, ours) in zip(windows, fits):
@@ -683,6 +806,28 @@ class TestFitKernel:
             # least_squares reports MINPACK's info 5 (maxfev) as status 0
             assert (ours.status == 5) == (ref.status == 0)
             assert ours.nfev <= 400
+
+    def test_both_branches_equal_scipy_leastsq(self, qnmr_spectrum, monkeypatch):
+        """Both MINPACK entries, lmder with the dip fit's Jacobian and
+        lmdif without one, give what scipy.optimize.leastsq gives for the
+        same settings, to the bit."""
+        solve = estimate.least_squares  # _record replaces it with a recorder
+        _, fits = self._record(monkeypatch, self._spectra(qnmr_spectrum))
+        assert len(fits) > 2
+        statuses = {1: [], 5: []}
+        for (fun, x0, jac), lmder in fits:
+            for dfun, ours in ((jac, lmder), (None, solve(fun, x0))):
+                x, _, info, _, status = scipy.optimize.leastsq(
+                    fun, x0, Dfun=dfun, full_output=True, col_deriv=True,
+                    ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=100 * len(x0),
+                    factor=100.0, diag=None)
+                assert np.array_equal(ours.x, x)
+                assert ours.cost == 0.5 * np.dot(info["fvec"], info["fvec"])
+                assert ours.nfev == info["nfev"]
+                assert ours.status == status
+                statuses.setdefault(status, []).append(dfun is None)
+        # each branch converges on some windows and uses up maxfev on others
+        assert set(statuses[1]) == set(statuses[5]) == {True, False}
 
     def test_fits_share_no_state(self, qnmr_spectrum, monkeypatch):
         windows, fits = self._record(monkeypatch, [qnmr_spectrum])

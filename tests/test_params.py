@@ -104,6 +104,8 @@ class TestModelParams:
         assert q.omega0 == 2.2e9 and q.gamma_c == 3.3e7
         with pytest.raises(ValueError):
             p.replace(g_q=-1.0)
+        with pytest.raises(TypeError):
+            p.replace(omega_q=2.2e9)
 
 
 class TestSpectrum:
