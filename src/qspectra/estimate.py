@@ -6,9 +6,16 @@ a local Lorentzian least-squares fit, classify the mechanical vibration
 relations to the underlying frequencies and couplings with first-order
 uncertainty propagation.
 
-One report scans the spectrum for dip candidates once and fits each
-candidate once; the reported dips and the outer dips that bound the
-full-transmission search are both selected from that one scan.
+One report scans the spectrum for dip candidates once, groups them into
+clusters and fits each cluster once.  Consecutive candidates i < j share
+a cluster when T[i..j] stays below 0.5 * (1 + max(T[i], T[j])), the
+half-depth level of the shallower one: such minima are not two dips
+resolved at half maximum.  Measurement noise clipped to T = 0 at a dip
+bottom makes one candidate per zero run, and all of them share one
+cluster, fitted from its lowest sample (the middle one of a tied run).
+The reported dips and the outer dips that bound the full-transmission
+search are both selected from that one scan, and a cluster both select
+is fitted once.
 
 One rule (_decide) maps those dips and points to a vibration class:
 estimate_report applies it and inverts what the class allows, and
@@ -265,10 +272,8 @@ def _fit_lorentzian_dip(freqs: np.ndarray, trans: np.ndarray,
 
 
 @dataclass(frozen=True)
-class _Candidate:
-    prominence: float
-    sample_depth: float
-    fitted_depth: float  # before the clamp to 1; ranks merged candidates
+class _ClusterFit:
+    fitted_depth: float  # before the clamp to 1; ranks merged fits
     fit: Union[DipFeature, str]  # the fitted dip, or why it was rejected
 
 
@@ -284,16 +289,15 @@ def _fit_window(freqs: np.ndarray, i: int, half_width: float) -> slice:
 
 
 def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int,
-                   prominence: float, step: float) -> _Candidate:
+                   step: float) -> _ClusterFit:
     """Fit the candidate minimum at sample i over +-3 naive half-widths
     (at least 7 samples); its fit is the feature, or why the fit breaks
     the DipFeature contract."""
     half_width = _naive_half_width(freqs, trans, i)
     window = _fit_window(freqs, i, half_width)
     wf = freqs[window]
-    sample_depth = 1.0 - float(trans[i])
     center, fwhm, depth, rms = _fit_lorentzian_dip(
-        wf, trans[window], float(freqs[i]), half_width, sample_depth,
+        wf, trans[window], float(freqs[i]), half_width, 1.0 - float(trans[i]),
     )
     if not all(math.isfinite(x) for x in (center, fwhm, depth, rms)):
         fit = _REJECT_REASONS[0]
@@ -308,16 +312,45 @@ def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int,
     else:
         fit = DipFeature(center=center, fwhm=fwhm, depth=min(depth, 1.0),
                          fit_residual=rms)
-    return _Candidate(prominence, sample_depth, depth, fit)
+    return _ClusterFit(depth, fit)
 
 
-def _merge_close(candidates: list[_Candidate]) -> list[DipFeature]:
-    """The candidates' features sorted by center, with features closer
-    than half a width collapsed: noise can seed several candidates inside
-    one dip, and their fits land on the same center.  The deeper (then
+def _clusters(trans: np.ndarray,
+              members: list[tuple[int, float]]) -> list[list[tuple[int, float]]]:
+    """The candidate minima, (sample index, T) pairs in increasing sample
+    order, split into clusters: consecutive candidates i < j share one
+    when T[i..j] stays below 0.5 * (1 + max(T[i], T[j])), the half-depth
+    level of the shallower one.  Such minima are not two dips resolved at
+    half maximum; the noise clipped to T = 0 at a dip bottom makes them."""
+    if not members:
+        return []
+    # max(T[i:j]) for each consecutive pair; T[j] is below the level anyway
+    highs = np.maximum.reduceat(trans, [i for i, _ in members]).tolist()
+    clusters = [members[:1]]
+    for (_, low_i), member, high in zip(members, members[1:], highs):
+        if high < 0.5 * (1.0 + max(low_i, member[1])):
+            clusters[-1].append(member)
+        else:
+            clusters.append([member])
+    return clusters
+
+
+def _lowest_member(cluster: list[tuple[int, float]]) -> int:
+    """The cluster's sample of lowest T; of a tied run (a clipped bottom),
+    the middle one by position, the lower of two as find_peaks takes the
+    middle of a plateau."""
+    low = min(t for _, t in cluster)
+    tied = [i for i, t in cluster if t == low]
+    return tied[(len(tied) - 1) // 2]
+
+
+def _merge_close(fits: list[_ClusterFit]) -> list[DipFeature]:
+    """The fitted features sorted by center, with features closer than
+    half a width collapsed: noise can seed clusters apart inside one dip,
+    and their fits land on the same center.  The deeper (then
     better-fitting) fit is kept."""
-    merged: list[_Candidate] = []
-    for c in sorted(candidates, key=lambda c: c.fit.center):
+    merged: list[_ClusterFit] = []
+    for c in sorted(fits, key=lambda c: c.fit.center):
         if merged and abs(c.fit.center - merged[-1].fit.center) < 0.5 * max(
             c.fit.fwhm, merged[-1].fit.fwhm
         ):
@@ -332,42 +365,49 @@ def _merge_close(candidates: list[_Candidate]) -> list[DipFeature]:
 
 class _DipScan:
     """Every dip candidate of a spectrum down to the lowest of the given
-    depth thresholds, each fitted once.  find_peaks prominences do not
-    depend on the threshold asked for, so select(t) for any given t
-    returns exactly what a scan at t alone would."""
+    depth thresholds, found by one prominence scan.  select(t) clusters
+    the candidates that pass t (see _clusters) and fits each cluster once,
+    from its lowest sample; fits are kept by sample index, so a cluster
+    that several thresholds select is fitted once.  find_peaks
+    prominences do not depend on the threshold asked for, so select(t)
+    for any given t returns exactly what a scan at t alone would."""
 
     def __init__(self, spectrum: Spectrum, *depth_thresholds: float) -> None:
         if not all(0.0 < t < 1.0 for t in depth_thresholds):
             raise ValueError("depth_threshold must be in (0, 1)")
-        depth_threshold = min(depth_thresholds)
-        trans = spectrum.transmission
-        freqs = spectrum.freqs
-        step = spectrum.grid_step
+        self._trans = trans = spectrum.transmission
+        self._freqs = spectrum.freqs
+        self._step = spectrum.grid_step
         self.gate = _NOISE_GATE * _noise_sigma(trans)
-        indices, props = find_peaks(-trans, prominence=max(depth_threshold, self.gate))
-        self.candidates = [
-            _fit_candidate(freqs, trans, int(i), float(prominence), step)
-            for i, prominence in zip(indices, props["prominences"])
-            if 1.0 - trans[i] >= depth_threshold
-        ]
+        indices, props = find_peaks(-trans, prominence=max(min(depth_thresholds), self.gate))
+        # (sample index, prominence, T) of each candidate
+        self._candidates = list(zip(indices.tolist(), props["prominences"].tolist(),
+                                    trans[indices].tolist()))
+        self._fits: dict[int, _ClusterFit] = {}
+
+    def _fit(self, i: int) -> _ClusterFit:
+        if i not in self._fits:
+            self._fits[i] = _fit_candidate(self._freqs, self._trans, i, self._step)
+        return self._fits[i]
 
     def select(self, depth_threshold: float) -> list[DipFeature]:
         """The merged, in-contract dips of depth >= depth_threshold."""
         prominence = max(depth_threshold, self.gate)
-        return _merge_close([
-            c for c in self.candidates
-            if isinstance(c.fit, DipFeature)
-            and c.prominence >= prominence and c.sample_depth >= depth_threshold
-        ])
+        passing = [(i, low) for i, p, low in self._candidates
+                   if p >= prominence and 1.0 - low >= depth_threshold]
+        fits = [self._fit(_lowest_member(cluster))
+                for cluster in _clusters(self._trans, passing)]
+        return _merge_close([c for c in fits if isinstance(c.fit, DipFeature)])
 
     def rejection_notes(self) -> list[str]:
-        """One deterministic note counting the rejected fits, if any."""
-        rejected = Counter(c.fit for c in self.candidates if isinstance(c.fit, str))
+        """One deterministic note counting the rejected fits of the
+        selections made so far, if any."""
+        rejected = Counter(c.fit for c in self._fits.values() if isinstance(c.fit, str))
         if not rejected:
             return []
         reasons = ", ".join(f"{rejected[r]} {r}" for r in _REJECT_REASONS if r in rejected)
         total = sum(rejected.values())
-        return [f"{total} of {len(self.candidates)} dip fits rejected ({reasons})"]
+        return [f"{total} of {len(self._fits)} dip fits rejected ({reasons})"]
 
 
 def detect_dips(spectrum: Spectrum, depth_threshold: float = 0.1) -> list[DipFeature]:
@@ -376,11 +416,15 @@ def detect_dips(spectrum: Spectrum, depth_threshold: float = 0.1) -> list[DipFea
 
     Candidate minima come from a prominence scan (so noise wiggles inside
     one dip do not multiply) with the noise gate of the module doc: the
-    prominence needed is max(depth_threshold, 6 * sigma_noise).  Each
-    candidate is fit over a window of +-3 naive half-widths around the
-    discrete minimum; a fit depth up to twice the RMS residual above 1 is
-    reported as 1.0, and fits with depth <= 0, a larger overshoot, a FWHM
-    below half a grid step or a center outside the window are dropped.
+    prominence needed is max(depth_threshold, 6 * sigma_noise).  The
+    candidates are grouped into clusters, consecutive ones sharing a
+    cluster while T between them stays below the half-depth level of the
+    shallower, 0.5 * (1 + max(T[i], T[j])).  Each cluster is fit once,
+    over a window of +-3 naive half-widths around its lowest sample (the
+    middle one of a tied run).  A fit depth up to twice the RMS residual
+    above 1 is reported as 1.0, and fits with depth <= 0, a larger
+    overshoot, a FWHM below half a grid step or a center outside the
+    window are dropped.
     Returns features sorted by center; empty list when nothing crosses
     the threshold.
     """
@@ -403,25 +447,18 @@ def _unity_points(spectrum: Spectrum, tol: float,
     trans = spectrum.transmission
     phase = spectrum.phase
     freqs = spectrum.freqs
-    candidates = [
-        i for i in _local_maxima(trans)
-        if trans[i] >= 1.0 - tol and abs(phase[i]) <= tol
-    ]
-    points = []
-    for i in candidates:
-        # parabolic vertex through the three samples around the maximum
-        denom = trans[i - 1] - 2.0 * trans[i] + trans[i + 1]
-        if denom < 0:
-            step = freqs[i + 1] - freqs[i]
-            offset = 0.5 * (trans[i - 1] - trans[i + 1]) / denom * step
-            points.append(float(freqs[i] + offset))
-        else:
-            points.append(float(freqs[i]))
+    peaks = np.array(_local_maxima(trans), dtype=np.intp)
+    i = peaks[(trans[peaks] >= 1.0 - tol) & (np.abs(phase[peaks]) <= tol)]
+    points = freqs[i]
+    # parabolic vertex through the three samples around each maximum
+    denom = trans[i - 1] - 2.0 * trans[i] + trans[i + 1]
+    curved = denom < 0
+    i = i[curved]
+    step = freqs[i + 1] - freqs[i]
+    points[curved] += 0.5 * (trans[i - 1] - trans[i + 1]) / denom[curved] * step
     if len(outer_dips) >= 2:
-        lo = outer_dips[0].center
-        hi = outer_dips[-1].center
-        points = [x for x in points if lo < x < hi]
-    return sorted(points)
+        points = points[(outer_dips[0].center < points) & (points < outer_dips[-1].center)]
+    return np.sort(points).tolist()
 
 
 def detect_unity_points(spectrum: Spectrum, tol: float = 0.01) -> list[float]:
@@ -751,14 +788,13 @@ def estimate_report(spectrum: Spectrum,
 
     if model_class is ModelClass.QUANTUM_NMR:
         low, high = working
-        between = [u for u in unity if low.center < u < high.center]
+        points = np.array(unity)
+        between = points[(low.center < points) & (points < high.center)]
         # under noise several near-unity samples qualify; the phase zero
         # crossing is steep there, so the smallest |phase| picks best
-        window = min(
-            between,
-            key=lambda u: abs(float(np.interp(u, spectrum.freqs, spectrum.phase)))
-        )
-        omega_b = Estimate(window, step)
+        # (argmin takes the first of equal ones)
+        window = between[np.argmin(np.abs(np.interp(between, spectrum.freqs, spectrum.phase)))]
+        omega_b = Estimate(float(window), step)
         sig_lo, sig_hi = 0.5 * low.fwhm, 0.5 * high.fwhm
         if reference_omega0 is not None:
             omega0 = Estimate(float(reference_omega0), 0.0)

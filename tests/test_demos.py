@@ -2,8 +2,6 @@
 
 Each demo is copied into a temporary directory and run there, so the
 files it writes land in that directory's output/ and not in the repo.
-Demo 06 (the 100-draw noisy-estimation study) is left out for its
-running time.
 """
 
 import pathlib
@@ -28,3 +26,13 @@ def test_demo_runs(name, tmp_path, capsys):
     if name.startswith("02"):
         assert "classified as: quantum-nmr" in printed
         assert "classified as: classical-nmr" in printed
+
+
+def test_noisy_estimation_demo(tmp_path, capsys):
+    # the 100-draw study writes no files; its printed tally is the result
+    script = tmp_path / "06_noisy_estimation.py"
+    shutil.copy(DEMOS / script.name, script)
+    runpy.run_path(str(script), run_name="__main__")
+    printed = capsys.readouterr().out
+    assert "runs classified as quantum mechanics: 100/100" in printed
+    assert "within 3 sigma: 100/100" in printed

@@ -577,6 +577,122 @@ def test_dip_contract_under_noise(monkeypatch):
         assert re.fullmatch(r"\d+ of \d+ dip fits rejected \(.+\)", note)
 
 
+def _count_fits(monkeypatch):
+    fits = []
+    real = estimate.least_squares
+    monkeypatch.setattr(estimate, "least_squares",
+                        lambda *a, **k: fits.append(1) or real(*a, **k))
+    return fits
+
+
+def test_fit_budget_under_noise(monkeypatch):
+    """Each noisy dip is fitted once, however many clipped samples its
+    bottom holds: README-parameter reports at 5 % noise make at most six
+    fits on 2001 and 4001 points.  The one allowance is a fit for each
+    dip the report keeps beyond the model's own (a flank wiggle that
+    passes the noise gate), which the gate, not the clustering, has to
+    remove."""
+    fits = _count_fits(monkeypatch)
+    models = {
+        ModelKind.QUBIT_QNMR: (2, dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=GAMMA_C,
+                                       g_q=COUPLING), {}),
+        ModelKind.QUBIT_CNMR: (1, dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=GAMMA_C,
+                                       g_c=COUPLING),
+                               dict(reference_omega0=OMEGA0, reference_omega_b=OMEGA_B)),
+        ModelKind.QUBIT_ONLY: (1, dict(omega0=OMEGA0, gamma_c=GAMMA_C),
+                               dict(reference_omega0=OMEGA0)),
+    }
+    counts = []
+    for kind, (n_dips, values, refs) in models.items():
+        for n in (2001, 4001):
+            clean = compute_spectrum(kind, ModelParams(**values),
+                                     make_frequency_grid(1.8e9, 2.3e9, n))
+            for seed in range(10):
+                fits.clear()
+                report = estimate_report(add_measurement_noise(clean, 0.05, seed),
+                                         unity_tol=0.04, **refs)
+                extra = max(0, len(report.dips) - n_dips)
+                assert len(fits) <= 6 + extra, (kind, n, seed, len(fits), len(report.dips))
+                counts.append(len(fits))
+    # about one fit per dip, where a fit per clipped sample averaged 16-34
+    assert np.mean(counts) <= 3.0
+
+
+def test_cluster_rule():
+    """Consecutive candidates share a cluster exactly when T between them
+    stays below the half-depth level of the shallower one, and a cluster
+    is fitted from its lowest sample, the lower middle of a tied run."""
+    trans = np.array([1.0, 0.0, 0.625, 0.5, 0.75, 0.25, 0.125, 0.0, 0.0625, 0.0,
+                      0.0625, 0.0, 0.0625, 0.0, 1.0, 0.5, 1.0])
+    # 0.625 lies below the shallower level 0.75 but above the deeper 0.5;
+    # the 0.75 between samples 3 and 5 is exactly at the level
+    clusters = estimate._clusters(trans, [(i, trans[i]) for i in range(1, 16, 2)])
+    assert [[i for i, _ in c] for c in clusters] == [[1, 3], [5, 7, 9, 11, 13], [15]]
+    assert [estimate._lowest_member(c) for c in clusters] == [1, 9, 15]
+    assert estimate._clusters(trans, []) == []
+
+
+CLEAN_SIZES = (401, 2001, 20001, 100001)
+
+
+@pytest.mark.parametrize("kind", list(ALL_MODEL_FIXTURES))
+def test_clusters_single_on_clean_spectra(kind, request, monkeypatch):
+    """On noise-free spectra no two candidates share a cluster, so the
+    report fits every candidate once, as it did before clustering: the
+    clean spectra of every model on 401-100001 points, and a g_q sweep of
+    the two quantum models across and below the resolved splitting."""
+    params = request.getfixturevalue(ALL_MODEL_FIXTURES[kind])
+    spectra = [compute_spectrum(kind, params, make_frequency_grid(1.8e9, 2.3e9, n))
+               for n in CLEAN_SIZES]
+    if kind in (ModelKind.QUBIT_QNMR, ModelKind.STLR_QUBIT_QNMR):
+        grid = make_frequency_grid(1.8e9, 2.3e9, 2001)
+        spectra += [compute_spectrum(kind, params.replace(g_q=g), grid)
+                    for g in np.linspace(2e6, 2e8, 25)]
+    fits = _count_fits(monkeypatch)
+    sizes, candidates = [], []
+    real_clusters, real_find_peaks = estimate._clusters, estimate.find_peaks
+
+    def clusters(trans, indices):
+        found = real_clusters(trans, indices)
+        sizes.extend(len(c) for c in found)
+        return found
+
+    def find_peaks(values, **kw):
+        indices, props = real_find_peaks(values, **kw)
+        # the report's lowest depth threshold is 0.1
+        candidates.append(int(np.count_nonzero(1.0 + values[indices] >= 0.1)))
+        return indices, props
+
+    monkeypatch.setattr(estimate, "_clusters", clusters)
+    monkeypatch.setattr(estimate, "find_peaks", find_peaks)
+    for s in spectra:
+        fits.clear()
+        sizes.clear()
+        candidates.clear()
+        estimate_report(s)
+        assert set(sizes) <= {1}, s.n_points
+        assert len(fits) == sum(candidates) > 0, s.n_points
+
+
+def test_scan_selections_equal_single_scans():
+    """On noisy draws, the one scan a report makes selects at each
+    threshold exactly what a scan at that threshold alone finds, and the
+    report's unity points are detect_unity_points'."""
+    rng = np.random.default_rng(1980)
+    for kind, values in PINNED_MODELS.items():
+        for n in (2001, 4001):
+            clean = compute_spectrum(kind, ModelParams(**values),
+                                     make_frequency_grid(1.8e9, 2.3e9, n))
+            for sigma in (0.01, 0.03, 0.05):
+                s = add_measurement_noise(clean, sigma, int(rng.integers(2**31)))
+                scan = estimate._DipScan(s, 0.1, 0.5)
+                for t in (0.1, 0.5):
+                    assert scan.select(t) == detect_dips(s, t), (kind, n, sigma, t)
+                for tol in (0.01, 0.04):
+                    assert list(estimate_report(s, unity_tol=tol).unity_points) == (
+                        detect_unity_points(s, tol)), (kind, n, sigma, tol)
+
+
 def test_one_callback_per_minpack_evaluation(qnmr_spectrum, monkeypatch):
     """A dip fit calls its residuals once per MINPACK evaluation (nfev)
     plus once more at the start point, where scipy's _minpack extension
@@ -730,6 +846,85 @@ def test_fit_window_matches_mask(qnmr_spectrum):
                 window = estimate._fit_window(freqs, i, half_width)
                 assert np.array_equal(np.arange(n)[window], expected), (i, half_width)
                 assert np.array_equal(freqs[window], freqs[expected])
+
+
+def _loop_unity_points(spectrum, tol, outer_dips):
+    """The per-candidate loop that estimate._unity_points replaced: the
+    reference for the whole-array form."""
+    trans = spectrum.transmission
+    phase = spectrum.phase
+    freqs = spectrum.freqs
+    candidates = [
+        i for i in _loop_local_maxima(trans)
+        if trans[i] >= 1.0 - tol and abs(phase[i]) <= tol
+    ]
+    points = []
+    for i in candidates:
+        denom = trans[i - 1] - 2.0 * trans[i] + trans[i + 1]
+        if denom < 0:
+            step = freqs[i + 1] - freqs[i]
+            offset = 0.5 * (trans[i - 1] - trans[i + 1]) / denom * step
+            points.append(float(freqs[i] + offset))
+        else:
+            points.append(float(freqs[i]))
+    if len(outer_dips) >= 2:
+        lo = outer_dips[0].center
+        hi = outer_dips[-1].center
+        points = [x for x in points if lo < x < hi]
+    return sorted(points)
+
+
+def _loop_window(spectrum, unity, low, high):
+    """The min() over the unity points that estimate_report's argmin
+    replaced: the first point of smallest interpolated |phase|."""
+    between = [u for u in unity if low < u < high]
+    return min(between,
+               key=lambda u: abs(float(np.interp(u, spectrum.freqs, spectrum.phase))))
+
+
+def test_unity_points_match_loop(qnmr_spectrum, dispersive_params):
+    dispersive = compute_spectrum(ModelKind.DISPERSIVE, dispersive_params,
+                                  qnmr_spectrum.freqs)
+    spectra = [qnmr_spectrum, dispersive]
+    for seed in range(3):
+        for sigma in (0.01, 0.03):
+            spectra += [add_measurement_noise(qnmr_spectrum, sigma, seed),
+                        add_measurement_noise(dispersive, sigma, seed)]
+    # rounded noise: flat tops whose two edges both count as maxima
+    rounded = add_measurement_noise(qnmr_spectrum, 0.01, 4)
+    spectra.append(Spectrum(freqs=rounded.freqs,
+                            transmission=np.round(rounded.transmission, 2),
+                            phase=np.round(rounded.phase, 2)))
+    freqs = np.cumsum(np.random.default_rng(5).uniform(0.5, 2.0, 12))
+    below = 1.0 - 2.0**-53  # (below - 2.0) + 1.0 rounds to a zero curvature
+    for trans in (
+        [0.9, 1.0, 0.9, 0.5, 0.2, 0.5, 0.99, 0.6, 0.2, 0.7, 0.995, 0.99],  # maxima at the edges
+        [0.2, 0.5, 1.0, 1.0, 1.0, 0.5, 0.2, 0.999, 0.999, 0.3, 1.0, 1.0],  # plateaus
+        [0.2, below, 1.0, 1.0, 0.5, 0.2, 0.5, 1.0, below, 0.2, 0.5, 0.6],
+        np.linspace(0.0, 1.0, 12),  # no maximum
+    ):
+        for phase in (np.zeros(12), np.linspace(-0.05, 0.05, 12)):
+            spectra.append(Spectrum(freqs=freqs, transmission=trans, phase=phase))
+    # the zero-curvature maximum at freqs[2] sits on the lower dip center
+    fake_pair = [estimate.DipFeature(freqs[2], 1.0, 0.8, 0.0),
+                 estimate.DipFeature(freqs[9], 1.0, 0.8, 0.0)]
+    windows = 0
+    for s in spectra:
+        for outer in ([], fake_pair, detect_dips(s, 0.5)):
+            for tol in (0.01, 0.04, 0.09):
+                got = estimate._unity_points(s, tol, outer)
+                assert got == _loop_unity_points(s, tol, outer), (tol, outer)
+                assert all(type(x) is float for x in got)
+        if s.n_points > 12:
+            report = estimate_report(s, unity_tol=0.04)
+            if report.model_class is ModelClass.QUANTUM_NMR:
+                # the deepest two dips, as the classification takes them
+                pair = sorted(report.dips, key=lambda d: d.depth, reverse=True)[:2]
+                low, high = sorted(d.center for d in pair)
+                assert report.omega_b_est.value == _loop_window(
+                    s, report.unity_points, low, high)
+                windows += 1
+    assert windows >= 6
 
 
 def _reference_model(freqs, trans, center0, half_width0):
@@ -895,8 +1090,9 @@ def _pinned_spectra():
 
 def test_report_bytes_pinned():
     """Every report of a fixed table, serialized as the estimate command
-    writes it (or the inversion error it raises), hashes to the bytes the
-    reports had before classify and estimate_report shared one rule."""
+    writes it (or the inversion error it raises), hashes to the pinned
+    bytes: those of the reports since the dip scan fits each candidate
+    cluster once."""
     digest = hashlib.sha256()
     classes = set()
     for s in _pinned_spectra():
@@ -911,7 +1107,7 @@ def test_report_bytes_pinned():
             digest.update(text.encode())
     assert classes == set(ModelClass)
     assert digest.hexdigest() == (
-        "41f0e7179c2b4ffc11e9b088499a2227df79e31518363e13bc96b30c8802d6f6")
+        "cb6edc4e380ffa74a2dda4628ef164bf8a431b5b7f41aab8518f7951d8973b8c")
 
 
 def test_classify_agrees_with_report():
