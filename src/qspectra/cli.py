@@ -1,11 +1,16 @@
 """Command-line front end.
 
-Subcommands: spectrum | estimate | squid | sweep | figures.  Exit codes:
-0 success, 1 usage or configuration error, 2 I/O error, 3 numerical
-failure.  Every option can also come from a JSON config file (--config);
-explicit flags override file values.  QSPECTRA_THREADS caps sweep
+Subcommands: spectrum | estimate | squid | sweep | figures.  Every
+option of spectrum, estimate, squid and sweep can also come from a JSON
+config file (--config); a config value is converted by its flag's type,
+and explicit flags override file values.  QSPECTRA_THREADS caps sweep
 parallelism.  Outputs are byte-identical for identical configurations,
 including the noise seed.
+
+Exit codes, mapped in main alone: 0 success; 1 usage or configuration
+error, which takes in every out-of-range or wrongly typed value, from a
+flag or from the config file; 2 I/O error, where the only data error is
+a spectrum file that cannot be read or parsed; 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .squid import (
     CircuitSpec,
     ConvergenceError,
     circulating_current_states,
+    matched_critical_current,
     potential,
     reference_circuit,
     solve_eigensystem,
@@ -57,6 +63,10 @@ EXIT_NUMERICAL = 3
 
 class UsageError(Exception):
     pass
+
+
+class _FileFormatError(Exception):
+    """A spectrum file that exists but does not parse: exit 2, like OSError."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,15 +113,22 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
-def _merged(args, keys: tuple[str, ...]) -> dict:
-    """File values overridden by explicit flags."""
-    file_values = _load_config(getattr(args, "config", None))
-    unknown = set(file_values) - set(keys)
+def _merged(args) -> dict:
+    """Config-file values, each converted by its flag's type, overridden by
+    explicit flags.  The subcommand's flags are the keys a file may set."""
+    file_values = _load_config(args.config)
+    unknown = set(file_values) - set(args.flag_types)
     if unknown:
         raise UsageError(f"unknown config key(s): {sorted(unknown)}")
-    merged = dict(file_values)
-    for key in keys:
-        flag = getattr(args, key, None)
+    merged = {}
+    for key, value in file_values.items():
+        convert = args.flag_types[key]
+        try:
+            merged[key] = value if convert is None else convert(value)
+        except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from exc
+    for key in args.flag_types:
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
     return merged
@@ -126,18 +143,7 @@ def _parse_grid(text: str) -> np.ndarray:
         n = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"grid must be numeric START:STOP:N, got {text!r}") from exc
-    try:
-        return make_frequency_grid(start, stop, n)
-    except ValueError as exc:
-        raise UsageError(f"invalid grid: {exc}") from exc
-
-
-def _build_params(options: dict) -> ModelParams:
-    values = {k: options.get(k) for k in PARAM_FIELDS}
-    try:
-        return ModelParams(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return make_frequency_grid(start, stop, n)
 
 
 def _model_kind(options: dict) -> ModelKind:
@@ -152,35 +158,33 @@ def _model_kind(options: dict) -> ModelKind:
 
 
 def _parse_noise_sigma(value) -> float:
-    """--noise-sigma: finite and >= 0; unset or 0 means a clean spectrum."""
+    """Type of --noise-sigma: finite and >= 0; 0 means a clean spectrum."""
     try:
-        sigma = float(value or 0.0)
+        sigma = float(value)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"noise_sigma must be a number, got {value!r}") from exc
+        raise argparse.ArgumentTypeError(f"noise_sigma must be a number, got {value!r}") from exc
     if not (math.isfinite(sigma) and sigma >= 0):
-        raise UsageError(f"noise_sigma must be finite and >= 0, got {sigma}")
+        raise argparse.ArgumentTypeError(f"noise_sigma must be finite and >= 0, got {sigma}")
     return sigma
 
 
 def _parse_seed(value) -> int:
-    """--seed: a non-negative integer; unset means 0."""
-    if value is None:
-        return 0
+    """Type of --seed: a non-negative integer."""
     try:
         seed = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"seed must be a non-negative integer, got {value!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {value!r}") from exc
     # int() truncates a float; 5.0 from a JSON config is still accepted
     if isinstance(value, bool) or (isinstance(value, float) and seed != value) or seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {value!r}")
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value!r}")
     return seed
 
 
 def cmd_spectrum(args) -> int:
-    keys = ("model", "grid", "noise_sigma", "seed", "output", "svg") + PARAM_FIELDS
-    options = _merged(args, keys)
+    options = _merged(args)
     kind = _model_kind(options)
-    params = _build_params(options)
+    params = ModelParams(**{k: options.get(k) for k in PARAM_FIELDS})
     try:
         params.require(*REQUIRED_PARAMS[kind])
     except MissingParameterError as exc:
@@ -193,8 +197,8 @@ def cmd_spectrum(args) -> int:
     if not output:
         raise UsageError("missing required option: output")
 
-    sigma = _parse_noise_sigma(options.get("noise_sigma"))
-    seed = _parse_seed(options.get("seed"))
+    sigma = options.get("noise_sigma", 0.0)
+    seed = options.get("seed", 0)
     spectrum = compute_spectrum(kind, params, freqs)
     if sigma > 0:
         spectrum = add_measurement_noise(spectrum, sigma, seed)
@@ -213,14 +217,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    keys = ("ref_omega0", "ref_omega_b", "ref_g_q", "ref_delta", "b0", "i_p",
-            "nmr_length", "depth_threshold", "unity_tol", "output")
-    options = _merged(args, keys)
+    options = _merged(args)
     for key in ("ref_g_q", "ref_delta"):
         # the phonon ladder spacing is g_q**2/delta
         if options.get(key) == 0:
             raise UsageError(f"--{key.replace('_', '-')} must be nonzero")
-    spectrum, _ = qio.read_spectrum_csv(args.input)
+    try:
+        spectrum, _ = qio.read_spectrum_csv(args.input)
+    except ValueError as exc:
+        raise _FileFormatError(str(exc)) from exc
     # ambiguity is data, not failure: estimate_report encodes it in the
     # model_class and this command still exits 0
     report = estimate_report(
@@ -245,26 +250,19 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_squid(args) -> int:
-    keys = ("c_j", "l", "i_c", "phi_e_over_phi0", "grid_points",
-            "flux_window", "n_states", "output_json", "output_csv", "svg")
-    options = _merged(args, keys)
+    options = _merged(args)
     base = reference_circuit()
-    inductance = float(options.get("l", base.inductance))
+    inductance = options.get("l", base.inductance)
     critical = options.get("i_c")
-    if critical is None:
-        critical = FLUX_QUANTUM / (math.pi * inductance)
-    try:
-        spec = CircuitSpec(
-            capacitance=float(options.get("c_j", base.capacitance)),
-            inductance=inductance,
-            critical_current=float(critical),
-            bias_flux=float(options.get("phi_e_over_phi0", 0.5)) * FLUX_QUANTUM,
-            grid_points=int(options.get("grid_points", base.grid_points)),
-            flux_window=float(options.get("flux_window", base.flux_window)),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    sol = solve_eigensystem(spec, n_states=int(options.get("n_states", 2)))
+    spec = CircuitSpec(
+        capacitance=options.get("c_j", base.capacitance),
+        inductance=inductance,
+        critical_current=matched_critical_current(inductance) if critical is None else critical,
+        bias_flux=options.get("phi_e_over_phi0", 0.5) * FLUX_QUANTUM,
+        grid_points=options.get("grid_points", base.grid_points),
+        flux_window=options.get("flux_window", base.flux_window),
+    )
+    sol = solve_eigensystem(spec, n_states=options.get("n_states", 2))
     text = qio.squid_json_text(sol, spec)
     if options.get("output_json"):
         with open(options["output_json"], "w", encoding="utf-8") as handle:
@@ -297,10 +295,7 @@ def _write_squid_svg(path, sol, spec) -> None:
 
 
 def _sweep_rows(kind, params, name, value, freqs):
-    try:
-        point = params.replace(**{name: value})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    point = params.replace(**{name: value})
     rows = []
     features = analytic_features(kind, point)
     for freq, width in zip(features.dips,
@@ -316,20 +311,19 @@ def _sweep_rows(kind, params, name, value, freqs):
 
 
 def cmd_sweep(args) -> int:
-    keys = ("model", "param", "start", "stop", "steps", "grid", "output") + PARAM_FIELDS
-    options = _merged(args, keys)
+    options = _merged(args)
     kind = _model_kind(options)
-    params = _build_params(options)
+    params = ModelParams(**{k: options.get(k) for k in PARAM_FIELDS})
     name = options.get("param")
     if name not in PARAM_FIELDS:
         raise UsageError(f"param must be one of {PARAM_FIELDS}, got {name!r}")
     for key in ("start", "stop", "steps"):
         if options.get(key) is None:
             raise UsageError(f"missing required option: {key}")
-    steps = int(options["steps"])
+    steps = options["steps"]
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    values = np.linspace(float(options["start"]), float(options["stop"]), steps)
+    values = np.linspace(options["start"], options["stop"], steps)
     freqs = _parse_grid(str(options["grid"])) if options.get("grid") else None
     output = options.get("output")
     if not output:
@@ -343,7 +337,7 @@ def cmd_sweep(args) -> int:
     lines = [
         "# config: " + json.dumps({
             "command": "sweep", "model": kind.value, "param": name,
-            "start": float(options["start"]), "stop": float(options["stop"]),
+            "start": options["start"], "stop": options["stop"],
             "steps": steps, "params": params.to_dict(),
             "grid": str(options.get("grid")) if options.get("grid") else None,
         }, sort_keys=True),
@@ -484,6 +478,15 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
+def _with_config(parser: argparse.ArgumentParser, func) -> None:
+    """Route parser to func and add --config: the file may set each option
+    declared so far, keyed by its dest and converted by its type."""
+    flag_types = {action.dest: action.type for action in parser._actions
+                  if action.option_strings and action.dest != "help"}
+    parser.add_argument("--config", default=None)
+    parser.set_defaults(func=func, flag_types=flag_types)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qspectra",
                      description="Microwave scattering spectra of a flux qubit "
@@ -495,12 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default=None)
     _add_param_flags(sp)
     sp.add_argument("--grid", default=None, help="START:STOP:N (rad/s, inclusive)")
-    sp.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--noise-sigma", dest="noise_sigma", type=_parse_noise_sigma, default=None)
+    sp.add_argument("--seed", type=_parse_seed, default=None)
     sp.add_argument("--output", default=None)
     sp.add_argument("--svg", default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_spectrum)
+    _with_config(sp, cmd_spectrum)
 
     es = sub.add_parser("estimate", help="invert a spectrum CSV to physics")
     es.add_argument("input")
@@ -514,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--nmr-length", dest="nmr_length", type=float, default=None)
     es.add_argument("--depth-threshold", dest="depth_threshold", type=float, default=None)
     es.add_argument("--unity-tol", dest="unity_tol", type=float, default=None)
-    es.add_argument("--config", default=None)
-    es.set_defaults(func=cmd_estimate)
+    _with_config(es, cmd_estimate)
 
     sq = sub.add_parser("squid", help="solve the loop circuit eigenproblem")
     sq.add_argument("--c-j", dest="c_j", type=float, default=None)
@@ -528,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     sq.add_argument("--output-json", dest="output_json", default=None)
     sq.add_argument("--output-csv", dest="output_csv", default=None)
     sq.add_argument("--svg", default=None)
-    sq.add_argument("--config", default=None)
-    sq.set_defaults(func=cmd_squid)
+    _with_config(sq, cmd_squid)
 
     sw = sub.add_parser("sweep", help="sweep one parameter, tabulating features")
     sw.add_argument("--model", default=None)
@@ -540,8 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--steps", type=int, default=None)
     sw.add_argument("--grid", default=None)
     sw.add_argument("--output", default=None)
-    sw.add_argument("--config", default=None)
-    sw.set_defaults(func=cmd_sweep)
+    _with_config(sw, cmd_sweep)
 
     fg = sub.add_parser("figures", help="regenerate the reference figure data")
     fg.add_argument("--which", default="all")
@@ -559,27 +558,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place a failure becomes an exit code."""
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MissingParameterError,) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # the numerical classes subclass ValueError, so they are caught first
     except (BoundaryLeakageError, ConvergenceError, InconsistentFeaturesError,
             AmbiguousClassificationError, ModelDomainError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        # malformed data files land here via the readers
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, _FileFormatError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (UsageError, ValueError) as exc:
+        # MissingParameterError and every out-of-range value land here
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -170,7 +170,7 @@ def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int) -> float:
     return float(sum(widths) / len(widths))
 
 
-def least_squares(fun, x0, jac=None, method="lm") -> OptimizeResult:
+def least_squares(fun, x0, jac=None) -> OptimizeResult:
     """Levenberg-Marquardt least squares: MINPACK lmder, or lmdif when jac
     is None, called through scipy's _minpack extension with the arguments
     scipy.optimize.leastsq passes it for ftol = xtol = gtol = 1e-8,
@@ -192,8 +192,6 @@ def least_squares(fun, x0, jac=None, method="lm") -> OptimizeResult:
     100 * n evaluations of maxfev were used up; the last iterate is
     returned, without a warning).
     """
-    if method != "lm":
-        raise ValueError(f"method must be 'lm', got {method!r}")
     # MINPACK iterates in the array it is given and returns it as x
     x = np.array(x0, dtype=float)
     maxfev = 100 * len(x)

@@ -44,7 +44,9 @@ class ConvergenceError(RuntimeError):
 
 def matched_critical_current(inductance: float) -> float:
     """Critical current Phi0/(pi L) at which the loop potential turns into
-    a degenerate double well."""
+    a degenerate double well.  Raises ValueError unless inductance > 0."""
+    if not inductance > 0:
+        raise ValueError(f"inductance must be > 0, got {inductance}")
     return FLUX_QUANTUM / (math.pi * inductance)
 
 
@@ -152,8 +154,7 @@ def _solve_grid(spec: CircuitSpec, n_states: int, grid_points: int):
     return phi, step, energies, vectors.T
 
 
-def solve_eigensystem(spec: CircuitSpec, n_states: int = 2,
-                      check_convergence: bool = True) -> EigenSolution:
+def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
     """Lowest n_states eigenpairs of the flux-basis circuit Hamiltonian.
 
     Raises BoundaryLeakageError when the lowest two states have not
@@ -173,14 +174,13 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2,
                 f"state {k} has relative edge amplitude {edge:.2e} > "
                 f"{EDGE_LEAKAGE_LIMIT:.0e}; widen flux_window"
             )
-    if check_convergence:
-        _, _, refined, _ = _solve_grid(spec, 1, 2 * spec.grid_points - 1)
-        shift = abs(refined[0] - energies[0]) / abs(energies[0])
-        if shift > CONVERGENCE_LIMIT:
-            raise ConvergenceError(
-                f"ground energy moves by {shift:.2e} relative when the grid "
-                "is doubled; increase grid_points"
-            )
+    _, _, refined, _ = _solve_grid(spec, 1, 2 * spec.grid_points - 1)
+    shift = abs(refined[0] - energies[0]) / abs(energies[0])
+    if shift > CONVERGENCE_LIMIT:
+        raise ConvergenceError(
+            f"ground energy moves by {shift:.2e} relative when the grid "
+            "is doubled; increase grid_points"
+        )
 
     offdiag, diag0, diag1 = _current_elements(states, phi, step, spec)
     return EigenSolution(

@@ -757,6 +757,37 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
 
 
+_SWEEP_OMEGA0 = ["sweep", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma-c", "3.3e7",
+                 "--param", "omega0", "--output", "OUT"]
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    (["estimate", "CSV", "--depth-threshold", "2"], None, "depth_threshold"),
+    (["estimate", "CSV", "--unity-tol", "0.5"], None, "tol"),
+    (["squid", "--n-states", "1", "--output-json", "OUT"], None, "n_states"),
+    (["squid", "--l", "0", "--output-json", "OUT"], None, "inductance"),
+    (_SWEEP_OMEGA0, {"start": 2e9, "stop": 2.1e9, "steps": "abc"}, "steps"),
+    (_SWEEP_OMEGA0, {"start": "x", "stop": 2.1e9, "steps": 3}, "start"),
+    (["squid", "--output-json", "OUT"], {"n_states": "two"}, "n_states"),
+    (["estimate", "CSV"], {"depth_threshold": None}, "depth_threshold"),
+], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "zero-inductance-flag",
+        "steps-config", "start-config", "n-states-config", "null-depth-config"])
+def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
+    """An out-of-range or wrongly typed value exits 1 naming its field,
+    whether it comes from a flag or from the config file."""
+    csv, out = tmp_path / "s.csv", tmp_path / "out"
+    write_spectrum_csv(csv, qnmr_spectrum)
+    argv = [{"CSV": str(csv), "OUT": str(out)}.get(arg, arg) for arg in argv]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert not out.exists()
+
+
 def test_tracer_hook_names_stay_bound():
     """bench/tracer.py patches these attributes by name; renaming one makes
     `python3 bench/run.py --trace 1` fail with AttributeError."""
