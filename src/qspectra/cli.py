@@ -16,6 +16,7 @@ a spectrum file that cannot be read or parsed; 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -88,10 +89,7 @@ def thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-PARAM_FIELDS = (
-    "omega0", "omega_b", "omega_r", "gamma_c", "v_g",
-    "v1", "v2", "g_q", "g_c", "g_rq", "mean_n",
-)
+PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -168,15 +166,21 @@ def _parse_noise_sigma(value) -> float:
     return sigma
 
 
+def _parse_int(value) -> int:
+    """Type of the integer options; a JSON config may give 5.0 but not 1.5."""
+    try:
+        # int() would read True as 1 and truncate 1.5 to 1
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from exc
+
+
 def _parse_seed(value) -> int:
     """Type of --seed: a non-negative integer."""
-    try:
-        seed = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"seed must be a non-negative integer, got {value!r}") from exc
-    # int() truncates a float; 5.0 from a JSON config is still accepted
-    if isinstance(value, bool) or (isinstance(value, float) and seed != value) or seed < 0:
+    seed = _parse_int(value)
+    if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value!r}")
     return seed
 
@@ -523,9 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     sq.add_argument("--l", dest="l", type=float, default=None)
     sq.add_argument("--i-c", dest="i_c", type=float, default=None)
     sq.add_argument("--phi-e-over-phi0", dest="phi_e_over_phi0", type=float, default=None)
-    sq.add_argument("--grid-points", dest="grid_points", type=int, default=None)
+    sq.add_argument("--grid-points", dest="grid_points", type=_parse_int, default=None)
     sq.add_argument("--flux-window", dest="flux_window", type=float, default=None)
-    sq.add_argument("--n-states", dest="n_states", type=int, default=None)
+    sq.add_argument("--n-states", dest="n_states", type=_parse_int, default=None)
     sq.add_argument("--output-json", dest="output_json", default=None)
     sq.add_argument("--output-csv", dest="output_csv", default=None)
     sq.add_argument("--svg", default=None)
@@ -537,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--param", default=None)
     sw.add_argument("--start", type=float, default=None)
     sw.add_argument("--stop", type=float, default=None)
-    sw.add_argument("--steps", type=int, default=None)
+    sw.add_argument("--steps", type=_parse_int, default=None)
     sw.add_argument("--grid", default=None)
     sw.add_argument("--output", default=None)
     _with_config(sw, cmd_sweep)

@@ -540,22 +540,28 @@ def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
     return model_class
 
 
+def _root(radicand: float, var_radicand: float, message: str) -> Estimate:
+    """g = sqrt(radicand) with first-order propagation of var_radicand;
+    at g = 0 the sigma is var_radicand**0.25.  Raises
+    InconsistentFeaturesError(message) for a negative radicand."""
+    if radicand < 0:
+        raise InconsistentFeaturesError(message)
+    g = math.sqrt(radicand)
+    sigma = math.sqrt(var_radicand) / (2.0 * g) if g > 0 else var_radicand**0.25
+    return Estimate(g, sigma)
+
+
 def _splitting_inverse(split: float, mismatch: float,
                        var_split: float, var_mismatch: float) -> Estimate:
     """g = sqrt(split**2 - mismatch**2)/2 with first-order propagation."""
-    radicand = split**2 - mismatch**2
-    if radicand < 0:
-        raise InconsistentFeaturesError(
-            f"dip splitting {split:.6g} below the frequency mismatch "
-            f"{abs(mismatch):.6g}: no coupling reproduces these features"
-        )
-    g = 0.5 * math.sqrt(radicand)
-    var_radicand = 4.0 * split**2 * var_split + 4.0 * mismatch**2 * var_mismatch
-    if g > 0:
-        sigma = math.sqrt(var_radicand) / (8.0 * g)
-    else:
-        sigma = 0.5 * var_radicand**0.25
-    return Estimate(g, sigma)
+    root = _root(
+        split**2 - mismatch**2,
+        4.0 * split**2 * var_split + 4.0 * mismatch**2 * var_mismatch,
+        f"dip splitting {split:.6g} below the frequency mismatch "
+        f"{abs(mismatch):.6g}: no coupling reproduces these features",
+    )
+    # halving is exact, so value and sigma keep their bits
+    return Estimate(0.5 * root.value, 0.5 * root.sigma)
 
 
 def qnmr_coupling_from_dips(omega_plus: Frequency, omega_minus: Frequency,
@@ -595,20 +601,13 @@ def cnmr_coupling_from_shift(omega_shifted: Frequency, omega0: Frequency,
     """Classical-drive coupling from the dressed dip position:
     g = sqrt(omega_shifted**2 - ((omega0 + omega_b)/2)**2)."""
     mid = 0.5 * (omega0 + omega_b)
-    radicand = omega_shifted**2 - mid**2
-    if radicand < 0:
-        raise InconsistentFeaturesError(
-            f"shifted dip {omega_shifted:.6g} below the mean frequency "
-            f"{mid:.6g}: no classical coupling reproduces it"
-        )
-    g = math.sqrt(radicand)
     var_mid = 0.25 * (sigma_omega0**2 + sigma_omega_b**2)
-    var_radicand = 4.0 * omega_shifted**2 * sigma_shifted**2 + 4.0 * mid**2 * var_mid
-    if g > 0:
-        sigma = math.sqrt(var_radicand) / (2.0 * g)
-    else:
-        sigma = var_radicand**0.25
-    return Estimate(g, sigma)
+    return _root(
+        omega_shifted**2 - mid**2,
+        4.0 * omega_shifted**2 * sigma_shifted**2 + 4.0 * mid**2 * var_mid,
+        f"shifted dip {omega_shifted:.6g} below the mean frequency "
+        f"{mid:.6g}: no classical coupling reproduces it",
+    )
 
 
 def nmr_frequency_from_windows(omega_upper: Frequency, omega_lower: Frequency,
@@ -628,19 +627,13 @@ def qnmr_coupling_from_windows(omega_upper: Frequency, omega_lower: Frequency,
                                sigma_omega0: float = 0.0) -> Estimate:
     """Mechanical coupling from the transparency windows:
     g = sqrt(omega0 (w+ + w-) - omega0**2 - w+ w-)."""
-    radicand = omega0 * (omega_upper + omega_lower) - omega0**2 - omega_upper * omega_lower
-    if radicand < 0:
-        raise InconsistentFeaturesError(
-            "transparency windows inconsistent with any mechanical coupling"
-        )
-    g = math.sqrt(radicand)
-    var = (
+    return _root(
+        omega0 * (omega_upper + omega_lower) - omega0**2 - omega_upper * omega_lower,
         (omega0 - omega_lower) ** 2 * sigma_upper**2
         + (omega0 - omega_upper) ** 2 * sigma_lower**2
-        + (omega_upper + omega_lower - 2.0 * omega0) ** 2 * sigma_omega0**2
+        + (omega_upper + omega_lower - 2.0 * omega0) ** 2 * sigma_omega0**2,
+        "transparency windows inconsistent with any mechanical coupling",
     )
-    sigma = math.sqrt(var) / (2.0 * g) if g > 0 else var**0.25
-    return Estimate(g, sigma)
 
 
 @dataclass(frozen=True)

@@ -118,25 +118,28 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
     if not np.all((trans >= -1e-6) & (trans <= 1 + 1e-6)):  # false for NaN too
         raise ValueError(f"{path}: transmission outside [0, 1] or not a number")
     trans = np.clip(trans, 0.0, 1.0)
-    if "re_t" in column and "im_t" in column:
-        amp = column["re_t"] + 1j * column["im_t"]
-        if np.all(np.isfinite(amp)):
-            # rounding re_t/im_t to 9 digits can lift |t|**2 a few 1e-10
-            # above 1; put such points back on the unit circle so that T
-            # rebuilt from the amplitude stays |amplitude|**2 in [0, 1]
-            magnitude = np.abs(amp)
-            if np.any(magnitude > 1 + 1e-6):
-                raise ValueError(f"{path}: |amplitude| above 1")
-            over = magnitude > 1.0
-            amp[over] /= magnitude[over]
-            # rebuild T/phase from the amplitude: the rounded T/phase
-            # columns may disagree with it at the last digit
-            return Spectrum.from_amplitude(column["omega"], amp), config
-    return (
-        Spectrum(freqs=column["omega"], transmission=trans,
-                 phase=column["phase_rad"], amplitude=None),
-        config,
-    )
+    try:
+        if "re_t" in column and "im_t" in column:
+            amp = column["re_t"] + 1j * column["im_t"]
+            if np.all(np.isfinite(amp)):
+                # rounding re_t/im_t to 9 digits can lift |t|**2 a few 1e-10
+                # above 1; put such points back on the unit circle so that T
+                # rebuilt from the amplitude stays |amplitude|**2 in [0, 1]
+                magnitude = np.abs(amp)
+                if np.any(magnitude > 1 + 1e-6):
+                    raise ValueError("|amplitude| above 1")
+                over = magnitude > 1.0
+                amp[over] /= magnitude[over]
+                # rebuild T/phase from the amplitude: the rounded T/phase
+                # columns may disagree with it at the last digit
+                return Spectrum.from_amplitude(column["omega"], amp), config
+        return (
+            Spectrum(freqs=column["omega"], transmission=trans,
+                     phase=column["phase_rad"], amplitude=None),
+            config,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def report_json_text(report, extra: Optional[dict] = None) -> str:

@@ -28,10 +28,18 @@ The STLR + QNMR form is the pole-cleared version of the nested expression
 x = v_g[(w-omega_r)A - g_rq**2] with A = w - omega0 - g_q**2/(w-omega_b):
 numerator and denominator are multiplied by (w-omega_b) so the mechanical
 resonance frequency is an ordinary point of the evaluation.
+
+Each kernel declares its parameters and its (x, y) once, through
+``_kernel``, which also fills REQUIRED_PARAMS and AMPLITUDES.  Qubit + QNMR
+and the STLR kinds share one two-mode shape, ``_hybrid``.  That shape is a
+degeneracy too: STLR + qubit is qubit + QNMR with (omega_r, omega0, g_rq,
+v2**2/v_g) for (omega0, omega_b, g_q, gamma_c), so T alone cannot tell the
+resonator-probed setup from the qubit-probed one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -62,15 +70,8 @@ class ModelKind(str, Enum):
     STLR_QUBIT_CNMR = "stlr-qubit-cnmr"
 
 
-REQUIRED_PARAMS: dict[ModelKind, tuple[str, ...]] = {
-    ModelKind.QUBIT_ONLY: ("omega0", "gamma_c"),
-    ModelKind.QUBIT_QNMR: ("omega0", "omega_b", "gamma_c", "g_q"),
-    ModelKind.DISPERSIVE: ("omega0", "omega_b", "g_q", "v1", "v_g", "mean_n"),
-    ModelKind.QUBIT_CNMR: ("omega0", "omega_b", "g_c", "gamma_c"),
-    ModelKind.STLR_QUBIT: ("omega0", "omega_r", "g_rq", "v2", "v_g"),
-    ModelKind.STLR_QUBIT_QNMR: ("omega0", "omega_b", "omega_r", "g_rq", "g_q", "v2", "v_g"),
-    ModelKind.STLR_QUBIT_CNMR: ("omega0", "omega_b", "omega_r", "g_rq", "g_c", "v2", "v_g"),
-}
+REQUIRED_PARAMS: dict[ModelKind, tuple[str, ...]] = {}
+AMPLITUDES = {}
 
 
 def _checked(omega: ArrayLike) -> np.ndarray:
@@ -94,33 +95,56 @@ def _elastic(x: ArrayLike, y: ArrayLike, omega: ArrayLike):
     return np.divide(x, t, out=t)
 
 
-def qubit_amplitude(omega: ArrayLike, p: ModelParams):
+def _kernel(kind: ModelKind | None, *names: str):
+    """Declare an amplitude kernel ``(omega, p) -> t`` from a body that
+    returns (x, y) on the checked grid; the kernel first requires `names`.
+    With a kind, fills REQUIRED_PARAMS[kind] and AMPLITUDES[kind]."""
+
+    def declare(xy):
+        @functools.wraps(xy)
+        def amplitude(omega: ArrayLike, p: ModelParams):
+            p.require(*names)
+            return _elastic(*xy(_checked(omega), p), omega)
+
+        if kind is not None:
+            REQUIRED_PARAMS[kind] = names
+            AMPLITUDES[kind] = amplitude
+        return amplitude
+
+    return declare
+
+
+def _hybrid(w: np.ndarray, omega_a: float, omega_b: float, g: float, rate: float):
+    """Two modes at omega_a and omega_b coupled by g:
+    x = (w-omega_a)(w-omega_b) - g**2, y = rate (w-omega_b)."""
+    y = w - omega_b
+    x = w - omega_a
+    x *= y
+    x -= g**2
+    y *= rate
+    return x, y
+
+
+@_kernel(ModelKind.QUBIT_ONLY, "omega0", "gamma_c")
+def qubit_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the bare qubit scatterer.
 
     A Lorentzian dip at omega0 with full width at half minimum 2*gamma_c;
     the probe is fully reflected on resonance and picks up a pi phase
     step across it.
     """
-    p.require("omega0", "gamma_c")
-    w = _checked(omega)
-    return _elastic(w - p.omega0, p.gamma_c, omega)
+    return w - p.omega0, p.gamma_c
 
 
-def qubit_qnmr_amplitude(omega: ArrayLike, p: ModelParams):
+@_kernel(ModelKind.QUBIT_QNMR, "omega0", "omega_b", "gamma_c", "g_q")
+def qubit_qnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude when the qubit hybridizes with a quantized
     mechanical mode.
 
     Two dips at the hybrid frequencies and a full-transmission point at
     exactly omega_b, where the probe passes with zero phase shift.
     """
-    p.require("omega0", "omega_b", "gamma_c", "g_q")
-    w = _checked(omega)
-    detuning_b = w - p.omega_b
-    x = w - p.omega0
-    x *= detuning_b
-    x -= p.g_q**2
-    detuning_b *= p.gamma_c  # y
-    return _elastic(x, detuning_b, omega)
+    return _hybrid(w, p.omega0, p.omega_b, p.g_q, p.gamma_c)
 
 
 def dispersive_shift(p: ModelParams) -> float:
@@ -141,7 +165,8 @@ def dispersive_dip_frequency(p: ModelParams, mean_n: float | None = None) -> flo
     return p.omega0 + dispersive_shift(p) * (n + 0.5)
 
 
-def dispersive_amplitude(omega: ArrayLike, p: ModelParams):
+@_kernel(ModelKind.DISPERSIVE, "omega0", "omega_b", "g_q", "v1", "v_g", "mean_n")
+def dispersive_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude in the dispersive (number-resolved) regime.
 
     The qubit line is shifted by the phonon occupation; the dip sits at
@@ -149,7 +174,6 @@ def dispersive_amplitude(omega: ArrayLike, p: ModelParams):
     2*v1**2/v_g.  Warns when |g_q/delta| >= 0.5, where the dispersive
     approximation is marginal.
     """
-    p.require("omega0", "omega_b", "g_q", "v1", "v_g", "mean_n")
     delta = p.omega0 - p.omega_b
     if delta == 0:
         raise ModelDomainError("dispersive regime undefined at zero detuning")
@@ -157,10 +181,9 @@ def dispersive_amplitude(omega: ArrayLike, p: ModelParams):
         warnings.warn(
             f"|g_q/delta| = {abs(p.g_q / delta):.3g} >= 0.5: dispersive "
             "approximation is unreliable here",
-            stacklevel=2,
+            stacklevel=3,  # the kernel's caller, past the _kernel wrapper
         )
-    w = _checked(omega)
-    return _elastic(w - dispersive_dip_frequency(p), p.gamma_c, omega)
+    return w - dispersive_dip_frequency(p), p.gamma_c
 
 
 def resolvability_condition(p: ModelParams) -> bool:
@@ -190,49 +213,42 @@ def shifted_qubit_frequency(omega0: Frequency, omega_b: Frequency, g_c: Frequenc
     return math.hypot(0.5 * (omega0 + omega_b), g_c)
 
 
-def qubit_cnmr_amplitude(omega: ArrayLike, p: ModelParams):
+@_kernel(ModelKind.QUBIT_CNMR, "omega0", "omega_b", "g_c", "gamma_c")
+def qubit_cnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude when the mechanical mode acts as a classical
     drive: the bare-qubit Lorentzian with its dip moved to the dressed
     frequency.  Exactly one dip regardless of the drive strength."""
-    p.require("omega0", "omega_b", "g_c", "gamma_c")
-    w = _checked(omega)
-    shifted = shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c)
-    return _elastic(w - shifted, p.gamma_c, omega)
+    return w - shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c), p.gamma_c
 
 
-def stlr_amplitude(omega: ArrayLike, p: ModelParams):
+@_kernel(None, "omega_r", "v2", "v_g")
+def stlr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the bare quarter-wavelength resonator:
     a single Lorentzian dip at omega_r with full width 2*v2**2/v_g."""
-    p.require("omega_r", "v2", "v_g")
-    w = _checked(omega)
-    return _elastic(p.v_g * (w - p.omega_r), p.v2**2, omega)
+    return p.v_g * (w - p.omega_r), p.v2**2
 
 
-def _stlr_dressed(w: np.ndarray, omega_q: float, p: ModelParams, omega: ArrayLike):
+def _stlr_dressed(w: np.ndarray, omega_q: float, p: ModelParams):
     """Resonator hybridized with a qubit line at omega_q:
     x = v_g[(w-omega_r)(w-omega_q) - g_rq**2], y = v2**2 (w-omega_q)."""
-    detuning_q = w - omega_q
-    x = w - p.omega_r
-    x *= detuning_q
-    x -= p.g_rq**2
+    x, y = _hybrid(w, p.omega_r, omega_q, p.g_rq, p.v2**2)
     x *= p.v_g
-    detuning_q *= p.v2**2  # y
-    return _elastic(x, detuning_q, omega)
+    return x, y
 
 
-def stlr_qubit_amplitude(omega: ArrayLike, p: ModelParams):
+@_kernel(ModelKind.STLR_QUBIT, "omega0", "omega_r", "g_rq", "v2", "v_g")
+def stlr_qubit_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the resonator hybridized with the qubit.
 
     The bare resonator dip splits into two (vacuum Rabi splitting) and
     the probe is fully transmitted at exactly omega0: a transparency
     window opened by the qubit.
     """
-    p.require("omega0", "omega_r", "g_rq", "v2", "v_g")
-    w = _checked(omega)
-    return _stlr_dressed(w, p.omega0, p, omega)
+    return _stlr_dressed(w, p.omega0, p)
 
 
-def stlr_qubit_qnmr_amplitude(omega: ArrayLike, p: ModelParams):
+@_kernel(ModelKind.STLR_QUBIT_QNMR, "omega0", "omega_b", "omega_r", "g_rq", "g_q", "v2", "v_g")
+def stlr_qubit_qnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the resonator-qubit chain with a quantized
     mechanical mode on the qubit.
 
@@ -240,40 +256,21 @@ def stlr_qubit_qnmr_amplitude(omega: ArrayLike, p: ModelParams):
     frequencies.  Evaluated in pole-cleared form, so omega = omega_b is
     an ordinary point.
     """
-    p.require("omega0", "omega_b", "omega_r", "g_rq", "g_q", "v2", "v_g")
-    w = _checked(omega)
-    detuning_b = w - p.omega_b
-    q = w - p.omega0
-    q *= detuning_b
-    q -= p.g_q**2
+    q, detuning_b = _hybrid(w, p.omega0, p.omega_b, p.g_q, p.g_rq**2)
     x = w - p.omega_r
     x *= q
-    detuning_b *= p.g_rq**2
-    x -= detuning_b
+    x -= detuning_b  # g_rq**2 (w-omega_b)
     x *= p.v_g
     q *= p.v2**2  # y
-    return _elastic(x, q, omega)
+    return x, q
 
 
-def stlr_qubit_cnmr_amplitude(omega: ArrayLike, p: ModelParams):
+@_kernel(ModelKind.STLR_QUBIT_CNMR, "omega0", "omega_b", "omega_r", "g_rq", "g_c", "v2", "v_g")
+def stlr_qubit_cnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the resonator-qubit chain with a classical
     mechanical drive: the transparency window moves to the dressed qubit
     frequency while keeping its width."""
-    p.require("omega0", "omega_b", "omega_r", "g_rq", "g_c", "v2", "v_g")
-    w = _checked(omega)
-    shifted = shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c)
-    return _stlr_dressed(w, shifted, p, omega)
-
-
-AMPLITUDES = {
-    ModelKind.QUBIT_ONLY: qubit_amplitude,
-    ModelKind.QUBIT_QNMR: qubit_qnmr_amplitude,
-    ModelKind.DISPERSIVE: dispersive_amplitude,
-    ModelKind.QUBIT_CNMR: qubit_cnmr_amplitude,
-    ModelKind.STLR_QUBIT: stlr_qubit_amplitude,
-    ModelKind.STLR_QUBIT_QNMR: stlr_qubit_qnmr_amplitude,
-    ModelKind.STLR_QUBIT_CNMR: stlr_qubit_cnmr_amplitude,
-}
+    return _stlr_dressed(w, shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c), p)
 
 
 def transmission_amplitude(kind: ModelKind, omega: ArrayLike, p: ModelParams):

@@ -564,14 +564,25 @@ class TestEstimateCommand:
         assert main(argv) == 1
         assert f"{flag} must be nonzero" in capsys.readouterr().err
 
-    def test_nan_transmission_is_format_error(self, qnmr_spectrum, tmp_path, capsys):
-        path = tmp_path / "nan.csv"
+    @pytest.mark.parametrize("case", ["nan-transmission", "decreasing-omega",
+                                      "decreasing-omega-no-amplitude"])
+    def test_nan_transmission_is_format_error(self, case, qnmr_spectrum, tmp_path, capsys):
+        """A CSV that fails the reader's or the Spectrum checks exits 2 with
+        the file named, whichever constructor the columns lead to."""
+        path = tmp_path / f"{case}.csv"
         rows = spectrum_csv_text(qnmr_spectrum).splitlines()
-        cells = rows[100].split(",")
-        cells[1] = "nan"
-        rows[100] = ",".join(cells)
+        assert rows[0] == "omega,T,phase_rad,re_t,im_t"
+        if case == "nan-transmission":
+            cells = rows[100].split(",")
+            cells[1] = "nan"
+            rows[100] = ",".join(cells)
+        else:
+            rows = rows[:1] + rows[3:0:-1]
+        if case.endswith("no-amplitude"):
+            rows = [",".join(row.split(",")[:3]) for row in rows]
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match="transmission"):
+        match = "transmission" if case == "nan-transmission" else "strictly increasing"
+        with pytest.raises(ValueError, match=match):
             read_spectrum_csv(path)
         assert main(["estimate", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
@@ -770,8 +781,13 @@ _SWEEP_OMEGA0 = ["sweep", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma
     (_SWEEP_OMEGA0, {"start": "x", "stop": 2.1e9, "steps": 3}, "start"),
     (["squid", "--output-json", "OUT"], {"n_states": "two"}, "n_states"),
     (["estimate", "CSV"], {"depth_threshold": None}, "depth_threshold"),
+    (_SWEEP_OMEGA0, {"start": 2e9, "stop": 2.1e9, "steps": 1.5}, "steps"),
+    (["squid", "--output-json", "OUT"], {"grid_points": 1001.5}, "grid_points"),
+    (["squid", "--output-json", "OUT"], {"n_states": 2.7}, "n_states"),
 ], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "zero-inductance-flag",
-        "steps-config", "start-config", "n-states-config", "null-depth-config"])
+        "steps-config", "start-config", "n-states-config", "null-depth-config",
+        "fractional-steps-config", "fractional-grid-points-config",
+        "fractional-n-states-config"])
 def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
     """An out-of-range or wrongly typed value exits 1 naming its field,
     whether it comes from a flag or from the config file."""
@@ -791,9 +807,14 @@ def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, 
 def test_tracer_hook_names_stay_bound():
     """bench/tracer.py patches these attributes by name; renaming one makes
     `python3 bench/run.py --trace 1` fail with AttributeError."""
-    from qspectra import cli, estimate, params, squid
+    from qspectra import cli, estimate, models, params, squid
 
     for owner, name in ((estimate, "least_squares"), (estimate, "find_peaks"),
                         (cli, "ThreadPoolExecutor"), (squid, "eigh_tridiagonal"),
                         (params.Spectrum, "__post_init__")):
         assert callable(getattr(owner, name, None)), name
+    # the tracer rebinds each kernel under its __name__ in models and in
+    # AMPLITUDES, and derives AMPLITUDE_KERNELS from those names
+    for kind, fn in models.AMPLITUDES.items():
+        assert getattr(models, fn.__name__) is fn, kind
+    assert set(models.AMPLITUDES) == set(models.REQUIRED_PARAMS) == set(models.ModelKind)

@@ -144,8 +144,10 @@ class TestDispersive:
             dispersive_amplitude(2.1e9, dispersive_params.replace(omega_b=OMEGA0))
 
     def test_marginal_regime_warns(self, dispersive_params):
-        with pytest.warns(UserWarning, match="dispersive"):
+        with pytest.warns(UserWarning, match="dispersive") as record:
             dispersive_amplitude(2.1e9, dispersive_params.replace(g_q=9e7))
+        # the warning points at the caller, not into models
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestResolvability:
