@@ -3,9 +3,13 @@
 Subcommands: spectrum | estimate | squid | sweep | figures.  Every
 option of spectrum, estimate, squid and sweep can also come from a JSON
 config file (--config); a config value is converted by its flag's type,
-and explicit flags override file values.  QSPECTRA_THREADS caps sweep
-parallelism.  Outputs are byte-identical for identical configurations,
-including the noise seed.
+and explicit flags override file values; a real-valued option must be a
+finite number.  QSPECTRA_THREADS caps sweep parallelism.  Outputs are
+byte-identical for identical configurations, including the noise seed.
+
+Each artifact has one writer, which its subcommand and `figures` share:
+``_write_spectrum`` and ``_write_squid``.  The estimate and squid JSON
+documents go to stdout when no output path is given.
 
 Exit codes, mapped in main alone: 0 success; 1 usage or configuration
 error, which takes in every out-of-range or wrongly typed value, from a
@@ -95,7 +99,7 @@ PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     for name in PARAM_FIELDS:
         parser.add_argument("--" + name.replace("_", "-"), dest=name,
-                            type=float, default=None)
+                            type=_parse_float, default=None)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -144,10 +148,16 @@ def _parse_grid(text: str) -> np.ndarray:
     return make_frequency_grid(start, stop, n)
 
 
+def _require(options: dict, *keys: str) -> tuple:
+    """The values of keys, each of which must be set and not empty."""
+    for key in keys:
+        if options.get(key) in (None, ""):
+            raise UsageError(f"missing required option: {key}")
+    return tuple(options[key] for key in keys)
+
+
 def _model_kind(options: dict) -> ModelKind:
-    name = options.get("model")
-    if not name:
-        raise UsageError("missing required option: model")
+    (name,) = _require(options, "model")
     try:
         return ModelKind(name)
     except ValueError as exc:
@@ -155,14 +165,22 @@ def _model_kind(options: dict) -> ModelKind:
         raise UsageError(f"unknown model {name!r}; choose from: {names}") from exc
 
 
+def _parse_float(value, name: str = "value") -> float:
+    """Type of the real-valued options: a finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"{name} must be finite, got {number}")
+    return number
+
+
 def _parse_noise_sigma(value) -> float:
     """Type of --noise-sigma: finite and >= 0; 0 means a clean spectrum."""
-    try:
-        sigma = float(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"noise_sigma must be a number, got {value!r}") from exc
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise argparse.ArgumentTypeError(f"noise_sigma must be finite and >= 0, got {sigma}")
+    sigma = _parse_float(value, "noise_sigma")
+    if sigma < 0:
+        raise argparse.ArgumentTypeError(f"noise_sigma must be >= 0, got {sigma}")
     return sigma
 
 
@@ -185,6 +203,46 @@ def _parse_seed(value) -> int:
     return seed
 
 
+def _write_text(path: Optional[str], text: str) -> None:
+    """Write a document to path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _write_spectrum(spectrum, path, svg_path, title, config, figure=None) -> None:
+    """The spectrum CSV, and its transmission/phase chart given svg_path."""
+    qio.write_spectrum_csv(path, spectrum, config=config, figure=figure)
+    if svg_path:
+        svg.write_chart(svg_path, svg.spectrum_panels(spectrum, title=title))
+
+
+def _write_squid(sol, spec, json_path, csv_path, svg_path, config=None, figure=None) -> None:
+    """The circuit summary JSON (to stdout without json_path), and the
+    wavefunction CSV and the potential chart where their paths are given."""
+    _write_text(json_path, qio.squid_json_text(sol, spec))
+    if csv_path:
+        qio.write_wavefunction_csv(csv_path, sol, spec, config=config, figure=figure)
+    if svg_path:
+        u = potential(sol.flux_grid, spec)
+        # wavefunctions drawn offset by their energies, scaled into the well depth
+        scale = 0.25 * (np.max(u) - np.min(u)) / max(np.max(np.abs(sol.wavefunctions[0])), 1e-300)
+        curves = [(u, "potential")] + [
+            (sol.energies[n] + scale * sol.wavefunctions[n], f"state {n}") for n in (0, 1)
+        ]
+        _write_flux_chart(svg_path, sol, curves, "energy (J)", "loop potential and lowest doublet")
+
+
+def _write_flux_chart(path, sol, curves, ylabel: str, title: str) -> None:
+    """One panel of (y, label) curves over the solver's flux grid."""
+    x = sol.flux_grid / FLUX_QUANTUM
+    panel = svg.Panel(series=[svg.Series(x, y, label=label) for y, label in curves],
+                      xlabel="flux / flux quantum", ylabel=ylabel, title=title)
+    svg.write_chart(path, [panel], panel_height=420)
+
+
 def cmd_spectrum(args) -> int:
     options = _merged(args)
     kind = _model_kind(options)
@@ -193,13 +251,8 @@ def cmd_spectrum(args) -> int:
         params.require(*REQUIRED_PARAMS[kind])
     except MissingParameterError as exc:
         raise UsageError(f"model '{kind.value}': {exc}") from exc
-    grid_text = options.get("grid")
-    if not grid_text:
-        raise UsageError("missing required option: grid")
+    grid_text, output = _require(options, "grid", "output")
     freqs = _parse_grid(str(grid_text))
-    output = options.get("output")
-    if not output:
-        raise UsageError("missing required option: output")
 
     sigma = options.get("noise_sigma", 0.0)
     seed = options.get("seed", 0)
@@ -214,9 +267,7 @@ def cmd_spectrum(args) -> int:
     }
     if sigma > 0:
         config["noise"] = {"sigma": sigma, "seed": seed}
-    qio.write_spectrum_csv(output, spectrum, config=config)
-    if options.get("svg"):
-        svg.write_chart(options["svg"], svg.spectrum_panels(spectrum, title=kind.value))
+    _write_spectrum(spectrum, output, options.get("svg"), kind.value, config)
     return EXIT_OK
 
 
@@ -245,11 +296,7 @@ def cmd_estimate(args) -> int:
         unity_tol=options.get("unity_tol", 0.01),
     )
     text = qio.report_json_text(report, extra={"input": str(args.input)})
-    if options.get("output"):
-        with open(options["output"], "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(options.get("output"), text)
     return EXIT_OK
 
 
@@ -267,35 +314,9 @@ def cmd_squid(args) -> int:
         flux_window=options.get("flux_window", base.flux_window),
     )
     sol = solve_eigensystem(spec, n_states=options.get("n_states", 2))
-    text = qio.squid_json_text(sol, spec)
-    if options.get("output_json"):
-        with open(options["output_json"], "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    if options.get("output_csv"):
-        qio.write_wavefunction_csv(options["output_csv"], sol, spec)
-    if options.get("svg"):
-        _write_squid_svg(options["svg"], sol, spec)
+    _write_squid(sol, spec, options.get("output_json"), options.get("output_csv"),
+                 options.get("svg"))
     return EXIT_OK
-
-
-def _write_squid_svg(path, sol, spec) -> None:
-    u = potential(sol.flux_grid, spec)
-    # wavefunctions drawn offset by their energies, scaled into the well depth
-    scale = 0.25 * (np.max(u) - np.min(u)) / max(np.max(np.abs(sol.wavefunctions[0])), 1e-300)
-    x = sol.flux_grid / FLUX_QUANTUM
-    panel = svg.Panel(
-        series=[
-            svg.Series(x, u, label="potential"),
-            svg.Series(x, sol.energies[0] + scale * sol.wavefunctions[0], label="state 0"),
-            svg.Series(x, sol.energies[1] + scale * sol.wavefunctions[1], label="state 1"),
-        ],
-        xlabel="flux / flux quantum",
-        ylabel="energy (J)",
-        title="loop potential and lowest doublet",
-    )
-    svg.write_chart(path, [panel], panel_height=420)
 
 
 def _sweep_rows(kind, params, name, value, freqs):
@@ -321,17 +342,11 @@ def cmd_sweep(args) -> int:
     name = options.get("param")
     if name not in PARAM_FIELDS:
         raise UsageError(f"param must be one of {PARAM_FIELDS}, got {name!r}")
-    for key in ("start", "stop", "steps"):
-        if options.get(key) is None:
-            raise UsageError(f"missing required option: {key}")
-    steps = options["steps"]
+    start, stop, steps, output = _require(options, "start", "stop", "steps", "output")
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    values = np.linspace(options["start"], options["stop"], steps)
+    values = np.linspace(start, stop, steps)
     freqs = _parse_grid(str(options["grid"])) if options.get("grid") else None
-    output = options.get("output")
-    if not output:
-        raise UsageError("missing required option: output")
     # the first step runs alone, so errors carry a usable message
     results = [_sweep_rows(kind, params, name, float(values[0]), freqs)]
     with ThreadPoolExecutor(max_workers=min(thread_cap(), len(values))) as pool:
@@ -341,7 +356,7 @@ def cmd_sweep(args) -> int:
     lines = [
         "# config: " + json.dumps({
             "command": "sweep", "model": kind.value, "param": name,
-            "start": options["start"], "stop": options["stop"],
+            "start": start, "stop": stop,
             "steps": steps, "params": params.to_dict(),
             "grid": str(options.get("grid")) if options.get("grid") else None,
         }, sort_keys=True),
@@ -350,8 +365,7 @@ def cmd_sweep(args) -> int:
     for rows in results:
         for value, feature, freq, width in rows:
             lines.append(f"{name},{value:.8e},{feature},{freq:.8e},{width:.8e}")
-    with open(output, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text(output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -399,86 +413,68 @@ FIGURE_SPECS: dict[str, list[dict]] = {
 }
 
 
-def _emit_figure_spectrum(figure: str, entry: dict, outdir: str,
-                          with_svg: bool) -> list[str]:
+def _figure_spectrum(figure: str, entry: dict, outdir: str, with_svg: bool) -> list:
     entry = dict(entry)
-    suffix = entry.pop("suffix", "")
+    stem = os.path.join(outdir, figure + entry.pop("suffix", ""))
     note = entry.pop("note", None)
     grid = entry.pop("grid")
     kind = ModelKind(entry.pop("model"))
     params = ModelParams(**entry)
-    freqs = _parse_grid(grid)
-    spectrum = compute_spectrum(kind, params, freqs)
     config = {"figure": figure, "model": kind.value, "params": params.to_dict(),
               "grid": grid}
     if note:
         config["note"] = note
-    path = os.path.join(outdir, f"{figure}{suffix}.csv")
-    qio.write_spectrum_csv(path, spectrum, config=config, figure=figure)
-    written = [path]
-    if with_svg:
-        svg_path = os.path.join(outdir, f"{figure}{suffix}.svg")
-        svg.write_chart(svg_path, svg.spectrum_panels(spectrum, title=f"{figure} {kind.value}"))
-        written.append(svg_path)
-    return written
+    paths = [stem + ".csv", stem + ".svg" if with_svg else None]
+    _write_spectrum(compute_spectrum(kind, params, _parse_grid(grid)), *paths,
+                    f"{figure} {kind.value}", config, figure)
+    return paths
 
 
-def _emit_squid_figures(figure: str, outdir: str, with_svg: bool) -> list[str]:
-    spec = reference_circuit()
-    sol = solve_eigensystem(spec)
-    written = []
-    config = {"figure": figure, "circuit": qio.squid_summary(sol, spec)["circuit"]}
-    if figure == "fig11":
-        path = os.path.join(outdir, "fig11.csv")
-        qio.write_wavefunction_csv(path, sol, spec, config=config, figure="fig11")
-        json_path = os.path.join(outdir, "fig11.json")
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(qio.squid_json_text(sol, spec))
-        written += [path, json_path]
-        if with_svg:
-            svg_path = os.path.join(outdir, "fig11.svg")
-            _write_squid_svg(svg_path, sol, spec)
-            written.append(svg_path)
-        return written
-    # fig12: the circulating-current combinations of the doublet
+def _fig11(sol, spec, stem: str, with_svg: bool, config: dict) -> list:
+    paths = [stem + ".csv", stem + ".json", stem + ".svg" if with_svg else None]
+    csv_path, json_path, svg_path = paths
+    _write_squid(sol, spec, json_path, csv_path, svg_path, config, "fig11")
+    return paths
+
+
+def _fig12(sol, spec, stem: str, with_svg: bool, config: dict) -> list:
+    """The circulating-current combinations of the doublet."""
     left_state, right_state = circulating_current_states(sol, spec)
-    path = os.path.join(outdir, "fig12.csv")
-    text = qio._csv_text(("flux_over_phi0", "psi_left", "psi_right"),
-                         (sol.flux_grid / FLUX_QUANTUM, left_state, right_state),
-                         config=config, figure=figure)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    written.append(path)
+    paths = [stem + ".csv", stem + ".svg" if with_svg else None]
+    _write_text(paths[0], qio._csv_text(
+        ("flux_over_phi0", "psi_left", "psi_right"),
+        (sol.flux_grid / FLUX_QUANTUM, left_state, right_state),
+        config=config, figure="fig12"))
     if with_svg:
-        panel = svg.Panel(
-            series=[svg.Series(sol.flux_grid / FLUX_QUANTUM, left_state, label="left well"),
-                    svg.Series(sol.flux_grid / FLUX_QUANTUM, right_state, label="right well")],
-            xlabel="flux / flux quantum", ylabel="wavefunction",
-            title="circulating-current states",
-        )
-        svg_path = os.path.join(outdir, "fig12.svg")
-        svg.write_chart(svg_path, [panel], panel_height=420)
-        written.append(svg_path)
-    return written
+        _write_flux_chart(paths[1], sol, [(left_state, "left well"), (right_state, "right well")],
+                          "wavefunction", "circulating-current states")
+    return paths
+
+
+# Figures of the reference circuit, which cmd_figures solves once per run.
+_CIRCUIT_FIGURES = {"fig11": _fig11, "fig12": _fig12}
 
 
 def cmd_figures(args) -> int:
-    which = args.which
-    known = list(FIGURE_SPECS) + ["fig11", "fig12"]
-    targets = known if which == "all" else [which]
-    for target in targets:
-        if target not in known:
-            raise UsageError(f"unknown figure {target!r}; choose from {known + ['all']}")
+    known = list(FIGURE_SPECS) + list(_CIRCUIT_FIGURES)
+    if args.which not in known + ["all"]:
+        raise UsageError(f"unknown figure {args.which!r}; choose from {known + ['all']}")
+    targets = known if args.which == "all" else [args.which]
     os.makedirs(args.outdir, exist_ok=True)
+    if any(target in _CIRCUIT_FIGURES for target in targets):
+        spec = reference_circuit()
+        sol = solve_eigensystem(spec)
+        circuit = qio.squid_summary(sol, spec)["circuit"]
     written = []
     for target in targets:
-        if target in ("fig11", "fig12"):
-            written += _emit_squid_figures(target, args.outdir, args.svg)
+        if target in _CIRCUIT_FIGURES:
+            written += _CIRCUIT_FIGURES[target](
+                sol, spec, os.path.join(args.outdir, target), args.svg,
+                {"figure": target, "circuit": circuit})
         else:
             for entry in FIGURE_SPECS[target]:
-                written += _emit_figure_spectrum(target, entry, args.outdir, args.svg)
-    for path in written:
-        print(path)
+                written += _figure_spectrum(target, entry, args.outdir, args.svg)
+    print("\n".join(filter(None, written)))
     return EXIT_OK
 
 
@@ -511,24 +507,24 @@ def build_parser() -> argparse.ArgumentParser:
     es = sub.add_parser("estimate", help="invert a spectrum CSV to physics")
     es.add_argument("input")
     es.add_argument("--output", default=None)
-    es.add_argument("--ref-omega0", dest="ref_omega0", type=float, default=None)
-    es.add_argument("--ref-omega-b", dest="ref_omega_b", type=float, default=None)
-    es.add_argument("--ref-g-q", dest="ref_g_q", type=float, default=None)
-    es.add_argument("--ref-delta", dest="ref_delta", type=float, default=None)
-    es.add_argument("--b0", type=float, default=None)
-    es.add_argument("--i-p", dest="i_p", type=float, default=None)
-    es.add_argument("--nmr-length", dest="nmr_length", type=float, default=None)
-    es.add_argument("--depth-threshold", dest="depth_threshold", type=float, default=None)
-    es.add_argument("--unity-tol", dest="unity_tol", type=float, default=None)
+    es.add_argument("--ref-omega0", dest="ref_omega0", type=_parse_float, default=None)
+    es.add_argument("--ref-omega-b", dest="ref_omega_b", type=_parse_float, default=None)
+    es.add_argument("--ref-g-q", dest="ref_g_q", type=_parse_float, default=None)
+    es.add_argument("--ref-delta", dest="ref_delta", type=_parse_float, default=None)
+    es.add_argument("--b0", type=_parse_float, default=None)
+    es.add_argument("--i-p", dest="i_p", type=_parse_float, default=None)
+    es.add_argument("--nmr-length", dest="nmr_length", type=_parse_float, default=None)
+    es.add_argument("--depth-threshold", dest="depth_threshold", type=_parse_float, default=None)
+    es.add_argument("--unity-tol", dest="unity_tol", type=_parse_float, default=None)
     _with_config(es, cmd_estimate)
 
     sq = sub.add_parser("squid", help="solve the loop circuit eigenproblem")
-    sq.add_argument("--c-j", dest="c_j", type=float, default=None)
-    sq.add_argument("--l", dest="l", type=float, default=None)
-    sq.add_argument("--i-c", dest="i_c", type=float, default=None)
-    sq.add_argument("--phi-e-over-phi0", dest="phi_e_over_phi0", type=float, default=None)
+    sq.add_argument("--c-j", dest="c_j", type=_parse_float, default=None)
+    sq.add_argument("--l", dest="l", type=_parse_float, default=None)
+    sq.add_argument("--i-c", dest="i_c", type=_parse_float, default=None)
+    sq.add_argument("--phi-e-over-phi0", dest="phi_e_over_phi0", type=_parse_float, default=None)
     sq.add_argument("--grid-points", dest="grid_points", type=_parse_int, default=None)
-    sq.add_argument("--flux-window", dest="flux_window", type=float, default=None)
+    sq.add_argument("--flux-window", dest="flux_window", type=_parse_float, default=None)
     sq.add_argument("--n-states", dest="n_states", type=_parse_int, default=None)
     sq.add_argument("--output-json", dest="output_json", default=None)
     sq.add_argument("--output-csv", dest="output_csv", default=None)
@@ -539,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--model", default=None)
     _add_param_flags(sw)
     sw.add_argument("--param", default=None)
-    sw.add_argument("--start", type=float, default=None)
-    sw.add_argument("--stop", type=float, default=None)
+    sw.add_argument("--start", type=_parse_float, default=None)
+    sw.add_argument("--stop", type=_parse_float, default=None)
     sw.add_argument("--steps", type=_parse_int, default=None)
     sw.add_argument("--grid", default=None)
     sw.add_argument("--output", default=None)

@@ -29,8 +29,9 @@ x = v_g[(w-omega_r)A - g_rq**2] with A = w - omega0 - g_q**2/(w-omega_b):
 numerator and denominator are multiplied by (w-omega_b) so the mechanical
 resonance frequency is an ordinary point of the evaluation.
 
-Each kernel declares its parameters and its (x, y) once, through
-``_kernel``, which also fills REQUIRED_PARAMS and AMPLITUDES.  Qubit + QNMR
+Each kernel declares its parameters, its (x, y) and its closed-form
+features once, through ``_kernel``, which also fills REQUIRED_PARAMS,
+AMPLITUDES and the table behind ``analytic_features``.  Qubit + QNMR
 and the STLR kinds share one two-mode shape, ``_hybrid``.  That shape is a
 degeneracy too: STLR + qubit is qubit + QNMR with (omega_r, omega0, g_rq,
 v2**2/v_g) for (omega0, omega_b, g_q, gamma_c), so T alone cannot tell the
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -70,8 +72,24 @@ class ModelKind(str, Enum):
     STLR_QUBIT_CNMR = "stlr-qubit-cnmr"
 
 
+@dataclass(frozen=True)
+class FeatureSet:
+    """Closed-form spectral feature locations for one configuration.
+
+    ``dips`` are zero-transmission frequencies, ``unity_points`` are
+    full-transmission frequencies and ``fwhm`` holds the analytic full
+    width at half minimum per dip where a closed form exists (empty
+    otherwise).  All tuples are sorted ascending.
+    """
+
+    dips: tuple[float, ...] = ()
+    unity_points: tuple[float, ...] = ()
+    fwhm: tuple[float, ...] = ()
+
+
 REQUIRED_PARAMS: dict[ModelKind, tuple[str, ...]] = {}
 AMPLITUDES = {}
+_FEATURES = {}  # kind -> closed-form FeatureSet of its ModelParams
 
 
 def _checked(omega: ArrayLike) -> np.ndarray:
@@ -95,10 +113,11 @@ def _elastic(x: ArrayLike, y: ArrayLike, omega: ArrayLike):
     return np.divide(x, t, out=t)
 
 
-def _kernel(kind: ModelKind | None, *names: str):
+def _kernel(kind: ModelKind | None, *names: str, features=None):
     """Declare an amplitude kernel ``(omega, p) -> t`` from a body that
     returns (x, y) on the checked grid; the kernel first requires `names`.
-    With a kind, fills REQUIRED_PARAMS[kind] and AMPLITUDES[kind]."""
+    With a kind, fills REQUIRED_PARAMS[kind] and AMPLITUDES[kind], and
+    files ``features(p) -> FeatureSet`` for ``analytic_features``."""
 
     def declare(xy):
         @functools.wraps(xy)
@@ -109,9 +128,20 @@ def _kernel(kind: ModelKind | None, *names: str):
         if kind is not None:
             REQUIRED_PARAMS[kind] = names
             AMPLITUDES[kind] = amplitude
+            _FEATURES[kind] = features
         return amplitude
 
     return declare
+
+
+def _caller_stacklevel() -> int:
+    """Stacklevel for ``warnings.warn`` in the calling function that names
+    the first frame outside this module, past the _kernel wrapper,
+    transmission_amplitude and compute_spectrum."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _hybrid(w: np.ndarray, omega_a: float, omega_b: float, g: float, rate: float):
@@ -125,7 +155,8 @@ def _hybrid(w: np.ndarray, omega_a: float, omega_b: float, g: float, rate: float
     return x, y
 
 
-@_kernel(ModelKind.QUBIT_ONLY, "omega0", "gamma_c")
+@_kernel(ModelKind.QUBIT_ONLY, "omega0", "gamma_c",
+         features=lambda p: FeatureSet(dips=(p.omega0,), fwhm=(2.0 * p.gamma_c,)))
 def qubit_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the bare qubit scatterer.
 
@@ -136,7 +167,10 @@ def qubit_amplitude(w: np.ndarray, p: ModelParams):
     return w - p.omega0, p.gamma_c
 
 
-@_kernel(ModelKind.QUBIT_QNMR, "omega0", "omega_b", "gamma_c", "g_q")
+@_kernel(ModelKind.QUBIT_QNMR, "omega0", "omega_b", "gamma_c", "g_q",
+         features=lambda p: FeatureSet(
+             dips=coupled_mode_frequencies(p.omega0, p.omega_b, p.g_q),
+             unity_points=(p.omega_b,)))
 def qubit_qnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude when the qubit hybridizes with a quantized
     mechanical mode.
@@ -165,7 +199,9 @@ def dispersive_dip_frequency(p: ModelParams, mean_n: float | None = None) -> flo
     return p.omega0 + dispersive_shift(p) * (n + 0.5)
 
 
-@_kernel(ModelKind.DISPERSIVE, "omega0", "omega_b", "g_q", "v1", "v_g", "mean_n")
+@_kernel(ModelKind.DISPERSIVE, "omega0", "omega_b", "g_q", "v1", "v_g", "mean_n",
+         features=lambda p: FeatureSet(dips=(dispersive_dip_frequency(p),),
+                                       fwhm=(2.0 * p.v1**2 / p.v_g,)))
 def dispersive_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude in the dispersive (number-resolved) regime.
 
@@ -181,7 +217,7 @@ def dispersive_amplitude(w: np.ndarray, p: ModelParams):
         warnings.warn(
             f"|g_q/delta| = {abs(p.g_q / delta):.3g} >= 0.5: dispersive "
             "approximation is unreliable here",
-            stacklevel=3,  # the kernel's caller, past the _kernel wrapper
+            stacklevel=_caller_stacklevel(),
         )
     return w - dispersive_dip_frequency(p), p.gamma_c
 
@@ -213,7 +249,10 @@ def shifted_qubit_frequency(omega0: Frequency, omega_b: Frequency, g_c: Frequenc
     return math.hypot(0.5 * (omega0 + omega_b), g_c)
 
 
-@_kernel(ModelKind.QUBIT_CNMR, "omega0", "omega_b", "g_c", "gamma_c")
+@_kernel(ModelKind.QUBIT_CNMR, "omega0", "omega_b", "g_c", "gamma_c",
+         features=lambda p: FeatureSet(
+             dips=(shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c),),
+             fwhm=(2.0 * p.gamma_c,)))
 def qubit_cnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude when the mechanical mode acts as a classical
     drive: the bare-qubit Lorentzian with its dip moved to the dressed
@@ -236,7 +275,15 @@ def _stlr_dressed(w: np.ndarray, omega_q: float, p: ModelParams):
     return x, y
 
 
-@_kernel(ModelKind.STLR_QUBIT, "omega0", "omega_r", "g_rq", "v2", "v_g")
+def _stlr_dressed_features(omega_q: float, p: ModelParams) -> FeatureSet:
+    """Features of the resonator hybridized with a qubit line at omega_q:
+    the two split dips and the transparency window at omega_q."""
+    return FeatureSet(dips=coupled_mode_frequencies(omega_q, p.omega_r, p.g_rq),
+                      unity_points=(omega_q,))
+
+
+@_kernel(ModelKind.STLR_QUBIT, "omega0", "omega_r", "g_rq", "v2", "v_g",
+         features=lambda p: _stlr_dressed_features(p.omega0, p))
 def stlr_qubit_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the resonator hybridized with the qubit.
 
@@ -247,7 +294,10 @@ def stlr_qubit_amplitude(w: np.ndarray, p: ModelParams):
     return _stlr_dressed(w, p.omega0, p)
 
 
-@_kernel(ModelKind.STLR_QUBIT_QNMR, "omega0", "omega_b", "omega_r", "g_rq", "g_q", "v2", "v_g")
+@_kernel(ModelKind.STLR_QUBIT_QNMR, "omega0", "omega_b", "omega_r", "g_rq", "g_q", "v2", "v_g",
+         features=lambda p: FeatureSet(
+             dips=_triple_mode_frequencies(p),
+             unity_points=coupled_mode_frequencies(p.omega0, p.omega_b, p.g_q)))
 def stlr_qubit_qnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the resonator-qubit chain with a quantized
     mechanical mode on the qubit.
@@ -265,7 +315,9 @@ def stlr_qubit_qnmr_amplitude(w: np.ndarray, p: ModelParams):
     return x, q
 
 
-@_kernel(ModelKind.STLR_QUBIT_CNMR, "omega0", "omega_b", "omega_r", "g_rq", "g_c", "v2", "v_g")
+@_kernel(ModelKind.STLR_QUBIT_CNMR, "omega0", "omega_b", "omega_r", "g_rq", "g_c", "v2", "v_g",
+         features=lambda p: _stlr_dressed_features(
+             shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c), p))
 def stlr_qubit_cnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the resonator-qubit chain with a classical
     mechanical drive: the transparency window moves to the dressed qubit
@@ -310,59 +362,11 @@ def _triple_mode_frequencies(p: ModelParams) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linalg.eigvalsh(h))
 
 
-@dataclass(frozen=True)
-class FeatureSet:
-    """Closed-form spectral feature locations for one configuration.
-
-    ``dips`` are zero-transmission frequencies, ``unity_points`` are
-    full-transmission frequencies and ``fwhm`` holds the analytic full
-    width at half minimum per dip where a closed form exists (empty
-    otherwise).  All tuples are sorted ascending.
-    """
-
-    dips: tuple[float, ...] = ()
-    unity_points: tuple[float, ...] = ()
-    fwhm: tuple[float, ...] = ()
-
-
 def analytic_features(kind: ModelKind, p: ModelParams) -> FeatureSet:
     """Closed-form dip/unity/width locations for the given configuration."""
     kind = ModelKind(kind)
     p.require(*REQUIRED_PARAMS[kind])
-    if kind is ModelKind.QUBIT_ONLY:
-        return FeatureSet(dips=(p.omega0,), fwhm=(2.0 * p.gamma_c,))
-    if kind is ModelKind.QUBIT_QNMR:
-        return FeatureSet(
-            dips=coupled_mode_frequencies(p.omega0, p.omega_b, p.g_q),
-            unity_points=(p.omega_b,),
-        )
-    if kind is ModelKind.DISPERSIVE:
-        return FeatureSet(
-            dips=(dispersive_dip_frequency(p),),
-            fwhm=(2.0 * p.v1**2 / p.v_g,),
-        )
-    if kind is ModelKind.QUBIT_CNMR:
-        return FeatureSet(
-            dips=(shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c),),
-            fwhm=(2.0 * p.gamma_c,),
-        )
-    if kind is ModelKind.STLR_QUBIT:
-        return FeatureSet(
-            dips=coupled_mode_frequencies(p.omega0, p.omega_r, p.g_rq),
-            unity_points=(p.omega0,),
-        )
-    if kind is ModelKind.STLR_QUBIT_QNMR:
-        return FeatureSet(
-            dips=_triple_mode_frequencies(p),
-            unity_points=coupled_mode_frequencies(p.omega0, p.omega_b, p.g_q),
-        )
-    if kind is ModelKind.STLR_QUBIT_CNMR:
-        shifted = shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c)
-        return FeatureSet(
-            dips=coupled_mode_frequencies(shifted, p.omega_r, p.g_rq),
-            unity_points=(shifted,),
-        )
-    raise ValueError(f"unknown model kind: {kind!r}")
+    return _FEATURES[kind](p)
 
 
 __all__ = [

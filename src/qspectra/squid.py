@@ -69,14 +69,16 @@ class CircuitSpec:
     flux_window: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("capacitance", "inductance", "critical_current", "bias_flux",
+                     "flux_window"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.capacitance > 0:
             raise ValueError("capacitance must be > 0")
         if not self.inductance > 0:
             raise ValueError("inductance must be > 0")
         if self.critical_current < 0:
             raise ValueError("critical current must be >= 0")
-        if not math.isfinite(self.bias_flux):
-            raise ValueError("bias flux must be finite")
         if self.grid_points < 201:
             raise ValueError("grid_points must be >= 201")
         if self.grid_points % 2 == 0:

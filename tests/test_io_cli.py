@@ -624,6 +624,15 @@ class TestSquidCommand:
                      "--output-json", str(tmp_path / "x.json")])
         assert code == 3
 
+    def test_svg_output(self, tmp_path):
+        chart = tmp_path / "sq.svg"
+        assert main(["squid", "--output-json", str(tmp_path / "s.json"),
+                     "--svg", str(chart)]) == 0
+        body = chart.read_text()
+        assert body.count("<polyline") == 3
+        for label in ("potential", "state 0", "state 1"):
+            assert f">{label}<" in body
+
     def test_wavefunction_csv(self, tmp_path):
         csv = tmp_path / "wf.csv"
         assert main(["squid", "--output-json", str(tmp_path / "s.json"),
@@ -728,19 +737,33 @@ class TestFiguresCommand:
                 if not line.startswith("#")]
         assert rows[0] == "flux_over_phi0,psi_left,psi_right"
 
-    def test_all_figures(self, tmp_path):
+    def test_all_figures(self, tmp_path, monkeypatch):
+        from qspectra import cli
+
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return solve_eigensystem(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_eigensystem", counting)
         assert main(["figures", "--which", "all", "--outdir", str(tmp_path)]) == 0
+        # fig11 and fig12 share one solve of the reference circuit
+        assert len(solves) == 1
         for name in ("fig2", "fig3", "fig5", "fig7", "fig8", "fig10b_stlr"):
             assert (tmp_path / f"{name}.csv").exists()
         for n in range(4):
             assert (tmp_path / f"fig4_n{n}.csv").exists()
 
-    def test_bytes_match_reference_digests(self, tmp_path):
+    def test_bytes_match_reference_digests(self, tmp_path, capsys):
         references = _reference_digests()
         assert main(["figures", "--which", "all", "--outdir", str(tmp_path), "--svg"]) == 0
         expected = {key[len("figures/"):]: digest for key, digest in references.items()
                     if key.startswith("figures/")}
         assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == expected
+        # each written path is printed once
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(printed) == sorted(str(p) for p in tmp_path.iterdir())
 
     def test_unknown_figure_rejected(self, tmp_path):
         assert main(["figures", "--which", "fig99", "--outdir", str(tmp_path)]) == 1
@@ -784,10 +807,16 @@ _SWEEP_OMEGA0 = ["sweep", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma
     (_SWEEP_OMEGA0, {"start": 2e9, "stop": 2.1e9, "steps": 1.5}, "steps"),
     (["squid", "--output-json", "OUT"], {"grid_points": 1001.5}, "grid_points"),
     (["squid", "--output-json", "OUT"], {"n_states": 2.7}, "n_states"),
+    (["squid", "--c-j", "inf", "--output-json", "OUT"], None, "--c-j"),
+    (["squid", "--l", "inf", "--output-json", "OUT"], None, "--l"),
+    (["estimate", "CSV", "--ref-g-q", "inf", "--output", "OUT"], None, "--ref-g-q"),
+    (["estimate", "CSV", "--ref-omega0", "inf", "--output", "OUT"], None, "--ref-omega0"),
+    (["squid", "--output-json", "OUT"], {"c_j": math.inf}, "c_j"),
 ], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "zero-inductance-flag",
         "steps-config", "start-config", "n-states-config", "null-depth-config",
         "fractional-steps-config", "fractional-grid-points-config",
-        "fractional-n-states-config"])
+        "fractional-n-states-config", "inf-c-j-flag", "inf-l-flag",
+        "inf-ref-g-q-flag", "inf-ref-omega0-flag", "inf-c-j-config"])
 def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
     """An out-of-range or wrongly typed value exits 1 naming its field,
     whether it comes from a flag or from the config file."""
@@ -801,7 +830,23 @@ def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, 
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and field in captured.err
-    assert not out.exists()
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["estimate", "CSV"], "--output"),
+    (["squid"], "--output-json"),
+], ids=["estimate", "squid"])
+def test_stdout_matches_output_file(argv, flag, qnmr_spectrum, tmp_path, capsys):
+    """Without an output path, the document goes to stdout byte for byte."""
+    csv, out = tmp_path / "s.csv", tmp_path / "out.json"
+    write_spectrum_csv(csv, qnmr_spectrum)
+    argv = [str(csv) if arg == "CSV" else arg for arg in argv]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + [flag, str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
 
 
 def test_tracer_hook_names_stay_bound():

@@ -143,9 +143,14 @@ class TestDispersive:
         with pytest.raises(ValueError):
             dispersive_amplitude(2.1e9, dispersive_params.replace(omega_b=OMEGA0))
 
-    def test_marginal_regime_warns(self, dispersive_params):
+    @pytest.mark.parametrize("call", [
+        lambda p: dispersive_amplitude(2.1e9, p),
+        lambda p: transmission_amplitude(ModelKind.DISPERSIVE, 2.1e9, p),
+        lambda p: compute_spectrum(ModelKind.DISPERSIVE, p, np.linspace(2.0e9, 2.2e9, 11)),
+    ], ids=["kernel", "transmission_amplitude", "compute_spectrum"])
+    def test_marginal_regime_warns(self, call, dispersive_params):
         with pytest.warns(UserWarning, match="dispersive") as record:
-            dispersive_amplitude(2.1e9, dispersive_params.replace(g_q=9e7))
+            call(dispersive_params.replace(g_q=9e7))
         # the warning points at the caller, not into models
         assert [w.filename for w in record] == [__file__]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -48,6 +49,12 @@ class TestCircuitSpec:
             CircuitSpec(1.7e-14, -1e-9, 1e-7, 0.0)
         with pytest.raises(ValueError):
             CircuitSpec(1.7e-14, 6e-9, -1e-7, 0.0)
+
+    @pytest.mark.parametrize("field", ["capacitance", "inductance", "critical_current",
+                                       "bias_flux", "flux_window"])
+    def test_non_finite_constants_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(reference_circuit(), **{field: math.inf})
 
     def test_zero_critical_current_allowed(self):
         CircuitSpec(1.7e-14, 6e-9, 0.0, 0.5 * FLUX_QUANTUM)
