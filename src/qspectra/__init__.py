@@ -1,94 +1,22 @@
 """Microwave transmission spectroscopy of an rf-SQUID flux qubit coupled
 to a nanomechanical resonator.
 
-Forward models for the six scattering configurations (bare qubit, qubit
+Forward models for the seven scattering configurations (bare qubit, qubit
 with a quantized or classical mechanical mode, dispersive phonon-number
-readout, and the same chain probed through a quarter-wavelength
-transmission-line resonator), a flux-basis circuit eigensolver that
-derives the qubit parameters from first principles, a classical
-driven-oscillator baseline, and estimators that invert measured spectra
-back to frequencies, couplings, phonon numbers, and amplitudes.
+readout, and the qubit alone or with either mechanical mode probed
+through a quarter-wavelength transmission-line resonator), a flux-basis
+circuit eigensolver that derives the qubit parameters from first
+principles, a classical driven-oscillator baseline, and estimators that
+invert measured spectra back to frequencies, couplings, phonon numbers,
+and amplitudes.  Each module's ``__all__`` is the one list of the public
+names it adds to the package.
 """
 
-from .constants import BOLTZMANN, ELEMENTARY_CHARGE, FLUX_QUANTUM, HBAR
-from .params import (
-    Frequency,
-    MissingParameterError,
-    ModelParams,
-    Spectrum,
-    make_frequency_grid,
-)
-from .models import (
-    FeatureSet,
-    ModelKind,
-    REQUIRED_PARAMS,
-    analytic_features,
-    compute_spectrum,
-    coupled_mode_frequencies,
-    dispersive_amplitude,
-    dispersive_dip_frequency,
-    dispersive_shift,
-    qubit_amplitude,
-    qubit_cnmr_amplitude,
-    qubit_qnmr_amplitude,
-    resolvability_condition,
-    shifted_qubit_frequency,
-    stlr_amplitude,
-    stlr_qubit_amplitude,
-    stlr_qubit_cnmr_amplitude,
-    stlr_qubit_qnmr_amplitude,
-    transmission_amplitude,
-)
-from .squid import (
-    BoundaryLeakageError,
-    CircuitSpec,
-    ConvergenceError,
-    EigenSolution,
-    MechanicalSpec,
-    TruncationReport,
-    amplitude_length_product,
-    classical_amplitude,
-    cnmr_coupling,
-    current_matrix_elements,
-    field_for_qnmr_coupling,
-    mass_for_qnmr_coupling,
-    matched_critical_current,
-    potential,
-    qnmr_coupling,
-    qubit_truncation_check,
-    reference_circuit,
-    solve_eigensystem,
-    stlr_current_amplitude,
-    stlr_qubit_coupling,
-)
-from .classical import (
-    ClassicalHOParams,
-    driven_amplitude,
-    driven_phase,
-    steady_state_residual,
-    thermal_displacement_psd,
-    thermal_force_psd,
-)
-from .estimate import (
-    AmbiguousClassificationError,
-    DipFeature,
-    Estimate,
-    EstimationReport,
-    InconsistentFeaturesError,
-    ModelClass,
-    OffLadderError,
-    PhononCount,
-    add_measurement_noise,
-    classify,
-    cnmr_coupling_from_shift,
-    detect_dips,
-    detect_unity_points,
-    estimate_report,
-    nmr_frequency_from_windows,
-    phonon_number_from_dip,
-    qnmr_coupling_from_dips,
-    qnmr_coupling_from_windows,
-    stlr_coupling_from_dips,
-)
+from .constants import *
+from .params import *
+from .models import *
+from .squid import *
+from .classical import *
+from .estimate import *
 
 __version__ = "0.1.0"

@@ -124,9 +124,8 @@ def _merged(args) -> dict:
         raise UsageError(f"unknown config key(s): {sorted(unknown)}")
     merged = {}
     for key, value in file_values.items():
-        convert = args.flag_types[key]
         try:
-            merged[key] = value if convert is None else convert(value)
+            merged[key] = args.flag_types[key](value)
         except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
     for key in args.flag_types:
@@ -166,8 +165,11 @@ def _model_kind(options: dict) -> ModelKind:
 
 
 def _parse_float(value, name: str = "value") -> float:
-    """Type of the real-valued options: a finite number."""
+    """Type of the real-valued options: a finite number, not a boolean."""
     try:
+        # float() would read True as 1.0
+        if isinstance(value, bool):
+            raise ValueError
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"{name} must be a number, got {value!r}") from exc
@@ -182,6 +184,13 @@ def _parse_noise_sigma(value) -> float:
     if sigma < 0:
         raise argparse.ArgumentTypeError(f"noise_sigma must be >= 0, got {sigma}")
     return sigma
+
+
+def _parse_text(value) -> str:
+    """Type of the options without one (names, paths, grids): a string."""
+    if not isinstance(value, str):
+        raise argparse.ArgumentTypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _parse_int(value) -> int:
@@ -252,7 +261,7 @@ def cmd_spectrum(args) -> int:
     except MissingParameterError as exc:
         raise UsageError(f"model '{kind.value}': {exc}") from exc
     grid_text, output = _require(options, "grid", "output")
-    freqs = _parse_grid(str(grid_text))
+    freqs = _parse_grid(grid_text)
 
     sigma = options.get("noise_sigma", 0.0)
     seed = options.get("seed", 0)
@@ -263,7 +272,7 @@ def cmd_spectrum(args) -> int:
         "command": "spectrum",
         "model": kind.value,
         "params": params.to_dict(),
-        "grid": str(grid_text),
+        "grid": grid_text,
     }
     if sigma > 0:
         config["noise"] = {"sigma": sigma, "seed": seed}
@@ -346,7 +355,8 @@ def cmd_sweep(args) -> int:
     if steps < 1:
         raise UsageError("steps must be >= 1")
     values = np.linspace(start, stop, steps)
-    freqs = _parse_grid(str(options["grid"])) if options.get("grid") else None
+    grid = options.get("grid") or None
+    freqs = _parse_grid(grid) if grid else None
     # the first step runs alone, so errors carry a usable message
     results = [_sweep_rows(kind, params, name, float(values[0]), freqs)]
     with ThreadPoolExecutor(max_workers=min(thread_cap(), len(values))) as pool:
@@ -358,7 +368,7 @@ def cmd_sweep(args) -> int:
             "command": "sweep", "model": kind.value, "param": name,
             "start": start, "stop": stop,
             "steps": steps, "params": params.to_dict(),
-            "grid": str(options.get("grid")) if options.get("grid") else None,
+            "grid": grid,
         }, sort_keys=True),
         "param,value,feature,frequency,width",
     ]
@@ -372,7 +382,14 @@ def cmd_sweep(args) -> int:
 # Figure reproduction: parameter values transcribed from the figure
 # captions.  fig4's caption states no parameters, so that entry uses the
 # documented number-resolved demo set (noted in the emitted config).
+# fig9 and fig10 repeat the fig7, fig8 and fig9 sets, declared once here.
 _CAPTION_GRID = "1.8e9:2.3e9:4001"
+_FIG7 = dict(model="stlr-qubit", omega0=2.1e9, omega_r=2.0e9, v_g=3e8, v2=1e8, g_rq=1e8,
+             grid=_CAPTION_GRID)
+_FIG8 = dict(model="stlr-qubit-qnmr", omega0=2.1e9, omega_b=2.0e9, omega_r=2.0e9, v_g=3e8,
+             v2=1e8, g_rq=1e8, g_q=1e8, grid=_CAPTION_GRID)
+_FIG9_CNMR = dict(model="stlr-qubit-cnmr", omega0=2.1e9, omega_b=2.0e9, omega_r=2.0e9,
+                  v_g=3e8, v2=1e8, g_rq=1e8, g_c=1e8, grid=_CAPTION_GRID)
 
 FIGURE_SPECS: dict[str, list[dict]] = {
     "fig2": [dict(model="qubit-only", omega0=2.1e9, gamma_c=3.3e7,
@@ -386,29 +403,16 @@ FIGURE_SPECS: dict[str, list[dict]] = {
              for n in range(4)],
     "fig5": [dict(model="qubit-cnmr", omega0=2.1e9, omega_b=2.0e9,
                   gamma_c=3.3e7, g_c=1e8, grid="1.9e9:2.3e9:4001")],
-    "fig7": [dict(model="stlr-qubit", omega0=2.1e9, omega_r=2.0e9,
-                  v_g=3e8, v2=1e8, g_rq=1e8, grid=_CAPTION_GRID)],
-    "fig8": [dict(model="stlr-qubit-qnmr", omega0=2.1e9, omega_b=2.0e9,
-                  omega_r=2.0e9, v_g=3e8, v2=1e8, g_rq=1e8, g_q=1e8,
-                  grid=_CAPTION_GRID)],
-    "fig9": [
-        dict(model="stlr-qubit-cnmr", omega0=2.1e9, omega_b=2.0e9,
-             omega_r=2.0e9, v_g=3e8, v2=1e8, g_rq=1e8, g_c=1e8,
-             grid=_CAPTION_GRID, suffix="_with_cnmr"),
-        dict(model="stlr-qubit", omega0=2.1e9, omega_r=2.0e9, v_g=3e8,
-             v2=1e8, g_rq=1e8, grid=_CAPTION_GRID, suffix="_no_nmr"),
-    ],
+    "fig7": [_FIG7],
+    "fig8": [_FIG8],
+    "fig9": [dict(_FIG9_CNMR, suffix="_with_cnmr"), dict(_FIG7, suffix="_no_nmr")],
     "fig10": [
         dict(model="qubit-cnmr", omega0=2.1e9, omega_b=2.0e9, v_g=3e8,
              v1=1e8, g_c=1e8, grid=_CAPTION_GRID, suffix="a_qubit"),
-        dict(model="stlr-qubit-cnmr", omega0=2.1e9, omega_b=2.0e9,
-             omega_r=2.0e9, v_g=3e8, v2=1e8, g_rq=1e8, g_c=1e8,
-             grid=_CAPTION_GRID, suffix="a_stlr"),
+        dict(_FIG9_CNMR, suffix="a_stlr"),
         dict(model="qubit-qnmr", omega0=2.1e9, omega_b=2.0e9, v_g=3e8,
              v1=1e8, g_q=1e8, grid=_CAPTION_GRID, suffix="b_qubit"),
-        dict(model="stlr-qubit-qnmr", omega0=2.1e9, omega_b=2.0e9,
-             omega_r=2.0e9, v_g=3e8, v2=1e8, g_rq=1e8, g_q=1e8,
-             grid=_CAPTION_GRID, suffix="b_stlr"),
+        dict(_FIG8, suffix="b_stlr"),
     ],
 }
 
@@ -480,8 +484,9 @@ def cmd_figures(args) -> int:
 
 def _with_config(parser: argparse.ArgumentParser, func) -> None:
     """Route parser to func and add --config: the file may set each option
-    declared so far, keyed by its dest and converted by its type."""
-    flag_types = {action.dest: action.type for action in parser._actions
+    declared so far, keyed by its dest and converted by its type, or by
+    _parse_text for an option declared without one."""
+    flag_types = {action.dest: action.type or _parse_text for action in parser._actions
                   if action.option_strings and action.dest != "help"}
     parser.add_argument("--config", default=None)
     parser.set_defaults(func=func, flag_types=flag_types)

@@ -210,16 +210,14 @@ def dispersive_amplitude(w: np.ndarray, p: ModelParams):
     2*v1**2/v_g.  Warns when |g_q/delta| >= 0.5, where the dispersive
     approximation is marginal.
     """
-    delta = p.omega0 - p.omega_b
-    if delta == 0:
-        raise ModelDomainError("dispersive regime undefined at zero detuning")
-    if abs(p.g_q / delta) >= 0.5:
+    dip = dispersive_dip_frequency(p)  # raises ModelDomainError at zero detuning
+    ratio = abs(p.g_q / (p.omega0 - p.omega_b))
+    if ratio >= 0.5:
         warnings.warn(
-            f"|g_q/delta| = {abs(p.g_q / delta):.3g} >= 0.5: dispersive "
-            "approximation is unreliable here",
+            f"|g_q/delta| = {ratio:.3g} >= 0.5: dispersive approximation is unreliable here",
             stacklevel=_caller_stacklevel(),
         )
-    return w - dispersive_dip_frequency(p), p.gamma_c
+    return w - dip, p.gamma_c
 
 
 def resolvability_condition(p: ModelParams) -> bool:

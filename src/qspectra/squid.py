@@ -138,22 +138,11 @@ class EigenSolution:
     current_diag_1: float
 
 
-def _solve_grid(spec: CircuitSpec, n_states: int, grid_points: int):
-    phi = spec.flux_grid(grid_points)
-    step = phi[1] - phi[0]
-    kinetic = HBAR**2 / (2.0 * spec.capacitance * step**2)
-    diag = 2.0 * kinetic + potential(phi, spec)
-    offdiag = np.full(grid_points - 1, -kinetic)
-    energies, vectors = eigh_tridiagonal(
-        diag, offdiag, select="i", select_range=(0, n_states - 1)
-    )
-    # L2-normalize under the grid quadrature and fix a sign gauge
-    vectors = vectors / math.sqrt(step)
-    for k in range(n_states):
-        peak = np.argmax(np.abs(vectors[:, k]))
-        if vectors[peak, k] < 0:
-            vectors[:, k] = -vectors[:, k]
-    return phi, step, energies, vectors.T
+def _hamiltonian(spec: CircuitSpec, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the finite-difference Hamiltonian on
+    the uniform flux grid phi, in joules."""
+    kinetic = HBAR**2 / (2.0 * spec.capacitance * (phi[1] - phi[0]) ** 2)
+    return 2.0 * kinetic + potential(phi, spec), np.full(len(phi) - 1, -kinetic)
 
 
 def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
@@ -166,9 +155,17 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
     """
     if n_states < 2:
         raise ValueError("n_states must be >= 2")
-    phi, step, energies, states = _solve_grid(spec, n_states, spec.grid_points)
+    phi = spec.flux_grid()
+    step = phi[1] - phi[0]
+    energies, vectors = eigh_tridiagonal(*_hamiltonian(spec, phi), select="i",
+                                         select_range=(0, n_states - 1))
+    # L2-normalize under the grid quadrature and fix a sign gauge
+    states = vectors.T / math.sqrt(step)
+    for psi in states:
+        if psi[np.argmax(np.abs(psi))] < 0:
+            psi *= -1.0
 
-    for k in range(min(2, n_states)):
+    for k in (0, 1):
         psi = states[k]
         edge = max(abs(psi[0]), abs(psi[-1])) / np.max(np.abs(psi))
         if edge > EDGE_LEAKAGE_LIMIT:
@@ -176,7 +173,8 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
                 f"state {k} has relative edge amplitude {edge:.2e} > "
                 f"{EDGE_LEAKAGE_LIMIT:.0e}; widen flux_window"
             )
-    _, _, refined, _ = _solve_grid(spec, 1, 2 * spec.grid_points - 1)
+    refined = eigh_tridiagonal(*_hamiltonian(spec, spec.flux_grid(2 * spec.grid_points - 1)),
+                               eigvals_only=True, select="i", select_range=(0, 0))
     shift = abs(refined[0] - energies[0]) / abs(energies[0])
     if shift > CONVERGENCE_LIMIT:
         raise ConvergenceError(
@@ -257,13 +255,12 @@ def qubit_truncation_check(sol: EigenSolution, spec: CircuitSpec) -> TruncationR
     if len(sol.energies) < 2:
         raise ValueError("need at least two states")
     phi, step = sol.flux_grid, sol.flux_step
-    kinetic = HBAR**2 / (2.0 * spec.capacitance * step**2)
-    u = potential(phi, spec)
+    h_diag, h_off = _hamiltonian(spec, phi)
 
     def apply_h(psi):
-        out = (2.0 * kinetic + u) * psi
-        out[:-1] -= kinetic * psi[1:]
-        out[1:] -= kinetic * psi[:-1]
+        out = h_diag * psi
+        out[:-1] += h_off * psi[1:]
+        out[1:] += h_off * psi[:-1]
         return out
 
     psi0, psi1 = sol.wavefunctions[0], sol.wavefunctions[1]

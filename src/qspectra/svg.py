@@ -14,6 +14,7 @@ import numpy as np
 from ._numtext import format_table
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
+_WIDTH = 760  # px, every chart
 
 
 @dataclass
@@ -47,9 +48,9 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _panel_svg(panel: Panel, y_offset: int, width: int, height: int) -> list[str]:
+def _panel_svg(panel: Panel, y_offset: int, height: int) -> list[str]:
     left, right, top, bottom = 70, 20, 28, 40
-    plot_w = width - left - right
+    plot_w = _WIDTH - left - right
     plot_h = height - top - bottom
     xs = np.concatenate([np.asarray(s.x, float) for s in panel.series])
     ys = np.concatenate([np.asarray(s.y, float) for s in panel.series])
@@ -131,25 +132,23 @@ def _panel_svg(panel: Panel, y_offset: int, width: int, height: int) -> list[str
     return out
 
 
-def render_chart(panels: Sequence[Panel], width: int = 760,
-                 panel_height: int = 250) -> str:
+def render_chart(panels: Sequence[Panel], panel_height: int = 250) -> str:
     """Render stacked panels into one SVG document string."""
     total = panel_height * len(panels)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{total}" viewBox="0 0 {width} {total}">',
-        f'<rect width="{width}" height="{total}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{total}" viewBox="0 0 {_WIDTH} {total}">',
+        f'<rect width="{_WIDTH}" height="{total}" fill="white"/>',
     ]
     for i, panel in enumerate(panels):
-        parts.extend(_panel_svg(panel, i * panel_height, width, panel_height))
+        parts.extend(_panel_svg(panel, i * panel_height, panel_height))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def write_chart(path, panels: Sequence[Panel], width: int = 760,
-                panel_height: int = 250) -> None:
+def write_chart(path, panels: Sequence[Panel], panel_height: int = 250) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_chart(panels, width=width, panel_height=panel_height))
+        handle.write(render_chart(panels, panel_height=panel_height))
 
 
 def spectrum_panels(spectrum, title: str = "") -> list[Panel]:

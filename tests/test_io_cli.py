@@ -793,6 +793,8 @@ def test_usage_error_exit_code():
 
 _SWEEP_OMEGA0 = ["sweep", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma-c", "3.3e7",
                  "--param", "omega0", "--output", "OUT"]
+_SPECTRUM_QUBIT = ["spectrum", "--model", "qubit-only", "--gamma-c", "3.3e7",
+                   "--grid", "1.8e9:2.3e9:11"]
 
 
 @pytest.mark.parametrize("argv, config, field", [
@@ -812,11 +814,16 @@ _SWEEP_OMEGA0 = ["sweep", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma
     (["estimate", "CSV", "--ref-g-q", "inf", "--output", "OUT"], None, "--ref-g-q"),
     (["estimate", "CSV", "--ref-omega0", "inf", "--output", "OUT"], None, "--ref-omega0"),
     (["squid", "--output-json", "OUT"], {"c_j": math.inf}, "c_j"),
+    (["squid", "--output-json", "OUT"], {"c_j": True}, "c_j"),
+    (_SPECTRUM_QUBIT + ["--output", "OUT"], {"omega0": True}, "omega0"),
+    # an integer is not a path: open(987654) would take it as a file descriptor
+    (_SPECTRUM_QUBIT + ["--omega0", "2.1e9"], {"output": 987654}, "output"),
 ], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "zero-inductance-flag",
         "steps-config", "start-config", "n-states-config", "null-depth-config",
         "fractional-steps-config", "fractional-grid-points-config",
         "fractional-n-states-config", "inf-c-j-flag", "inf-l-flag",
-        "inf-ref-g-q-flag", "inf-ref-omega0-flag", "inf-c-j-config"])
+        "inf-ref-g-q-flag", "inf-ref-omega0-flag", "inf-c-j-config",
+        "bool-c-j-config", "bool-omega0-config", "int-output-config"])
 def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
     """An out-of-range or wrongly typed value exits 1 naming its field,
     whether it comes from a flag or from the config file."""

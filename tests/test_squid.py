@@ -9,6 +9,7 @@ from qspectra import (
     HBAR,
     BoundaryLeakageError,
     CircuitSpec,
+    ConvergenceError,
     MechanicalSpec,
     amplitude_length_product,
     classical_amplitude,
@@ -138,6 +139,12 @@ class TestEigensolver:
     def test_narrow_window_raises_leakage(self):
         with pytest.raises(BoundaryLeakageError):
             solve_eigensystem(reference_circuit(flux_window=0.35))
+
+    def test_coarse_grid_raises_convergence(self):
+        # 201 points over +-4 flux quanta: the 401-point re-solve moves E0 by 1.28e-3
+        with pytest.raises(ConvergenceError, match=r"moves by 1\.28e-03 relative"):
+            solve_eigensystem(reference_circuit(grid_points=201, flux_window=4.0))
+        solve_eigensystem(reference_circuit(grid_points=301, flux_window=4.0))
 
     def test_solution_determinism(self, solution):
         _, sol = solution
