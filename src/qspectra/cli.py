@@ -95,9 +95,18 @@ def thread_cap() -> int:
 
 PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
 
+# estimate's real-valued options, each mapped to its estimate_report parameter
+_ESTIMATE_OPTIONS = {
+    "ref_omega0": "reference_omega0", "ref_omega_b": "reference_omega_b",
+    "ref_g_q": "reference_g_q", "ref_delta": "reference_delta",
+    "b0": "field", "i_p": "persistent_current", "nmr_length": "nmr_length",
+    "depth_threshold": "depth_threshold", "unity_tol": "unity_tol",
+}
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    for name in PARAM_FIELDS:
+
+def _add_float_flags(parser: argparse.ArgumentParser, names) -> None:
+    """One real-valued --flag-name per name, in order, with the name as dest."""
+    for name in names:
         parser.add_argument("--" + name.replace("_", "-"), dest=name,
                             type=_parse_float, default=None)
 
@@ -291,19 +300,10 @@ def cmd_estimate(args) -> int:
     except ValueError as exc:
         raise _FileFormatError(str(exc)) from exc
     # ambiguity is data, not failure: estimate_report encodes it in the
-    # model_class and this command still exits 0
-    report = estimate_report(
-        spectrum,
-        reference_omega0=options.get("ref_omega0"),
-        reference_omega_b=options.get("ref_omega_b"),
-        reference_g_q=options.get("ref_g_q"),
-        reference_delta=options.get("ref_delta"),
-        field=options.get("b0"),
-        persistent_current=options.get("i_p"),
-        nmr_length=options.get("nmr_length"),
-        depth_threshold=options.get("depth_threshold", 0.1),
-        unity_tol=options.get("unity_tol", 0.01),
-    )
+    # model_class and this command still exits 0; an option not given
+    # keeps estimate_report's default
+    given = {param: options[key] for key, param in _ESTIMATE_OPTIONS.items() if key in options}
+    report = estimate_report(spectrum, **given)
     text = qio.report_json_text(report, extra={"input": str(args.input)})
     _write_text(options.get("output"), text)
     return EXIT_OK
@@ -314,15 +314,16 @@ def cmd_squid(args) -> int:
     base = reference_circuit()
     inductance = options.get("l", base.inductance)
     critical = options.get("i_c")
+    bias = options.get("phi_e_over_phi0")
     spec = CircuitSpec(
         capacitance=options.get("c_j", base.capacitance),
         inductance=inductance,
         critical_current=matched_critical_current(inductance) if critical is None else critical,
-        bias_flux=options.get("phi_e_over_phi0", 0.5) * FLUX_QUANTUM,
+        bias_flux=base.bias_flux if bias is None else bias * FLUX_QUANTUM,
         grid_points=options.get("grid_points", base.grid_points),
         flux_window=options.get("flux_window", base.flux_window),
     )
-    sol = solve_eigensystem(spec, n_states=options.get("n_states", 2))
+    sol = solve_eigensystem(spec, **{k: options[k] for k in ("n_states",) if k in options})
     _write_squid(sol, spec, options.get("output_json"), options.get("output_csv"),
                  options.get("svg"))
     return EXIT_OK
@@ -501,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="evaluate one model over a grid")
     sp.add_argument("--model", default=None)
-    _add_param_flags(sp)
+    _add_float_flags(sp, PARAM_FIELDS)
     sp.add_argument("--grid", default=None, help="START:STOP:N (rad/s, inclusive)")
     sp.add_argument("--noise-sigma", dest="noise_sigma", type=_parse_noise_sigma, default=None)
     sp.add_argument("--seed", type=_parse_seed, default=None)
@@ -512,22 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
     es = sub.add_parser("estimate", help="invert a spectrum CSV to physics")
     es.add_argument("input")
     es.add_argument("--output", default=None)
-    es.add_argument("--ref-omega0", dest="ref_omega0", type=_parse_float, default=None)
-    es.add_argument("--ref-omega-b", dest="ref_omega_b", type=_parse_float, default=None)
-    es.add_argument("--ref-g-q", dest="ref_g_q", type=_parse_float, default=None)
-    es.add_argument("--ref-delta", dest="ref_delta", type=_parse_float, default=None)
-    es.add_argument("--b0", type=_parse_float, default=None)
-    es.add_argument("--i-p", dest="i_p", type=_parse_float, default=None)
-    es.add_argument("--nmr-length", dest="nmr_length", type=_parse_float, default=None)
-    es.add_argument("--depth-threshold", dest="depth_threshold", type=_parse_float, default=None)
-    es.add_argument("--unity-tol", dest="unity_tol", type=_parse_float, default=None)
+    _add_float_flags(es, _ESTIMATE_OPTIONS)
     _with_config(es, cmd_estimate)
 
     sq = sub.add_parser("squid", help="solve the loop circuit eigenproblem")
-    sq.add_argument("--c-j", dest="c_j", type=_parse_float, default=None)
-    sq.add_argument("--l", dest="l", type=_parse_float, default=None)
-    sq.add_argument("--i-c", dest="i_c", type=_parse_float, default=None)
-    sq.add_argument("--phi-e-over-phi0", dest="phi_e_over_phi0", type=_parse_float, default=None)
+    _add_float_flags(sq, ("c_j", "l", "i_c", "phi_e_over_phi0"))
     sq.add_argument("--grid-points", dest="grid_points", type=_parse_int, default=None)
     sq.add_argument("--flux-window", dest="flux_window", type=_parse_float, default=None)
     sq.add_argument("--n-states", dest="n_states", type=_parse_int, default=None)
@@ -538,10 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="sweep one parameter, tabulating features")
     sw.add_argument("--model", default=None)
-    _add_param_flags(sw)
+    _add_float_flags(sw, PARAM_FIELDS)
     sw.add_argument("--param", default=None)
-    sw.add_argument("--start", type=_parse_float, default=None)
-    sw.add_argument("--stop", type=_parse_float, default=None)
+    _add_float_flags(sw, ("start", "stop"))
     sw.add_argument("--steps", type=_parse_int, default=None)
     sw.add_argument("--grid", default=None)
     sw.add_argument("--output", default=None)

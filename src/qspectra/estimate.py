@@ -72,6 +72,9 @@ from .params import Frequency, Spectrum
 _NOISE_GATE = 6.0
 # depth of the dips whose outermost pair bounds the full-transmission search
 _OUTER_DIP_DEPTH = 0.5
+# defaults: the depth of a reported dip, the T and phase tolerance of a unity point
+_DEPTH_THRESHOLD = 0.1
+_UNITY_TOL = 0.01
 # MAD of the differences of white noise of sigma s is s * sqrt(2) * 0.67449
 _MAD_TO_SIGMA = 1.0 / (0.6744897501960817 * math.sqrt(2.0))
 # leastsq's default epsfcn for float64 residuals
@@ -117,7 +120,7 @@ class Estimate:
     sigma: float
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "sigma": self.sigma}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -131,12 +134,7 @@ class DipFeature:
     fit_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "fwhm": self.fwhm,
-            "depth": self.depth,
-            "fit_residual": self.fit_residual,
-        }
+        return dict(vars(self))
 
 
 def _noise_sigma(trans: np.ndarray) -> float:
@@ -408,7 +406,7 @@ class _DipScan:
         return [f"{total} of {len(self._fits)} dip fits rejected ({reasons})"]
 
 
-def detect_dips(spectrum: Spectrum, depth_threshold: float = 0.1) -> list[DipFeature]:
+def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -> list[DipFeature]:
     """Locate transmission dips of depth >= depth_threshold and refine
     each by a local Lorentzian fit.
 
@@ -459,7 +457,7 @@ def _unity_points(spectrum: Spectrum, tol: float,
     return np.sort(points).tolist()
 
 
-def detect_unity_points(spectrum: Spectrum, tol: float = 0.01) -> list[float]:
+def detect_unity_points(spectrum: Spectrum, tol: float = _UNITY_TOL) -> list[float]:
     """Frequencies where the probe passes completely: local maxima with
     T >= 1 - tol and |phase| <= tol, refined by parabolic interpolation.
 
@@ -522,7 +520,7 @@ def _decide(spectrum: Spectrum, dips: list[DipFeature], unity: list[float],
 
 def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
              depth_threshold: float = 0.5,
-             unity_tol: float = 0.01) -> ModelClass:
+             unity_tol: float = _UNITY_TOL) -> ModelClass:
     """Classify the mechanical vibration from the dip/window structure.
 
     This is the raising form of the rule estimate_report applies: two
@@ -719,24 +717,15 @@ class EstimationReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        def opt(x):
-            return None if x is None else x.to_dict()
-
-        return {
-            "model_class": self.model_class.value,
-            "omega0_est": opt(self.omega0_est),
-            "omega_b_est": opt(self.omega_b_est),
-            "g_est": opt(self.g_est),
-            "phonon_n_est": self.phonon_n_est,
-            "phonon_residual": self.phonon_residual,
-            "amplitude_est": opt(self.amplitude_est),
-            "raw_features": {
-                "dips": [d.to_dict() for d in self.dips],
-                "unity_points": list(self.unity_points),
-            },
-            "grid_step": self.grid_step,
-            "notes": list(self.notes),
-        }
+        """Each field under its own name, an Estimate as its dict; the
+        dips and full-transmission points nest under raw_features."""
+        document = {name: value.to_dict() if isinstance(value, Estimate) else value
+                    for name, value in vars(self).items()}
+        dips, unity = document.pop("dips"), document.pop("unity_points")
+        document.update(model_class=self.model_class.value, notes=list(self.notes),
+                        raw_features={"dips": [d.to_dict() for d in dips],
+                                      "unity_points": list(unity)})
+        return document
 
 
 def _floored(est: Estimate, floor: float) -> Estimate:
@@ -751,8 +740,8 @@ def estimate_report(spectrum: Spectrum,
                     field: Optional[float] = None,
                     persistent_current: Optional[float] = None,
                     nmr_length: Optional[float] = None,
-                    depth_threshold: float = 0.1,
-                    unity_tol: float = 0.01) -> EstimationReport:
+                    depth_threshold: float = _DEPTH_THRESHOLD,
+                    unity_tol: float = _UNITY_TOL) -> EstimationReport:
     """Full estimation pipeline for spectra taken on the qubit-scattering
     configurations.
 

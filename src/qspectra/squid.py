@@ -155,6 +155,8 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
     """
     if n_states < 2:
         raise ValueError("n_states must be >= 2")
+    if n_states > spec.grid_points:
+        raise ValueError(f"n_states must be <= grid_points ({spec.grid_points}), got {n_states}")
     phi = spec.flux_grid()
     step = phi[1] - phi[0]
     energies, vectors = eigh_tridiagonal(*_hamiltonian(spec, phi), select="i",

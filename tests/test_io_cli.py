@@ -17,8 +17,10 @@ from qspectra import (
     compute_spectrum,
     make_frequency_grid,
 )
+from qspectra import cli
 from qspectra.cli import main
 from qspectra._numtext import _BLOCK_ROWS, format_table
+from qspectra.estimate import estimate_report
 from qspectra.io import (
     SCHEMA_VERSION,
     _csv_text,
@@ -551,6 +553,59 @@ class TestEstimateCommand:
                      "--output", str(report_path)]) == 0
         assert load_report(report_path)["model_class"] == "classical-nmr"
 
+    def test_amplitude_hints_by_flag_and_config(self, tmp_path):
+        """--b0, --i-p and --nmr-length give the same report by flag and by
+        config, and the library's amplitude for the spectrum read back."""
+        csv = tmp_path / "fig5.csv"
+        assert main(["spectrum", "--model", "qubit-cnmr", "--omega0", "2.1e9",
+                     "--omega-b", "2e9", "--gamma-c", "3.3e7", "--g-c", "1e8",
+                     "--grid", "1.9e9:2.3e9:4001", "--output", str(csv)]) == 0
+        hints = {"ref_omega0": 2.1e9, "ref_omega_b": 2e9, "b0": 0.5, "i_p": 3e-7,
+                 "nmr_length": 2e-6}
+        by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+        flags = [arg for key, value in hints.items()
+                 for arg in ("--" + key.replace("_", "-"), repr(value))]
+        assert main(["estimate", str(csv), *flags, "--output", str(by_flag)]) == 0
+        config = tmp_path / "hints.json"
+        config.write_text(json.dumps(hints))
+        assert main(["estimate", str(csv), "--config", str(config),
+                     "--output", str(by_config)]) == 0
+        assert by_flag.read_bytes() == by_config.read_bytes()
+        expected = estimate_report(read_spectrum_csv(csv)[0], reference_omega0=2.1e9,
+                                   reference_omega_b=2e9, field=0.5,
+                                   persistent_current=3e-7, nmr_length=2e-6)
+        assert expected.amplitude_est is not None
+        assert load_report(by_flag)["amplitude_est"] == expected.amplitude_est.to_dict()
+
+    @pytest.mark.parametrize("flags, config, expected", [
+        ([], None, {}),
+        (["--ref-omega0", "2.1e9", "--unity-tol", "0.02"], None,
+         {"reference_omega0": 2.1e9, "unity_tol": 0.02}),
+        (["--b0", "0.5"], {"i_p": 3e-7, "depth_threshold": 0.2, "ref_delta": 1e8},
+         {"field": 0.5, "persistent_current": 3e-7, "depth_threshold": 0.2,
+          "reference_delta": 1e8}),
+    ], ids=["none", "flags", "flag-and-config"])
+    def test_only_given_options_reach_estimate_report(self, flags, config, expected,
+                                                       qnmr_spectrum, tmp_path, monkeypatch):
+        """An option not given keeps estimate_report's own default."""
+        calls = []
+        library = cli.estimate_report
+
+        def recording(spectrum, **kwargs):
+            calls.append(kwargs)
+            return library(spectrum, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_report", recording)
+        csv = tmp_path / "s.csv"
+        write_spectrum_csv(csv, qnmr_spectrum)
+        argv = ["estimate", str(csv), *flags, "--output", str(tmp_path / "r.json")]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        assert calls == [expected]
+
     @pytest.mark.parametrize("flag", ["--ref-g-q", "--ref-delta"])
     def test_zero_reference_hint_is_usage_error(self, flag, tmp_path, capsys):
         csv = tmp_path / "dispersive.csv"
@@ -801,6 +856,7 @@ _SPECTRUM_QUBIT = ["spectrum", "--model", "qubit-only", "--gamma-c", "3.3e7",
     (["estimate", "CSV", "--depth-threshold", "2"], None, "depth_threshold"),
     (["estimate", "CSV", "--unity-tol", "0.5"], None, "tol"),
     (["squid", "--n-states", "1", "--output-json", "OUT"], None, "n_states"),
+    (["squid", "--n-states", "1002", "--output-json", "OUT"], None, "n_states"),
     (["squid", "--l", "0", "--output-json", "OUT"], None, "inductance"),
     (_SWEEP_OMEGA0, {"start": 2e9, "stop": 2.1e9, "steps": "abc"}, "steps"),
     (_SWEEP_OMEGA0, {"start": "x", "stop": 2.1e9, "steps": 3}, "start"),
@@ -818,8 +874,9 @@ _SPECTRUM_QUBIT = ["spectrum", "--model", "qubit-only", "--gamma-c", "3.3e7",
     (_SPECTRUM_QUBIT + ["--output", "OUT"], {"omega0": True}, "omega0"),
     # an integer is not a path: open(987654) would take it as a file descriptor
     (_SPECTRUM_QUBIT + ["--omega0", "2.1e9"], {"output": 987654}, "output"),
-], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "zero-inductance-flag",
-        "steps-config", "start-config", "n-states-config", "null-depth-config",
+], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "n-states-above-grid-flag",
+        "zero-inductance-flag", "steps-config", "start-config", "n-states-config",
+        "null-depth-config",
         "fractional-steps-config", "fractional-grid-points-config",
         "fractional-n-states-config", "inf-c-j-flag", "inf-l-flag",
         "inf-ref-g-q-flag", "inf-ref-omega0-flag", "inf-c-j-config",
