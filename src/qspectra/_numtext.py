@@ -11,7 +11,8 @@ nearest ``s`` holds the digits.  Table lookups turn the digits, the sign
 and the exponent into 4-byte words of a fixed-width slot per value, which
 ends in the value's separator; the bytes a value does not use (the ``-``
 sign, a third exponent digit, leading zeros) are NUL, and each block is
-joined with its NULs deleted and decoded once.
+joined with its NULs deleted.  ``table_blocks`` yields those block bytes,
+which the CSV writers write as they are; ``format_table`` decodes them.
 
 Why it is exact.  ``s`` comes from at most two correctly rounded float64
 operations on a value below ``1e9``, so it lies within about ``2.3e-7``
@@ -123,7 +124,7 @@ def _fixed(x: np.ndarray):
 _CONVERSIONS = {"%.8e": _scientific, "%.2f": _fixed}
 
 
-def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str) -> str:
+def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str) -> bytes:
     words, exact = _CONVERSIONS[conversion](x)
     fallback = ~exact
     texts = []
@@ -146,7 +147,23 @@ def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str) -> str
         for row, text in zip(padded, texts):
             row[:len(text)] = np.frombuffer(text, np.uint8)
         chars[fallback, :-1] = padded[where.ravel()]
-    return chars.tobytes().translate(None, b"\0").decode("ascii")
+    return chars.tobytes().translate(None, b"\0")
+
+
+def table_blocks(columns, conversion: str, separators):
+    """ASCII bytes of the table whose columns are `columns` (1-d, of one
+    length), one block of `_BLOCK_ROWS` rows at a time: each value
+    formatted as `conversion` and followed by its separator.  Only the
+    rows of one block are gathered, so the columns may be strided or
+    broadcast views.  `separators` is as in `format_table`."""
+    n_rows = len(columns[0])
+    if isinstance(separators, str):
+        separators = np.frombuffer(separators.encode("ascii"), np.uint8)
+    separators = np.broadcast_to(separators, (n_rows, len(columns)))
+    for i in range(0, n_rows, _BLOCK_ROWS):
+        block = np.stack([column[i:i + _BLOCK_ROWS] for column in columns], axis=1,
+                         dtype=float)
+        yield _format_block(block, separators[i:i + _BLOCK_ROWS], conversion)
 
 
 def format_table(table, conversion: str, separators) -> str:
@@ -154,11 +171,5 @@ def format_table(table, conversion: str, separators) -> str:
     ("%.8e" or "%.2f") and followed by its separator.  `separators` is a
     string with one character per column, or an array of ASCII codes
     that broadcasts to the table's shape."""
-    table = np.asarray(table, dtype=float)
-    if isinstance(separators, str):
-        separators = np.frombuffer(separators.encode("ascii"), np.uint8)
-    separators = np.broadcast_to(separators, table.shape)
-    return "".join(
-        _format_block(table[i:i + _BLOCK_ROWS], separators[i:i + _BLOCK_ROWS], conversion)
-        for i in range(0, len(table), _BLOCK_ROWS)
-    )
+    columns = np.asarray(table, dtype=float).T
+    return b"".join(table_blocks(columns, conversion, separators)).decode("ascii")

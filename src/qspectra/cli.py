@@ -446,10 +446,9 @@ def _fig12(sol, spec, stem: str, with_svg: bool, config: dict) -> list:
     """The circulating-current combinations of the doublet."""
     left_state, right_state = circulating_current_states(sol, spec)
     paths = [stem + ".csv", stem + ".svg" if with_svg else None]
-    _write_text(paths[0], qio._csv_text(
-        ("flux_over_phi0", "psi_left", "psi_right"),
-        (sol.flux_grid / FLUX_QUANTUM, left_state, right_state),
-        config=config, figure="fig12"))
+    qio._write_csv(paths[0], ("flux_over_phi0", "psi_left", "psi_right"),
+                   (sol.flux_grid / FLUX_QUANTUM, left_state, right_state),
+                   config=config, figure="fig12")
     if with_svg:
         _write_flux_chart(paths[1], sol, [(left_state, "left well"), (right_state, "right well")],
                           "wavefunction", "circulating-current states")

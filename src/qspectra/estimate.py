@@ -694,8 +694,7 @@ def add_measurement_noise(spectrum: Spectrum, sigma: float, seed: int) -> Spectr
     outside |= phase < 0.0
     phase[outside] = np.mod(phase[outside], 2.0 * np.pi)
     phase -= np.pi
-    return Spectrum(freqs=spectrum.freqs, transmission=trans, phase=phase,
-                    amplitude=None)
+    return Spectrum._adopt(spectrum.freqs, trans, phase)
 
 
 @dataclass(frozen=True)
@@ -752,7 +751,8 @@ def estimate_report(spectrum: Spectrum,
     reference_omega0 and reference_omega_b) and the vibration amplitude
     when field, persistent_current and nmr_length are supplied; with
     reference_g_q and reference_delta a single dip is read as a
-    dispersive phonon-number measurement.  When more dips
+    dispersive phonon-number measurement.  A hint given without its
+    partners is ignored, and a note names the missing ones.  When more dips
     survive thresholding than the deepest two, the extras are reported in
     raw features only and the classification proceeds on the deepest two.
     """
@@ -816,6 +816,17 @@ def estimate_report(spectrum: Spectrum,
                     value, value * g.sigma / g.value if g.value else 0.0)
         else:
             notes.append("classical coupling needs reference_omega_b")
+    for use, hints in (
+        ("a dispersive reading", dict(reference_g_q=reference_g_q,
+                                      reference_delta=reference_delta)),
+        ("a vibration amplitude", dict(field=field, persistent_current=persistent_current,
+                                       nmr_length=nmr_length)),
+    ):
+        missing = [name for name, value in hints.items() if value is None]
+        if 0 < len(missing) < len(hints):
+            given = [name for name in hints if name not in missing]
+            notes.append(f"{' and '.join(given)} ignored: {use} needs "
+                         f"{' and '.join(missing)} too")
     return EstimationReport(
         model_class=model_class,
         dips=tuple(all_dips),

@@ -4,15 +4,18 @@ CSV files are comma separated with '#'-prefixed comment lines; the first
 comment lines carry the generating configuration as a JSON object so every
 file is self-describing.  Numbers are written as ``%.8e``: scientific
 notation with 9 significant digits, which makes identical configurations
-produce byte identical files.  The writers format blocks of rows in
-whole-array numpy (``_numtext.format_table``): each value is scaled by a
-correctly rounded power of ten into ``[1e8, 1e9)``, within about 2.3e-7 of
-the exact product, and rounded to its nine digits.  Values whose scaled
-fraction lies within 1e-6 of one half, zeros, NaN, infinities and
-magnitudes outside ``[1e-280, 1e280]`` are formatted by CPython's own
-``"%.8e" % x`` instead, so the bytes are those of a value-by-value
-formatter.  JSON documents carry a schema_version and readers reject
-unknown major versions.
+produce byte identical files.  Every CSV file goes through one writer,
+which writes the comment and header lines and then each block of rows as
+the ASCII bytes ``_numtext.table_blocks`` yields, with no decoding,
+joining or re-encoding; the ``*_csv_text`` functions decode the same
+bytes.  Blocks are formatted in whole-array numpy: each value is scaled
+by a correctly rounded power of ten into ``[1e8, 1e9)``, within about
+2.3e-7 of the exact product, and rounded to its nine digits.  Values
+whose scaled fraction lies within 1e-6 of one half, zeros, NaN,
+infinities and magnitudes outside ``[1e-280, 1e280]`` are formatted by
+CPython's own ``"%.8e" % x`` instead, so the bytes are those of a
+value-by-value formatter.  JSON documents carry a schema_version and
+readers reject unknown major versions.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._numtext import format_table
+from ._numtext import table_blocks
+from .constants import FLUX_QUANTUM
 from .params import Spectrum
 from .squid import CircuitSpec, EigenSolution, potential
 
@@ -33,38 +37,54 @@ SPECTRUM_COLUMNS = ("omega", "T", "phase_rad", "re_t", "im_t")
 WAVEFUNCTION_COLUMNS = ("flux_over_phi0", "U_joules", "psi0", "psi1")
 
 
-def _csv_text(names, columns, config: Optional[dict] = None,
-              figure: Optional[str] = None) -> str:
-    """CSV text: optional '# figure:'/'# config:' comments, the header
-    row, then one row of '%.8e' numbers per element of the columns."""
+def _csv_blocks(names, columns, config: Optional[dict] = None,
+                figure: Optional[str] = None):
+    """CSV bytes: optional '# figure:'/'# config:' comments and the header
+    row, then one row of '%.8e' numbers per element of the columns, a
+    block of rows at a time."""
     lines = []
     if figure:
         lines.append(f"# figure: {figure}")
     if config is not None:
         lines.append("# config: " + json.dumps(config, sort_keys=True))
     lines.append(",".join(names))
-    body = format_table(np.column_stack(columns), "%.8e",
-                        "," * (len(names) - 1) + "\n")
-    return "\n".join(lines) + "\n" + body
+    yield ("\n".join(lines) + "\n").encode("utf-8")
+    yield from table_blocks(columns, "%.8e", "," * (len(names) - 1) + "\n")
+
+
+def _csv_text(names, columns, config: Optional[dict] = None,
+              figure: Optional[str] = None) -> str:
+    """The CSV file `_write_csv` writes, as text."""
+    return b"".join(_csv_blocks(names, columns, config, figure)).decode("utf-8")
+
+
+def _write_csv(path, names, columns, config: Optional[dict] = None,
+               figure: Optional[str] = None) -> None:
+    """Write a CSV file block by block, as bytes."""
+    with open(path, "wb") as handle:
+        handle.writelines(_csv_blocks(names, columns, config, figure))
+
+
+def _spectrum_columns(spectrum: Spectrum) -> tuple:
+    amp = spectrum.amplitude
+    if amp is None:
+        re = im = np.broadcast_to(np.nan, spectrum.n_points)
+    else:
+        re, im = amp.real, amp.imag
+    return (spectrum.freqs, spectrum.transmission, spectrum.phase, re, im)
 
 
 def spectrum_csv_text(spectrum: Spectrum, config: Optional[dict] = None,
                       figure: Optional[str] = None) -> str:
     """Serialize a spectrum to CSV text (columns omega, T, phase_rad,
     re_t, im_t; the amplitude columns are NaN for noisy spectra)."""
-    amp = spectrum.amplitude
-    if amp is None:
-        re = im = np.full(spectrum.n_points, np.nan)
-    else:
-        re, im = amp.real, amp.imag
-    columns = (spectrum.freqs, spectrum.transmission, spectrum.phase, re, im)
-    return _csv_text(SPECTRUM_COLUMNS, columns, config=config, figure=figure)
+    return _csv_text(SPECTRUM_COLUMNS, _spectrum_columns(spectrum), config, figure)
 
 
 def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None,
                        figure: Optional[str] = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(spectrum_csv_text(spectrum, config=config, figure=figure))
+    """Write the file whose text `spectrum_csv_text` returns."""
+    _write_csv(path, SPECTRUM_COLUMNS, _spectrum_columns(spectrum), config, figure)
 
 
 def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
@@ -199,21 +219,22 @@ def squid_json_text(sol: EigenSolution, spec: CircuitSpec) -> str:
     return json.dumps(squid_summary(sol, spec), sort_keys=True, indent=2) + "\n"
 
 
+def _wavefunction_columns(sol: EigenSolution, spec: CircuitSpec) -> tuple:
+    return (sol.flux_grid / FLUX_QUANTUM, potential(sol.flux_grid, spec),
+            sol.wavefunctions[0], sol.wavefunctions[1])
+
+
 def wavefunction_csv_text(sol: EigenSolution, spec: CircuitSpec,
                           config: Optional[dict] = None,
                           figure: Optional[str] = None) -> str:
-    from .constants import FLUX_QUANTUM
-
-    columns = (sol.flux_grid / FLUX_QUANTUM, potential(sol.flux_grid, spec),
-               sol.wavefunctions[0], sol.wavefunctions[1])
-    return _csv_text(WAVEFUNCTION_COLUMNS, columns, config=config, figure=figure)
+    return _csv_text(WAVEFUNCTION_COLUMNS, _wavefunction_columns(sol, spec), config, figure)
 
 
 def write_wavefunction_csv(path, sol: EigenSolution, spec: CircuitSpec,
                            config: Optional[dict] = None,
                            figure: Optional[str] = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(wavefunction_csv_text(sol, spec, config=config, figure=figure))
+    """Write the file whose text `wavefunction_csv_text` returns."""
+    _write_csv(path, WAVEFUNCTION_COLUMNS, _wavefunction_columns(sol, spec), config, figure)
 
 
 __all__ = [

@@ -331,9 +331,8 @@ def transmission_amplitude(kind: ModelKind, omega: ArrayLike, p: ModelParams):
 
 def compute_spectrum(kind: ModelKind, p: ModelParams, freqs: np.ndarray) -> Spectrum:
     """Evaluate a model over a frequency grid and package the result."""
-    freqs = np.asarray(freqs, dtype=float)
-    amplitude = transmission_amplitude(kind, freqs, p)
-    return Spectrum.from_amplitude(freqs, amplitude)
+    freqs = np.array(freqs, dtype=float)  # the spectrum's own copy of the grid
+    return Spectrum._adopt_amplitude(freqs, transmission_amplitude(kind, freqs, p))
 
 
 def coupled_mode_frequencies(omega_a: Frequency, omega_b: Frequency,

@@ -143,8 +143,13 @@ class Spectrum:
     ``transmission`` and ``phase`` are derived from it via ``|t|**2`` and
     ``arg(t)``.  Spectra that went through measurement noise carry
     ``amplitude=None`` because no consistent complex amplitude exists.
-    Each stored array is a read-only copy of the value passed in, so
-    later changes to the caller's arrays do not reach the spectrum.
+    Every stored array is read-only.  The constructor stores a copy of
+    each array passed in, so later changes to the caller's arrays do not
+    reach the spectrum; arrays the package has just built itself
+    (``from_amplitude``'s transmission and phase, ``compute_spectrum``'s
+    amplitude, ``add_measurement_noise``'s draws) are adopted without a
+    copy, and a noisy spectrum shares its source's grid.  Both ways in run
+    the same checks.
     """
 
     freqs: np.ndarray
@@ -152,12 +157,14 @@ class Spectrum:
     phase: np.ndarray
     amplitude: Optional[np.ndarray] = None
 
-    def __post_init__(self) -> None:
-        # one owned copy per array; clipping and the phase convention are
-        # applied to it in place
-        freqs = np.array(self.freqs, dtype=float)
-        trans = np.array(self.transmission, dtype=float)
-        phase = np.array(self.phase, dtype=float)
+    def __post_init__(self, copy: bool = True) -> None:
+        # the constructor calls this with copy=True: one owned copy per
+        # array, to which clipping and the phase convention are applied in
+        # place; _adopt calls it with copy=False on arrays nothing else holds
+        owned = np.array if copy else np.asarray
+        freqs = owned(self.freqs, dtype=float)
+        trans = owned(self.transmission, dtype=float)
+        phase = owned(self.phase, dtype=float)
         if freqs.ndim != 1 or len(freqs) < 2:
             raise ValueError("a spectrum needs a 1-d grid of at least 2 frequencies")
         if trans.shape != freqs.shape or phase.shape != freqs.shape:
@@ -178,7 +185,7 @@ class Spectrum:
             raise ValueError("phase values must lie in (-pi, pi]")
         amp = self.amplitude
         if amp is not None:
-            amp = np.array(amp, dtype=complex)
+            amp = owned(amp, dtype=complex)
             if amp.shape != freqs.shape:
                 raise ValueError("amplitude array must match the grid shape")
             mag2 = np.abs(amp)
@@ -200,15 +207,33 @@ class Spectrum:
         object.__setattr__(self, "amplitude", amp)
 
     @classmethod
-    def from_amplitude(cls, freqs: np.ndarray, amplitude: np.ndarray) -> "Spectrum":
-        """Build a spectrum from the complex transmission amplitude."""
-        amplitude = np.asarray(amplitude, dtype=complex)
+    def _adopt(cls, freqs: np.ndarray, transmission: np.ndarray, phase: np.ndarray,
+               amplitude: Optional[np.ndarray] = None) -> "Spectrum":
+        """A spectrum that stores the given arrays themselves, after the
+        constructor's checks.  For arrays the package has just built and
+        hands over: the transmission and phase are clipped in place and
+        every array is made read-only."""
+        spectrum = cls.__new__(cls)
+        for name, value in (("freqs", freqs), ("transmission", transmission),
+                            ("phase", phase), ("amplitude", amplitude)):
+            object.__setattr__(spectrum, name, value)
+        spectrum.__post_init__(copy=False)
+        return spectrum
+
+    @classmethod
+    def _adopt_amplitude(cls, freqs: np.ndarray, amplitude: np.ndarray) -> "Spectrum":
+        """`from_amplitude` that adopts `freqs` and `amplitude` (see _adopt)."""
         # squared in place: x * x is what ** 2 computes
         transmission = np.abs(amplitude)
         transmission *= transmission
-        phase = np.angle(amplitude)
-        return cls(freqs=np.asarray(freqs, dtype=float), transmission=transmission,
-                   phase=phase, amplitude=amplitude)
+        return cls._adopt(freqs, transmission, np.angle(amplitude), amplitude)
+
+    @classmethod
+    def from_amplitude(cls, freqs: np.ndarray, amplitude: np.ndarray) -> "Spectrum":
+        """Build a spectrum from the complex transmission amplitude (copies
+        of `freqs` and `amplitude`; transmission and phase are derived)."""
+        return cls._adopt_amplitude(np.array(freqs, dtype=float),
+                                    np.array(amplitude, dtype=complex))
 
     @property
     def n_points(self) -> int:

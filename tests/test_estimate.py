@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -343,6 +344,31 @@ class TestEstimateReport:
 
         expected = classical_amplitude(report.g_est.value, 5e-3, 9.44e-8, 1e-6)
         assert report.amplitude_est.value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("hints, note", [
+        (dict(reference_g_q=3e7),
+         "reference_g_q ignored: a dispersive reading needs reference_delta too"),
+        (dict(reference_delta=1e8),
+         "reference_delta ignored: a dispersive reading needs reference_g_q too"),
+        (dict(field=5e-3), "field ignored: a vibration amplitude needs "
+                           "persistent_current and nmr_length too"),
+        (dict(persistent_current=9.44e-8, nmr_length=1e-6),
+         "persistent_current and nmr_length ignored: a vibration amplitude needs field too"),
+        (dict(field=5e-3, persistent_current=9.44e-8, nmr_length=1e-6), None),
+    ], ids=["g-q", "delta", "field", "current-length", "amplitude-group"])
+    def test_lone_hint_is_noted(self, cnmr_params, hints, note):
+        """A hint given without its partners changes nothing but a note
+        that names the missing ones; a whole group adds no note."""
+        grid = make_frequency_grid(1.9e9, 2.3e9, 4001)
+        s = compute_spectrum(ModelKind.QUBIT_CNMR, cnmr_params, grid)
+        refs = dict(reference_omega0=OMEGA0, reference_omega_b=OMEGA_B)
+        plain = estimate_report(s, **refs)
+        report = estimate_report(s, **refs, **hints)
+        if note is None:
+            assert report.notes == plain.notes and report.amplitude_est is not None
+        else:
+            assert report.notes == plain.notes + (note,)
+            assert dataclasses.replace(report, notes=plain.notes) == plain
 
     def test_bare_qubit(self, qubit_params):
         grid = make_frequency_grid(1.9e9, 2.3e9, 4001)

@@ -27,11 +27,18 @@ from qspectra.io import (
     load_report,
     read_spectrum_csv,
     spectrum_csv_text,
+    squid_summary,
     wavefunction_csv_text,
     write_spectrum_csv,
+    write_wavefunction_csv,
 )
 from qspectra.params import Spectrum
-from qspectra.squid import potential, reference_circuit, solve_eigensystem
+from qspectra.squid import (
+    circulating_current_states,
+    potential,
+    reference_circuit,
+    solve_eigensystem,
+)
 from qspectra.svg import Panel, Series, _limits, render_chart
 
 from conftest import GAMMA_C
@@ -331,6 +338,42 @@ class TestGoldenBytes:
         expected = (_reference_polylines(x, y, 0) + _reference_polylines(x, y, 250))
         assert len(expected) == 8  # four runs per panel; the run at 901 is one point
         assert polylines == expected
+
+
+class TestStreamedCsv:
+    """Each CSV file holds, byte for byte, the encoded text of its text
+    function, which decodes the same formatted blocks."""
+
+    @pytest.mark.parametrize("n_points", [101, 2 * _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("header", [{}, {"config": {"a": 1}, "figure": "f"}],
+                             ids=["bare", "config-figure"])
+    def test_spectrum(self, qnmr_params, n_points, noisy, header, tmp_path):
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, n_points))
+        if noisy:
+            spectrum = add_measurement_noise(spectrum, 0.02, 3)
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum, **header)
+        assert path.read_bytes() == spectrum_csv_text(spectrum, **header).encode()
+
+    def test_wavefunction(self, tmp_path):
+        spec = reference_circuit()
+        sol = solve_eigensystem(spec)
+        path = tmp_path / "w.csv"
+        write_wavefunction_csv(path, sol, spec, config={"b": 2}, figure="fig11")
+        text = wavefunction_csv_text(sol, spec, config={"b": 2}, figure="fig11")
+        assert path.read_bytes() == text.encode()
+
+    def test_fig12(self, tmp_path):
+        assert main(["figures", "--which", "fig12", "--outdir", str(tmp_path)]) == 0
+        spec = reference_circuit()
+        sol = solve_eigensystem(spec)
+        columns = (sol.flux_grid / FLUX_QUANTUM, *circulating_current_states(sol, spec))
+        config = {"figure": "fig12", "circuit": squid_summary(sol, spec)["circuit"]}
+        text = _csv_text(("flux_over_phi0", "psi_left", "psi_right"), columns,
+                         config=config, figure="fig12")
+        assert (tmp_path / "fig12.csv").read_bytes() == text.encode()
 
 
 class TestSchema:
@@ -916,12 +959,21 @@ def test_stdout_matches_output_file(argv, flag, qnmr_spectrum, tmp_path, capsys)
 def test_tracer_hook_names_stay_bound():
     """bench/tracer.py patches these attributes by name; renaming one makes
     `python3 bench/run.py --trace 1` fail with AttributeError."""
-    from qspectra import cli, estimate, models, params, squid
+    import inspect
+
+    from qspectra import cli, estimate, io, models, params, squid, svg
 
     for owner, name in ((estimate, "least_squares"), (estimate, "find_peaks"),
                         (cli, "ThreadPoolExecutor"), (squid, "eigh_tridiagonal"),
                         (params.Spectrum, "__post_init__")):
         assert callable(getattr(owner, name, None)), name
+    # the tracer rebinds each writer by identity and reads the size of the
+    # file named by its first positional argument
+    for module, name in ((io, "write_spectrum_csv"), (io, "write_wavefunction_csv"),
+                         (svg, "write_chart")):
+        writer = getattr(module, name)
+        assert writer.__module__ == module.__name__ and writer.__name__ == name
+        assert list(inspect.signature(writer).parameters)[0] == "path", name
     # the tracer rebinds each kernel under its __name__ in models and in
     # AMPLITUDES, and derives AMPLITUDE_KERNELS from those names
     for kind, fn in models.AMPLITUDES.items():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,32 @@ from qspectra import (
     FLUX_QUANTUM,
     HBAR,
     MissingParameterError,
+    ModelKind,
     ModelParams,
     Spectrum,
+    add_measurement_noise,
+    compute_spectrum,
     make_frequency_grid,
 )
+
+# each check of a spectrum's construction: (freqs, transmission, phase,
+# amplitude, message)
+_GOOD = ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0])
+INVALID_SPECTRA = {
+    "short-grid": ([1.0], [0.5], [0.0], None,
+                   "a spectrum needs a 1-d grid of at least 2 frequencies"),
+    "shape": (_GOOD[0], [0.5, 0.5], _GOOD[2], None,
+              "transmission/phase arrays must match the grid shape"),
+    "non-finite-grid": ([1.0, math.inf, 3.0], *_GOOD[1:], None,
+                        "frequency grid contains non-finite values"),
+    "non-increasing": ([1.0, 1.0, 2.0], *_GOOD[1:], None,
+                       "frequency grid must be strictly increasing"),
+    "nan-transmission": (_GOOD[0], [0.5, math.nan, 0.5], _GOOD[2], None,
+                         "transmission values must lie in [0, 1]"),
+    "phase": (*_GOOD[:2], [0.0, 4.0, 0.0], None, "phase values must lie in (-pi, pi]"),
+    "amplitude-shape": (*_GOOD, [0.5, 0.5], "amplitude array must match the grid shape"),
+    "amplitude": (*_GOOD, [1.0, 1.0, 1.0], "transmission is not |amplitude|**2"),
+}
 
 
 class TestFrequencyGrid:
@@ -173,6 +196,37 @@ class TestSpectrum:
                 assert not value.flags.writeable
                 with pytest.raises(ValueError):
                     value[0] = 0.0
+
+    @pytest.mark.parametrize("case", INVALID_SPECTRA.values(), ids=INVALID_SPECTRA)
+    def test_adopting_entry_runs_every_check(self, case):
+        """Spectra the package builds pass the constructor's checks, with
+        the constructor's messages."""
+        *values, message = case
+        for build in (Spectrum, Spectrum._adopt):
+            arrays = [None if v is None else np.array(v, dtype=float if k < 3 else complex)
+                      for k, v in enumerate(values)]
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(*arrays)
+
+    def test_package_built_arrays_are_read_only(self):
+        freqs = make_frequency_grid(1e9, 2e9, 101)
+        clean = compute_spectrum(ModelKind.QUBIT_ONLY,
+                                 ModelParams(omega0=1.5e9, gamma_c=1e8), freqs)
+        noisy = add_measurement_noise(clean, 0.02, 1)
+        freqs[0] = 0.0
+        assert clean.freqs[0] == noisy.freqs[0] == 1e9
+        for value in (clean.freqs, clean.transmission, clean.phase, clean.amplitude,
+                      noisy.freqs, noisy.transmission, noisy.phase):
+            assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[0] = 0.0
+
+    def test_nan_amplitude_from_a_kernel_rejected(self):
+        # 0/0 on resonance of a qubit without decay
+        params = ModelParams(omega0=1.5, gamma_c=0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=re.escape("transmission values must lie in [0, 1]")):
+            compute_spectrum(ModelKind.QUBIT_ONLY, params, np.array([1.0, 1.5, 2.0]))
 
     def test_grid_step(self):
         s = Spectrum.from_amplitude(make_frequency_grid(0, 10, 11),
