@@ -12,20 +12,28 @@ and the exponent into 4-byte words of a fixed-width slot per value, which
 ends in the value's separator; the bytes a value does not use (the ``-``
 sign, a third exponent digit, leading zeros) are NUL, and each block is
 joined with its NULs deleted.  ``table_blocks`` yields those block bytes,
-which the CSV writers write as they are; ``format_table`` decodes them.
+which the CSV and SVG writers write as they are; ``format_table`` decodes
+them.
 
 Why it is exact.  ``s`` comes from at most two correctly rounded float64
 operations on a value below ``1e9``, so it lies within about ``2.3e-7``
 of the exact product.  Rounding ``s`` to the nearest integer therefore
 goes the same way as rounding the exact decimal expansion, unless ``s``
 lies within ``_GUARD`` of a half-integer.  A rounded ``s`` of ``1e9``
-carries into the next decade.
+carries into the next decade.  For ``%.2f`` such near-ties are settled
+in numpy too: ``100`` is exact, so Dekker's product gives the exact error
+of ``s = fl(|x| * 100)``, and the exact product is rounded on its side
+of the half-integer, with exact ties to even as CPython rounds them.
+``%.8e`` cannot do the same, because its scale ``10**(8 - e)`` is itself
+rounded.
 
-Exact fallback.  Zeros (``%.8e``), NaN, infinities, values outside the
-fast-path range, values inside the guard band and values whose ``s`` left
-the window (``log10`` one off near a power of ten) are formatted by CPython
-itself, once per distinct bit pattern in a block, and written into their
-own slots; the rest of the block keeps the fast path.
+Exact fallback.  NaN, infinities and values outside the fast-path range,
+and for ``%.8e`` zeros, values inside the guard band and values whose
+``s`` left the window (``log10`` one off near a power of ten), are
+formatted by CPython itself, once per distinct bit pattern in a block,
+and written into their own slots; the rest of the block keeps the fast
+path.  A broadcast column (stride 0) holds one value: it is formatted
+once per table, and its text fills the column's slot in every block.
 """
 
 from __future__ import annotations
@@ -83,6 +91,12 @@ _LOWS = _words([f"{i:04d}" for i in range(10000)] + [_nul_padded(str(i)) for i i
 _CENTS = _words(f".{c:02d}\0" for c in range(100))
 
 
+def _divmod(n: np.ndarray, d: int):
+    """np.divmod of non-negative integers, in about half its time."""
+    q = n // d
+    return q, n - q * d
+
+
 def _scientific(x: np.ndarray):
     """Slot words of '%.8e' and the mask of values they hold exactly."""
     a = np.abs(x)
@@ -97,8 +111,8 @@ def _scientific(x: np.ndarray):
     carry = m == 1e9  # rounded up across a decade
     m[carry] = 1e8
     e += carry
-    lead, rest = np.divmod(m.astype(np.int64), 100_000_000)
-    high, low = np.divmod(rest, 10_000)
+    lead, rest = _divmod(m.astype(np.int64), 100_000_000)
+    high, low = _divmod(rest, 10_000)
     lead += 10 * (x < 0)
     e += 999
     words = [_LEADS[lead], _QUADS[high], _QUADS[low], _EXP_HEADS[e], _EXP_TAILS[e]]
@@ -108,45 +122,78 @@ def _scientific(x: np.ndarray):
 def _fixed(x: np.ndarray):
     """Slot words of '%.2f' and the mask of values they hold exactly."""
     a = np.abs(x)
-    fast = a < _FIXED_MAX  # False for NaN
-    a[~fast] = 0.0
+    exact = a < _FIXED_MAX  # False for NaN
+    a[~exact] = 0.0
     s = a * 100.0
     m = np.rint(s)
-    exact = fast & (np.abs(s - m) <= 0.5 - _GUARD)
-    whole, cents = np.divmod(m.astype(np.int64), 100)
-    high, low = np.divmod(whole, 10_000)
+    near = np.abs(s - m) > 0.5 - _GUARD
+    if near.any():
+        m[near] = _round_near_tie(a[near], s[near])
+    whole, cents = _divmod(m.astype(np.int64), 100)
+    high, low = _divmod(whole, 10_000)
     # the sign of -0.0 and of small negatives that round to zero prints
     words = [_SIGNED_HIGHS[high + 101 * np.signbit(x)],
              _LOWS[low + 10_000 * (high == 0)], _CENTS[cents]]
     return words, exact
 
 
+def _round_near_tie(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The integer nearest the exact product a * 100, ties to even, where
+    s = fl(a * 100) lies within _GUARD of the half-integer floor(s) + 0.5
+    (so 0.004 < a < 1e6, far from underflow and overflow).  Dekker's
+    product: a Veltkamp split a = ah + al into 26-bit halves makes
+    ah * 100 and al * 100 exact, so err is exact and a * 100 = s + err.
+    The sum d is rounded, but keeps the sign of the exact distance to the
+    half-integer, and is zero only on a tie."""
+    c = a * 134217729.0  # 2**27 + 1
+    ah = c - (c - a)
+    al = a - ah
+    err = (ah * 100.0 - s) + al * 100.0
+    low = np.floor(s)
+    d = (s - (low + 0.5)) + err  # s - (low + 0.5) is exact (Sterbenz)
+    return low + ((d > 0) | ((d == 0) & (low % 2 == 1)))
+
+
 _CONVERSIONS = {"%.8e": _scientific, "%.2f": _fixed}
 
 
-def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str) -> bytes:
+def _padded(texts, width: int) -> np.ndarray:
+    """ASCII texts as the rows of a NUL-padded byte array."""
+    padded = np.zeros((len(texts), width), np.uint8)
+    for row, text in zip(padded, texts):
+        row[:len(text)] = np.frombuffer(text, np.uint8)
+    return padded
+
+
+def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str,
+                  varying, constants: dict) -> bytes:
+    """ASCII bytes of one block of rows.  `x` holds the block's values of
+    the columns `varying` (an index or a slice); `constants` maps every
+    other column to the text of its one value, which fills that column's
+    slot on every row."""
     words, exact = _CONVERSIONS[conversion](x)
     fallback = ~exact
     texts = []
     if fallback.any():
-        # one CPython call per distinct bit pattern: noisy spectra carry a
-        # NaN in two columns of every row
+        # one CPython call per distinct bit pattern
         bits, where = np.unique(x[fallback].view(np.uint64), return_inverse=True)
         texts = [(conversion % v).encode("ascii")
                  for v in bits.view(np.float64).tolist()]
-    # a slot holds the fast-path words or a fallback text, then the
-    # separator in its last byte, which the fast-path words leave NUL
-    n_words = max([len(words)] + [len(text) // 4 + 1 for text in texts])
-    slots = np.zeros(x.shape + (n_words,), "<u4")
+    # a slot holds the fast-path words or a text, then the separator in its
+    # last byte, which the fast-path words leave NUL
+    n_words = max([len(words)] + [len(text) // 4 + 1
+                                  for text in texts + list(constants.values())])
+    slots = np.zeros(separators.shape + (n_words,), "<u4")
     for k, word in enumerate(words):
-        slots[..., k] = word
+        slots[:, varying, k] = word
     chars = slots.view(np.uint8)
     chars[..., -1] = separators
     if texts:
-        padded = np.zeros((len(texts), 4 * n_words - 1), np.uint8)
-        for row, text in zip(padded, texts):
-            row[:len(text)] = np.frombuffer(text, np.uint8)
-        chars[fallback, :-1] = padded[where.ravel()]
+        written = np.zeros(separators.shape, bool)
+        written[:, varying] = fallback
+        chars[written, :-1] = _padded(texts, 4 * n_words - 1)[where.ravel()]
+    for column, text in constants.items():
+        chars[:, column, :-1] = _padded([text], 4 * n_words - 1)
     return chars.tobytes().translate(None, b"\0")
 
 
@@ -155,15 +202,25 @@ def table_blocks(columns, conversion: str, separators):
     length), one block of `_BLOCK_ROWS` rows at a time: each value
     formatted as `conversion` and followed by its separator.  Only the
     rows of one block are gathered, so the columns may be strided or
-    broadcast views.  `separators` is as in `format_table`."""
+    broadcast views; a broadcast column (stride 0, such as the NaN
+    amplitude of a noisy spectrum) is formatted once for the whole table.
+    `separators` is as in `format_table`."""
     n_rows = len(columns[0])
     if isinstance(separators, str):
         separators = np.frombuffer(separators.encode("ascii"), np.uint8)
     separators = np.broadcast_to(separators, (n_rows, len(columns)))
+    constants = {j: (conversion % float(column[0])).encode("ascii")
+                 for j, column in enumerate(columns)
+                 if n_rows and isinstance(column, np.ndarray) and column.strides == (0,)}
+    varying = [j for j in range(len(columns)) if j not in constants]
+    # without constant columns a slice keeps the slot writes plain views
+    slots = varying if constants else slice(None)
     for i in range(0, n_rows, _BLOCK_ROWS):
-        block = np.stack([column[i:i + _BLOCK_ROWS] for column in columns], axis=1,
-                         dtype=float)
-        yield _format_block(block, separators[i:i + _BLOCK_ROWS], conversion)
+        rows = separators[i:i + _BLOCK_ROWS]
+        block = np.empty((len(rows), len(varying)))
+        for k, j in enumerate(varying):
+            block[:, k] = columns[j][i:i + _BLOCK_ROWS]
+        yield _format_block(block, rows, conversion, slots, constants)
 
 
 def format_table(table, conversion: str, separators) -> str:

@@ -2,16 +2,22 @@
 
 Good enough for eyeballing spectra: stacked panels, linear axes, a few
 ticks, one polyline per series.  Not a plotting library.
+
+The document is built as UTF-8 bytes: the few axis and text elements as
+small strings, with the titles, axis labels and series labels XML-escaped,
+and each polyline's points as the ``%.2f`` blocks of
+``_numtext.table_blocks``, written as they are.  ``write_chart`` writes
+those bytes and ``render_chart`` decodes them, so both give one document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._numtext import format_table
+from ._numtext import table_blocks
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _WIDTH = 760  # px, every chart
@@ -44,16 +50,22 @@ def _limits(values: np.ndarray) -> tuple[float, float]:
     return (lo - pad, hi + pad)
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _panel_svg(panel: Panel, y_offset: int, height: int) -> list[str]:
+def _panel_svg(panel: Panel, y_offset: int, height: int) -> Iterator[bytes]:
     left, right, top, bottom = 70, 20, 28, 40
     plot_w = _WIDTH - left - right
     plot_h = height - top - bottom
-    xs = np.concatenate([np.asarray(s.x, float) for s in panel.series])
-    ys = np.concatenate([np.asarray(s.y, float) for s in panel.series])
+    # a panel without series draws its frame on the (0, 1) default limits
+    xs = np.concatenate([np.empty(0)] + [np.asarray(s.x, float) for s in panel.series])
+    ys = np.concatenate([np.empty(0)] + [np.asarray(s.y, float) for s in panel.series])
     x_lo, x_hi = _limits(xs)
     y_lo, y_hi = _limits(ys)
 
@@ -70,7 +82,7 @@ def _panel_svg(panel: Panel, y_offset: int, height: int) -> list[str]:
     if panel.title:
         out.append(
             f'<text x="{left + plot_w / 2:.1f}" y="{y_offset + top - 10}" '
-            f'text-anchor="middle" font-size="13">{panel.title}</text>'
+            f'text-anchor="middle" font-size="13">{_escape(panel.title)}</text>'
         )
     for tick in np.linspace(x_lo, x_hi, 5):
         x = px(tick)
@@ -94,61 +106,77 @@ def _panel_svg(panel: Panel, y_offset: int, height: int) -> list[str]:
     if panel.xlabel:
         out.append(
             f'<text x="{left + plot_w / 2:.1f}" y="{y_offset + height - 6}" '
-            f'text-anchor="middle" font-size="12">{panel.xlabel}</text>'
+            f'text-anchor="middle" font-size="12">{_escape(panel.xlabel)}</text>'
         )
     if panel.ylabel:
         cx, cy = 16, y_offset + top + plot_h / 2
         out.append(
             f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{panel.ylabel}</text>'
+            f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(panel.ylabel)}</text>'
         )
+    yield _lines(out)
     for k, series in enumerate(panel.series):
         color = PALETTE[k % len(PALETTE)]
         x = np.asarray(series.x, float)
         y = np.asarray(series.y, float)
         good = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
-        # the polyline breaks at non-finite samples: a point ends its run
-        # with a newline where the next sample is not the next finite one
+        # the polyline breaks at non-finite samples, and a run of one point
+        # draws nothing
         run_end = np.diff(good, append=-1) != 1
-        separators = np.column_stack((np.full(len(good), ord(",")),
-                                      np.where(run_end, ord("\n"), ord(" "))))
-        # px/py are elementwise, so each point has the bits of a scalar call
-        xy = np.column_stack((px(x[good]), py(y[good])))
-        runs = format_table(xy, "%.2f", separators).split("\n")
-        for pts, n_points in zip(runs, np.diff(np.flatnonzero(run_end), prepend=-1)):
-            if n_points < 2:
-                continue
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                'stroke-width="1.3"/>'
-            )
+        lengths = np.diff(np.flatnonzero(run_end), prepend=-1)
+        keep = np.repeat(lengths > 1, lengths)
+        good, run_end = good[keep], run_end[keep]
+        if len(good):
+            # a point ends in a space, or at the end of a run in a newline,
+            # which becomes the text closing this polyline and opening the
+            # next; the last point ends in the closing quote
+            ends = np.where(run_end, ord("\n"), ord(" "))
+            ends[-1] = ord('"')
+            separators = np.column_stack((np.full(len(good), ord(",")), ends))
+            attributes = f' fill="none" stroke="{color}" stroke-width="1.3"/>\n'.encode()
+            next_run = b'"' + attributes + b'<polyline points="'
+            yield b'<polyline points="'
+            # px/py are elementwise, so each point has the bits of a scalar call
+            for block in table_blocks((px(x[good]), py(y[good])), "%.2f", separators):
+                yield block.replace(b"\n", next_run)
+            yield attributes
         if series.label:
             lx = left + plot_w - 8
             ly = y_offset + top + 16 + 14 * k
-            out.append(
+            yield _lines([
                 f'<text x="{lx}" y="{ly}" text-anchor="end" font-size="11" '
-                f'fill="{color}">{series.label}</text>'
-            )
-    return out
+                f'fill="{color}">{_escape(series.label)}</text>'
+            ])
 
 
-def render_chart(panels: Sequence[Panel], panel_height: int = 250) -> str:
-    """Render stacked panels into one SVG document string."""
+def _lines(lines: list[str]) -> bytes:
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _chart(panels: Sequence[Panel], panel_height: int) -> Iterator[bytes]:
+    """The SVG document, as UTF-8 bytes, a few elements or a block of
+    polyline points at a time."""
     total = panel_height * len(panels)
-    parts = [
+    yield _lines([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{total}" viewBox="0 0 {_WIDTH} {total}">',
         f'<rect width="{_WIDTH}" height="{total}" fill="white"/>',
-    ]
+    ])
     for i, panel in enumerate(panels):
-        parts.extend(_panel_svg(panel, i * panel_height, panel_height))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield from _panel_svg(panel, i * panel_height, panel_height)
+    yield b"</svg>\n"
+
+
+def render_chart(panels: Sequence[Panel], panel_height: int = 250) -> str:
+    """Render stacked panels into one SVG document string: the text of the
+    file `write_chart` writes."""
+    return b"".join(_chart(panels, panel_height)).decode("utf-8")
 
 
 def write_chart(path, panels: Sequence[Panel], panel_height: int = 250) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_chart(panels, panel_height=panel_height))
+    """Write the SVG document of the panels, as bytes."""
+    with open(path, "wb") as handle:
+        handle.writelines(_chart(panels, panel_height))
 
 
 def spectrum_panels(spectrum, title: str = "") -> list[Panel]:

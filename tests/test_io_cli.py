@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from qspectra import (
     compute_spectrum,
     make_frequency_grid,
 )
-from qspectra import cli
+from qspectra import cli, svg
 from qspectra.cli import main
-from qspectra._numtext import _BLOCK_ROWS, format_table
+from qspectra._numtext import _BLOCK_ROWS, _fixed, format_table, table_blocks
 from qspectra.estimate import estimate_report
 from qspectra.io import (
     SCHEMA_VERSION,
@@ -39,7 +40,8 @@ from qspectra.squid import (
     reference_circuit,
     solve_eigensystem,
 )
-from qspectra.svg import Panel, Series, _limits, render_chart
+from qspectra.svg import (Panel, Series, _limits, render_chart, spectrum_panels,
+                          write_chart)
 
 from conftest import GAMMA_C
 
@@ -325,6 +327,43 @@ class TestGoldenBytes:
                            for v, sep in zip(row, ", \n"))
         assert format_table(table, conversion, ", \n") == expected
 
+    def test_fixed_ties_match_cpython(self):
+        """'%.2f' near-ties are rounded exactly in numpy: polyline pixel
+        coordinates of uniform grids, where 1 value in 108 is a decimal tie
+        at 20001 points, half-cents with their neighbours and binary ties."""
+        rng = np.random.default_rng(16)
+        pixels = []
+        for n_points in (401, 4001, 20001, 100001):
+            x = np.linspace(1.8e9, 2.3e9, n_points)
+            x_lo, x_hi = _limits(x)
+            pixels.append(70 + (x - x_lo) / (x_hi - x_lo) * 670)
+        half_cents = rng.integers(1, 2 * 10**8, 20_000) / 200.0
+        values = np.concatenate(pixels + [
+            half_cents, np.nextafter(half_cents, 0.0), np.nextafter(half_cents, np.inf),
+            rng.integers(1, 8 * 10**6, 20_000) / 8.0,
+            [0.005, 0.015, 0.125, 0.375, 2.675, 999999.995, 999999.985],
+        ])
+        values = np.concatenate([values, -values])
+        assert format_table(values[:, None], "%.2f", "\n") == "".join(
+            "%.2f\n" % v for v in values.tolist())
+        # no CPython call for a finite value below 1e6
+        _, exact = _fixed(values)
+        assert np.all(exact == (np.abs(values) < 1e6))
+
+    def test_broadcast_column_matches_copy(self):
+        n_rows = 2 * _BLOCK_ROWS + 3
+        varying = np.linspace(-1.0, 1.0, n_rows)
+        for conversion in ("%.8e", "%.2f"):
+            for value in (math.nan, -0.0, 1e300, 0.125):
+                constant = np.broadcast_to(value, n_rows)
+                columns = (constant, varying, constant)
+                copies = tuple(np.array(column) for column in columns)
+                expected = b"".join(table_blocks(copies, conversion, ",,\n"))
+                assert b"".join(table_blocks(columns, conversion, ",,\n")) == expected
+            everything = (np.broadcast_to(math.nan, 3),) * 2
+            assert b"".join(table_blocks(everything, conversion, ",\n")) == (
+                "nan,nan\n" * 3).encode()
+
     def test_polylines_with_breaks(self):
         x = np.linspace(-3.0, 5.0, 20001)
         y = np.sin(7.0 * x) * 1e-300
@@ -374,6 +413,43 @@ class TestStreamedCsv:
         text = _csv_text(("flux_over_phi0", "psi_left", "psi_right"), columns,
                          config=config, figure="fig12")
         assert (tmp_path / "fig12.csv").read_bytes() == text.encode()
+
+
+class TestStreamedSvg:
+    """Each SVG file holds, byte for byte, the encoded text of
+    `render_chart`, which decodes the same bytes."""
+
+    def test_spectrum(self, qnmr_spectrum, tmp_path):
+        panels = spectrum_panels(qnmr_spectrum, title="qubit-qnmr")
+        write_chart(tmp_path / "s.svg", panels)
+        assert (tmp_path / "s.svg").read_bytes() == render_chart(panels).encode()
+
+    def test_polylines_with_breaks(self, tmp_path):
+        x = np.linspace(-3.0, 5.0, 2 * _BLOCK_ROWS + 9)
+        y = np.sin(7.0 * x)
+        y[[0, 17, 18, 900, 902, 5000, 5001, 8000]] = math.nan
+        x[[4095, 4097]] = math.inf
+        panels = [Panel(series=[Series(x, y, label="s"), Series(x, -y)]), Panel()]
+        write_chart(tmp_path / "b.svg", panels, panel_height=300)
+        body = render_chart(panels, panel_height=300)
+        assert (tmp_path / "b.svg").read_bytes() == body.encode()
+        assert body.count("<polyline") == 2 * 6  # the runs at 901 and 4096 are one point
+
+    def test_squid(self, tmp_path, monkeypatch):
+        charts = []
+        write = svg.write_chart
+
+        def recording(path, panels, panel_height=250):
+            charts.append((path, panels, panel_height))
+            write(path, panels, panel_height)
+
+        monkeypatch.setattr(svg, "write_chart", recording)
+        assert main(["squid", "--output-json", str(tmp_path / "s.json"),
+                     "--svg", str(tmp_path / "sq.svg")]) == 0
+        [(path, panels, panel_height)] = charts
+        assert [s.label for s in panels[0].series] == ["potential", "state 0", "state 1"]
+        body = render_chart(panels, panel_height=panel_height)
+        assert pathlib.Path(path).read_bytes() == body.encode()
 
 
 class TestSchema:
@@ -883,6 +959,22 @@ class TestSvg:
         y[4] = np.nan
         body = render_chart([Panel(series=[Series(x, y)])])
         assert body.count("<polyline") == 2
+
+    def test_text_is_escaped(self):
+        panel = Panel(series=[Series([0, 1], [0, 1], label="a<b & c")],
+                      title="R&D <test>", xlabel="x > 0", ylabel='"y"')
+        document = xml.dom.minidom.parseString(render_chart([panel]))
+        texts = [node.firstChild.data for node in document.getElementsByTagName("text")]
+        for text in ("a<b & c", "R&D <test>", "x > 0", '"y"'):
+            assert text in texts
+
+    def test_panel_without_series(self):
+        body = render_chart([Panel(title="empty")])
+        xml.dom.minidom.parseString(body)
+        assert "<polyline" not in body and ">empty<" in body
+        # the frame of an all-NaN series: _limits' (0, 1) on both axes
+        all_nan = Panel(series=[Series([math.nan], [math.nan])], title="empty")
+        assert body == render_chart([all_nan])
 
 
 def test_usage_error_exit_code():
