@@ -364,19 +364,9 @@ def cmd_sweep(args) -> int:
         results += pool.map(
             lambda v: _sweep_rows(kind, params, name, float(v), freqs), values[1:]
         )
-    lines = [
-        "# config: " + json.dumps({
-            "command": "sweep", "model": kind.value, "param": name,
-            "start": start, "stop": stop,
-            "steps": steps, "params": params.to_dict(),
-            "grid": grid,
-        }, sort_keys=True),
-        "param,value,feature,frequency,width",
-    ]
-    for rows in results:
-        for value, feature, freq, width in rows:
-            lines.append(f"{name},{value:.8e},{feature},{freq:.8e},{width:.8e}")
-    _write_text(output, "\n".join(lines) + "\n")
+    config = {"command": "sweep", "model": kind.value, "param": name, "start": start,
+              "stop": stop, "steps": steps, "params": params.to_dict(), "grid": grid}
+    qio._write_sweep_csv(output, name, [row for rows in results for row in rows], config)
     return EXIT_OK
 
 

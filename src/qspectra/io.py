@@ -2,20 +2,15 @@
 
 CSV files are comma separated with '#'-prefixed comment lines; the first
 comment lines carry the generating configuration as a JSON object so every
-file is self-describing.  Numbers are written as ``%.8e``: scientific
-notation with 9 significant digits, which makes identical configurations
-produce byte identical files.  Every CSV file goes through one writer,
-which writes the comment and header lines and then each block of rows as
-the ASCII bytes ``_numtext.table_blocks`` yields, with no decoding,
-joining or re-encoding; the ``*_csv_text`` functions decode the same
-bytes.  Blocks are formatted in whole-array numpy: each value is scaled
-by a correctly rounded power of ten into ``[1e8, 1e9)``, within about
-2.3e-7 of the exact product, and rounded to its nine digits.  Values
-whose scaled fraction lies within 1e-6 of one half, zeros, NaN,
-infinities and magnitudes outside ``[1e-280, 1e280]`` are formatted by
-CPython's own ``"%.8e" % x`` instead, so the bytes are those of a
-value-by-value formatter.  JSON documents carry a schema_version and
-readers reject unknown major versions.
+file is self-describing.  Numbers are written as ``%.8e`` (9 significant
+digits), so identical configurations give byte identical files.  Every
+CSV file is written here, as bytes, below the comment and header lines of
+``_csv_head``.  The numeric tables (spectrum, wavefunction, ``fig12``) are
+the blocks of rows ``_numtext.table_blocks`` formats in whole-array numpy
+with CPython's bytes, and the ``*_csv_text`` functions decode the same
+bytes.  The sweep table mixes names and numbers, so CPython formats it
+row by row.  JSON documents carry a schema_version and readers reject
+unknown major versions.
 """
 
 from __future__ import annotations
@@ -37,18 +32,22 @@ SPECTRUM_COLUMNS = ("omega", "T", "phase_rad", "re_t", "im_t")
 WAVEFUNCTION_COLUMNS = ("flux_over_phi0", "U_joules", "psi0", "psi1")
 
 
-def _csv_blocks(names, columns, config: Optional[dict] = None,
-                figure: Optional[str] = None):
-    """CSV bytes: optional '# figure:'/'# config:' comments and the header
-    row, then one row of '%.8e' numbers per element of the columns, a
-    block of rows at a time."""
+def _csv_head(names, config: Optional[dict] = None, figure: Optional[str] = None) -> bytes:
+    """The optional '# figure:' and '# config:' comment lines and the header row."""
     lines = []
     if figure:
         lines.append(f"# figure: {figure}")
     if config is not None:
         lines.append("# config: " + json.dumps(config, sort_keys=True))
     lines.append(",".join(names))
-    yield ("\n".join(lines) + "\n").encode("utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _csv_blocks(names, columns, config: Optional[dict] = None,
+                figure: Optional[str] = None):
+    """CSV bytes: the head, then one row of '%.8e' numbers per element of
+    the columns, a block of rows at a time."""
+    yield _csv_head(names, config, figure)
     yield from table_blocks(columns, "%.8e", "," * (len(names) - 1) + "\n")
 
 
@@ -63,6 +62,16 @@ def _write_csv(path, names, columns, config: Optional[dict] = None,
     """Write a CSV file block by block, as bytes."""
     with open(path, "wb") as handle:
         handle.writelines(_csv_blocks(names, columns, config, figure))
+
+
+def _write_sweep_csv(path, param: str, rows, config: dict) -> None:
+    """Write the sweep table: one param,value,feature,frequency,width row per
+    (value, feature, frequency, width) in rows, numbers as '%.8e'."""
+    head = _csv_head(("param", "value", "feature", "frequency", "width"), config)
+    body = "".join(f"{param},{value:.8e},{feature},{freq:.8e},{width:.8e}\n"
+                   for value, feature, freq, width in rows)
+    with open(path, "wb") as handle:
+        handle.write(head + body.encode("utf-8"))
 
 
 def _spectrum_columns(spectrum: Spectrum) -> tuple:

@@ -113,7 +113,18 @@ class ModelParams:
 
     def replace(self, **changes) -> "ModelParams":
         """Copy with the given fields replaced (re-validated); an unknown
-        field name raises TypeError."""
+        field name raises TypeError.
+
+        While v_g is set, the partner of a replaced gamma_c or v1 is derived
+        again: a new gamma_c gives v1, and a new v1 or v_g gives gamma_c
+        (from v1; v1 comes from gamma_c when v1 is unset).  Replacing both
+        gamma_c and v1 still raises if they disagree."""
+        v_g = changes.get("v_g", self.v_g)
+        if v_g is not None and not {"gamma_c", "v1"} <= changes.keys():
+            if changes.get("gamma_c") is not None:
+                changes["v1"] = None
+            elif changes.get("v1", self.v1) is not None and ("v1" in changes or v_g != self.v_g):
+                changes["gamma_c"] = None
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:

@@ -3,9 +3,9 @@
 Good enough for eyeballing spectra: stacked panels, linear axes, a few
 ticks, one polyline per series.  Not a plotting library.
 
-The document is built as UTF-8 bytes: the few axis and text elements as
-small strings, with the titles, axis labels and series labels XML-escaped,
-and each polyline's points as the ``%.2f`` blocks of
+The document is built as UTF-8 bytes: the few axis elements as small
+strings, each text by ``_text``, which XML-escapes it, each tick by
+``_line``, and each polyline's points as the ``%.2f`` blocks of
 ``_numtext.table_blocks``, written as they are.  ``write_chart`` writes
 those bytes and ``render_chart`` decodes them, so both give one document.
 """
@@ -50,9 +50,23 @@ def _limits(values: np.ndarray) -> tuple[float, float]:
     return (lo - pad, hi + pad)
 
 
-def _escape(text: str) -> str:
-    """Text as XML character data."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _coord(v) -> str:
+    """A coordinate: a float to 0.1 px, an int as it is."""
+    return f"{v:.1f}" if isinstance(v, float) else str(v)
+
+
+def _text(x, y, anchor: str, size: int, body: str, attributes: str = "") -> str:
+    """A text element at (x, y), its body escaped as XML character data;
+    attributes, if any, start with a space."""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{_coord(x)}" y="{_coord(y)}" text-anchor="{anchor}" '
+            f'font-size="{size}"{attributes}>{body}</text>')
+
+
+def _line(x1, y1, x2, y2) -> str:
+    """A tick mark from (x1, y1) to (x2, y2)."""
+    return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" '
+            f'y2="{_coord(y2)}" stroke="#333"/>')
 
 
 def _fmt(v: float) -> str:
@@ -80,40 +94,21 @@ def _panel_svg(panel: Panel, y_offset: int, height: int) -> Iterator[bytes]:
         'fill="none" stroke="#333" stroke-width="1"/>'
     ]
     if panel.title:
-        out.append(
-            f'<text x="{left + plot_w / 2:.1f}" y="{y_offset + top - 10}" '
-            f'text-anchor="middle" font-size="13">{_escape(panel.title)}</text>'
-        )
+        out.append(_text(left + plot_w / 2, y_offset + top - 10, "middle", 13, panel.title))
     for tick in np.linspace(x_lo, x_hi, 5):
         x = px(tick)
-        out.append(
-            f'<line x1="{x:.1f}" y1="{y_offset + top + plot_h}" x2="{x:.1f}" '
-            f'y2="{y_offset + top + plot_h + 5}" stroke="#333"/>'
-        )
-        out.append(
-            f'<text x="{x:.1f}" y="{y_offset + top + plot_h + 18}" '
-            f'text-anchor="middle" font-size="11">{_fmt(tick)}</text>'
-        )
+        out.append(_line(x, y_offset + top + plot_h, x, y_offset + top + plot_h + 5))
+        out.append(_text(x, y_offset + top + plot_h + 18, "middle", 11, _fmt(tick)))
     for tick in np.linspace(y_lo, y_hi, 5):
         y = py(tick)
-        out.append(
-            f'<line x1="{left - 5}" y1="{y:.1f}" x2="{left}" y2="{y:.1f}" stroke="#333"/>'
-        )
-        out.append(
-            f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-size="11">{_fmt(tick)}</text>'
-        )
+        out.append(_line(left - 5, y, left, y))
+        out.append(_text(left - 8, y + 4, "end", 11, _fmt(tick)))
     if panel.xlabel:
-        out.append(
-            f'<text x="{left + plot_w / 2:.1f}" y="{y_offset + height - 6}" '
-            f'text-anchor="middle" font-size="12">{_escape(panel.xlabel)}</text>'
-        )
+        out.append(_text(left + plot_w / 2, y_offset + height - 6, "middle", 12, panel.xlabel))
     if panel.ylabel:
         cx, cy = 16, y_offset + top + plot_h / 2
-        out.append(
-            f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(panel.ylabel)}</text>'
-        )
+        out.append(_text(cx, cy, "middle", 12, panel.ylabel,
+                         f' transform="rotate(-90 {cx} {_coord(cy)})"'))
     yield _lines(out)
     for k, series in enumerate(panel.series):
         color = PALETTE[k % len(PALETTE)]
@@ -143,10 +138,7 @@ def _panel_svg(panel: Panel, y_offset: int, height: int) -> Iterator[bytes]:
         if series.label:
             lx = left + plot_w - 8
             ly = y_offset + top + 16 + 14 * k
-            yield _lines([
-                f'<text x="{lx}" y="{ly}" text-anchor="end" font-size="11" '
-                f'fill="{color}">{_escape(series.label)}</text>'
-            ])
+            yield _lines([_text(lx, ly, "end", 11, series.label, f' fill="{color}"')])
 
 
 def _lines(lines: list[str]) -> bytes:

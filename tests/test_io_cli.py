@@ -151,6 +151,15 @@ class TestSpectrumCsv:
             read_spectrum_csv(bad)
         assert main(["estimate", str(bad)]) == 2
 
+    def test_rows_wider_than_header_rejected(self, tmp_path, capsys):
+        # the rows agree with each other, so only the header check sees it
+        bad = tmp_path / "wide.csv"
+        bad.write_text("omega,T,phase_rad\n1,0.5,0,7\n2,0.5,0,8\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: ragged rows")):
+            read_spectrum_csv(bad)
+        assert main(["estimate", str(bad)]) == 2
+        assert "ragged rows" in capsys.readouterr().err
+
     def test_non_numeric_value_rejected(self, tmp_path):
         bad = tmp_path / "abc.csv"
         bad.write_text("omega,T,phase_rad\n1,0.5,0\n2,abc,0\n")
@@ -867,13 +876,49 @@ class TestSweepCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "01c91da19748a2bae09abfe38a5947c226e9adee9cc38885a2b23f0c263c8066")
 
-    def test_bad_thread_env_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QSPECTRA_THREADS", "zero")
-        code = main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
-                     "--gamma-c", "3.3e7", "--param", "omega0", "--start", "2e9",
-                     "--stop", "2.1e9", "--steps", "3",
-                     "--output", str(tmp_path / "s.csv")])
-        assert code == 1
+    def test_bad_thread_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "s.csv"
+        for threads in ("zero", "0"):
+            monkeypatch.setenv("QSPECTRA_THREADS", threads)
+            code = main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
+                         "--gamma-c", "3.3e7", "--param", "omega0", "--start", "2e9",
+                         "--stop", "2.1e9", "--steps", "3",
+                         "--output", str(out)])
+            assert code == 1, threads
+            assert "QSPECTRA_THREADS" in capsys.readouterr().err, threads
+            assert not out.exists(), threads
+
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_unset_thread_env_defaults_to_cpu_count(self, cpus, tmp_path, monkeypatch):
+        args = ["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
+                "--gamma-c", "3.3e7", "--param", "omega0",
+                "--start", "2.0e9", "--stop", "2.2e9", "--steps", "5"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        monkeypatch.setenv("QSPECTRA_THREADS", "1")
+        assert main(args + ["--output", str(a)]) == 0
+        # os.cpu_count() may return None, which means one thread
+        counted = []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: counted.append(cpus) or cpus)
+        monkeypatch.delenv("QSPECTRA_THREADS")
+        assert main(args + ["--output", str(b)]) == 0
+        assert counted == [cpus]
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_linewidth_sweep_with_group_speed(self, tmp_path, monkeypatch):
+        # the dispersive model needs both v1 and v_g, so sweeping v1 must
+        # re-derive gamma_c = v1**2/v_g at each step
+        monkeypatch.setenv("QSPECTRA_THREADS", "1")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", "dispersive", "--omega0", "2.1e9",
+                     "--omega-b", "2e9", "--g-q", "3e7", "--v1", "1e8", "--v-g", "3e8",
+                     "--mean-n", "0", "--param", "v1", "--start", "5e7", "--stop", "1e8",
+                     "--steps", "3", "--grid", "2.09e9:2.16e9:7001",
+                     "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        fitted = [(float(r[1]), float(r[4])) for r in rows if r[2] == "fitted-dip"]
+        assert [v1 for v1, _ in fitted] == [5e7, 7.5e7, 1e8]
+        for v1, width in fitted:
+            assert width == pytest.approx(2 * v1**2 / 3e8, rel=1e-6)
 
     def test_invalid_swept_value_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
@@ -968,6 +1013,12 @@ class TestSvg:
         for text in ("a<b & c", "R&D <test>", "x > 0", '"y"'):
             assert text in texts
 
+    def test_limits_of_constant_series(self):
+        # padded by 5 % of the value, or by 0.5 around zero; NaN is ignored
+        assert _limits(np.array([2.0, 2.0])) == pytest.approx((1.9, 2.1), rel=1e-15)
+        assert _limits(np.array([-4.0, np.nan])) == pytest.approx((-4.2, -3.8), rel=1e-15)
+        assert _limits(np.zeros(3)) == (-0.5, 0.5)
+
     def test_panel_without_series(self):
         body = render_chart([Panel(title="empty")])
         xml.dom.minidom.parseString(body)
@@ -1009,13 +1060,25 @@ _SPECTRUM_QUBIT = ["spectrum", "--model", "qubit-only", "--gamma-c", "3.3e7",
     (_SPECTRUM_QUBIT + ["--output", "OUT"], {"omega0": True}, "omega0"),
     # an integer is not a path: open(987654) would take it as a file descriptor
     (_SPECTRUM_QUBIT + ["--omega0", "2.1e9"], {"output": 987654}, "output"),
+    # a string config is written as it stands
+    (_SPECTRUM_QUBIT + ["--omega0", "2.1e9", "--output", "OUT"], "{omega0: 1", "config"),
+    (_SPECTRUM_QUBIT + ["--omega0", "2.1e9", "--output", "OUT"], [2.1e9], "config"),
+    (_SPECTRUM_QUBIT + ["--omega0", "2.1e9", "--output", "OUT"], {"omega_zero": 1}, "omega_zero"),
+    (_SPECTRUM_QUBIT + ["--omega0", "2.1e9", "--grid", "1e9:2e9", "--output", "OUT"], None,
+     "grid"),
+    (_SPECTRUM_QUBIT + ["--omega0", "2.1e9", "--grid", "a:b:c", "--output", "OUT"], None,
+     "grid"),
+    (_SPECTRUM_QUBIT + ["--omega0", "2.1e9"], None, "output"),
+    (_SWEEP_OMEGA0 + ["--start", "2e9", "--stop", "2.1e9", "--steps", "0"], None, "steps"),
 ], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "n-states-above-grid-flag",
         "zero-inductance-flag", "steps-config", "start-config", "n-states-config",
         "null-depth-config",
         "fractional-steps-config", "fractional-grid-points-config",
         "fractional-n-states-config", "inf-c-j-flag", "inf-l-flag",
         "inf-ref-g-q-flag", "inf-ref-omega0-flag", "inf-c-j-config",
-        "bool-c-j-config", "bool-omega0-config", "int-output-config"])
+        "bool-c-j-config", "bool-omega0-config", "int-output-config",
+        "non-json-config", "array-config", "unknown-key-config", "two-part-grid-flag",
+        "non-numeric-grid-flag", "missing-output", "zero-steps-flag"])
 def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
     """An out-of-range or wrongly typed value exits 1 naming its field,
     whether it comes from a flag or from the config file."""
@@ -1024,7 +1087,7 @@ def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, 
     argv = [{"CSV": str(csv), "OUT": str(out)}.get(arg, arg) for arg in argv]
     if config is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(path)]
     assert main(argv) == 1
     captured = capsys.readouterr()

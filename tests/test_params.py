@@ -129,6 +129,26 @@ class TestModelParams:
             p.replace(g_q=-1.0)
         with pytest.raises(TypeError):
             p.replace(omega_q=2.2e9)
+        # with v_g set, gamma_c = v1**2/v_g: replacing one side re-derives
+        # the other instead of keeping the stale partner
+        p = ModelParams(omega0=2.1e9, gamma_c=3.3e7, v_g=3e8)
+        q = p.replace(gamma_c=1e7)
+        assert q.gamma_c == 1e7 and q.v1 == pytest.approx(math.sqrt(1e7 * 3e8), rel=1e-15)
+        q = p.replace(v1=1e8)
+        assert q.v1 == 1e8 and q.gamma_c == pytest.approx(1e16 / 3e8, rel=1e-15)
+        q = p.replace(v_g=6e8)
+        assert q.v1 == p.v1 and q.gamma_c == pytest.approx(p.v1**2 / 6e8, rel=1e-15)
+        assert p.replace(v_g=3e8) == p and p.replace(omega0=2.2e9).gamma_c == 3.3e7
+        # without v1 a new v_g keeps gamma_c and derives v1
+        q = ModelParams(gamma_c=3.3e7).replace(v_g=3e8)
+        assert q.gamma_c == 3.3e7 and q.v1 == pytest.approx(math.sqrt(3.3e7 * 3e8))
+        # without v_g the two stay independent
+        q = ModelParams(gamma_c=1.0, v1=2.0).replace(gamma_c=3.0)
+        assert (q.gamma_c, q.v1) == (3.0, 2.0)
+        q = p.replace(gamma_c=1e7, v1=math.sqrt(1e7 * 3e8))
+        assert q.gamma_c == 1e7
+        with pytest.raises(ValueError, match="disagree"):
+            p.replace(gamma_c=1e7, v1=1e8)
 
 
 class TestSpectrum:
