@@ -1,6 +1,6 @@
 """Correctly rounded ``%.8e`` and ``%.2f`` text for whole float tables.
 
-``format_table`` gives, byte for byte, what formatting each value with
+``table_blocks`` gives, byte for byte, what formatting each value with
 CPython's ``"%.8e" % x`` or ``"%.2f" % x`` gives, but works on blocks of
 rows in whole-array numpy instead of one value at a time.
 
@@ -12,8 +12,7 @@ and the exponent into 4-byte words of a fixed-width slot per value, which
 ends in the value's separator; the bytes a value does not use (the ``-``
 sign, a third exponent digit, leading zeros) are NUL, and each block is
 joined with its NULs deleted.  ``table_blocks`` yields those block bytes,
-which the CSV and SVG writers write as they are; ``format_table`` decodes
-them.
+which the CSV and SVG writers write as they are.
 
 Why it is exact.  ``s`` comes from at most two correctly rounded float64
 operations on a value below ``1e9``, so it lies within about ``2.3e-7``
@@ -204,7 +203,8 @@ def table_blocks(columns, conversion: str, separators):
     rows of one block are gathered, so the columns may be strided or
     broadcast views; a broadcast column (stride 0, such as the NaN
     amplitude of a noisy spectrum) is formatted once for the whole table.
-    `separators` is as in `format_table`."""
+    `separators` is a string with one character per column, or an array
+    of ASCII codes that broadcasts to the shape (rows, columns)."""
     n_rows = len(columns[0])
     if isinstance(separators, str):
         separators = np.frombuffer(separators.encode("ascii"), np.uint8)
@@ -221,12 +221,3 @@ def table_blocks(columns, conversion: str, separators):
         for k, j in enumerate(varying):
             block[:, k] = columns[j][i:i + _BLOCK_ROWS]
         yield _format_block(block, rows, conversion, slots, constants)
-
-
-def format_table(table, conversion: str, separators) -> str:
-    """Text of a 2-d float table: each value formatted as `conversion`
-    ("%.8e" or "%.2f") and followed by its separator.  `separators` is a
-    string with one character per column, or an array of ASCII codes
-    that broadcasts to the table's shape."""
-    columns = np.asarray(table, dtype=float).T
-    return b"".join(table_blocks(columns, conversion, separators)).decode("ascii")

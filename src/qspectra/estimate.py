@@ -77,8 +77,6 @@ _DEPTH_THRESHOLD = 0.1
 _UNITY_TOL = 0.01
 # MAD of the differences of white noise of sigma s is s * sqrt(2) * 0.67449
 _MAD_TO_SIGMA = 1.0 / (0.6744897501960817 * math.sqrt(2.0))
-# leastsq's default epsfcn for float64 residuals
-_EPS = float(np.finfo(float).eps)
 # rejection reasons, in the order the report notes list them
 _REJECT_REASONS = (
     "fit did not produce finite values",
@@ -168,41 +166,34 @@ def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int) -> float:
     return float(sum(widths) / len(widths))
 
 
-def least_squares(fun, x0, jac=None) -> OptimizeResult:
-    """Levenberg-Marquardt least squares: MINPACK lmder, or lmdif when jac
-    is None, called through scipy's _minpack extension with the arguments
-    scipy.optimize.leastsq passes it for ftol = xtol = gtol = 1e-8,
-    maxfev = 100 * n, factor = 100 and diag=None (x_scale="jac").  With
-    an analytic jac, x, cost and nfev therefore equal
-    scipy.optimize.least_squares(method="lm", x_scale="jac")'s to the
-    bit.  leastsq's shape probe (one extra call of fun and of jac) and its
-    covariance matrix are left out.  TestFitKernel in
-    tests/test_estimate.py compares both branches bit for bit with the
-    public scipy calls, so a scipy release that changes the private entry
-    fails there.
+def least_squares(fun, x0, jac) -> OptimizeResult:
+    """Levenberg-Marquardt least squares: MINPACK lmder, called through
+    scipy's _minpack extension with the arguments scipy.optimize.leastsq
+    passes it for ftol = xtol = gtol = 1e-8, maxfev = 100 * n,
+    factor = 100 and diag=None (x_scale="jac").  x, cost and nfev
+    therefore equal scipy.optimize.least_squares(method="lm",
+    x_scale="jac")'s to the bit.  leastsq's shape probe (one extra call
+    of fun and of jac) and its covariance matrix are left out.
+    TestFitKernel in tests/test_estimate.py compares it bit for bit with
+    the public scipy calls, so a scipy release that changes the private
+    entry fails there.
 
     jac returns the Jacobian column-major, shape (n, m), which is
-    MINPACK's own layout; lmdif differences forward with leastsq's
-    default epsfcn, the float64 machine epsilon.  fun must return a new
-    float64 array of length m >= n on every call: MINPACK keeps one
-    returned array as its residual buffer and writes into it.  Returns x,
-    cost = 0.5 * |f|**2, nfev and status, MINPACK's info code (5: the
-    100 * n evaluations of maxfev were used up; the last iterate is
-    returned, without a warning).
+    MINPACK's own layout.  fun must return a new float64 array of length
+    m >= n on every call: MINPACK keeps one returned array as its
+    residual buffer and writes into it.  Returns x, cost = 0.5 * |f|**2,
+    nfev and status, MINPACK's info code (5: the 100 * n evaluations of
+    maxfev were used up; the last iterate is returned, without a
+    warning).
     """
     # MINPACK iterates in the array it is given and returns it as x
     x = np.array(x0, dtype=float)
     maxfev = 100 * len(x)
-    # the argument orders scipy's leastsq uses:
-    # _lmdif(fun, x0, args, full_output, ftol, xtol, gtol, maxfev, epsfcn, factor, diag)
+    # the argument order scipy's leastsq uses:
     # _lmder(fun, Dfun, x0, args, full_output, col_deriv, ftol, xtol, gtol, maxfev,
     #        factor, diag)
-    if jac is None:
-        x, info, status = _minpack._lmdif(fun, x, (), 1, 1e-8, 1e-8, 1e-8, maxfev,
-                                          _EPS, 100.0, None)
-    else:
-        x, info, status = _minpack._lmder(fun, jac, x, (), 1, 1, 1e-8, 1e-8, 1e-8,
-                                          maxfev, 100.0, None)
+    x, info, status = _minpack._lmder(fun, jac, x, (), 1, 1, 1e-8, 1e-8, 1e-8,
+                                      maxfev, 100.0, None)
     fvec = info["fvec"]
     return OptimizeResult(x=x, cost=0.5 * np.dot(fvec, fvec),
                           nfev=int(info["nfev"]), status=int(status))

@@ -7,10 +7,9 @@ digits), so identical configurations give byte identical files.  Every
 CSV file is written here, as bytes, below the comment and header lines of
 ``_csv_head``.  The numeric tables (spectrum, wavefunction, ``fig12``) are
 the blocks of rows ``_numtext.table_blocks`` formats in whole-array numpy
-with CPython's bytes, and the ``*_csv_text`` functions decode the same
-bytes.  The sweep table mixes names and numbers, so CPython formats it
-row by row.  JSON documents carry a schema_version and readers reject
-unknown major versions.
+with CPython's bytes.  The sweep table mixes names and numbers, so CPython
+formats it row by row.  JSON documents carry a schema_version and readers
+reject unknown major versions.
 """
 
 from __future__ import annotations
@@ -51,12 +50,6 @@ def _csv_blocks(names, columns, config: Optional[dict] = None,
     yield from table_blocks(columns, "%.8e", "," * (len(names) - 1) + "\n")
 
 
-def _csv_text(names, columns, config: Optional[dict] = None,
-              figure: Optional[str] = None) -> str:
-    """The CSV file `_write_csv` writes, as text."""
-    return b"".join(_csv_blocks(names, columns, config, figure)).decode("utf-8")
-
-
 def _write_csv(path, names, columns, config: Optional[dict] = None,
                figure: Optional[str] = None) -> None:
     """Write a CSV file block by block, as bytes."""
@@ -83,16 +76,10 @@ def _spectrum_columns(spectrum: Spectrum) -> tuple:
     return (spectrum.freqs, spectrum.transmission, spectrum.phase, re, im)
 
 
-def spectrum_csv_text(spectrum: Spectrum, config: Optional[dict] = None,
-                      figure: Optional[str] = None) -> str:
-    """Serialize a spectrum to CSV text (columns omega, T, phase_rad,
-    re_t, im_t; the amplitude columns are NaN for noisy spectra)."""
-    return _csv_text(SPECTRUM_COLUMNS, _spectrum_columns(spectrum), config, figure)
-
-
 def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None,
                        figure: Optional[str] = None) -> None:
-    """Write the file whose text `spectrum_csv_text` returns."""
+    """Write a spectrum CSV (columns omega, T, phase_rad, re_t, im_t; the
+    amplitude columns are NaN for noisy spectra)."""
     _write_csv(path, SPECTRUM_COLUMNS, _spectrum_columns(spectrum), config, figure)
 
 
@@ -127,6 +114,9 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
                 break
         if first_row is None:
             raise ValueError(f"{path}: no data rows found")
+        for name in header:
+            if header.count(name) > 1:
+                raise ValueError(f"{path}: duplicate column '{name}'")
         for required in ("omega", "T", "phase_rad"):
             if required not in header:
                 raise ValueError(f"{path}: missing column '{required}'")
@@ -157,6 +147,8 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
                 magnitude = np.abs(amp)
                 if np.any(magnitude > 1 + 1e-6):
                     raise ValueError("|amplitude| above 1")
+                if np.any(np.abs(column["T"] - magnitude**2) > 1e-6):
+                    raise ValueError("T disagrees with |re_t + i im_t|**2")
                 over = magnitude > 1.0
                 amp[over] /= magnitude[over]
                 # rebuild T/phase from the amplitude: the rounded T/phase
@@ -171,17 +163,16 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _json_text(document: dict) -> str:
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
 def report_json_text(report, extra: Optional[dict] = None) -> str:
     document = {"schema_version": SCHEMA_VERSION}
     document.update(report.to_dict())
     if extra:
         document.update(extra)
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
-
-
-def write_report_json(path, report, extra: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report_json_text(report, extra=extra))
+    return _json_text(document)
 
 
 def check_schema_version(document: dict, source: str = "document") -> None:
@@ -225,7 +216,7 @@ def squid_summary(sol: EigenSolution, spec: CircuitSpec) -> dict:
 
 
 def squid_json_text(sol: EigenSolution, spec: CircuitSpec) -> str:
-    return json.dumps(squid_summary(sol, spec), sort_keys=True, indent=2) + "\n"
+    return _json_text(squid_summary(sol, spec))
 
 
 def _wavefunction_columns(sol: EigenSolution, spec: CircuitSpec) -> tuple:
@@ -233,16 +224,11 @@ def _wavefunction_columns(sol: EigenSolution, spec: CircuitSpec) -> tuple:
             sol.wavefunctions[0], sol.wavefunctions[1])
 
 
-def wavefunction_csv_text(sol: EigenSolution, spec: CircuitSpec,
-                          config: Optional[dict] = None,
-                          figure: Optional[str] = None) -> str:
-    return _csv_text(WAVEFUNCTION_COLUMNS, _wavefunction_columns(sol, spec), config, figure)
-
-
 def write_wavefunction_csv(path, sol: EigenSolution, spec: CircuitSpec,
                            config: Optional[dict] = None,
                            figure: Optional[str] = None) -> None:
-    """Write the file whose text `wavefunction_csv_text` returns."""
+    """Write the wavefunction CSV (columns flux_over_phi0, U_joules, psi0,
+    psi1)."""
     _write_csv(path, WAVEFUNCTION_COLUMNS, _wavefunction_columns(sol, spec), config, figure)
 
 
@@ -254,11 +240,8 @@ __all__ = [
     "load_report",
     "read_spectrum_csv",
     "report_json_text",
-    "spectrum_csv_text",
     "squid_json_text",
     "squid_summary",
-    "wavefunction_csv_text",
-    "write_report_json",
     "write_spectrum_csv",
     "write_wavefunction_csv",
 ]

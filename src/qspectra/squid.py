@@ -197,18 +197,6 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
     )
 
 
-def current_matrix_elements(sol: EigenSolution, spec: CircuitSpec):
-    """Matrix elements (offdiag, diag0, diag1) of the loop current
-    (Phi - Phi_e)/L in the two lowest eigenstates, by grid quadrature.
-
-    The off-diagonal element's sign depends on the eigenvector gauge;
-    its magnitude is the persistent current.
-    """
-    if len(sol.energies) < 2:
-        raise ValueError("need at least two states")
-    return _current_elements(sol.wavefunctions, sol.flux_grid, sol.flux_step, spec)
-
-
 def _current_elements(states: np.ndarray, flux_grid: np.ndarray, step: float,
                       spec: CircuitSpec) -> tuple[float, float, float]:
     """<1|I|0>, <0|I|0>, <1|I|1> of the loop current I = (Phi - Phi_e)/L."""
@@ -393,7 +381,6 @@ __all__ = [
     "circulating_current_states",
     "classical_amplitude",
     "cnmr_coupling",
-    "current_matrix_elements",
     "field_for_qnmr_coupling",
     "mass_for_qnmr_coupling",
     "matched_critical_current",

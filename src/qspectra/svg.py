@@ -6,8 +6,7 @@ ticks, one polyline per series.  Not a plotting library.
 The document is built as UTF-8 bytes: the few axis elements as small
 strings, each text by ``_text``, which XML-escapes it, each tick by
 ``_line``, and each polyline's points as the ``%.2f`` blocks of
-``_numtext.table_blocks``, written as they are.  ``write_chart`` writes
-those bytes and ``render_chart`` decodes them, so both give one document.
+``_numtext.table_blocks``, written as they are by ``write_chart``.
 """
 
 from __future__ import annotations
@@ -159,12 +158,6 @@ def _chart(panels: Sequence[Panel], panel_height: int) -> Iterator[bytes]:
     yield b"</svg>\n"
 
 
-def render_chart(panels: Sequence[Panel], panel_height: int = 250) -> str:
-    """Render stacked panels into one SVG document string: the text of the
-    file `write_chart` writes."""
-    return b"".join(_chart(panels, panel_height)).decode("utf-8")
-
-
 def write_chart(path, panels: Sequence[Panel], panel_height: int = 250) -> None:
     """Write the SVG document of the panels, as bytes."""
     with open(path, "wb") as handle:
@@ -188,4 +181,4 @@ def spectrum_panels(spectrum, title: str = "") -> list[Panel]:
     ]
 
 
-__all__ = ["PALETTE", "Panel", "Series", "render_chart", "spectrum_panels", "write_chart"]
+__all__ = ["PALETTE", "Panel", "Series", "spectrum_panels", "write_chart"]

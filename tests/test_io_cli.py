@@ -18,30 +18,22 @@ from qspectra import (
     compute_spectrum,
     make_frequency_grid,
 )
-from qspectra import cli, svg
+from qspectra import cli
 from qspectra.cli import main
-from qspectra._numtext import _BLOCK_ROWS, _fixed, format_table, table_blocks
+from qspectra._numtext import _BLOCK_ROWS, _fixed, table_blocks
 from qspectra.estimate import estimate_report
 from qspectra.io import (
     SCHEMA_VERSION,
-    _csv_text,
+    _write_csv,
     load_report,
     read_spectrum_csv,
-    spectrum_csv_text,
-    squid_summary,
-    wavefunction_csv_text,
+    report_json_text,
     write_spectrum_csv,
     write_wavefunction_csv,
 )
 from qspectra.params import Spectrum
-from qspectra.squid import (
-    circulating_current_states,
-    potential,
-    reference_circuit,
-    solve_eigensystem,
-)
-from qspectra.svg import (Panel, Series, _limits, render_chart, spectrum_panels,
-                          write_chart)
+from qspectra.squid import potential, reference_circuit, solve_eigensystem
+from qspectra.svg import Panel, Series, _limits, write_chart
 
 from conftest import GAMMA_C
 
@@ -107,9 +99,28 @@ class TestSpectrumCsv:
         with pytest.raises(ValueError, match="above 1"):
             read_spectrum_csv(bad)
 
-    def test_nine_significant_digits(self, qnmr_spectrum):
-        text = spectrum_csv_text(qnmr_spectrum)
-        row = text.splitlines()[1].split(",")
+    def test_duplicate_column_rejected(self, tmp_path):
+        bad = tmp_path / "dup.csv"
+        bad.write_text("omega,T,phase_rad,T\n1,0.5,0,0.25\n2,0.5,0,0.25\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: duplicate column 'T'")):
+            read_spectrum_csv(bad)
+        assert main(["estimate", str(bad)]) == 2
+
+    def test_transmission_contradicting_amplitude_rejected(self, tmp_path):
+        # T may differ from |re_t + i im_t|**2 by the rounding of 9 digits,
+        # within the 1e-6 the T range check allows, but not by more
+        path = tmp_path / "t.csv"
+        path.write_text("omega,T,phase_rad,re_t,im_t\n1,0.9999995,0,1,0\n2,1,0,1,0\n")
+        assert read_spectrum_csv(path)[0].transmission.tolist() == [1.0, 1.0]
+        path.write_text("omega,T,phase_rad,re_t,im_t\n1,0.0,0,1,0\n2,1,0,1,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: T disagrees")):
+            read_spectrum_csv(path)
+        assert main(["estimate", str(path)]) == 2
+
+    def test_nine_significant_digits(self, qnmr_spectrum, tmp_path):
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, qnmr_spectrum)
+        row = path.read_text().splitlines()[1].split(",")
         assert row[0] == f"{qnmr_spectrum.freqs[0]:.8e}"
 
     @pytest.mark.parametrize("n_points", [2001, 100001])
@@ -169,7 +180,8 @@ class TestSpectrumCsv:
 
     def test_malformed_config_line_is_format_error(self, qnmr_spectrum, tmp_path, capsys):
         bad = tmp_path / "config.csv"
-        bad.write_text("# config: {not json\n" + spectrum_csv_text(qnmr_spectrum))
+        write_spectrum_csv(bad, qnmr_spectrum)
+        bad.write_text("# config: {not json\n" + bad.read_text())
         with pytest.raises(ValueError, match=re.escape(str(bad))) as info:
             read_spectrum_csv(bad)
         assert not isinstance(info.value, json.JSONDecodeError)
@@ -255,7 +267,7 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("n_points", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     @pytest.mark.parametrize("noisy", [False, True])
-    def test_spectrum_csv_at_block_boundary(self, qnmr_params, n_points, noisy):
+    def test_spectrum_csv_at_block_boundary(self, qnmr_params, n_points, noisy, tmp_path):
         spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
                                     make_frequency_grid(1.8e9, 2.3e9, n_points))
         if noisy:
@@ -265,10 +277,11 @@ class TestGoldenBytes:
         columns = (spectrum.freqs, spectrum.transmission, spectrum.phase,
                    nan if amp is None else amp.real, nan if amp is None else amp.imag)
         head = '# figure: f\n# config: {"a": 1}\nomega,T,phase_rad,re_t,im_t\n'
-        text = spectrum_csv_text(spectrum, config={"a": 1}, figure="f")
-        assert text == head + _reference_rows(columns)
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum, config={"a": 1}, figure="f")
+        assert path.read_text() == head + _reference_rows(columns)
 
-    def test_spectrum_csv_edge_values(self):
+    def test_spectrum_csv_edge_values(self, tmp_path):
         freqs = np.array([-1.7976931348623157e308, -1e300, -1e-300, -0.0, 5e-324,
                           1e-300, 9.99999999949e9, 9.9999999995e9, 1e300])
         amp = np.array([complex(-0.0, 1.0), complex(0.6, -0.8), complex(1e-300, -1e-300),
@@ -278,12 +291,14 @@ class TestGoldenBytes:
         spectrum = Spectrum.from_amplitude(freqs, amp)
         columns = (spectrum.freqs, spectrum.transmission, spectrum.phase,
                    amp.real, amp.imag)
-        text = spectrum_csv_text(spectrum)
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum)
+        text = path.read_text()
         assert text == "omega,T,phase_rad,re_t,im_t\n" + _reference_rows(columns)
         assert "-0.00000000e+00" in text and "1.00000000e+10" in text
         assert "-1.00000000e+300" in text and "4.94065646e-324" in text
 
-    def test_wavefunction_csv(self):
+    def test_wavefunction_csv(self, tmp_path):
         spec = reference_circuit()
         sol = solve_eigensystem(spec)
         psi0 = sol.wavefunctions[0].copy()
@@ -291,12 +306,13 @@ class TestGoldenBytes:
         sol = dataclasses.replace(sol, wavefunctions=np.array([psi0, sol.wavefunctions[1]]))
         columns = (sol.flux_grid / FLUX_QUANTUM, potential(sol.flux_grid, spec),
                    sol.wavefunctions[0], sol.wavefunctions[1])
-        text = wavefunction_csv_text(sol, spec, config={"b": 2}, figure="fig11")
+        path = tmp_path / "w.csv"
+        write_wavefunction_csv(path, sol, spec, config={"b": 2}, figure="fig11")
         head = '# figure: fig11\n# config: {"b": 2}\nflux_over_phi0,U_joules,psi0,psi1\n'
-        assert text == head + _reference_rows(columns)
+        assert path.read_text() == head + _reference_rows(columns)
 
     @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS + 1])
-    def test_csv_matches_cpython_on_random_bits(self, n_rows):
+    def test_csv_matches_cpython_on_random_bits(self, n_rows, tmp_path):
         rng = np.random.default_rng(n_rows)
         bits = rng.integers(0, 2**64, size=(n_rows, 5), dtype=np.uint64)
         # every exponent class, including subnormals (exponent field 0),
@@ -306,7 +322,8 @@ class TestGoldenBytes:
         columns = tuple(bits.view(np.float64).T)
         names = ("a", "b", "c", "d", "e")
         expected = "a,b,c,d,e\n" + _reference_rows(columns)
-        assert _csv_text(names, columns) == expected
+        _write_csv(tmp_path / "r.csv", names, columns)
+        assert (tmp_path / "r.csv").read_text() == expected
 
     @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS + 1])
     @pytest.mark.parametrize("conversion", ["%.8e", "%.2f"])
@@ -334,7 +351,7 @@ class TestGoldenBytes:
         table[:, 2] = rng.permutation(np.resize(edges, n_rows))
         expected = "".join(conversion % v + sep for row in table.tolist()
                            for v, sep in zip(row, ", \n"))
-        assert format_table(table, conversion, ", \n") == expected
+        assert b"".join(table_blocks(table.T, conversion, ", \n")) == expected.encode()
 
     def test_fixed_ties_match_cpython(self):
         """'%.2f' near-ties are rounded exactly in numpy: polyline pixel
@@ -353,8 +370,8 @@ class TestGoldenBytes:
             [0.005, 0.015, 0.125, 0.375, 2.675, 999999.995, 999999.985],
         ])
         values = np.concatenate([values, -values])
-        assert format_table(values[:, None], "%.2f", "\n") == "".join(
-            "%.2f\n" % v for v in values.tolist())
+        assert b"".join(table_blocks((values,), "%.2f", "\n")) == "".join(
+            "%.2f\n" % v for v in values.tolist()).encode()
         # no CPython call for a finite value below 1e6
         _, exact = _fixed(values)
         assert np.all(exact == (np.abs(values) < 1e6))
@@ -373,7 +390,7 @@ class TestGoldenBytes:
             assert b"".join(table_blocks(everything, conversion, ",\n")) == (
                 "nan,nan\n" * 3).encode()
 
-    def test_polylines_with_breaks(self):
+    def test_polylines_with_breaks(self, tmp_path):
         x = np.linspace(-3.0, 5.0, 20001)
         y = np.sin(7.0 * x) * 1e-300
         y[[0, 17, 18, 900, 902, 20000]] = [math.nan, math.inf, -math.inf, math.nan,
@@ -381,93 +398,18 @@ class TestGoldenBytes:
         x[5000] = math.nan
         y[10000:10003] = -0.0
         panel = Panel(series=[Series(x, y, label="s")], xlabel="x", ylabel="y")
-        body = render_chart([panel, panel])
+        write_chart(tmp_path / "b.svg", [panel, panel])
+        body = (tmp_path / "b.svg").read_text()
         polylines = re.findall(r'<polyline points="([^"]*)"', body)
         expected = (_reference_polylines(x, y, 0) + _reference_polylines(x, y, 250))
         assert len(expected) == 8  # four runs per panel; the run at 901 is one point
         assert polylines == expected
 
 
-class TestStreamedCsv:
-    """Each CSV file holds, byte for byte, the encoded text of its text
-    function, which decodes the same formatted blocks."""
-
-    @pytest.mark.parametrize("n_points", [101, 2 * _BLOCK_ROWS + 5])
-    @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("header", [{}, {"config": {"a": 1}, "figure": "f"}],
-                             ids=["bare", "config-figure"])
-    def test_spectrum(self, qnmr_params, n_points, noisy, header, tmp_path):
-        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
-                                    make_frequency_grid(1.8e9, 2.3e9, n_points))
-        if noisy:
-            spectrum = add_measurement_noise(spectrum, 0.02, 3)
-        path = tmp_path / "s.csv"
-        write_spectrum_csv(path, spectrum, **header)
-        assert path.read_bytes() == spectrum_csv_text(spectrum, **header).encode()
-
-    def test_wavefunction(self, tmp_path):
-        spec = reference_circuit()
-        sol = solve_eigensystem(spec)
-        path = tmp_path / "w.csv"
-        write_wavefunction_csv(path, sol, spec, config={"b": 2}, figure="fig11")
-        text = wavefunction_csv_text(sol, spec, config={"b": 2}, figure="fig11")
-        assert path.read_bytes() == text.encode()
-
-    def test_fig12(self, tmp_path):
-        assert main(["figures", "--which", "fig12", "--outdir", str(tmp_path)]) == 0
-        spec = reference_circuit()
-        sol = solve_eigensystem(spec)
-        columns = (sol.flux_grid / FLUX_QUANTUM, *circulating_current_states(sol, spec))
-        config = {"figure": "fig12", "circuit": squid_summary(sol, spec)["circuit"]}
-        text = _csv_text(("flux_over_phi0", "psi_left", "psi_right"), columns,
-                         config=config, figure="fig12")
-        assert (tmp_path / "fig12.csv").read_bytes() == text.encode()
-
-
-class TestStreamedSvg:
-    """Each SVG file holds, byte for byte, the encoded text of
-    `render_chart`, which decodes the same bytes."""
-
-    def test_spectrum(self, qnmr_spectrum, tmp_path):
-        panels = spectrum_panels(qnmr_spectrum, title="qubit-qnmr")
-        write_chart(tmp_path / "s.svg", panels)
-        assert (tmp_path / "s.svg").read_bytes() == render_chart(panels).encode()
-
-    def test_polylines_with_breaks(self, tmp_path):
-        x = np.linspace(-3.0, 5.0, 2 * _BLOCK_ROWS + 9)
-        y = np.sin(7.0 * x)
-        y[[0, 17, 18, 900, 902, 5000, 5001, 8000]] = math.nan
-        x[[4095, 4097]] = math.inf
-        panels = [Panel(series=[Series(x, y, label="s"), Series(x, -y)]), Panel()]
-        write_chart(tmp_path / "b.svg", panels, panel_height=300)
-        body = render_chart(panels, panel_height=300)
-        assert (tmp_path / "b.svg").read_bytes() == body.encode()
-        assert body.count("<polyline") == 2 * 6  # the runs at 901 and 4096 are one point
-
-    def test_squid(self, tmp_path, monkeypatch):
-        charts = []
-        write = svg.write_chart
-
-        def recording(path, panels, panel_height=250):
-            charts.append((path, panels, panel_height))
-            write(path, panels, panel_height)
-
-        monkeypatch.setattr(svg, "write_chart", recording)
-        assert main(["squid", "--output-json", str(tmp_path / "s.json"),
-                     "--svg", str(tmp_path / "sq.svg")]) == 0
-        [(path, panels, panel_height)] = charts
-        assert [s.label for s in panels[0].series] == ["potential", "state 0", "state 1"]
-        body = render_chart(panels, panel_height=panel_height)
-        assert pathlib.Path(path).read_bytes() == body.encode()
-
-
 class TestSchema:
     def test_report_carries_schema_version(self, qnmr_spectrum, tmp_path):
-        from qspectra import estimate_report
-        from qspectra.io import write_report_json
-
         path = tmp_path / "r.json"
-        write_report_json(path, estimate_report(qnmr_spectrum))
+        path.write_text(report_json_text(estimate_report(qnmr_spectrum)))
         document = load_report(path)
         assert document["schema_version"] == SCHEMA_VERSION
 
@@ -753,7 +695,8 @@ class TestEstimateCommand:
         """A CSV that fails the reader's or the Spectrum checks exits 2 with
         the file named, whichever constructor the columns lead to."""
         path = tmp_path / f"{case}.csv"
-        rows = spectrum_csv_text(qnmr_spectrum).splitlines()
+        write_spectrum_csv(path, qnmr_spectrum)
+        rows = path.read_text().splitlines()
         assert rows[0] == "omega,T,phase_rad,re_t,im_t"
         if case == "nan-transmission":
             cells = rows[100].split(",")
@@ -989,26 +932,29 @@ class TestFiguresCommand:
 
 
 class TestSvg:
-    def test_render_basic_chart(self):
+    def test_render_basic_chart(self, tmp_path):
         x = np.linspace(0, 1, 50)
         panel = Panel(series=[Series(x, np.sin(x), label="demo")],
                       xlabel="x", ylabel="y", title="t")
-        body = render_chart([panel, panel])
+        write_chart(tmp_path / "c.svg", [panel, panel])
+        body = (tmp_path / "c.svg").read_text()
         assert body.startswith("<svg")
         assert body.count("<polyline") == 2
         assert "demo" in body
 
-    def test_nan_breaks_polyline(self):
+    def test_nan_breaks_polyline(self, tmp_path):
         x = np.linspace(0, 1, 10)
         y = np.sin(x)
         y[4] = np.nan
-        body = render_chart([Panel(series=[Series(x, y)])])
+        write_chart(tmp_path / "c.svg", [Panel(series=[Series(x, y)])])
+        body = (tmp_path / "c.svg").read_text()
         assert body.count("<polyline") == 2
 
-    def test_text_is_escaped(self):
+    def test_text_is_escaped(self, tmp_path):
         panel = Panel(series=[Series([0, 1], [0, 1], label="a<b & c")],
                       title="R&D <test>", xlabel="x > 0", ylabel='"y"')
-        document = xml.dom.minidom.parseString(render_chart([panel]))
+        write_chart(tmp_path / "c.svg", [panel])
+        document = xml.dom.minidom.parse(str(tmp_path / "c.svg"))
         texts = [node.firstChild.data for node in document.getElementsByTagName("text")]
         for text in ("a<b & c", "R&D <test>", "x > 0", '"y"'):
             assert text in texts
@@ -1019,13 +965,15 @@ class TestSvg:
         assert _limits(np.array([-4.0, np.nan])) == pytest.approx((-4.2, -3.8), rel=1e-15)
         assert _limits(np.zeros(3)) == (-0.5, 0.5)
 
-    def test_panel_without_series(self):
-        body = render_chart([Panel(title="empty")])
+    def test_panel_without_series(self, tmp_path):
+        write_chart(tmp_path / "empty.svg", [Panel(title="empty")])
+        body = (tmp_path / "empty.svg").read_text()
         xml.dom.minidom.parseString(body)
         assert "<polyline" not in body and ">empty<" in body
         # the frame of an all-NaN series: _limits' (0, 1) on both axes
         all_nan = Panel(series=[Series([math.nan], [math.nan])], title="empty")
-        assert body == render_chart([all_nan])
+        write_chart(tmp_path / "nan.svg", [all_nan])
+        assert body == (tmp_path / "nan.svg").read_text()
 
 
 def test_usage_error_exit_code():

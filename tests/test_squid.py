@@ -14,7 +14,6 @@ from qspectra import (
     amplitude_length_product,
     classical_amplitude,
     cnmr_coupling,
-    current_matrix_elements,
     field_for_qnmr_coupling,
     mass_for_qnmr_coupling,
     matched_critical_current,
@@ -154,20 +153,23 @@ class TestEigensolver:
 
 
 class TestCurrents:
+    @staticmethod
+    def _element(sol, spec, i, j):
+        """<i|I|j> of the loop current I = (Phi - Phi_e)/L, by quadrature."""
+        current = (sol.flux_grid - spec.bias_flux) / spec.inductance
+        return float(np.sum(sol.wavefunctions[i] * current * sol.wavefunctions[j])
+                     * sol.flux_step)
+
     def test_hermitian_offdiagonal(self, solution):
         spec, sol = solution
-        offdiag, _, _ = current_matrix_elements(sol, spec)
-        current = (sol.flux_grid - spec.bias_flux) / spec.inductance
-        transposed = float(np.sum(sol.wavefunctions[0] * current
-                                  * sol.wavefunctions[1]) * sol.flux_step)
-        assert offdiag == pytest.approx(transposed, rel=1e-10)
+        assert sol.persistent_current == pytest.approx(
+            abs(self._element(sol, spec, 0, 1)), rel=1e-10)
 
     def test_matches_solution_fields(self, solution):
         spec, sol = solution
-        offdiag, diag0, diag1 = current_matrix_elements(sol, spec)
-        assert abs(offdiag) == sol.persistent_current
-        assert diag0 == sol.current_diag_0
-        assert diag1 == sol.current_diag_1
+        assert sol.persistent_current == abs(self._element(sol, spec, 1, 0))
+        assert sol.current_diag_0 == self._element(sol, spec, 0, 0)
+        assert sol.current_diag_1 == self._element(sol, spec, 1, 1)
 
 
 class TestTruncation:
