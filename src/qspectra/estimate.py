@@ -664,8 +664,9 @@ def add_measurement_noise(spectrum: Spectrum, sigma: float, seed: int) -> Spectr
     """Gaussian measurement noise on transmission (clamped to [0, 1]) and
     small-angle noise of the same scale on phase; deterministic per seed.
     The complex amplitude is dropped because it no longer exists
-    consistently.  sigma must be finite and >= 0; sigma = 0 returns the
-    spectrum unchanged."""
+    consistently.  sigma must be finite and >= 0, and small enough that
+    no draw overflows to infinity; sigma = 0 returns the spectrum
+    unchanged."""
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
@@ -676,16 +677,23 @@ def add_measurement_noise(spectrum: Spectrum, sigma: float, seed: int) -> Spectr
     n = spectrum.n_points
     trans = rng.normal(0.0, sigma, n)
     trans += spectrum.transmission
-    np.clip(trans, 0.0, 1.0, out=trans)
     phase = rng.normal(0.0, sigma, n)
     phase += spectrum.phase
     phase += np.pi
+    # a draw beyond the float range is infinite and would wrap to NaN;
+    # min and max are infinite when any value is
+    low, high = phase.min(), phase.max()
+    if not (math.isfinite(low) and math.isfinite(high)
+            and math.isfinite(trans.min()) and math.isfinite(trans.max())):
+        raise ValueError(f"sigma {sigma} is too large: a noise draw overflowed to infinity")
+    np.clip(trans, 0.0, 1.0, out=trans)
     # wrap to [0, 2 pi); np.mod is the identity on samples already there
-    outside = phase >= 2.0 * np.pi
-    outside |= phase < 0.0
-    phase[outside] = np.mod(phase[outside], 2.0 * np.pi)
+    if low < 0.0 or high >= 2.0 * np.pi:
+        outside = phase >= 2.0 * np.pi
+        outside |= phase < 0.0
+        phase[outside] = np.mod(phase[outside], 2.0 * np.pi)
     phase -= np.pi
-    return Spectrum._adopt(spectrum.freqs, trans, phase)
+    return Spectrum._adopt(spectrum.freqs, trans, phase, route="noise")
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,14 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
                 amp[over] /= magnitude[over]
                 # rebuild T/phase from the amplitude: the rounded T/phase
                 # columns may disagree with it at the last digit
-                return Spectrum.from_amplitude(column["omega"], amp), config
+                spectrum = Spectrum.from_amplitude(column["omega"], amp)
+                # the difference modulo 2 pi, so that phases pi and -pi
+                # agree; a NaN phase_rad disagrees too
+                drift = column["phase_rad"] - spectrum.phase
+                drift -= 2.0 * np.pi * np.round(drift / (2.0 * np.pi))
+                if not np.all(np.abs(drift) <= 1e-6):
+                    raise ValueError("phase_rad disagrees with arg(re_t + i im_t)")
+                return spectrum, config
         return (
             Spectrum(freqs=column["omega"], transmission=trans,
                      phase=column["phase_rad"], amplitude=None),

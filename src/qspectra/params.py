@@ -159,8 +159,24 @@ class Spectrum:
     reach the spectrum; arrays the package has just built itself
     (``from_amplitude``'s transmission and phase, ``compute_spectrum``'s
     amplitude, ``add_measurement_noise``'s draws) are adopted without a
-    copy, and a noisy spectrum shares its source's grid.  Both ways in run
-    the same checks.
+    copy, and a noisy spectrum shares its source's grid.
+
+    The constructor checks every array.  The two package routes skip the
+    checks that their construction cannot fail:
+
+    - ``from_amplitude`` and ``compute_spectrum`` derive the transmission
+      as ``|amplitude|**2`` itself, so the comparison of the two runs only
+      where the [0, 1] clip moved a value above 1.  Once the transmission
+      check passes the amplitude is finite, and the phase, ``arg(t)`` of a
+      finite ``t``, lies in [-pi, pi], so its range check is skipped.  The
+      grid and transmission checks run.
+    - ``add_measurement_noise`` shares its source's grid, which was checked
+      when the source was built and is read-only, and clips the
+      transmission to [0, 1] from finite values, so neither is checked
+      again.  Its phase check stays, because this route can produce bad
+      phases: at sigma 1e308 draws overflow to infinity and wrap to NaN.
+      ``add_measurement_noise`` rejects such draws itself, and the phase
+      check remains behind it.
     """
 
     freqs: np.ndarray
@@ -168,10 +184,12 @@ class Spectrum:
     phase: np.ndarray
     amplitude: Optional[np.ndarray] = None
 
-    def __post_init__(self, copy: bool = True) -> None:
+    def __post_init__(self, copy: bool = True, route: Optional[str] = None) -> None:
         # the constructor calls this with copy=True: one owned copy per
         # array, to which clipping and the phase convention are applied in
         # place; _adopt calls it with copy=False on arrays nothing else holds
+        # and with the route that built them ("amplitude" or "noise", see
+        # the class docstring), which skips the checks it cannot fail
         owned = np.array if copy else np.asarray
         freqs = owned(self.freqs, dtype=float)
         trans = owned(self.transmission, dtype=float)
@@ -180,35 +198,45 @@ class Spectrum:
             raise ValueError("a spectrum needs a 1-d grid of at least 2 frequencies")
         if trans.shape != freqs.shape or phase.shape != freqs.shape:
             raise ValueError("transmission/phase arrays must match the grid shape")
-        if not np.all(np.isfinite(freqs)):
-            raise ValueError("frequency grid contains non-finite values")
-        # on finite values b - a <= 0 exactly when b <= a
-        if np.any(freqs[1:] <= freqs[:-1]):
-            raise ValueError("frequency grid must be strictly increasing")
-        # "all in range" is false for NaN, where "any out of range" is not
-        if not np.all((trans >= -1e-9) & (trans <= 1 + 1e-9)):
-            raise ValueError("transmission values must lie in [0, 1]")
-        np.clip(trans, 0.0, 1.0, out=trans)
+        clipped = False
+        if route != "noise":
+            if not np.all(np.isfinite(freqs)):
+                raise ValueError("frequency grid contains non-finite values")
+            # on finite values b - a <= 0 exactly when b <= a
+            if np.any(freqs[1:] <= freqs[:-1]):
+                raise ValueError("frequency grid must be strictly increasing")
+            # min and max are NaN when any value is, and NaN fails both bounds
+            low, high = trans.min(), trans.max()
+            if not (low >= -1e-9 and high <= 1 + 1e-9):
+                raise ValueError("transmission values must lie in [0, 1]")
+            clipped = low < 0 or high > 1
+            if clipped:
+                np.clip(trans, 0.0, 1.0, out=trans)
+        lowest_phase = phase.min()
+        if route != "amplitude":
+            limit = np.pi + 1e-9
+            if not (lowest_phase >= -limit and phase.max() <= limit):
+                raise ValueError("phase values must lie in (-pi, pi]")
         # phase convention: (-pi, pi]
-        phase[phase == -np.pi] = np.pi
-        limit = np.pi + 1e-9
-        if not np.all((phase <= limit) & (phase >= -limit)):
-            raise ValueError("phase values must lie in (-pi, pi]")
+        if lowest_phase <= -np.pi:
+            phase[phase == -np.pi] = np.pi
         amp = self.amplitude
         if amp is not None:
             amp = owned(amp, dtype=complex)
             if amp.shape != freqs.shape:
                 raise ValueError("amplitude array must match the grid shape")
-            mag2 = np.abs(amp)
-            mag2 *= mag2
-            mismatch = np.subtract(mag2, trans)
-            np.abs(mismatch, out=mismatch)
-            # 1e-12 relative, with an absolute floor for points near zero;
-            # the bound overwrites mag2
-            mag2 *= 1e-12
-            np.maximum(mag2, 1e-15, out=mag2)
-            if not np.all(mismatch <= mag2):
-                raise ValueError("transmission is not |amplitude|**2")
+            # the amplitude route's T is |amplitude|**2 itself unless clipped
+            if route != "amplitude" or clipped:
+                mag2 = np.abs(amp)
+                mag2 *= mag2
+                mismatch = np.subtract(mag2, trans)
+                np.abs(mismatch, out=mismatch)
+                # 1e-12 relative, with an absolute floor for points near zero;
+                # the bound overwrites mag2
+                mag2 *= 1e-12
+                np.maximum(mag2, 1e-15, out=mag2)
+                if not np.all(mismatch <= mag2):
+                    raise ValueError("transmission is not |amplitude|**2")
             amp.flags.writeable = False
         for array in (freqs, trans, phase):
             array.flags.writeable = False
@@ -219,16 +247,17 @@ class Spectrum:
 
     @classmethod
     def _adopt(cls, freqs: np.ndarray, transmission: np.ndarray, phase: np.ndarray,
-               amplitude: Optional[np.ndarray] = None) -> "Spectrum":
+               amplitude: Optional[np.ndarray] = None,
+               route: Optional[str] = None) -> "Spectrum":
         """A spectrum that stores the given arrays themselves, after the
-        constructor's checks.  For arrays the package has just built and
-        hands over: the transmission and phase are clipped in place and
-        every array is made read-only."""
+        constructor's checks, less those `route` cannot fail.  For arrays
+        the package has just built and hands over: the transmission and
+        phase are clipped in place and every array is made read-only."""
         spectrum = cls.__new__(cls)
         for name, value in (("freqs", freqs), ("transmission", transmission),
                             ("phase", phase), ("amplitude", amplitude)):
             object.__setattr__(spectrum, name, value)
-        spectrum.__post_init__(copy=False)
+        spectrum.__post_init__(copy=False, route=route)
         return spectrum
 
     @classmethod
@@ -237,7 +266,8 @@ class Spectrum:
         # squared in place: x * x is what ** 2 computes
         transmission = np.abs(amplitude)
         transmission *= transmission
-        return cls._adopt(freqs, transmission, np.angle(amplitude), amplitude)
+        return cls._adopt(freqs, transmission, np.angle(amplitude), amplitude,
+                          route="amplitude")
 
     @classmethod
     def from_amplitude(cls, freqs: np.ndarray, amplitude: np.ndarray) -> "Spectrum":

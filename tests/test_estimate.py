@@ -285,6 +285,17 @@ class TestMeasurementNoise:
         with pytest.raises(ValueError, match="finite"):
             add_measurement_noise(qnmr_spectrum, sigma, 1)
 
+    def test_overflowing_sigma_rejected(self, qnmr_spectrum):
+        # at 1e308 most draws overflow to infinity, which used to wrap to
+        # NaN phases with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "sigma 1e+308 is too large: a noise draw overflowed to infinity")):
+                add_measurement_noise(qnmr_spectrum, 1e308, 1)
+            noisy = add_measurement_noise(qnmr_spectrum, 1e300, 1)
+        assert np.all(np.abs(noisy.phase) <= math.pi)
+
     @pytest.mark.parametrize("sigma", [0.01, 0.5, 3.0])
     def test_matches_reference_expressions(self, qnmr_spectrum, sigma):
         """Bit-identical to the whole-array expressions, on the qubit-qnmr

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import warnings
 import xml.dom.minidom
 
 import numpy as np
@@ -116,6 +117,22 @@ class TestSpectrumCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}: T disagrees")):
             read_spectrum_csv(path)
         assert main(["estimate", str(path)]) == 2
+
+    def test_phase_contradicting_amplitude_rejected(self, tmp_path):
+        # the phase is compared with arg(re_t + i im_t) modulo 2 pi, so
+        # pi and -pi agree, within 1e-6
+        path = tmp_path / "phase.csv"
+        header = "omega,T,phase_rad,re_t,im_t\n"
+        for row in ("1,1,5e-7,1,0", "1,1,3.141592653589793,-1,-1e-300",
+                    "1,1,-3.141592653589793,-1,1e-300"):
+            path.write_text(f"{header}{row}\n2,1,0,1,0\n")
+            assert read_spectrum_csv(path)[0].n_points == 2, row
+        for row in ("1,1,3.0,1,0", "1,1,nan,1,0"):
+            path.write_text(f"{header}{row}\n2,1,0,1,0\n")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: phase_rad disagrees with arg(re_t + i im_t)")):
+                read_spectrum_csv(path)
+            assert main(["estimate", str(path)]) == 2
 
     def test_nine_significant_digits(self, qnmr_spectrum, tmp_path):
         path = tmp_path / "s.csv"
@@ -503,6 +520,18 @@ class TestSpectrumCommand:
         assert code == 1
         assert "noise_sigma" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_noise_sigma_is_named(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        argv = ["spectrum", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma-c", "3.3e7",
+                "--grid", "1.8e9:2.3e9:2001", "--seed", "1", "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--noise-sigma", "1e308"]) == 1
+        assert capsys.readouterr().err == (
+            "error: sigma 1e+308 is too large: a noise draw overflowed to infinity\n")
+        assert not out.exists()
+        assert main(argv + ["--noise-sigma", "1e300"]) == 0
 
     def test_non_numeric_noise_sigma_in_config_is_usage_error(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -1057,6 +1086,31 @@ def test_stdout_matches_output_file(argv, flag, qnmr_spectrum, tmp_path, capsys)
     assert main(argv + [flag, str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == printed.encode("utf-8")
+
+
+def test_one_spectrum_check_per_spectrum(monkeypatch):
+    """bench/tracer.py times every spectrum's checks as one call of
+    Spectrum.__post_init__; a package route reaches that call, and any
+    wrapper around it, as an argument."""
+    from qspectra import params
+
+    calls = []
+    check = params.Spectrum.__post_init__
+
+    def counted(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return check(self, *args, **kwargs)
+
+    monkeypatch.setattr(params.Spectrum, "__post_init__", counted)
+    freqs = make_frequency_grid(1.8e9, 2.3e9, 101)
+    Spectrum(freqs=freqs, transmission=np.full(101, 0.25), phase=np.zeros(101))
+    Spectrum.from_amplitude(freqs, np.full(101, 0.5 + 0j))
+    clean = compute_spectrum(ModelKind.QUBIT_ONLY,
+                             ModelParams(omega0=2.1e9, gamma_c=GAMMA_C), freqs)
+    add_measurement_noise(clean, 0.01, 1)
+    adopted = {"copy": False, "route": "amplitude"}
+    assert calls == [((), {}), ((), adopted), ((), adopted),
+                     ((), {"copy": False, "route": "noise"})]
 
 
 def test_tracer_hook_names_stay_bound():

@@ -248,6 +248,60 @@ class TestSpectrum:
                 ValueError, match=re.escape("transmission values must lie in [0, 1]")):
             compute_spectrum(ModelKind.QUBIT_ONLY, params, np.array([1.0, 1.5, 2.0]))
 
+    def test_amplitude_route_compares_clipped_points(self):
+        """from_amplitude skips the |amplitude|**2 comparison only where the
+        [0, 1] clip moved no transmission."""
+        freqs = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match=re.escape("transmission is not |amplitude|**2")):
+            Spectrum.from_amplitude(freqs, np.full(2, math.sqrt(1 + 1e-10) + 0j))
+        amp = np.full(2, math.sqrt(1 + 1e-13) + 0j)
+        assert np.all(np.abs(amp) ** 2 > 1)
+        assert Spectrum.from_amplitude(freqs, amp).transmission.tolist() == [1.0, 1.0]
+
+    def test_noise_route_keeps_the_phase_check(self, qnmr_params):
+        """The phases that noise of sigma 1e308 used to leave: draws that
+        overflow to infinity wrap to NaN."""
+        clean = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                 make_frequency_grid(1.8e9, 2.3e9, 401))
+        rng = np.random.default_rng(1)
+        trans = np.clip(clean.transmission + rng.normal(0.0, 1e308, 401), 0.0, 1.0)
+        with np.errstate(invalid="ignore"):
+            phase = np.mod(clean.phase + rng.normal(0.0, 1e308, 401) + np.pi, 2 * np.pi)
+        phase -= np.pi
+        assert np.any(np.isnan(phase))
+        with pytest.raises(ValueError, match=re.escape("phase values must lie in (-pi, pi]")):
+            Spectrum._adopt(clean.freqs, trans, phase, route="noise")
+
+    @pytest.mark.parametrize("kind, fixture", [
+        (ModelKind.QUBIT_ONLY, "qubit_params"),
+        (ModelKind.QUBIT_QNMR, "qnmr_params"),
+        (ModelKind.QUBIT_CNMR, "cnmr_params"),
+        (ModelKind.DISPERSIVE, "dispersive_params"),
+        (ModelKind.STLR_QUBIT, "stlr_params"),
+        (ModelKind.STLR_QUBIT_QNMR, "stlr_qnmr_params"),
+        (ModelKind.STLR_QUBIT_CNMR, "stlr_cnmr_params"),
+    ])
+    def test_package_routes_pass_every_check(self, kind, fixture, request):
+        """A spectrum built by compute_spectrum or add_measurement_noise,
+        which skip the checks they cannot fail, comes out of the public
+        constructor's full checks bit for bit."""
+        base = request.getfixturevalue(fixture)
+        rng = np.random.default_rng([2022, list(ModelKind).index(kind)])
+        scaled = {name: value * rng.uniform(0.97, 1.03) for name, value in base.to_dict().items()
+                  if name not in ("v1", "v_g", "mean_n")}
+        params = base.replace(**scaled)
+        for n in (1000, 10000, 100000):
+            clean = compute_spectrum(kind, params, make_frequency_grid(1.8e9, 2.3e9, n))
+            spectra = [clean] + [add_measurement_noise(clean, sigma, int(rng.integers(2**31)))
+                                 for sigma in (0.01, 0.05, 10.0)]
+            for built in spectra:
+                checked = Spectrum(built.freqs, built.transmission, built.phase,
+                                   built.amplitude)
+                for name in ("freqs", "transmission", "phase", "amplitude"):
+                    value, again = getattr(built, name), getattr(checked, name)
+                    assert (value is again is None
+                            or value.tobytes() == again.tobytes()), (n, name)
+
     def test_grid_step(self):
         s = Spectrum.from_amplitude(make_frequency_grid(0, 10, 11),
                                     np.full(11, 1.0 + 0j))
