@@ -42,19 +42,13 @@ def _csv_head(names, config: Optional[dict] = None, figure: Optional[str] = None
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _csv_blocks(names, columns, config: Optional[dict] = None,
-                figure: Optional[str] = None):
-    """CSV bytes: the head, then one row of '%.8e' numbers per element of
-    the columns, a block of rows at a time."""
-    yield _csv_head(names, config, figure)
-    yield from table_blocks(columns, "%.8e", "," * (len(names) - 1) + "\n")
-
-
 def _write_csv(path, names, columns, config: Optional[dict] = None,
                figure: Optional[str] = None) -> None:
-    """Write a CSV file block by block, as bytes."""
+    """Write a CSV file as bytes: the head, then one row of '%.8e' numbers
+    per element of the columns, a block of rows at a time."""
     with open(path, "wb") as handle:
-        handle.writelines(_csv_blocks(names, columns, config, figure))
+        handle.write(_csv_head(names, config, figure))
+        handle.writelines(table_blocks(columns, "%.8e", "," * (len(names) - 1) + "\n"))
 
 
 def _write_sweep_csv(path, param: str, rows, config: dict) -> None:
@@ -67,20 +61,17 @@ def _write_sweep_csv(path, param: str, rows, config: dict) -> None:
         handle.write(head + body.encode("utf-8"))
 
 
-def _spectrum_columns(spectrum: Spectrum) -> tuple:
+def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None,
+                       figure: Optional[str] = None) -> None:
+    """Write a spectrum CSV (columns omega, T, phase_rad, re_t, im_t; the
+    amplitude columns are NaN for noisy spectra)."""
     amp = spectrum.amplitude
     if amp is None:
         re = im = np.broadcast_to(np.nan, spectrum.n_points)
     else:
         re, im = amp.real, amp.imag
-    return (spectrum.freqs, spectrum.transmission, spectrum.phase, re, im)
-
-
-def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None,
-                       figure: Optional[str] = None) -> None:
-    """Write a spectrum CSV (columns omega, T, phase_rad, re_t, im_t; the
-    amplitude columns are NaN for noisy spectra)."""
-    _write_csv(path, SPECTRUM_COLUMNS, _spectrum_columns(spectrum), config, figure)
+    _write_csv(path, SPECTRUM_COLUMNS,
+               (spectrum.freqs, spectrum.transmission, spectrum.phase, re, im), config, figure)
 
 
 def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
@@ -226,17 +217,14 @@ def squid_json_text(sol: EigenSolution, spec: CircuitSpec) -> str:
     return _json_text(squid_summary(sol, spec))
 
 
-def _wavefunction_columns(sol: EigenSolution, spec: CircuitSpec) -> tuple:
-    return (sol.flux_grid / FLUX_QUANTUM, potential(sol.flux_grid, spec),
-            sol.wavefunctions[0], sol.wavefunctions[1])
-
-
 def write_wavefunction_csv(path, sol: EigenSolution, spec: CircuitSpec,
                            config: Optional[dict] = None,
                            figure: Optional[str] = None) -> None:
     """Write the wavefunction CSV (columns flux_over_phi0, U_joules, psi0,
     psi1)."""
-    _write_csv(path, WAVEFUNCTION_COLUMNS, _wavefunction_columns(sol, spec), config, figure)
+    columns = (sol.flux_grid / FLUX_QUANTUM, potential(sol.flux_grid, spec),
+               sol.wavefunctions[0], sol.wavefunctions[1])
+    _write_csv(path, WAVEFUNCTION_COLUMNS, columns, config, figure)
 
 
 __all__ = [

@@ -154,12 +154,11 @@ class Spectrum:
     ``transmission`` and ``phase`` are derived from it via ``|t|**2`` and
     ``arg(t)``.  Spectra that went through measurement noise carry
     ``amplitude=None`` because no consistent complex amplitude exists.
-    Every stored array is read-only.  The constructor stores a copy of
-    each array passed in, so later changes to the caller's arrays do not
-    reach the spectrum; arrays the package has just built itself
-    (``from_amplitude``'s transmission and phase, ``compute_spectrum``'s
-    amplitude, ``add_measurement_noise``'s draws) are adopted without a
-    copy, and a noisy spectrum shares its source's grid.
+    Every stored array is read-only.  Later changes to the arrays passed
+    to the constructor do not reach the spectrum.  Arrays the package has
+    just built itself (``from_amplitude``'s transmission and phase,
+    ``compute_spectrum``'s amplitude, ``add_measurement_noise``'s draws)
+    are stored as they are, and a noisy spectrum shares its source's grid.
 
     The constructor checks every array.  The two package routes skip the
     checks that their construction cannot fail:
@@ -184,13 +183,13 @@ class Spectrum:
     phase: np.ndarray
     amplitude: Optional[np.ndarray] = None
 
-    def __post_init__(self, copy: bool = True, route: Optional[str] = None) -> None:
-        # the constructor calls this with copy=True: one owned copy per
+    def __post_init__(self, route: Optional[str] = None) -> None:
+        # the constructor calls this without a route: one owned copy per
         # array, to which clipping and the phase convention are applied in
-        # place; _adopt calls it with copy=False on arrays nothing else holds
-        # and with the route that built them ("amplitude" or "noise", see
-        # the class docstring), which skips the checks it cannot fail
-        owned = np.array if copy else np.asarray
+        # place; _adopt calls it on arrays nothing else holds, with the
+        # route that built them ("amplitude" or "noise", see the class
+        # docstring), which skips the checks it cannot fail
+        owned = np.array if route is None else np.asarray
         freqs = owned(self.freqs, dtype=float)
         trans = owned(self.transmission, dtype=float)
         phase = owned(self.phase, dtype=float)
@@ -247,8 +246,7 @@ class Spectrum:
 
     @classmethod
     def _adopt(cls, freqs: np.ndarray, transmission: np.ndarray, phase: np.ndarray,
-               amplitude: Optional[np.ndarray] = None,
-               route: Optional[str] = None) -> "Spectrum":
+               amplitude: Optional[np.ndarray] = None, *, route: str) -> "Spectrum":
         """A spectrum that stores the given arrays themselves, after the
         constructor's checks, less those `route` cannot fail.  For arrays
         the package has just built and hands over: the transmission and
@@ -257,7 +255,7 @@ class Spectrum:
         for name, value in (("freqs", freqs), ("transmission", transmission),
                             ("phase", phase), ("amplitude", amplitude)):
             object.__setattr__(spectrum, name, value)
-        spectrum.__post_init__(copy=False, route=route)
+        spectrum.__post_init__(route=route)
         return spectrum
 
     @classmethod

@@ -184,7 +184,10 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
             "is doubled; increase grid_points"
         )
 
-    offdiag, diag0, diag1 = _current_elements(states, phi, step, spec)
+    # <1|I|0>, <0|I|0>, <1|I|1> of the loop current I = (Phi - Phi_e)/L
+    current = (phi - spec.bias_flux) / spec.inductance
+    offdiag, diag0, diag1 = (float(np.sum(states[i] * current * states[j]) * step)
+                             for i, j in ((1, 0), (0, 0), (1, 1)))
     return EigenSolution(
         energies=energies,
         wavefunctions=states,
@@ -195,14 +198,6 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
         current_diag_0=diag0,
         current_diag_1=diag1,
     )
-
-
-def _current_elements(states: np.ndarray, flux_grid: np.ndarray, step: float,
-                      spec: CircuitSpec) -> tuple[float, float, float]:
-    """<1|I|0>, <0|I|0>, <1|I|1> of the loop current I = (Phi - Phi_e)/L."""
-    current = (flux_grid - spec.bias_flux) / spec.inductance
-    return tuple(float(np.sum(states[i] * current * states[j]) * step)
-                 for i, j in ((1, 0), (0, 0), (1, 1)))
 
 
 @dataclass(frozen=True)

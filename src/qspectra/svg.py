@@ -1,7 +1,8 @@
 """Minimal dependency-free SVG line charts.
 
 Good enough for eyeballing spectra: stacked panels, linear axes, a few
-ticks, one polyline per series.  Not a plotting library.
+ticks, one polyline per finite run of each series (non-finite samples
+break the line).  Not a plotting library.
 
 The document is built as UTF-8 bytes: the few axis elements as small
 strings, each text by ``_text``, which XML-escapes it, each tick by
@@ -114,25 +115,20 @@ def _panel_svg(panel: Panel, y_offset: int, height: int) -> Iterator[bytes]:
         x = np.asarray(series.x, float)
         y = np.asarray(series.y, float)
         good = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
-        # the polyline breaks at non-finite samples, and a run of one point
-        # draws nothing
-        run_end = np.diff(good, append=-1) != 1
-        lengths = np.diff(np.flatnonzero(run_end), prepend=-1)
-        keep = np.repeat(lengths > 1, lengths)
-        good, run_end = good[keep], run_end[keep]
-        if len(good):
-            # a point ends in a space, or at the end of a run in a newline,
-            # which becomes the text closing this polyline and opening the
-            # next; the last point ends in the closing quote
-            ends = np.where(run_end, ord("\n"), ord(" "))
-            ends[-1] = ord('"')
-            separators = np.column_stack((np.full(len(good), ord(",")), ends))
-            attributes = f' fill="none" stroke="{color}" stroke-width="1.3"/>\n'.encode()
-            next_run = b'"' + attributes + b'<polyline points="'
+        # px/py are elementwise, so each point has the bits of a scalar call
+        gx, gy = px(x[good]), py(y[good])
+        attributes = f' fill="none" stroke="{color}" stroke-width="1.3"/>\n'.encode()
+        # one polyline per finite run: non-finite samples break the line,
+        # and a run of one point draws nothing
+        cuts = np.flatnonzero(np.diff(good) != 1) + 1
+        for start, stop in zip([0, *cuts], [*cuts, len(good)]):
+            if stop - start < 2:
+                continue
+            # "x,y" points separated by spaces; the last one closes the attribute
+            separators = np.full((stop - start, 2), (ord(","), ord(" ")), np.uint8)
+            separators[-1, 1] = ord('"')
             yield b'<polyline points="'
-            # px/py are elementwise, so each point has the bits of a scalar call
-            for block in table_blocks((px(x[good]), py(y[good])), "%.2f", separators):
-                yield block.replace(b"\n", next_run)
+            yield from table_blocks((gx[start:stop], gy[start:stop]), "%.2f", separators)
             yield attributes
         if series.label:
             lx = left + plot_w - 8
@@ -144,24 +140,19 @@ def _lines(lines: list[str]) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
-def _chart(panels: Sequence[Panel], panel_height: int) -> Iterator[bytes]:
-    """The SVG document, as UTF-8 bytes, a few elements or a block of
-    polyline points at a time."""
-    total = panel_height * len(panels)
-    yield _lines([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{total}" viewBox="0 0 {_WIDTH} {total}">',
-        f'<rect width="{_WIDTH}" height="{total}" fill="white"/>',
-    ])
-    for i, panel in enumerate(panels):
-        yield from _panel_svg(panel, i * panel_height, panel_height)
-    yield b"</svg>\n"
-
-
 def write_chart(path, panels: Sequence[Panel], panel_height: int = 250) -> None:
-    """Write the SVG document of the panels, as bytes."""
+    """Write the SVG document of the panels as UTF-8 bytes, a few elements
+    or a block of polyline points at a time."""
+    total = panel_height * len(panels)
     with open(path, "wb") as handle:
-        handle.writelines(_chart(panels, panel_height))
+        handle.write(_lines([
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{total}" viewBox="0 0 {_WIDTH} {total}">',
+            f'<rect width="{_WIDTH}" height="{total}" fill="white"/>',
+        ]))
+        for i, panel in enumerate(panels):
+            handle.writelines(_panel_svg(panel, i * panel_height, panel_height))
+        handle.write(b"</svg>\n")
 
 
 def spectrum_panels(spectrum, title: str = "") -> list[Panel]:

@@ -620,6 +620,25 @@ def test_dip_contract_under_noise(monkeypatch):
         assert re.fullmatch(r"\d+ of \d+ dip fits rejected \(.+\)", note)
 
 
+def test_rejection_note_names_unfinished_and_empty_fits(qnmr_spectrum, monkeypatch):
+    """A fit whose depth is NaN or not above 0 is rejected, and the note
+    counts the reasons in their fixed order, not in the order the fits
+    ran."""
+    real = estimate.least_squares
+    spoiled_depths = iter([-0.5, math.nan])
+
+    def spoiled(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.x[0] = next(spoiled_depths)
+        return result
+
+    monkeypatch.setattr(estimate, "least_squares", spoiled)
+    report = estimate_report(qnmr_spectrum)
+    assert report.dips == ()
+    assert report.notes == ("2 of 2 dip fits rejected (1 fit did not produce finite "
+                            "values, 1 depth not above 0)",)
+
+
 def _count_fits(monkeypatch):
     fits = []
     real = estimate.least_squares

@@ -161,10 +161,11 @@ class TestSpectrumCsv:
             assert np.array_equal(loaded.amplitude, expected.amplitude)
 
     def test_comments_below_header(self, tmp_path):
-        # the config comes from the comments above the header; below it
-        # numpy.loadtxt skips comments and empty lines
+        # the config comes from the comments above the header, where blank
+        # lines are skipped; below it numpy.loadtxt skips comments and
+        # empty lines
         path = tmp_path / "comments.csv"
-        path.write_text('# config: {"a": 1}\nomega,T,phase_rad\n1,0.5,0\n'
+        path.write_text('# figure: f\n\n# config: {"a": 1}\nomega,T,phase_rad\n1,0.5,0\n'
                         '# config: {"a": 2}\n\n2,0.25,0.5 # note\n')
         loaded, config = read_spectrum_csv(path)
         assert config == {"a": 1}
@@ -1108,9 +1109,8 @@ def test_one_spectrum_check_per_spectrum(monkeypatch):
     clean = compute_spectrum(ModelKind.QUBIT_ONLY,
                              ModelParams(omega0=2.1e9, gamma_c=GAMMA_C), freqs)
     add_measurement_noise(clean, 0.01, 1)
-    adopted = {"copy": False, "route": "amplitude"}
-    assert calls == [((), {}), ((), adopted), ((), adopted),
-                     ((), {"copy": False, "route": "noise"})]
+    adopted = {"route": "amplitude"}
+    assert calls == [((), {}), ((), adopted), ((), adopted), ((), {"route": "noise"})]
 
 
 def test_tracer_hook_names_stay_bound():

@@ -171,6 +171,11 @@ class TestResolvability:
         p = ModelParams(omega0=2.1e9, omega_b=2.0e9, g_q=0.0, v_g=3e8, v1=1e3)
         assert resolvability_condition(p) is False
 
+    def test_resolvable_at_zero_detuning(self):
+        # the per-phonon spacing g_q**2/|delta| is unbounded there
+        p = ModelParams(omega0=2.0e9, omega_b=2.0e9, g_q=1e7, gamma_c=1e9)
+        assert resolvability_condition(p) is True
+
 
 class TestQubitCnmr:
     def test_shifted_frequency_oracle(self):

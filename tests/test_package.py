@@ -1,6 +1,10 @@
 """The package namespace re-exports each model-side module's ``__all__``,
-and every name in a module's ``__all__`` is bound."""
+and every name in a module's ``__all__`` is bound; the documented
+argument checks of the package's public functions raise ValueError."""
 
+import re
+
+import numpy as np
 import pytest
 
 import qspectra
@@ -20,3 +24,43 @@ def test_module_public_names_are_package_names(module):
 def test_output_module_public_names_are_bound(module):
     # nothing star-imports these modules, so a stale name would go unseen
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+_CIRCUIT = dict(capacitance=1.7e-14, inductance=6e-9, critical_current=1e-7, bias_flux=1e-15)
+_MECHANICAL = dict(mass=1e-18, omega_b=2e9, length=1e-5, field=0.1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: qspectra.ClassicalHOParams(mass=1e-18, omega_b=0.0, gamma=1e6),
+     "omega_b must be > 0"),
+    (lambda: qspectra.ClassicalHOParams(mass=1e-18, omega_b=-2e9, gamma=1e6),
+     "omega_b must be > 0"),
+    (lambda: qspectra.ClassicalHOParams(mass=1e-18, omega_b=2e9, gamma=-1.0),
+     "gamma must be >= 0"),
+    (lambda: qspectra.CircuitSpec(**_CIRCUIT, flux_window=0.0), "flux_window must be > 0"),
+    (lambda: qspectra.MechanicalSpec(**{**_MECHANICAL, "field": 0.0}), "field must be > 0"),
+    (lambda: qspectra.MechanicalSpec(**{**_MECHANICAL, "field": -0.1}), "field must be > 0"),
+    (lambda: qspectra.MechanicalSpec(**_MECHANICAL, amplitude_c=-1e-9),
+     "amplitude_c must be >= 0"),
+    (lambda: qspectra.qnmr_coupling(qspectra.MechanicalSpec(**_MECHANICAL), 0.0),
+     "persistent current must be nonzero"),
+    (lambda: qspectra.stlr_qubit_coupling(1e-7, 0.0, 1e-2, 1e-12, 2e9),
+     "mutual_inductance must be > 0"),
+    (lambda: qspectra.stlr_qubit_coupling(1e-7, 1e-12, 1e-2, 1e-12, -2e9),
+     "omega_r must be > 0"),
+    (lambda: qspectra.qubit_truncation_check(
+        qspectra.EigenSolution(energies=np.zeros(1), wavefunctions=np.zeros((1, 3)),
+                               flux_grid=np.arange(3.0), flux_step=1.0, omega0=0.0,
+                               persistent_current=0.0, current_diag_0=0.0,
+                               current_diag_1=0.0),
+        qspectra.CircuitSpec(**_CIRCUIT)),
+     "need at least two states"),
+    (lambda: qspectra.phonon_number_from_dip(2.1e9, 2.1e9, 3e7, 0.0),
+     "phonon readout needs a nonzero detuning"),
+    (lambda: qspectra.dispersive_dip_frequency(
+        qspectra.ModelParams(omega0=2.1e9, omega_b=2.0e9, g_q=3e7)),
+     "mean phonon number not set"),
+])
+def test_documented_value_errors(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -219,14 +219,12 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("case", INVALID_SPECTRA.values(), ids=INVALID_SPECTRA)
     def test_adopting_entry_runs_every_check(self, case):
-        """Spectra the package builds pass the constructor's checks, with
-        the constructor's messages."""
+        """The public constructor runs every check, with its messages."""
         *values, message = case
-        for build in (Spectrum, Spectrum._adopt):
-            arrays = [None if v is None else np.array(v, dtype=float if k < 3 else complex)
-                      for k, v in enumerate(values)]
-            with pytest.raises(ValueError, match=re.escape(message)):
-                build(*arrays)
+        arrays = [None if v is None else np.array(v, dtype=float if k < 3 else complex)
+                  for k, v in enumerate(values)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Spectrum(*arrays)
 
     def test_package_built_arrays_are_read_only(self):
         freqs = make_frequency_grid(1e9, 2e9, 101)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qspectra import squid
 from qspectra import (
     FLUX_QUANTUM,
     HBAR,
@@ -150,6 +151,29 @@ class TestEigensolver:
         again = solve_eigensystem(reference_circuit())
         assert np.array_equal(sol.energies, again.energies)
         assert np.array_equal(sol.wavefunctions, again.wavefunctions)
+
+    def test_sign_gauge_undoes_negated_vectors(self, solution, monkeypatch):
+        """Each returned state has its largest component positive, whatever
+        sign the eigensolver gives its vector."""
+        _, sol = solution
+        real = squid.eigh_tridiagonal
+        flipped = []
+
+        def negated(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if kwargs.get("eigvals_only"):
+                return result
+            energies, vectors = result
+            flipped.append(vectors[np.argmax(np.abs(vectors), axis=0), [0, 1]] > 0)
+            return energies, -vectors
+
+        monkeypatch.setattr(squid, "eigh_tridiagonal", negated)
+        again = solve_eigensystem(reference_circuit())
+        # the unpatched solver's vectors are positive at their largest
+        # component, so the gauge had to flip both negated states back
+        assert len(flipped) == 1 and flipped[0].all()
+        assert again.wavefunctions.tobytes() == sol.wavefunctions.tobytes()
+        assert again.persistent_current == sol.persistent_current
 
 
 class TestCurrents:
