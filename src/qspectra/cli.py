@@ -42,13 +42,12 @@ from .estimate import (
     estimate_report,
 )
 from .models import (
-    REQUIRED_PARAMS,
     ModelDomainError,
     ModelKind,
     analytic_features,
     compute_spectrum,
 )
-from .params import MissingParameterError, ModelParams, make_frequency_grid
+from .params import ModelParams, make_frequency_grid
 from .squid import (
     BoundaryLeakageError,
     CircuitSpec,
@@ -265,10 +264,6 @@ def cmd_spectrum(args) -> int:
     options = _merged(args)
     kind = _model_kind(options)
     params = ModelParams(**{k: options.get(k) for k in PARAM_FIELDS})
-    try:
-        params.require(*REQUIRED_PARAMS[kind])
-    except MissingParameterError as exc:
-        raise UsageError(f"model '{kind.value}': {exc}") from exc
     grid_text, output = _require(options, "grid", "output")
     freqs = _parse_grid(grid_text)
 
@@ -358,12 +353,9 @@ def cmd_sweep(args) -> int:
     values = np.linspace(start, stop, steps)
     grid = options.get("grid") or None
     freqs = _parse_grid(grid) if grid else None
-    # the first step runs alone, so errors carry a usable message
-    results = [_sweep_rows(kind, params, name, float(values[0]), freqs)]
     with ThreadPoolExecutor(max_workers=min(thread_cap(), len(values))) as pool:
-        results += pool.map(
-            lambda v: _sweep_rows(kind, params, name, float(v), freqs), values[1:]
-        )
+        results = list(pool.map(
+            lambda v: _sweep_rows(kind, params, name, float(v), freqs), values))
     config = {"command": "sweep", "model": kind.value, "param": name, "start": start,
               "stop": stop, "steps": steps, "params": params.to_dict(), "grid": grid}
     qio._write_sweep_csv(output, name, [row for rows in results for row in rows], config)

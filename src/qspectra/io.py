@@ -131,7 +131,8 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
     try:
         if "re_t" in column and "im_t" in column:
             amp = column["re_t"] + 1j * column["im_t"]
-            if np.all(np.isfinite(amp)):
+            finite = np.isfinite(amp)
+            if np.all(finite):
                 # rounding re_t/im_t to 9 digits can lift |t|**2 a few 1e-10
                 # above 1; put such points back on the unit circle so that T
                 # rebuilt from the amplitude stays |amplitude|**2 in [0, 1]
@@ -152,6 +153,8 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
                 if not np.all(np.abs(drift) <= 1e-6):
                     raise ValueError("phase_rad disagrees with arg(re_t + i im_t)")
                 return spectrum, config
+            if np.any(finite):
+                raise ValueError("re_t/im_t are finite on some rows only")
         return (
             Spectrum(freqs=column["omega"], transmission=trans,
                      phase=column["phase_rad"], amplitude=None),

@@ -146,7 +146,11 @@ def _caller_stacklevel() -> int:
 
 def _hybrid(w: np.ndarray, omega_a: float, omega_b: float, g: float, rate: float):
     """Two modes at omega_a and omega_b coupled by g:
-    x = (w-omega_a)(w-omega_b) - g**2, y = rate (w-omega_b)."""
+    x = (w-omega_a)(w-omega_b) - g**2, y = rate (w-omega_b).  At g = 0 the
+    common factor w-omega_b cancels, which keeps w = omega_b from being 0/0:
+    x = w-omega_a, y = rate."""
+    if g == 0:
+        return w - omega_a, rate
     y = w - omega_b
     x = w - omega_a
     x *= y

@@ -18,6 +18,7 @@ from qspectra import (
     add_measurement_noise,
     compute_spectrum,
     make_frequency_grid,
+    stlr_amplitude,
 )
 from qspectra import cli
 from qspectra.cli import main
@@ -115,6 +116,17 @@ class TestSpectrumCsv:
         assert read_spectrum_csv(path)[0].transmission.tolist() == [1.0, 1.0]
         path.write_text("omega,T,phase_rad,re_t,im_t\n1,0.0,0,1,0\n2,1,0,1,0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: T disagrees")):
+            read_spectrum_csv(path)
+        assert main(["estimate", str(path)]) == 2
+
+    def test_partly_missing_amplitude_rejected(self, tmp_path):
+        # all-NaN amplitude columns are the noisy format; a NaN on some rows
+        # only would let the finite rows skip the check above
+        path = tmp_path / "partial.csv"
+        path.write_text("omega,T,phase_rad,re_t,im_t\n"
+                        "1,0.0,0,1,0\n2,1,0,nan,nan\n3,1,0,1,0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: re_t/im_t are finite on some rows only")):
             read_spectrum_csv(path)
         assert main(["estimate", str(path)]) == 2
 
@@ -465,6 +477,33 @@ class TestSpectrumCommand:
         assert code == 1
         assert "grid" in capsys.readouterr().err
 
+    _STLR_CHAIN = ["--omega0", "2.1e9", "--omega-r", "2e9", "--v2", "1e8", "--v-g", "3e8"]
+
+    @pytest.mark.parametrize("coupled, uncoupled", [
+        (["qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2e9", "--gamma-c", "3.3e7",
+          "--g-q", "0"], ["qubit-only", "--omega0", "2.1e9", "--gamma-c", "3.3e7"]),
+        (["stlr-qubit-qnmr", *_STLR_CHAIN, "--omega-b", "2e9", "--g-rq", "1e8", "--g-q", "0"],
+         ["stlr-qubit", *_STLR_CHAIN, "--g-rq", "1e8"]),
+        (["stlr-qubit", *_STLR_CHAIN, "--g-rq", "0"], None),
+    ], ids=["qubit-qnmr", "stlr-qubit-qnmr", "stlr-qubit"])
+    def test_zero_coupling_writes_uncoupled_model(self, coupled, uncoupled, tmp_path):
+        """At g = 0 a grid through the decoupled mode's frequency gets the
+        uncoupled model's rows, not 0/0 there."""
+        grid = ["--grid", "1.8e9:2.3e9:4001"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["spectrum", "--model", *coupled, *grid, "--output", str(a)]) == 0
+        if uncoupled is None:  # the bare resonator has no CLI model
+            w = make_frequency_grid(1.8e9, 2.3e9, 4001)
+            bare = ModelParams(omega_r=2e9, v2=1e8, v_g=3e8)
+            write_spectrum_csv(b, Spectrum.from_amplitude(w, stlr_amplitude(w, bare)))
+        else:
+            assert main(["spectrum", "--model", *uncoupled, *grid, "--output", str(b)]) == 0
+
+        def rows(path):
+            return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        assert rows(a) == rows(b)
+
     def test_missing_param_is_config_error_naming_field(self, tmp_path, capsys):
         code = main(["spectrum", "--model", "qubit-qnmr", "--omega0", "2.1e9",
                      "--gamma-c", "3.3e7", "--omega-b", "2e9",
@@ -775,6 +814,12 @@ class TestSquidCommand:
         assert code == 1
         assert "odd" in capsys.readouterr().err
 
+    def test_ground_energy_near_zero_of_potential_converges(self, tmp_path):
+        # E0 is about 1.8e-26 J here; relative to |E0| alone the converged
+        # 1001-point grid looked coarse and the command exited 3
+        assert main(["squid", "--i-c", "1.81e-8", "--phi-e-over-phi0", "0",
+                     "--output-json", str(tmp_path / "x.json")]) == 0
+
     def test_narrow_window_is_numerical_failure(self, tmp_path):
         code = main(["squid", "--flux-window", "0.35",
                      "--output-json", str(tmp_path / "x.json")])
@@ -893,13 +938,29 @@ class TestSweepCommand:
         for v1, width in fitted:
             assert width == pytest.approx(2 * v1**2 / 3e8, rel=1e-6)
 
+    def test_sweep_from_zero_coupling(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QSPECTRA_THREADS", "1")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", "qubit-qnmr", "--omega0", "2.1e9",
+                     "--omega-b", "2e9", "--gamma-c", "3.3e7", "--param", "g_q",
+                     "--start", "0", "--stop", "1e8", "--steps", "3",
+                     "--grid", "1.8e9:2.3e9:4001", "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        fitted = [float(r[3]) for r in rows if r[2] == "fitted-dip" and float(r[1]) == 0]
+        # the bare qubit's one dip
+        assert fitted == [pytest.approx(2.1e9, rel=1e-6)]
+
     def test_invalid_swept_value_is_usage_error(self, tmp_path, capsys):
-        code = main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
-                     "--gamma-c", "3.3e7", "--param", "gamma_c", "--start", "-1",
-                     "--stop", "1e7", "--steps", "3",
-                     "--output", str(tmp_path / "s.csv")])
-        assert code == 1
-        assert "gamma_c" in capsys.readouterr().err
+        # the same message whichever step holds the bad value
+        for start, stop in (("-1", "1e7"), ("3e7", "-1")):
+            code = main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
+                         "--gamma-c", "3.3e7", "--param", "gamma_c", "--start", start,
+                         "--stop", stop, "--steps", "3",
+                         "--output", str(tmp_path / "s.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: parameter 'gamma_c' must be >= 0, got -1.0\n")
+            assert not (tmp_path / "s.csv").exists()
 
     def test_unknown_param_rejected(self, tmp_path):
         code = main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",

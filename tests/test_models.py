@@ -29,6 +29,9 @@ from qspectra import (
 
 from conftest import COUPLING, GAMMA_C, OMEGA0, OMEGA_B, OMEGA_R, V_G
 
+#: a grid through OMEGA0 and OMEGA_B, where g = 0 decouples one mode
+_THROUGH_DECOUPLED = make_frequency_grid(1.8e9, 2.3e9, 4001)
+
 
 def hybrid_roots_oracle(omega_a, omega_b, g):
     """Zeros of (w-omega_a)(w-omega_b) - g**2 by direct quadratic solve."""
@@ -91,11 +94,16 @@ class TestQubitQnmr:
         assert (low, high) == pytest.approx(oracle, rel=1e-12)
 
     def test_decoupled_limit_reduces_to_bare_qubit(self, qnmr_params, qubit_params):
-        w = make_frequency_grid(1.8e9, 2.3e9, 997)  # grid avoids omega_b exactly
+        # any g > 0 keeps T = 1 at omega_b itself, so this grid avoids it
+        w = make_frequency_grid(1.8e9, 2.3e9, 997)
         for g in (0.0, 1.0):
             t_coupled = qubit_qnmr_amplitude(w, qnmr_params.replace(g_q=g))
             t_bare = qubit_amplitude(w, qubit_params)
             assert np.max(np.abs(t_coupled - t_bare)) < 1e-9
+        w = _THROUGH_DECOUPLED
+        assert OMEGA_B in w
+        assert np.array_equal(qubit_qnmr_amplitude(w, qnmr_params.replace(g_q=0.0)),
+                              qubit_amplitude(w, qubit_params))
 
     def test_phase_formula_modulo_branch(self, qnmr_params):
         w = make_frequency_grid(1.8e9, 2.3e9, 601)
@@ -225,6 +233,10 @@ class TestStlrQubit:
             t_coupled = stlr_qubit_amplitude(w, stlr_params.replace(g_rq=g))
             t_bare = stlr_amplitude(w, stlr_params)
             assert np.max(np.abs(t_coupled - t_bare)) < 1e-9
+        w = _THROUGH_DECOUPLED
+        assert OMEGA0 in w
+        assert np.array_equal(stlr_qubit_amplitude(w, stlr_params.replace(g_rq=0.0)),
+                              stlr_amplitude(w, stlr_params))
 
     def test_bare_resonator_dip_and_width(self, stlr_params):
         assert abs(stlr_amplitude(OMEGA_R, stlr_params)) ** 2 == 0.0
@@ -281,6 +293,10 @@ class TestStlrQubitQnmr:
             t_full = stlr_qubit_qnmr_amplitude(w, stlr_qnmr_params.replace(g_q=g))
             t_base = stlr_qubit_amplitude(w, stlr_params)
             assert np.max(np.abs(t_full - t_base)) < 1e-9
+        w = _THROUGH_DECOUPLED
+        assert OMEGA_B in w
+        assert np.array_equal(stlr_qubit_qnmr_amplitude(w, stlr_qnmr_params.replace(g_q=0.0)),
+                              stlr_qubit_amplitude(w, stlr_params))
 
 
 class TestStlrQubitCnmr:

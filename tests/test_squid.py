@@ -90,6 +90,21 @@ class TestPotential:
         assert minima == 2
 
 
+_OUTCOME_WINDOWS = (0.7, 1.0, 2.0, 3.0, 4.0, 6.0)
+#: outcome per flux_window above, keyed by grid_points
+_OUTCOMES = {
+    201: "leakage solves solves solves convergence convergence",
+    221: "leakage solves solves solves convergence convergence",
+    251: "leakage solves solves solves solves convergence",
+    281: "leakage solves solves solves solves convergence",
+    301: "leakage solves solves solves solves convergence",
+    351: "leakage solves solves solves solves solves",
+    401: "leakage solves solves solves solves solves",
+    501: "leakage solves solves solves solves solves",
+    1001: "leakage solves solves solves solves solves",
+}
+
+
 class TestEigensolver:
     def test_quoted_eigenvalues(self, solution):
         _, sol = solution
@@ -141,10 +156,36 @@ class TestEigensolver:
             solve_eigensystem(reference_circuit(flux_window=0.35))
 
     def test_coarse_grid_raises_convergence(self):
-        # 201 points over +-4 flux quanta: the 401-point re-solve moves E0 by 1.28e-3
-        with pytest.raises(ConvergenceError, match=r"moves by 1\.28e-03 relative"):
+        # 201 points over +-4 flux quanta: the solve on every other point
+        # predicts that doubling the grid moves E0 by 1.34e-3
+        with pytest.raises(ConvergenceError, match=r"moves by 1\.34e-03 relative"):
             solve_eigensystem(reference_circuit(grid_points=201, flux_window=4.0))
         solve_eigensystem(reference_circuit(grid_points=301, flux_window=4.0))
+
+    def test_convergence_scale_ignores_potential_offset(self):
+        """E0 near the arbitrary zero of U does not make a converged grid
+        fail: the zero-point energy above the well bottom floors the scale."""
+        spec = dataclasses.replace(reference_circuit(), critical_current=1.81e-8,
+                                   bias_flux=0.0)
+        sol = solve_eigensystem(spec)
+        zero_point = sol.energies[0] - np.min(potential(sol.flux_grid, spec))
+        assert abs(sol.energies[0]) < 1e-2 * zero_point
+
+    @pytest.mark.parametrize("grid_points,flux_window,outcome", [
+        (n, window, outcome)
+        for n, row in _OUTCOMES.items()
+        for window, outcome in zip(_OUTCOME_WINDOWS, row.split())
+    ])
+    def test_outcome_table(self, grid_points, flux_window, outcome):
+        """Which grids of the reference circuit solve, leak at the edge or
+        are too coarse to converge."""
+        spec = reference_circuit(grid_points=grid_points, flux_window=flux_window)
+        if outcome == "solves":
+            solve_eigensystem(spec)
+        else:
+            error = {"leakage": BoundaryLeakageError, "convergence": ConvergenceError}[outcome]
+            with pytest.raises(error):
+                solve_eigensystem(spec)
 
     def test_solution_determinism(self, solution):
         _, sol = solution
