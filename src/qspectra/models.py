@@ -104,8 +104,11 @@ def _elastic(x: ArrayLike, y: ArrayLike, omega: ArrayLike):
 
     On a grid the denominator and the quotient share one complex buffer;
     every element goes through the same IEEE operations as in
-    ``x / (x + 1j * y)``.
+    ``x / (x + 1j * y)``.  A scalar y of 0 is a zero rate: the scatterer
+    is decoupled from the line, and t = 1 is also the limit where x = 0.
     """
+    if np.ndim(y) == 0 and y == 0:
+        return complex(1) if np.ndim(omega) == 0 else np.ones(np.shape(omega), complex)
     if np.ndim(omega) == 0:
         return complex(x / (x + 1j * np.asarray(y)))
     t = np.multiply(1j, y, out=np.empty(np.shape(x), dtype=complex))
@@ -146,10 +149,11 @@ def _caller_stacklevel() -> int:
 
 def _hybrid(w: np.ndarray, omega_a: float, omega_b: float, g: float, rate: float):
     """Two modes at omega_a and omega_b coupled by g:
-    x = (w-omega_a)(w-omega_b) - g**2, y = rate (w-omega_b).  At g = 0 the
-    common factor w-omega_b cancels, which keeps w = omega_b from being 0/0:
-    x = w-omega_a, y = rate."""
-    if g == 0:
+    x = (w-omega_a)(w-omega_b) - g**2, y = rate (w-omega_b).  Where g**2 is
+    0 (g = 0, or a g that underflows) the common factor w-omega_b cancels,
+    which keeps w = omega_b from being 0/0: x = w-omega_a, y = rate.  A
+    zero rate takes that branch too, for ``_elastic`` to read y = 0."""
+    if g**2 == 0 or rate == 0:
         return w - omega_a, rate
     y = w - omega_b
     x = w - omega_a
@@ -306,8 +310,12 @@ def stlr_qubit_qnmr_amplitude(w: np.ndarray, p: ModelParams):
 
     Two transparency windows open at the qubit-mechanics hybrid
     frequencies.  Evaluated in pole-cleared form, so omega = omega_b is
-    an ordinary point.
+    an ordinary point.  Where g_rq**2 is 0 the qubit and the mechanics
+    decouple from the resonator, which leaves ``stlr_amplitude``; so does
+    a zero rate v2**2, for ``_elastic`` to read y = 0.
     """
+    if p.g_rq**2 == 0 or p.v2**2 == 0:
+        return stlr_amplitude.__wrapped__(w, p)
     q, detuning_b = _hybrid(w, p.omega0, p.omega_b, p.g_q, p.g_rq**2)
     x = w - p.omega_r
     x *= q

@@ -6,8 +6,8 @@ break the line).  Not a plotting library.
 
 The document is built as UTF-8 bytes: the few axis elements as small
 strings, each text by ``_text``, which XML-escapes it, each tick by
-``_line``, and each polyline's points as the ``%.2f`` blocks of
-``_numtext.table_blocks``, written as they are by ``write_chart``.
+``_line``, and each series' ``%.2f`` points by one ``table_blocks`` call,
+its ``\\n`` run ends replaced by the markup between two polylines.
 """
 
 from __future__ import annotations
@@ -114,21 +114,21 @@ def _panel_svg(panel: Panel, y_offset: int, height: int) -> Iterator[bytes]:
         color = PALETTE[k % len(PALETTE)]
         x = np.asarray(series.x, float)
         y = np.asarray(series.y, float)
-        good = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
-        # px/py are elementwise, so each point has the bits of a scalar call
-        gx, gy = px(x[good]), py(y[good])
-        attributes = f' fill="none" stroke="{color}" stroke-width="1.3"/>\n'.encode()
-        # one polyline per finite run: non-finite samples break the line,
-        # and a run of one point draws nothing
-        cuts = np.flatnonzero(np.diff(good) != 1) + 1
-        for start, stop in zip([0, *cuts], [*cuts, len(good)]):
-            if stop - start < 2:
-                continue
-            # "x,y" points separated by spaces; the last one closes the attribute
-            separators = np.full((stop - start, 2), (ord(","), ord(" ")), np.uint8)
+        finite = np.concatenate(([False], np.isfinite(x) & np.isfinite(y), [False]))
+        # one polyline per finite run: a sample is drawn when it and a
+        # neighbour are finite, so a run of one point draws nothing
+        drawn = np.flatnonzero(finite[1:-1] & (finite[:-2] | finite[2:]))
+        if len(drawn):
+            # "x,y" points separated by spaces; a run's last point ends in "\n",
+            # the markup between two polylines, and the series' last in '"'
+            separators = np.full((len(drawn), 2), (ord(","), ord(" ")), np.uint8)
+            separators[:-1, 1][np.diff(drawn) != 1] = ord("\n")
             separators[-1, 1] = ord('"')
+            attributes = f' fill="none" stroke="{color}" stroke-width="1.3"/>\n'.encode()
             yield b'<polyline points="'
-            yield from table_blocks((gx[start:stop], gy[start:stop]), "%.2f", separators)
+            # px/py are elementwise, so each point has the bits of a scalar call
+            for block in table_blocks((px(x[drawn]), py(y[drawn])), "%.2f", separators):
+                yield block.replace(b"\n", b'"' + attributes + b'<polyline points="')
             yield attributes
         if series.label:
             lx = left + plot_w - 8
@@ -143,6 +143,11 @@ def _lines(lines: list[str]) -> bytes:
 def write_chart(path, panels: Sequence[Panel], panel_height: int = 250) -> None:
     """Write the SVG document of the panels as UTF-8 bytes, a few elements
     or a block of polyline points at a time."""
+    for panel in panels:
+        for series in panel.series:
+            if len(series.x) != len(series.y):
+                raise ValueError(f"a series has {len(series.x)} x values "
+                                 f"and {len(series.y)} y values")
     total = panel_height * len(panels)
     with open(path, "wb") as handle:
         handle.write(_lines([

@@ -485,10 +485,19 @@ class TestSpectrumCommand:
         (["stlr-qubit-qnmr", *_STLR_CHAIN, "--omega-b", "2e9", "--g-rq", "1e8", "--g-q", "0"],
          ["stlr-qubit", *_STLR_CHAIN, "--g-rq", "1e8"]),
         (["stlr-qubit", *_STLR_CHAIN, "--g-rq", "0"], None),
-    ], ids=["qubit-qnmr", "stlr-qubit-qnmr", "stlr-qubit"])
+        (["qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2e9", "--gamma-c", "3.3e7",
+          "--g-q", "1e-170"], ["qubit-only", "--omega0", "2.1e9", "--gamma-c", "3.3e7"]),
+        (["stlr-qubit-qnmr", *_STLR_CHAIN, "--omega-b", "2e9", "--g-rq", "1e8",
+          "--g-q", "1e-170"], ["stlr-qubit", *_STLR_CHAIN, "--g-rq", "1e8"]),
+        (["stlr-qubit", *_STLR_CHAIN, "--g-rq", "1e-170"], None),
+        # the qubit-mechanics modes at 1.92e9 and 2.18e9 lie on the grid
+        (["stlr-qubit-qnmr", *_STLR_CHAIN, "--omega-b", "2e9", "--g-rq", "0",
+          "--g-q", "1.2e8"], None),
+    ], ids=["qubit-qnmr", "stlr-qubit-qnmr", "stlr-qubit", "qubit-qnmr-underflow",
+            "stlr-qubit-qnmr-underflow", "stlr-qubit-underflow", "stlr-qubit-qnmr-g_rq"])
     def test_zero_coupling_writes_uncoupled_model(self, coupled, uncoupled, tmp_path):
-        """At g = 0 a grid through the decoupled mode's frequency gets the
-        uncoupled model's rows, not 0/0 there."""
+        """Where g**2 is 0 a grid through the decoupled mode's frequency
+        gets the uncoupled model's rows, not 0/0 there."""
         grid = ["--grid", "1.8e9:2.3e9:4001"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["spectrum", "--model", *coupled, *grid, "--output", str(a)]) == 0
@@ -503,6 +512,24 @@ class TestSpectrumCommand:
             return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
         assert rows(a) == rows(b)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma-c", "0"],
+        ["spectrum", "--model", "qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2e9",
+         "--gamma-c", "0", "--g-q", "1.2e8"],
+        ["spectrum", "--model", "stlr-qubit", "--omega0", "2.1e9", "--omega-r", "2e9",
+         "--v-g", "3e8", "--v2", "0", "--g-rq", "1.2e8"],
+        ["spectrum", "--model", "stlr-qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2e9",
+         "--omega-r", "2e9", "--v-g", "3e8", "--v2", "0", "--g-rq", "1.2e8", "--g-q", "1.2e8"],
+    ], ids=["qubit-only", "qubit-qnmr", "stlr-qubit", "stlr-qubit-qnmr"])
+    def test_zero_rate_writes_full_transmission(self, argv, tmp_path):
+        """A zero rate decouples the scatterer from the line: T = 1 and a
+        zero phase on a grid through the dips, where x/(x + i y) is 0/0."""
+        out = tmp_path / "s.csv"
+        assert main([*argv, "--grid", "1.8e9:2.3e9:5001", "--output", str(out)]) == 0
+        spectrum, _ = read_spectrum_csv(out)
+        assert np.all(spectrum.transmission == 1.0)
+        assert np.all(spectrum.phase == 0.0)
 
     def test_missing_param_is_config_error_naming_field(self, tmp_path, capsys):
         code = main(["spectrum", "--model", "qubit-qnmr", "--omega0", "2.1e9",
@@ -873,6 +900,19 @@ class TestSweepCommand:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_zero_rate_step(self, tmp_path):
+        """The gamma_c = 0 step of a gridded sweep is a transparent spectrum:
+        its closed-form dip has zero width, and no dip is detected."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
+                     "--gamma-c", "3.3e7", "--param", "gamma_c", "--start", "0",
+                     "--stop", "3.3e7", "--steps", "3", "--grid", "1.8e9:2.3e9:4001",
+                     "--output", str(out)]) == 0
+        rows = [line.split(",")[1:3] for line in out.read_text().splitlines()[2:]]
+        assert rows == [["0.00000000e+00", "dip"], ["1.65000000e+07", "dip"],
+                        ["1.65000000e+07", "fitted-dip"], ["3.30000000e+07", "dip"],
+                        ["3.30000000e+07", "fitted-dip"]]
+
     def test_each_step_evaluated_once(self, tmp_path, monkeypatch):
         from qspectra import cli
 
@@ -1040,6 +1080,49 @@ class TestSvg:
         write_chart(tmp_path / "c.svg", [Panel(series=[Series(x, y)])])
         body = (tmp_path / "c.svg").read_text()
         assert body.count("<polyline") == 2
+
+    def test_one_table_blocks_call_per_series(self, tmp_path, monkeypatch):
+        from qspectra import svg
+
+        calls = []
+
+        def counting(columns, conversion, separators):
+            calls.append(len(columns[0]))
+            return table_blocks(columns, conversion, separators)
+
+        monkeypatch.setattr(svg, "table_blocks", counting)
+        x = np.linspace(0.0, 1.0, 3 * _BLOCK_ROWS + 1)
+        broken = np.sin(x)
+        broken[::3] = np.nan
+        panel = Panel(series=[Series(x, broken), Series(x, np.full(len(x), np.nan)),
+                              Series(x, np.cos(x))])
+        write_chart(tmp_path / "c.svg", [panel])
+        # every sample between two NaNs is drawn, in one call for the series
+        assert calls == [len(x) - len(x[::3]), len(x)]
+        body = (tmp_path / "c.svg").read_text()
+        xml.dom.minidom.parseString(body)
+        assert body.count("<polyline") == len(x) // 3 + 1
+
+    def test_all_nan_series_keeps_its_label(self, tmp_path):
+        panel = Panel(series=[Series([0.0, 1.0], [np.nan, np.nan], label="gone")])
+        write_chart(tmp_path / "c.svg", [panel])
+        body = (tmp_path / "c.svg").read_text()
+        assert "<polyline" not in body and ">gone</text>" in body
+
+    def test_one_point_run_at_either_end_draws_nothing(self, tmp_path):
+        x = np.arange(7.0)
+        y = np.array([1.0, np.nan, 2.0, 3.0, 4.0, np.inf, 5.0])
+        write_chart(tmp_path / "c.svg", [Panel(series=[Series(x, y)])])
+        polylines = re.findall(r'<polyline points="([^"]*)"', (tmp_path / "c.svg").read_text())
+        assert polylines == _reference_polylines(x, y, 0)
+        assert len(polylines) == 1 and polylines[0].count(",") == 3
+
+    @pytest.mark.parametrize("y", [[1.0, 2.0], [1.0]])
+    def test_series_lengths_must_match(self, y, tmp_path):
+        panel = Panel(series=[Series([1.0, 2.0, 3.0], y)])
+        with pytest.raises(ValueError, match=f"3 x values and {len(y)} y values"):
+            write_chart(tmp_path / "c.svg", [panel])
+        assert not (tmp_path / "c.svg").exists()
 
     def test_text_is_escaped(self, tmp_path):
         panel = Panel(series=[Series([0, 1], [0, 1], label="a<b & c")],

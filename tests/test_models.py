@@ -337,6 +337,59 @@ class TestStlrQubitCnmr:
         assert with_drive == pytest.approx(without_drive, rel=0.02)
 
 
+class TestDecoupledLimits:
+    """Where a coupling squares to 0 the kernel is its uncoupled kernel bit
+    for bit, and a zero rate gives t = 1: no 0/0 on any grid."""
+
+    def test_underflowing_coupling_is_zero_coupling(self, qnmr_params, qubit_params,
+                                                    stlr_params, stlr_qnmr_params,
+                                                    stlr_cnmr_params):
+        w = _THROUGH_DECOUPLED
+        tiny = 1e-170
+        assert tiny**2 == 0 and OMEGA0 in w and OMEGA_B in w
+        for coupled, bare in [
+            (qubit_qnmr_amplitude(w, qnmr_params.replace(g_q=tiny)),
+             qubit_amplitude(w, qubit_params)),
+            (stlr_qubit_qnmr_amplitude(w, stlr_qnmr_params.replace(g_q=tiny)),
+             stlr_qubit_amplitude(w, stlr_params)),
+            (stlr_qubit_amplitude(w, stlr_params.replace(g_rq=tiny)),
+             stlr_amplitude(w, stlr_params)),
+            (stlr_qubit_cnmr_amplitude(w, stlr_cnmr_params.replace(g_rq=tiny)),
+             stlr_amplitude(w, stlr_params)),
+        ]:
+            assert np.array_equal(coupled, bare)
+
+    @pytest.mark.parametrize("g_rq", [0.0, 1e-170])
+    def test_resonator_without_qubit_is_bare(self, stlr_qnmr_params, stlr_params, g_rq):
+        # g_q = 1.2e8 puts the qubit-mechanics modes at 1.92e9 and 2.18e9,
+        # both on the grid, where the chain's x and y both vanish
+        p = stlr_qnmr_params.replace(g_q=1.2e8, g_rq=g_rq)
+        w = make_frequency_grid(1.8e9, 2.3e9, 5001)
+        assert np.array_equal(stlr_qubit_qnmr_amplitude(w, p), stlr_amplitude(w, stlr_params))
+        assert stlr_qubit_qnmr_amplitude(1.92e9, p) == stlr_amplitude(1.92e9, stlr_params)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_zero_rate_is_transparent(self, kind, request):
+        fixture, rate = {
+            ModelKind.QUBIT_ONLY: ("qubit_params", "gamma_c"),
+            ModelKind.QUBIT_QNMR: ("qnmr_params", "gamma_c"),
+            ModelKind.DISPERSIVE: ("dispersive_params", "gamma_c"),
+            ModelKind.QUBIT_CNMR: ("cnmr_params", "gamma_c"),
+            ModelKind.STLR_QUBIT: ("stlr_params", "v2"),
+            ModelKind.STLR_QUBIT_QNMR: ("stlr_qnmr_params", "v2"),
+            ModelKind.STLR_QUBIT_CNMR: ("stlr_cnmr_params", "v2"),
+        }[kind]
+        p = request.getfixturevalue(fixture).replace(**{rate: 0.0})
+        # the dips, where x = 0, are the points a zero rate used to leave 0/0
+        dips = analytic_features(kind, p).dips
+        w = np.unique(np.concatenate([make_frequency_grid(1.8e9, 2.3e9, 1001), dips]))
+        assert np.array_equal(transmission_amplitude(kind, w, p), np.ones(len(w), complex))
+        for dip in dips:
+            assert transmission_amplitude(kind, dip, p) == 1.0
+        spectrum = compute_spectrum(kind, p, w)
+        assert np.all(spectrum.transmission == 1.0) and np.all(spectrum.phase == 0.0)
+
+
 class TestFeatureConsistency:
     KINDS = list(ModelKind)
 

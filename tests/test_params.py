@@ -240,11 +240,11 @@ class TestSpectrum:
                 value[0] = 0.0
 
     def test_nan_amplitude_from_a_kernel_rejected(self):
-        # 0/0 on resonance of a qubit without decay
-        params = ModelParams(omega0=1.5, gamma_c=0.0)
-        with np.errstate(invalid="ignore"), pytest.raises(
+        # inf/inf where (w-omega0)(w-omega_b) overflows
+        params = ModelParams(omega0=1e300, omega_b=1e300, gamma_c=1.0, g_q=1.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 ValueError, match=re.escape("transmission values must lie in [0, 1]")):
-            compute_spectrum(ModelKind.QUBIT_ONLY, params, np.array([1.0, 1.5, 2.0]))
+            compute_spectrum(ModelKind.QUBIT_QNMR, params, np.array([1.0, 1.5, 2.0]))
 
     def test_amplitude_route_compares_clipped_points(self):
         """from_amplitude skips the |amplitude|**2 comparison only where the
