@@ -13,9 +13,9 @@ half-depth level of the shallower one: such minima are not two dips
 resolved at half maximum.  Measurement noise clipped to T = 0 at a dip
 bottom makes one candidate per zero run, and all of them share one
 cluster, fitted from its lowest sample (the middle one of a tied run).
-The reported dips and the outer dips that bound the full-transmission
-search are both selected from that one scan, and a cluster both select
-is fitted once.
+That one selection is the report's: every in-contract fit is a reported
+dip, and the outer dips that bound the full-transmission search are the
+reported dips of fitted depth >= 0.5.
 
 One rule (_decide) maps those dips and points to a vibration class:
 estimate_report applies it and inverts what the class allows, and
@@ -258,12 +258,6 @@ def _fit_lorentzian_dip(freqs: np.ndarray, trans: np.ndarray,
     return (center0 + mu * scale, fwhm * scale, float(depth), rms)
 
 
-@dataclass(frozen=True)
-class _ClusterFit:
-    fitted_depth: float  # before the clamp to 1; ranks merged fits
-    fit: Union[DipFeature, str]  # the fitted dip, or why it was rejected
-
-
 def _fit_window(freqs: np.ndarray, i: int, half_width: float) -> slice:
     """The samples within +-3 half-widths of sample i, or the 7 samples
     around i when fewer lie there.  The grid increases strictly, so
@@ -276,7 +270,7 @@ def _fit_window(freqs: np.ndarray, i: int, half_width: float) -> slice:
 
 
 def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int,
-                   step: float) -> _ClusterFit:
+                   step: float) -> Union[DipFeature, str]:
     """Fit the candidate minimum at sample i over +-3 naive half-widths
     (at least 7 samples); its fit is the feature, or why the fit breaks
     the DipFeature contract."""
@@ -287,19 +281,16 @@ def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int,
         wf, trans[window], float(freqs[i]), half_width, 1.0 - float(trans[i]),
     )
     if not all(math.isfinite(x) for x in (center, fwhm, depth, rms)):
-        fit = _REJECT_REASONS[0]
-    elif depth <= 0.0:
-        fit = _REJECT_REASONS[1]
-    elif depth > 1.0 + 2.0 * rms:
-        fit = _REJECT_REASONS[2]
-    elif fwhm < 0.5 * step:
-        fit = _REJECT_REASONS[3]
-    elif not wf[0] <= center <= wf[-1]:
-        fit = _REJECT_REASONS[4]
-    else:
-        fit = DipFeature(center=center, fwhm=fwhm, depth=min(depth, 1.0),
-                         fit_residual=rms)
-    return _ClusterFit(depth, fit)
+        return _REJECT_REASONS[0]
+    if depth <= 0.0:
+        return _REJECT_REASONS[1]
+    if depth > 1.0 + 2.0 * rms:
+        return _REJECT_REASONS[2]
+    if fwhm < 0.5 * step:
+        return _REJECT_REASONS[3]
+    if not wf[0] <= center <= wf[-1]:
+        return _REJECT_REASONS[4]
+    return DipFeature(center=center, fwhm=fwhm, depth=min(depth, 1.0), fit_residual=rms)
 
 
 def _clusters(trans: np.ndarray,
@@ -331,70 +322,27 @@ def _lowest_member(cluster: list[tuple[int, float]]) -> int:
     return tied[(len(tied) - 1) // 2]
 
 
-def _merge_close(fits: list[_ClusterFit]) -> list[DipFeature]:
-    """The fitted features sorted by center, with features closer than
-    half a width collapsed: noise can seed clusters apart inside one dip,
-    and their fits land on the same center.  The deeper (then
-    better-fitting) fit is kept."""
-    merged: list[_ClusterFit] = []
-    for c in sorted(fits, key=lambda c: c.fit.center):
-        if merged and abs(c.fit.center - merged[-1].fit.center) < 0.5 * max(
-            c.fit.fwhm, merged[-1].fit.fwhm
-        ):
-            if (c.fitted_depth, -c.fit.fit_residual) > (
-                merged[-1].fitted_depth, -merged[-1].fit.fit_residual
-            ):
-                merged[-1] = c
-        else:
-            merged.append(c)
-    return [c.fit for c in merged]
-
-
-class _DipScan:
-    """Every dip candidate of a spectrum down to the lowest of the given
-    depth thresholds, found by one prominence scan.  select(t) clusters
-    the candidates that pass t (see _clusters) and fits each cluster once,
-    from its lowest sample; fits are kept by sample index, so a cluster
-    that several thresholds select is fitted once.  find_peaks
-    prominences do not depend on the threshold asked for, so select(t)
-    for any given t returns exactly what a scan at t alone would."""
-
-    def __init__(self, spectrum: Spectrum, *depth_thresholds: float) -> None:
-        if not all(0.0 < t < 1.0 for t in depth_thresholds):
-            raise ValueError("depth_threshold must be in (0, 1)")
-        self._trans = trans = spectrum.transmission
-        self._freqs = spectrum.freqs
-        self._step = spectrum.grid_step
-        self.gate = _NOISE_GATE * _noise_sigma(trans)
-        indices, props = find_peaks(-trans, prominence=max(min(depth_thresholds), self.gate))
-        # (sample index, prominence, T) of each candidate
-        self._candidates = list(zip(indices.tolist(), props["prominences"].tolist(),
-                                    trans[indices].tolist()))
-        self._fits: dict[int, _ClusterFit] = {}
-
-    def _fit(self, i: int) -> _ClusterFit:
-        if i not in self._fits:
-            self._fits[i] = _fit_candidate(self._freqs, self._trans, i, self._step)
-        return self._fits[i]
-
-    def select(self, depth_threshold: float) -> list[DipFeature]:
-        """The merged, in-contract dips of depth >= depth_threshold."""
-        prominence = max(depth_threshold, self.gate)
-        passing = [(i, low) for i, p, low in self._candidates
-                   if p >= prominence and 1.0 - low >= depth_threshold]
-        fits = [self._fit(_lowest_member(cluster))
-                for cluster in _clusters(self._trans, passing)]
-        return _merge_close([c for c in fits if isinstance(c.fit, DipFeature)])
-
-    def rejection_notes(self) -> list[str]:
-        """One deterministic note counting the rejected fits of the
-        selections made so far, if any."""
-        rejected = Counter(c.fit for c in self._fits.values() if isinstance(c.fit, str))
-        if not rejected:
-            return []
-        reasons = ", ".join(f"{rejected[r]} {r}" for r in _REJECT_REASONS if r in rejected)
-        total = sum(rejected.values())
-        return [f"{total} of {len(self._fits)} dip fits rejected ({reasons})"]
+def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature], list[str]]:
+    """The in-contract dips of depth >= depth_threshold, sorted by center,
+    and one note counting the rejected fits, if any.  One prominence scan
+    at max(depth_threshold, the noise gate) finds the candidates; each
+    cluster of them (see _clusters) is fitted once, from its lowest
+    sample.  A prominence never exceeds 1 - T, so every candidate is at
+    least depth_threshold deep."""
+    if not 0.0 < depth_threshold < 1.0:
+        raise ValueError("depth_threshold must be in (0, 1)")
+    trans = spectrum.transmission
+    gate = _NOISE_GATE * _noise_sigma(trans)
+    indices, _ = find_peaks(-trans, prominence=max(depth_threshold, gate))
+    members = list(zip(indices.tolist(), trans[indices].tolist()))
+    fits = [_fit_candidate(spectrum.freqs, trans, _lowest_member(cluster), spectrum.grid_step)
+            for cluster in _clusters(trans, members)]
+    dips = sorted((fit for fit in fits if isinstance(fit, DipFeature)), key=lambda d: d.center)
+    rejected = Counter(fit for fit in fits if isinstance(fit, str))
+    if not rejected:
+        return dips, []
+    reasons = ", ".join(f"{rejected[r]} {r}" for r in _REJECT_REASONS if r in rejected)
+    return dips, [f"{len(fits) - len(dips)} of {len(fits)} dip fits rejected ({reasons})"]
 
 
 def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -> list[DipFeature]:
@@ -411,11 +359,12 @@ def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -
     middle one of a tied run).  A fit depth up to twice the RMS residual
     above 1 is reported as 1.0, and fits with depth <= 0, a larger
     overshoot, a FWHM below half a grid step or a center outside the
-    window are dropped.
+    window are dropped; every other fit is returned, so noise that splits
+    one dip into two clusters gives two features.
     Returns features sorted by center; empty list when nothing crosses
     the threshold.
     """
-    return _DipScan(spectrum, depth_threshold).select(depth_threshold)
+    return _scan(spectrum, depth_threshold)[0]
 
 
 def _local_maxima(values: np.ndarray) -> list[int]:
@@ -426,11 +375,9 @@ def _local_maxima(values: np.ndarray) -> list[int]:
     return (np.flatnonzero(peak) + 1).tolist()
 
 
-def _unity_points(spectrum: Spectrum, tol: float,
-                  outer_dips: list[DipFeature]) -> list[float]:
-    """detect_unity_points with the depth-0.5 dips already detected."""
-    if not 0.0 < tol < 0.1:
-        raise ValueError("tol must be in (0, 0.1)")
+def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> list[float]:
+    """detect_unity_points with the spectrum's dips already detected; the
+    outer dips are those of depth >= 0.5."""
     trans = spectrum.transmission
     phase = spectrum.phase
     freqs = spectrum.freqs
@@ -443,8 +390,9 @@ def _unity_points(spectrum: Spectrum, tol: float,
     i = i[curved]
     step = freqs[i + 1] - freqs[i]
     points[curved] += 0.5 * (trans[i - 1] - trans[i + 1]) / denom[curved] * step
-    if len(outer_dips) >= 2:
-        points = points[(outer_dips[0].center < points) & (points < outer_dips[-1].center)]
+    outer = [d.center for d in dips if d.depth >= _OUTER_DIP_DEPTH]
+    if len(outer) >= 2:
+        points = points[(outer[0] < points) & (points < outer[-1])]
     return np.sort(points).tolist()
 
 
@@ -452,21 +400,22 @@ def detect_unity_points(spectrum: Spectrum, tol: float = _UNITY_TOL) -> list[flo
     """Frequencies where the probe passes completely: local maxima with
     T >= 1 - tol and |phase| <= tol, refined by parabolic interpolation.
 
-    When the spectrum shows two or more dips (depth >= 0.5) only points
-    strictly between the outermost dip centers are reported; this drops
-    the trivial far-detuned transparency of every scatterer.
+    When detect_dips finds two or more dips of depth >= 0.5, only points
+    strictly between the outermost of their centers are reported; this
+    drops the trivial far-detuned transparency of every scatterer.
     """
-    return _unity_points(spectrum, tol, detect_dips(spectrum, _OUTER_DIP_DEPTH))
+    return _observe(spectrum, _DEPTH_THRESHOLD, tol)[1]
 
 
 def _observe(spectrum: Spectrum, depth_threshold: float,
              unity_tol: float) -> tuple[list[DipFeature], list[float], list[str]]:
     """One scan of the spectrum: the dips of depth >= depth_threshold,
-    the full-transmission points between the outer depth-0.5 dips, and
-    the notes counting rejected fits."""
-    scan = _DipScan(spectrum, depth_threshold, _OUTER_DIP_DEPTH)
-    unity = _unity_points(spectrum, unity_tol, scan.select(_OUTER_DIP_DEPTH))
-    return scan.select(depth_threshold), unity, scan.rejection_notes()
+    the full-transmission points between the outer ones of depth >= 0.5,
+    and the notes counting rejected fits."""
+    if not 0.0 < unity_tol < 0.1:
+        raise ValueError("tol must be in (0, 0.1)")
+    dips, notes = _scan(spectrum, depth_threshold)
+    return dips, _unity_points(spectrum, unity_tol, dips), notes
 
 
 def _decide(spectrum: Spectrum, dips: list[DipFeature], unity: list[float],

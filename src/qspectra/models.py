@@ -163,8 +163,26 @@ def _hybrid(w: np.ndarray, omega_a: float, omega_b: float, g: float, rate: float
     return x, y
 
 
+def _line_features(center: float, rate: float, fwhm: float) -> FeatureSet:
+    """One Lorentzian dip at center; none at a zero rate, where the line
+    is transparent."""
+    return FeatureSet() if rate == 0 else FeatureSet(dips=(center,), fwhm=(fwhm,))
+
+
+def _hybrid_features(omega_a: float, omega_b: float, g: float, rate: float,
+                     scale: float) -> FeatureSet:
+    """Features of ``_hybrid`` with x scaled by `scale`: the two normal-mode
+    dips and the window at omega_b.  Where g**2 or the rate is 0, on the
+    branch ``_hybrid`` takes, they are the line's at omega_a, of FWHM
+    2 rate/scale."""
+    if g**2 == 0 or rate == 0:
+        return _line_features(omega_a, rate, 2.0 * rate / scale)
+    return FeatureSet(dips=coupled_mode_frequencies(omega_a, omega_b, g),
+                      unity_points=(omega_b,))
+
+
 @_kernel(ModelKind.QUBIT_ONLY, "omega0", "gamma_c",
-         features=lambda p: FeatureSet(dips=(p.omega0,), fwhm=(2.0 * p.gamma_c,)))
+         features=lambda p: _line_features(p.omega0, p.gamma_c, 2.0 * p.gamma_c))
 def qubit_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the bare qubit scatterer.
 
@@ -176,9 +194,7 @@ def qubit_amplitude(w: np.ndarray, p: ModelParams):
 
 
 @_kernel(ModelKind.QUBIT_QNMR, "omega0", "omega_b", "gamma_c", "g_q",
-         features=lambda p: FeatureSet(
-             dips=coupled_mode_frequencies(p.omega0, p.omega_b, p.g_q),
-             unity_points=(p.omega_b,)))
+         features=lambda p: _hybrid_features(p.omega0, p.omega_b, p.g_q, p.gamma_c, 1.0))
 def qubit_qnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude when the qubit hybridizes with a quantized
     mechanical mode.
@@ -208,8 +224,8 @@ def dispersive_dip_frequency(p: ModelParams, mean_n: float | None = None) -> flo
 
 
 @_kernel(ModelKind.DISPERSIVE, "omega0", "omega_b", "g_q", "v1", "v_g", "mean_n",
-         features=lambda p: FeatureSet(dips=(dispersive_dip_frequency(p),),
-                                       fwhm=(2.0 * p.v1**2 / p.v_g,)))
+         features=lambda p: _line_features(dispersive_dip_frequency(p), p.gamma_c,
+                                           2.0 * p.v1**2 / p.v_g))
 def dispersive_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude in the dispersive (number-resolved) regime.
 
@@ -256,9 +272,8 @@ def shifted_qubit_frequency(omega0: Frequency, omega_b: Frequency, g_c: Frequenc
 
 
 @_kernel(ModelKind.QUBIT_CNMR, "omega0", "omega_b", "g_c", "gamma_c",
-         features=lambda p: FeatureSet(
-             dips=(shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c),),
-             fwhm=(2.0 * p.gamma_c,)))
+         features=lambda p: _line_features(
+             shifted_qubit_frequency(p.omega0, p.omega_b, p.g_c), p.gamma_c, 2.0 * p.gamma_c))
 def qubit_cnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude when the mechanical mode acts as a classical
     drive: the bare-qubit Lorentzian with its dip moved to the dressed
@@ -283,9 +298,9 @@ def _stlr_dressed(w: np.ndarray, omega_q: float, p: ModelParams):
 
 def _stlr_dressed_features(omega_q: float, p: ModelParams) -> FeatureSet:
     """Features of the resonator hybridized with a qubit line at omega_q:
-    the two split dips and the transparency window at omega_q."""
-    return FeatureSet(dips=coupled_mode_frequencies(omega_q, p.omega_r, p.g_rq),
-                      unity_points=(omega_q,))
+    the two split dips and the transparency window at omega_q, or the bare
+    resonator's where g_rq**2 or v2**2 is 0."""
+    return _hybrid_features(p.omega_r, omega_q, p.g_rq, p.v2**2, p.v_g)
 
 
 @_kernel(ModelKind.STLR_QUBIT, "omega0", "omega_r", "g_rq", "v2", "v_g",
@@ -300,10 +315,26 @@ def stlr_qubit_amplitude(w: np.ndarray, p: ModelParams):
     return _stlr_dressed(w, p.omega0, p)
 
 
+def _stlr_qubit_qnmr_features(p: ModelParams) -> FeatureSet:
+    """The chain's three dips, the eigenvalues of its coupled 3-mode
+    matrix, and the windows at the qubit-mechanics hybrid frequencies.
+    Where g_rq**2, v2**2 or g_q**2 is 0, the features of the resonator
+    with the qubit alone, as the kernel branches."""
+    if p.g_rq**2 == 0 or p.v2**2 == 0 or p.g_q**2 == 0:
+        return _stlr_dressed_features(p.omega0, p)
+    h = np.array(
+        [
+            [p.omega0, p.g_q, p.g_rq],
+            [p.g_q, p.omega_b, 0.0],
+            [p.g_rq, 0.0, p.omega_r],
+        ]
+    )
+    return FeatureSet(dips=tuple(float(v) for v in np.linalg.eigvalsh(h)),
+                      unity_points=coupled_mode_frequencies(p.omega0, p.omega_b, p.g_q))
+
+
 @_kernel(ModelKind.STLR_QUBIT_QNMR, "omega0", "omega_b", "omega_r", "g_rq", "g_q", "v2", "v_g",
-         features=lambda p: FeatureSet(
-             dips=_triple_mode_frequencies(p),
-             unity_points=coupled_mode_frequencies(p.omega0, p.omega_b, p.g_q)))
+         features=_stlr_qubit_qnmr_features)
 def stlr_qubit_qnmr_amplitude(w: np.ndarray, p: ModelParams):
     """Transmission amplitude of the resonator-qubit chain with a quantized
     mechanical mode on the qubit.
@@ -312,7 +343,9 @@ def stlr_qubit_qnmr_amplitude(w: np.ndarray, p: ModelParams):
     frequencies.  Evaluated in pole-cleared form, so omega = omega_b is
     an ordinary point.  Where g_rq**2 is 0 the qubit and the mechanics
     decouple from the resonator, which leaves ``stlr_amplitude``; so does
-    a zero rate v2**2, for ``_elastic`` to read y = 0.
+    a zero rate v2**2, for ``_elastic`` to read y = 0.  Where g_q**2 is 0
+    the mechanics decouples from the qubit, which leaves
+    ``stlr_qubit_amplitude``.
     """
     if p.g_rq**2 == 0 or p.v2**2 == 0:
         return stlr_amplitude.__wrapped__(w, p)
@@ -357,18 +390,6 @@ def coupled_mode_frequencies(omega_a: Frequency, omega_b: Frequency,
     half_split = 0.5 * math.hypot(2.0 * g, omega_a - omega_b)
     mid = 0.5 * (omega_a + omega_b)
     return (mid - half_split, mid + half_split)
-
-
-def _triple_mode_frequencies(p: ModelParams) -> tuple[float, ...]:
-    # dips of the STLR-qubit-QNMR chain: eigenvalues of the coupled 3-mode matrix
-    h = np.array(
-        [
-            [p.omega0, p.g_q, p.g_rq],
-            [p.g_q, p.omega_b, 0.0],
-            [p.g_rq, 0.0, p.omega_r],
-        ]
-    )
-    return tuple(float(v) for v in np.linalg.eigvalsh(h))
 
 
 def analytic_features(kind: ModelKind, p: ModelParams) -> FeatureSet:

@@ -736,23 +736,71 @@ def test_clusters_single_on_clean_spectra(kind, request, monkeypatch):
         assert len(fits) == sum(candidates) > 0, s.n_points
 
 
-def test_scan_selections_equal_single_scans():
-    """On noisy draws, the one scan a report makes selects at each
-    threshold exactly what a scan at that threshold alone finds, and the
-    report's unity points are detect_unity_points'."""
+_NARROW_QNMR = dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=2e6, g_q=2.5e7)
+_DISPERSIVE_N2 = dict(omega0=OMEGA0, omega_b=OMEGA_B, g_q=3e7, v_g=3e8, gamma_c=1e6,
+                      mean_n=2.0)
+
+
+def test_report_unity_points_equal_detect_unity_points():
+    """On noisy draws the report's unity points are detect_unity_points',
+    which bounds them by detect_dips at the default threshold.  On the
+    last four draws (5 %, seed 3) the reported dips of depth >= 0.5 are
+    not the dips a scan at depth 0.5 alone selects."""
     rng = np.random.default_rng(1980)
+    draws = []
     for kind, values in PINNED_MODELS.items():
         for n in (2001, 4001):
             clean = compute_spectrum(kind, ModelParams(**values),
                                      make_frequency_grid(1.8e9, 2.3e9, n))
-            for sigma in (0.01, 0.03, 0.05):
-                s = add_measurement_noise(clean, sigma, int(rng.integers(2**31)))
-                scan = estimate._DipScan(s, 0.1, 0.5)
-                for t in (0.1, 0.5):
-                    assert scan.select(t) == detect_dips(s, t), (kind, n, sigma, t)
-                for tol in (0.01, 0.04):
-                    assert list(estimate_report(s, unity_tol=tol).unity_points) == (
-                        detect_unity_points(s, tol)), (kind, n, sigma, tol)
+            draws += [(kind, n, sigma, add_measurement_noise(clean, sigma,
+                                                             int(rng.integers(2**31))))
+                      for sigma in (0.01, 0.03, 0.05)]
+    for kind, values in ((ModelKind.DISPERSIVE, _DISPERSIVE_N2),
+                         (ModelKind.QUBIT_QNMR, _NARROW_QNMR)):
+        for n in (2001, 4001):
+            clean = compute_spectrum(kind, ModelParams(**values),
+                                     make_frequency_grid(1.8e9, 2.3e9, n))
+            draws.append((kind, n, 0.05, add_measurement_noise(clean, 0.05, 3)))
+    for kind, n, sigma, s in draws:
+        for tol in (0.01, 0.04):
+            assert list(estimate_report(s, unity_tol=tol).unity_points) == (
+                detect_unity_points(s, tol)), (kind, n, sigma, tol)
+
+
+@pytest.mark.parametrize("kind, values, n, seed", [
+    pytest.param(ModelKind.QUBIT_QNMR, _NARROW_QNMR, 2001, 18, id="narrow-2001-seed18"),
+    pytest.param(ModelKind.QUBIT_QNMR, _NARROW_QNMR, 2001, 3, id="narrow-2001-seed3"),
+    pytest.param(ModelKind.DISPERSIVE, _DISPERSIVE_N2, 2001, 3, id="dispersive-2001-seed3"),
+    pytest.param(ModelKind.DISPERSIVE, _DISPERSIVE_N2, 4001, 3, id="dispersive-4001-seed3"),
+])
+def test_unity_points_between_reported_deep_dips(kind, values, n, seed):
+    """Every unity point of a report lies strictly between the outermost
+    of its own dips of depth >= 0.5.  On the narrow draw at seed 18 the
+    report lists two such dips, at 1.994e9 and 2.106e9; a window bound
+    that missed them would let ~100 points through, across the band."""
+    clean = compute_spectrum(kind, ModelParams(**values), make_frequency_grid(1.8e9, 2.3e9, n))
+    report = estimate_report(add_measurement_noise(clean, 0.05, seed))
+    outer = [d.center for d in report.dips if d.depth >= 0.5]
+    assert len(outer) >= 2 and report.unity_points
+    assert all(outer[0] < u < outer[-1] for u in report.unity_points), (
+        outer[0], outer[-1], report.unity_points[0], report.unity_points[-1])
+
+
+def test_bad_unity_tol_raises_before_any_fit(qnmr_spectrum, monkeypatch):
+    fits = []
+    real = estimate._fit_candidate
+    monkeypatch.setattr(estimate, "_fit_candidate",
+                        lambda *a, **k: fits.append(1) or real(*a, **k))
+    for tol in (0.0, 0.1, 0.5, -0.01):
+        with pytest.raises(ValueError, match="tol must be in"):
+            estimate_report(qnmr_spectrum, unity_tol=tol)
+        with pytest.raises(ValueError, match="tol must be in"):
+            classify(qnmr_spectrum, unity_tol=tol)
+        with pytest.raises(ValueError, match="tol must be in"):
+            detect_unity_points(qnmr_spectrum, tol)
+    assert fits == []
+    estimate_report(qnmr_spectrum)
+    assert len(fits) == 2
 
 
 def test_one_callback_per_minpack_evaluation(qnmr_spectrum, monkeypatch):
@@ -910,9 +958,10 @@ def test_fit_window_matches_mask(qnmr_spectrum):
                 assert np.array_equal(freqs[window], freqs[expected])
 
 
-def _loop_unity_points(spectrum, tol, outer_dips):
+def _loop_unity_points(spectrum, tol, dips):
     """The per-candidate loop that estimate._unity_points replaced: the
     reference for the whole-array form."""
+    outer_dips = [d for d in dips if d.depth >= 0.5]
     trans = spectrum.transmission
     phase = spectrum.phase
     freqs = spectrum.freqs
@@ -970,9 +1019,11 @@ def test_unity_points_match_loop(qnmr_spectrum, dispersive_params):
     # the zero-curvature maximum at freqs[2] sits on the lower dip center
     fake_pair = [estimate.DipFeature(freqs[2], 1.0, 0.8, 0.0),
                  estimate.DipFeature(freqs[9], 1.0, 0.8, 0.0)]
+    # a dip shallower than 0.5 does not bound the search
+    shallow = fake_pair + [estimate.DipFeature(freqs[11], 1.0, 0.4, 0.0)]
     windows = 0
     for s in spectra:
-        for outer in ([], fake_pair, detect_dips(s, 0.5)):
+        for outer in ([], fake_pair, shallow, detect_dips(s)):
             for tol in (0.01, 0.04, 0.09):
                 got = estimate._unity_points(s, tol, outer)
                 assert got == _loop_unity_points(s, tol, outer), (tol, outer)

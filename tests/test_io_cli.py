@@ -902,16 +902,15 @@ class TestSweepCommand:
 
     def test_zero_rate_step(self, tmp_path):
         """The gamma_c = 0 step of a gridded sweep is a transparent spectrum:
-        its closed-form dip has zero width, and no dip is detected."""
+        it has no closed-form dip and no detected one, so it writes no row."""
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--model", "qubit-only", "--omega0", "2.1e9",
                      "--gamma-c", "3.3e7", "--param", "gamma_c", "--start", "0",
                      "--stop", "3.3e7", "--steps", "3", "--grid", "1.8e9:2.3e9:4001",
                      "--output", str(out)]) == 0
         rows = [line.split(",")[1:3] for line in out.read_text().splitlines()[2:]]
-        assert rows == [["0.00000000e+00", "dip"], ["1.65000000e+07", "dip"],
-                        ["1.65000000e+07", "fitted-dip"], ["3.30000000e+07", "dip"],
-                        ["3.30000000e+07", "fitted-dip"]]
+        assert rows == [["1.65000000e+07", "dip"], ["1.65000000e+07", "fitted-dip"],
+                        ["3.30000000e+07", "dip"], ["3.30000000e+07", "fitted-dip"]]
 
     def test_each_step_evaluated_once(self, tmp_path, monkeypatch):
         from qspectra import cli

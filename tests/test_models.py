@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qspectra import (
+    FeatureSet,
     ModelKind,
     ModelParams,
     MissingParameterError,
@@ -337,6 +338,27 @@ class TestStlrQubitCnmr:
         assert with_drive == pytest.approx(without_drive, rel=0.02)
 
 
+# kind -> (params fixture, its couplings, its rate)
+_LIMITS = {
+    ModelKind.QUBIT_ONLY: ("qubit_params", (), "gamma_c"),
+    ModelKind.QUBIT_QNMR: ("qnmr_params", ("g_q",), "gamma_c"),
+    ModelKind.DISPERSIVE: ("dispersive_params", ("g_q",), "gamma_c"),
+    ModelKind.QUBIT_CNMR: ("cnmr_params", ("g_c",), "gamma_c"),
+    ModelKind.STLR_QUBIT: ("stlr_params", ("g_rq",), "v2"),
+    ModelKind.STLR_QUBIT_QNMR: ("stlr_qnmr_params", ("g_rq", "g_q"), "v2"),
+    ModelKind.STLR_QUBIT_CNMR: ("stlr_cnmr_params", ("g_rq", "g_c"), "v2"),
+}
+
+
+def _assert_features_match(kind, p):
+    """Every listed dip is a zero of T and every unity point has T = 1."""
+    features = analytic_features(kind, p)
+    for dip in features.dips:
+        assert abs(transmission_amplitude(kind, dip, p)) ** 2 <= 1e-9, dip
+    for window in features.unity_points:
+        assert abs(transmission_amplitude(kind, window, p)) ** 2 >= 1 - 1e-9, window
+
+
 class TestDecoupledLimits:
     """Where a coupling squares to 0 the kernel is its uncoupled kernel bit
     for bit, and a zero rate gives t = 1: no 0/0 on any grid."""
@@ -370,18 +392,12 @@ class TestDecoupledLimits:
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_zero_rate_is_transparent(self, kind, request):
-        fixture, rate = {
-            ModelKind.QUBIT_ONLY: ("qubit_params", "gamma_c"),
-            ModelKind.QUBIT_QNMR: ("qnmr_params", "gamma_c"),
-            ModelKind.DISPERSIVE: ("dispersive_params", "gamma_c"),
-            ModelKind.QUBIT_CNMR: ("cnmr_params", "gamma_c"),
-            ModelKind.STLR_QUBIT: ("stlr_params", "v2"),
-            ModelKind.STLR_QUBIT_QNMR: ("stlr_qnmr_params", "v2"),
-            ModelKind.STLR_QUBIT_CNMR: ("stlr_cnmr_params", "v2"),
-        }[kind]
-        p = request.getfixturevalue(fixture).replace(**{rate: 0.0})
-        # the dips, where x = 0, are the points a zero rate used to leave 0/0
-        dips = analytic_features(kind, p).dips
+        fixture, _, rate = _LIMITS[kind]
+        coupled = request.getfixturevalue(fixture)
+        p = coupled.replace(**{rate: 0.0})
+        # the dips of the coupled line, where x = 0, are the points a zero
+        # rate used to leave 0/0; x does not depend on the rate
+        dips = analytic_features(kind, coupled).dips
         w = np.unique(np.concatenate([make_frequency_grid(1.8e9, 2.3e9, 1001), dips]))
         assert np.array_equal(transmission_amplitude(kind, w, p), np.ones(len(w), complex))
         for dip in dips:
@@ -389,29 +405,26 @@ class TestDecoupledLimits:
         spectrum = compute_spectrum(kind, p, w)
         assert np.all(spectrum.transmission == 1.0) and np.all(spectrum.phase == 0.0)
 
+    @pytest.mark.parametrize("kind, name, value", [
+        (kind, name, value)
+        for kind, (_, couplings, rate) in _LIMITS.items()
+        for name, value in [(c, v) for c in couplings for v in (0.0, 1e-170)] + [(rate, 0.0)]
+    ])
+    def test_features_at_limits(self, kind, name, value, request):
+        """At a zero or underflowing coupling the features are the
+        uncoupled kernel's, and a zero rate, a transparent line, has none."""
+        fixture, _, rate = _LIMITS[kind]
+        p = request.getfixturevalue(fixture).replace(**{name: value})
+        assert (analytic_features(kind, p) == FeatureSet()) == (name == rate)
+        _assert_features_match(kind, p)
+
 
 class TestFeatureConsistency:
     KINDS = list(ModelKind)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_features_match_amplitudes(self, kind, qubit_params, qnmr_params,
-                                       cnmr_params, dispersive_params,
-                                       stlr_params, stlr_qnmr_params,
-                                       stlr_cnmr_params):
-        params = {
-            ModelKind.QUBIT_ONLY: qubit_params,
-            ModelKind.QUBIT_QNMR: qnmr_params,
-            ModelKind.DISPERSIVE: dispersive_params,
-            ModelKind.QUBIT_CNMR: cnmr_params,
-            ModelKind.STLR_QUBIT: stlr_params,
-            ModelKind.STLR_QUBIT_QNMR: stlr_qnmr_params,
-            ModelKind.STLR_QUBIT_CNMR: stlr_cnmr_params,
-        }[kind]
-        features = analytic_features(kind, params)
-        for dip in features.dips:
-            assert abs(transmission_amplitude(kind, dip, params)) ** 2 <= 1e-9
-        for window in features.unity_points:
-            assert abs(transmission_amplitude(kind, window, params)) ** 2 >= 1 - 1e-9
+    def test_features_match_amplitudes(self, kind, request):
+        _assert_features_match(kind, request.getfixturevalue(_LIMITS[kind][0]))
 
     def test_unknown_kind_rejected(self, qubit_params):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ its class needs.  A report is right when it names the spectrum's class
 (and, for the dispersive cell, its phonon number); a raised
 ``InconsistentFeaturesError`` counts as a miss.  The floors are the
 counts the estimator reached when the cells were committed: raising one
-is routine, lowering one is a contract change.
+is routine, lowering one is a contract change.  Cells in G_FLOORS also
+count the noisy reports whose g_est lies within 3 sigma of the true g_q,
+a first check of a reported sigma against the observed error.
 """
 
 import pytest
@@ -41,12 +43,19 @@ CELLS = {
     "narrow-qubit-qnmr": (ModelKind.QUBIT_QNMR, dict(_README_QNMR, gamma_c=2e6, g_q=2.5e7),
                           {}, ModelClass.QUANTUM_NMR, None, (0, 6, 8)),
 }
+# cell -> floors of the g_est-within-3-sigma count at 3 %, 5 %
+G_FLOORS = {"qubit-qnmr": (10, 10)}
+
+
+def _clean(cell):
+    kind, values = CELLS[cell][:2]
+    return compute_spectrum(kind, ModelParams(**values), make_frequency_grid(1.8e9, 2.3e9, 2001))
 
 
 @pytest.mark.parametrize("cell", list(CELLS))
 def test_class_accuracy_floor(cell):
-    kind, values, hints, want, phonon_n, floors = CELLS[cell]
-    clean = compute_spectrum(kind, ModelParams(**values), make_frequency_grid(1.8e9, 2.3e9, 2001))
+    _, _, hints, want, phonon_n, floors = CELLS[cell]
+    clean = _clean(cell)
 
     def right(spectrum) -> bool:
         try:
@@ -60,3 +69,20 @@ def test_class_accuracy_floor(cell):
         sum(right(add_measurement_noise(clean, sigma, seed)) for seed in range(SEEDS))
         for sigma in (0.03, 0.05))
     assert all(count >= floor for count, floor in zip(counts, floors)), (counts, floors)
+
+
+@pytest.mark.parametrize("cell", list(G_FLOORS))
+def test_g_within_3_sigma_floor(cell):
+    _, values, hints = CELLS[cell][:3]
+    clean = _clean(cell)
+
+    def within(spectrum) -> bool:
+        try:
+            g = estimate_report(spectrum, unity_tol=0.04, **hints).g_est
+        except InconsistentFeaturesError:
+            return False
+        return g is not None and abs(g.value - values["g_q"]) <= 3.0 * g.sigma
+
+    counts = tuple(sum(within(add_measurement_noise(clean, sigma, seed)) for seed in range(SEEDS))
+                   for sigma in (0.03, 0.05))
+    assert all(count >= floor for count, floor in zip(counts, G_FLOORS[cell])), counts
