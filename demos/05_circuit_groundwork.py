@@ -35,7 +35,7 @@ print(f"persistent current |I_p| = {sol.persistent_current:.4g} A")
 print(f"diagonal currents: {sol.current_diag_0:.2g} / {sol.current_diag_1:.2g} A "
       "(vanish at the symmetric bias)")
 
-report = qubit_truncation_check(sol, spec)
+report = qubit_truncation_check(sol)
 print(f"two-level truncation valid? {report.valid} "
       f"(off-diagonal energy ratio {report.offdiag_ratio:.1e}, "
       f"well localization {report.left_state_left_fraction:.1%})")
@@ -55,5 +55,5 @@ print(f"mechanical coupling (classical): {cnmr_coupling(mech, sol.persistent_cur
 print(f"resonator coupling: "
       f"{stlr_qubit_coupling(sol.persistent_current, 1e-11, 1e-9, 1e-12, 2e9):.4g} rad/s")
 
-write_wavefunction_csv(OUT / "loop_wavefunctions.csv", sol, spec)
+write_wavefunction_csv(OUT / "loop_wavefunctions.csv", sol)
 print(f"wrote {OUT / 'loop_wavefunctions.csv'}")

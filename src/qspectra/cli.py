@@ -229,21 +229,21 @@ def _write_text(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _write_spectrum(spectrum, path, svg_path, title, config, figure=None) -> None:
+def _write_spectrum(spectrum, path, svg_path, title, config) -> None:
     """The spectrum CSV, and its transmission/phase chart given svg_path."""
-    qio.write_spectrum_csv(path, spectrum, config=config, figure=figure)
+    qio.write_spectrum_csv(path, spectrum, config=config)
     if svg_path:
         svg.write_chart(svg_path, svg.spectrum_panels(spectrum, title=title))
 
 
-def _write_squid(sol, spec, json_path, csv_path, svg_path, config=None, figure=None) -> None:
+def _write_squid(sol, json_path, csv_path, svg_path, config=None) -> None:
     """The circuit summary JSON (to stdout without json_path), and the
     wavefunction CSV and the potential chart where their paths are given."""
-    _write_text(json_path, qio.squid_json_text(sol, spec))
+    _write_text(json_path, qio.squid_json_text(sol))
     if csv_path:
-        qio.write_wavefunction_csv(csv_path, sol, spec, config=config, figure=figure)
+        qio.write_wavefunction_csv(csv_path, sol, config=config)
     if svg_path:
-        u = potential(sol.flux_grid, spec)
+        u = potential(sol.flux_grid, sol.spec)
         # wavefunctions drawn offset by their energies, scaled into the well depth
         scale = 0.25 * (np.max(u) - np.min(u)) / max(np.max(np.abs(sol.wavefunctions[0])), 1e-300)
         curves = [(u, "potential")] + [
@@ -319,8 +319,7 @@ def cmd_squid(args) -> int:
         flux_window=options.get("flux_window", base.flux_window),
     )
     sol = solve_eigensystem(spec, **{k: options[k] for k in ("n_states",) if k in options})
-    _write_squid(sol, spec, options.get("output_json"), options.get("output_csv"),
-                 options.get("svg"))
+    _write_squid(sol, options.get("output_json"), options.get("output_csv"), options.get("svg"))
     return EXIT_OK
 
 
@@ -413,24 +412,23 @@ def _figure_spectrum(figure: str, entry: dict, outdir: str, with_svg: bool) -> l
         config["note"] = note
     paths = [stem + ".csv", stem + ".svg" if with_svg else None]
     _write_spectrum(compute_spectrum(kind, params, _parse_grid(grid)), *paths,
-                    f"{figure} {kind.value}", config, figure)
+                    f"{figure} {kind.value}", config)
     return paths
 
 
-def _fig11(sol, spec, stem: str, with_svg: bool, config: dict) -> list:
+def _fig11(sol, stem: str, with_svg: bool, config: dict) -> list:
     paths = [stem + ".csv", stem + ".json", stem + ".svg" if with_svg else None]
     csv_path, json_path, svg_path = paths
-    _write_squid(sol, spec, json_path, csv_path, svg_path, config, "fig11")
+    _write_squid(sol, json_path, csv_path, svg_path, config)
     return paths
 
 
-def _fig12(sol, spec, stem: str, with_svg: bool, config: dict) -> list:
+def _fig12(sol, stem: str, with_svg: bool, config: dict) -> list:
     """The circulating-current combinations of the doublet."""
-    left_state, right_state = circulating_current_states(sol, spec)
+    left_state, right_state = circulating_current_states(sol)
     paths = [stem + ".csv", stem + ".svg" if with_svg else None]
     qio._write_csv(paths[0], ("flux_over_phi0", "psi_left", "psi_right"),
-                   (sol.flux_grid / FLUX_QUANTUM, left_state, right_state),
-                   config=config, figure="fig12")
+                   (sol.flux_grid / FLUX_QUANTUM, left_state, right_state), config=config)
     if with_svg:
         _write_flux_chart(paths[1], sol, [(left_state, "left well"), (right_state, "right well")],
                           "wavefunction", "circulating-current states")
@@ -448,14 +446,13 @@ def cmd_figures(args) -> int:
     targets = known if args.which == "all" else [args.which]
     os.makedirs(args.outdir, exist_ok=True)
     if any(target in _CIRCUIT_FIGURES for target in targets):
-        spec = reference_circuit()
-        sol = solve_eigensystem(spec)
-        circuit = qio.squid_summary(sol, spec)["circuit"]
+        sol = solve_eigensystem(reference_circuit())
+        circuit = qio.squid_summary(sol)["circuit"]
     written = []
     for target in targets:
         if target in _CIRCUIT_FIGURES:
             written += _CIRCUIT_FIGURES[target](
-                sol, spec, os.path.join(args.outdir, target), args.svg,
+                sol, os.path.join(args.outdir, target), args.svg,
                 {"figure": target, "circuit": circuit})
         else:
             for entry in FIGURE_SPECS[target]:

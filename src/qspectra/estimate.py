@@ -28,12 +28,14 @@ Gaussian sigma.  On noise-free spectra 6 * sigma_noise stays near 0.02
 even at 401 points, so clean detection is unchanged; under noise the
 gate keeps single-sample wiggles from being fitted as dips.
 
-Fit contract: every reported DipFeature has depth in [0, 1], a FWHM of
-at least half a grid step and a center inside its fit window.  A fitted
-depth above 1 by at most twice the fit's RMS residual (model mismatch
-and noise: clean hybridized dips overshoot by ~0.3-1.4 %) is reported
-as 1.0.  Any other violation rejects the fit; the report's notes count
-the rejected fits by reason.
+Fit contract: every reported DipFeature has depth in
+[depth_threshold, 1], a FWHM of at least half a grid step and a center
+inside its fit window.  The threshold gates a candidate's prominence and
+the fit may find it shallower: such a fit is rejected as "depth below
+depth_threshold".  A fitted depth above 1 by at most twice the fit's RMS
+residual (model mismatch and noise: clean hybridized dips overshoot by
+~0.3-1.4 %) is reported as 1.0.  Any other violation rejects the fit;
+the report's notes count the rejected fits by reason.
 
 Fit solver: every fit is MINPACK lmder (Moré 1978), called through
 scipy's _minpack extension, the entry scipy.optimize.leastsq and
@@ -67,6 +69,7 @@ from scipy.optimize import OptimizeResult, _minpack
 from scipy.signal import find_peaks
 
 from .params import Frequency, Spectrum
+from .squid import classical_amplitude
 
 # a dip candidate must be this many noise sigmas prominent (see _noise_sigma)
 _NOISE_GATE = 6.0
@@ -80,7 +83,7 @@ _MAD_TO_SIGMA = 1.0 / (0.6744897501960817 * math.sqrt(2.0))
 # rejection reasons, in the order the report notes list them
 _REJECT_REASONS = (
     "fit did not produce finite values",
-    "depth not above 0",
+    "depth below depth_threshold",
     "depth above 1 beyond the fit residual",
     "FWHM below half a grid step",
     "center outside the fit window",
@@ -269,11 +272,11 @@ def _fit_window(freqs: np.ndarray, i: int, half_width: float) -> slice:
     return slice(start, stop)
 
 
-def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int,
-                   step: float) -> Union[DipFeature, str]:
+def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int, step: float,
+                   depth_threshold: float) -> Union[DipFeature, str]:
     """Fit the candidate minimum at sample i over +-3 naive half-widths
     (at least 7 samples); its fit is the feature, or why the fit breaks
-    the DipFeature contract."""
+    the DipFeature contract or lies below depth_threshold."""
     half_width = _naive_half_width(freqs, trans, i)
     window = _fit_window(freqs, i, half_width)
     wf = freqs[window]
@@ -282,7 +285,7 @@ def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int,
     )
     if not all(math.isfinite(x) for x in (center, fwhm, depth, rms)):
         return _REJECT_REASONS[0]
-    if depth <= 0.0:
+    if depth < depth_threshold:
         return _REJECT_REASONS[1]
     if depth > 1.0 + 2.0 * rms:
         return _REJECT_REASONS[2]
@@ -323,19 +326,20 @@ def _lowest_member(cluster: list[tuple[int, float]]) -> int:
 
 
 def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature], list[str]]:
-    """The in-contract dips of depth >= depth_threshold, sorted by center,
-    and one note counting the rejected fits, if any.  One prominence scan
-    at max(depth_threshold, the noise gate) finds the candidates; each
-    cluster of them (see _clusters) is fitted once, from its lowest
-    sample.  A prominence never exceeds 1 - T, so every candidate is at
-    least depth_threshold deep."""
+    """The in-contract dips of fitted depth >= depth_threshold, sorted by
+    center, and one note counting the rejected fits, if any.  One
+    prominence scan at max(depth_threshold, the noise gate) finds the
+    candidates; each cluster of them (see _clusters) is fitted once, from
+    its lowest sample.  A prominence never exceeds 1 - T, so every
+    candidate is at least depth_threshold deep, but its fit may not be."""
     if not 0.0 < depth_threshold < 1.0:
         raise ValueError("depth_threshold must be in (0, 1)")
     trans = spectrum.transmission
     gate = _NOISE_GATE * _noise_sigma(trans)
     indices, _ = find_peaks(-trans, prominence=max(depth_threshold, gate))
     members = list(zip(indices.tolist(), trans[indices].tolist()))
-    fits = [_fit_candidate(spectrum.freqs, trans, _lowest_member(cluster), spectrum.grid_step)
+    fits = [_fit_candidate(spectrum.freqs, trans, _lowest_member(cluster), spectrum.grid_step,
+                           depth_threshold)
             for cluster in _clusters(trans, members)]
     dips = sorted((fit for fit in fits if isinstance(fit, DipFeature)), key=lambda d: d.center)
     rejected = Counter(fit for fit in fits if isinstance(fit, str))
@@ -357,10 +361,11 @@ def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -
     shallower, 0.5 * (1 + max(T[i], T[j])).  Each cluster is fit once,
     over a window of +-3 naive half-widths around its lowest sample (the
     middle one of a tied run).  A fit depth up to twice the RMS residual
-    above 1 is reported as 1.0, and fits with depth <= 0, a larger
-    overshoot, a FWHM below half a grid step or a center outside the
-    window are dropped; every other fit is returned, so noise that splits
-    one dip into two clusters gives two features.
+    above 1 is reported as 1.0, and fits with a depth below
+    depth_threshold (the fit can find a candidate shallower than its
+    prominence), a larger overshoot, a FWHM below half a grid step or a
+    center outside the window are dropped; every other fit is returned,
+    so noise that splits one dip into two clusters gives two features.
     Returns features sorted by center; empty list when nothing crosses
     the threshold.
     """
@@ -757,8 +762,6 @@ def estimate_report(spectrum: Spectrum,
             )
             found = dict(omega_b_est=Estimate(float(reference_omega_b), floor), g_est=g)
             if field is not None and persistent_current is not None and nmr_length is not None:
-                from .squid import classical_amplitude
-
                 value = classical_amplitude(g.value, field, persistent_current, nmr_length)
                 found["amplitude_est"] = Estimate(
                     value, value * g.sigma / g.value if g.value else 0.0)

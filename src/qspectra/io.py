@@ -9,7 +9,8 @@ CSV file is written here, as bytes, below the comment and header lines of
 the blocks of rows ``_numtext.table_blocks`` formats in whole-array numpy
 with CPython's bytes.  The sweep table mixes names and numbers, so CPython
 formats it row by row.  JSON documents carry a schema_version and readers
-reject unknown major versions.
+reject unknown major versions.  A figure CSV's config names its figure
+in a "figure" key, and ``_csv_head`` repeats it in a '# figure:' line.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from ._numtext import table_blocks
 from .constants import FLUX_QUANTUM
 from .params import Spectrum
-from .squid import CircuitSpec, EigenSolution, potential
+from .squid import EigenSolution, potential
 
 SCHEMA_VERSION = "1.0"
 
@@ -31,23 +32,23 @@ SPECTRUM_COLUMNS = ("omega", "T", "phase_rad", "re_t", "im_t")
 WAVEFUNCTION_COLUMNS = ("flux_over_phi0", "U_joules", "psi0", "psi1")
 
 
-def _csv_head(names, config: Optional[dict] = None, figure: Optional[str] = None) -> bytes:
-    """The optional '# figure:' and '# config:' comment lines and the header row."""
+def _csv_head(names, config: Optional[dict] = None) -> bytes:
+    """The optional comment lines and the header row: '# figure:' with the
+    config's "figure" value when it has that key, then '# config:'."""
     lines = []
-    if figure:
-        lines.append(f"# figure: {figure}")
     if config is not None:
+        if "figure" in config:
+            lines.append(f"# figure: {config['figure']}")
         lines.append("# config: " + json.dumps(config, sort_keys=True))
     lines.append(",".join(names))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _write_csv(path, names, columns, config: Optional[dict] = None,
-               figure: Optional[str] = None) -> None:
+def _write_csv(path, names, columns, config: Optional[dict] = None) -> None:
     """Write a CSV file as bytes: the head, then one row of '%.8e' numbers
     per element of the columns, a block of rows at a time."""
     with open(path, "wb") as handle:
-        handle.write(_csv_head(names, config, figure))
+        handle.write(_csv_head(names, config))
         handle.writelines(table_blocks(columns, "%.8e", "," * (len(names) - 1) + "\n"))
 
 
@@ -61,8 +62,7 @@ def _write_sweep_csv(path, param: str, rows, config: dict) -> None:
         handle.write(head + body.encode("utf-8"))
 
 
-def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None,
-                       figure: Optional[str] = None) -> None:
+def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None) -> None:
     """Write a spectrum CSV (columns omega, T, phase_rad, re_t, im_t; the
     amplitude columns are NaN for noisy spectra)."""
     amp = spectrum.amplitude
@@ -71,7 +71,7 @@ def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None,
     else:
         re, im = amp.real, amp.imag
     _write_csv(path, SPECTRUM_COLUMNS,
-               (spectrum.freqs, spectrum.transmission, spectrum.phase, re, im), config, figure)
+               (spectrum.freqs, spectrum.transmission, spectrum.phase, re, im), config)
 
 
 def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
@@ -195,7 +195,8 @@ def load_report(path) -> dict:
     return document
 
 
-def squid_summary(sol: EigenSolution, spec: CircuitSpec) -> dict:
+def squid_summary(sol: EigenSolution) -> dict:
+    spec = sol.spec
     return {
         "schema_version": SCHEMA_VERSION,
         "E0_joules": float(sol.energies[0]),
@@ -216,18 +217,16 @@ def squid_summary(sol: EigenSolution, spec: CircuitSpec) -> dict:
     }
 
 
-def squid_json_text(sol: EigenSolution, spec: CircuitSpec) -> str:
-    return _json_text(squid_summary(sol, spec))
+def squid_json_text(sol: EigenSolution) -> str:
+    return _json_text(squid_summary(sol))
 
 
-def write_wavefunction_csv(path, sol: EigenSolution, spec: CircuitSpec,
-                           config: Optional[dict] = None,
-                           figure: Optional[str] = None) -> None:
+def write_wavefunction_csv(path, sol: EigenSolution, config: Optional[dict] = None) -> None:
     """Write the wavefunction CSV (columns flux_over_phi0, U_joules, psi0,
     psi1)."""
-    columns = (sol.flux_grid / FLUX_QUANTUM, potential(sol.flux_grid, spec),
+    columns = (sol.flux_grid / FLUX_QUANTUM, potential(sol.flux_grid, sol.spec),
                sol.wavefunctions[0], sol.wavefunctions[1])
-    _write_csv(path, WAVEFUNCTION_COLUMNS, columns, config, figure)
+    _write_csv(path, WAVEFUNCTION_COLUMNS, columns, config)
 
 
 __all__ = [

@@ -99,7 +99,8 @@ class CircuitSpec:
         return np.linspace(self.bias_flux - half, self.bias_flux + half, self.grid_points)
 
 
-def reference_circuit(grid_points: int = 1001, flux_window: float = 1.0) -> CircuitSpec:
+def reference_circuit(grid_points: int = CircuitSpec.grid_points,
+                      flux_window: float = CircuitSpec.flux_window) -> CircuitSpec:
     """The canonical demo circuit: C_J = 17 fF, L = 6 nH, matched critical
     current, symmetric bias at half a flux quantum."""
     inductance = 6e-9
@@ -127,14 +128,16 @@ def potential(phi, spec: CircuitSpec):
 class EigenSolution:
     """Lowest eigenpairs of the circuit Hamiltonian plus derived quantities.
 
-    energies are in joules, ascending.  wavefunctions[k] is the k-th state
-    sampled on flux_grid, normalized so that sum(psi**2) * flux_step = 1.
-    omega0 = (E1 - E0)/hbar.  persistent_current is |<1|I|0>| of the loop
-    current operator I = (Phi - Phi_e)/L; current_diag_0/1 are its
-    (gauge-independent) diagonal elements, which nearly vanish at the
-    symmetric bias.
+    spec is the circuit solved, which the summary and the wavefunction
+    CSV read.  energies are in joules, ascending.  wavefunctions[k] is the
+    k-th state sampled on flux_grid, normalized so that
+    sum(psi**2) * flux_step = 1.  omega0 = (E1 - E0)/hbar.
+    persistent_current is |<1|I|0>| of the loop current operator
+    I = (Phi - Phi_e)/L; current_diag_0/1 are its (gauge-independent)
+    diagonal elements, which nearly vanish at the symmetric bias.
     """
 
+    spec: CircuitSpec
     energies: np.ndarray
     wavefunctions: np.ndarray
     flux_grid: np.ndarray
@@ -201,6 +204,7 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
     offdiag, diag0, diag1 = (float(np.sum(states[i] * current * states[j]) * step)
                              for i, j in ((1, 0), (0, 0), (1, 1)))
     return EigenSolution(
+        spec=spec,
         energies=energies,
         wavefunctions=states,
         flux_grid=phi,
@@ -235,24 +239,23 @@ class TruncationReport:
         )
 
 
-def circulating_current_states(sol: EigenSolution,
-                               spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
+def circulating_current_states(sol: EigenSolution) -> tuple[np.ndarray, np.ndarray]:
     """The doublet combinations (psi0 - psi1)/sqrt(2) and (psi0 + psi1)/sqrt(2),
     with psi1's sign chosen so that the first is the left-well state."""
     psi0, psi1 = sol.wavefunctions[0], sol.wavefunctions[1]
-    right = sol.flux_grid > spec.bias_flux
+    right = sol.flux_grid > sol.spec.bias_flux
     if np.sum(psi0[right] * psi1[right]) * sol.flux_step < 0:
         psi1 = -psi1
     return (psi0 - psi1) / math.sqrt(2.0), (psi0 + psi1) / math.sqrt(2.0)
 
 
-def qubit_truncation_check(sol: EigenSolution, spec: CircuitSpec) -> TruncationReport:
+def qubit_truncation_check(sol: EigenSolution) -> TruncationReport:
     """Evaluate <i|H|j> in the numerical eigenbasis and the well
     localization of the doublet combinations (psi0 -/+ psi1)/sqrt(2)."""
     if len(sol.energies) < 2:
         raise ValueError("need at least two states")
     phi, step = sol.flux_grid, sol.flux_step
-    h_diag, h_off = _hamiltonian(spec, phi)
+    h_diag, h_off = _hamiltonian(sol.spec, phi)
 
     def apply_h(psi):
         out = h_diag * psi
@@ -265,9 +268,9 @@ def qubit_truncation_check(sol: EigenSolution, spec: CircuitSpec) -> TruncationR
     offdiag = float(np.sum(psi0 * h_psi1) * step)
     diag = min(abs(sol.energies[0]), abs(sol.energies[1]))
 
-    left_state, right_state = circulating_current_states(sol, spec)
-    right = phi > spec.bias_flux
-    left = phi < spec.bias_flux
+    left_state, right_state = circulating_current_states(sol)
+    right = phi > sol.spec.bias_flux
+    left = phi < sol.spec.bias_flux
     left_fraction = float(np.sum(left_state[left] ** 2) * step)
     right_fraction = float(np.sum(right_state[right] ** 2) * step)
     overlap = float(np.sum(left_state * right_state) * step)

@@ -621,7 +621,7 @@ def test_dip_contract_under_noise(monkeypatch):
 
 
 def test_rejection_note_names_unfinished_and_empty_fits(qnmr_spectrum, monkeypatch):
-    """A fit whose depth is NaN or not above 0 is rejected, and the note
+    """A fit whose depth is NaN or below depth_threshold is rejected, and the note
     counts the reasons in their fixed order, not in the order the fits
     ran."""
     real = estimate.least_squares
@@ -636,7 +636,7 @@ def test_rejection_note_names_unfinished_and_empty_fits(qnmr_spectrum, monkeypat
     report = estimate_report(qnmr_spectrum)
     assert report.dips == ()
     assert report.notes == ("2 of 2 dip fits rejected (1 fit did not produce finite "
-                            "values, 1 depth not above 0)",)
+                            "values, 1 depth below depth_threshold)",)
 
 
 def _count_fits(monkeypatch):
@@ -784,6 +784,39 @@ def test_unity_points_between_reported_deep_dips(kind, values, n, seed):
     assert len(outer) >= 2 and report.unity_points
     assert all(outer[0] < u < outer[-1] for u in report.unity_points), (
         outer[0], outer[-1], report.unity_points[0], report.unity_points[-1])
+
+
+_QUBIT_ONLY = dict(omega0=OMEGA0, gamma_c=GAMMA_C)
+_QUBIT_CNMR = dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=GAMMA_C, g_c=COUPLING)
+
+
+@pytest.mark.parametrize("kind, values, refs, want, n, sigma, seed", [
+    pytest.param(ModelKind.QUBIT_ONLY, _QUBIT_ONLY, dict(reference_omega0=OMEGA0),
+                 ModelClass.NO_NMR, 2001, 0.02, 9, id="qubit-only-2001-2pct-seed9"),
+    pytest.param(ModelKind.QUBIT_CNMR, _QUBIT_CNMR,
+                 dict(reference_omega0=OMEGA0, reference_omega_b=OMEGA_B),
+                 ModelClass.CLASSICAL_NMR, 2001, 0.02, 6, id="qubit-cnmr-2001-2pct-seed6"),
+    pytest.param(ModelKind.DISPERSIVE, _DISPERSIVE_N2,
+                 dict(reference_omega0=OMEGA0, reference_g_q=3e7, reference_delta=1e8),
+                 ModelClass.DISPERSIVE, 2001, 0.03, 16, id="dispersive-2001-3pct-seed16"),
+    pytest.param(ModelKind.QUBIT_QNMR, _NARROW_QNMR, {}, ModelClass.QUANTUM_NMR, 4001, 0.03,
+                 12, id="narrow-4001-3pct-seed12"),
+])
+def test_reported_dips_reach_depth_threshold(kind, values, refs, want, n, sigma, seed):
+    """The threshold gates a candidate's prominence, and its fit can come
+    out shallower.  Such a fit is dropped, so every reported dip is at
+    least depth_threshold deep.  On these draws a second, shallower fit
+    (0.066-0.0998 deep) was once listed beside the real dip, which made
+    the single-dip spectra ambiguous."""
+    clean = compute_spectrum(kind, ModelParams(**values), make_frequency_grid(1.8e9, 2.3e9, n))
+    noisy = add_measurement_noise(clean, sigma, seed)
+    assert all(d.depth >= 0.1 for d in detect_dips(noisy))
+    report = estimate_report(noisy, **refs)
+    assert all(d.depth >= 0.1 for d in report.dips), report.dips
+    assert report.model_class is want
+    if want is ModelClass.DISPERSIVE:
+        assert report.phonon_n_est == 2
+    assert any("depth below depth_threshold" in note for note in report.notes)
 
 
 def test_bad_unity_tol_raises_before_any_fit(qnmr_spectrum, monkeypatch):

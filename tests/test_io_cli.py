@@ -30,11 +30,19 @@ from qspectra.io import (
     load_report,
     read_spectrum_csv,
     report_json_text,
+    squid_json_text,
     write_spectrum_csv,
     write_wavefunction_csv,
 )
 from qspectra.params import Spectrum
-from qspectra.squid import potential, reference_circuit, solve_eigensystem
+from qspectra.squid import (
+    CircuitSpec,
+    matched_critical_current,
+    potential,
+    qubit_truncation_check,
+    reference_circuit,
+    solve_eigensystem,
+)
 from qspectra.svg import Panel, Series, _limits, write_chart
 
 from conftest import GAMMA_C
@@ -306,9 +314,9 @@ class TestGoldenBytes:
         nan = np.full(n_points, math.nan)
         columns = (spectrum.freqs, spectrum.transmission, spectrum.phase,
                    nan if amp is None else amp.real, nan if amp is None else amp.imag)
-        head = '# figure: f\n# config: {"a": 1}\nomega,T,phase_rad,re_t,im_t\n'
+        head = '# figure: f\n# config: {"a": 1, "figure": "f"}\nomega,T,phase_rad,re_t,im_t\n'
         path = tmp_path / "s.csv"
-        write_spectrum_csv(path, spectrum, config={"a": 1}, figure="f")
+        write_spectrum_csv(path, spectrum, config={"a": 1, "figure": "f"})
         assert path.read_text() == head + _reference_rows(columns)
 
     def test_spectrum_csv_edge_values(self, tmp_path):
@@ -337,8 +345,9 @@ class TestGoldenBytes:
         columns = (sol.flux_grid / FLUX_QUANTUM, potential(sol.flux_grid, spec),
                    sol.wavefunctions[0], sol.wavefunctions[1])
         path = tmp_path / "w.csv"
-        write_wavefunction_csv(path, sol, spec, config={"b": 2}, figure="fig11")
-        head = '# figure: fig11\n# config: {"b": 2}\nflux_over_phi0,U_joules,psi0,psi1\n'
+        write_wavefunction_csv(path, sol, config={"b": 2, "figure": "fig11"})
+        head = ('# figure: fig11\n# config: {"b": 2, "figure": "fig11"}\n'
+                'flux_over_phi0,U_joules,psi0,psi1\n')
         assert path.read_text() == head + _reference_rows(columns)
 
     @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS + 1])
@@ -868,6 +877,53 @@ class TestSquidCommand:
         header = [line for line in csv.read_text().splitlines()
                   if not line.startswith("#")][0]
         assert header == "flux_over_phi0,U_joules,psi0,psi1"
+
+
+class TestSolutionCarriesCircuit:
+    """The summary, the wavefunction CSV and the truncation check read the
+    circuit from the solution itself; a circuit other than the reference
+    shows that nothing falls back to it."""
+
+    SPEC = CircuitSpec(capacitance=2.1e-14, inductance=5e-9,
+                       critical_current=matched_critical_current(5e-9),
+                       bias_flux=0.5 * FLUX_QUANTUM, grid_points=1201, flux_window=1.4)
+
+    def test_solution_keeps_the_solved_spec(self):
+        sol = solve_eigensystem(self.SPEC)
+        assert sol.spec is self.SPEC
+        assert qubit_truncation_check(sol).valid
+
+    def test_summary_circuit_is_the_solved_spec(self, tmp_path):
+        sol = solve_eigensystem(self.SPEC)
+        assert json.loads(squid_json_text(sol))["circuit"] == {
+            "capacitance_farads": 2.1e-14, "inductance_henries": 5e-9,
+            "critical_current_amps": self.SPEC.critical_current,
+            "bias_flux_webers": 0.5 * FLUX_QUANTUM, "grid_points": 1201, "flux_window": 1.4}
+        out = tmp_path / "s.json"
+        assert main(["squid", "--c-j", "2.1e-14", "--l", "5e-9", "--flux-window", "1.4",
+                     "--grid-points", "1201", "--output-json", str(out)]) == 0
+        assert out.read_text() == squid_json_text(sol)
+
+    def test_wavefunction_potential_is_the_solved_circuit(self, tmp_path):
+        sol = solve_eigensystem(self.SPEC)
+        path = tmp_path / "w.csv"
+        write_wavefunction_csv(path, sol)
+        u = potential(sol.flux_grid, self.SPEC)
+        assert not np.allclose(u, potential(sol.flux_grid, reference_circuit()), atol=0)
+        columns = (sol.flux_grid / FLUX_QUANTUM, u, sol.wavefunctions[0], sol.wavefunctions[1])
+        assert path.read_text() == ("flux_over_phi0,U_joules,psi0,psi1\n"
+                                    + _reference_rows(columns))
+
+
+@pytest.mark.parametrize("config", [None, {}, {"a": 1}, {"figure": "x"}, {"a": 1, "figure": "x"}])
+def test_figure_line_comes_from_config(config, qnmr_spectrum, tmp_path):
+    path = tmp_path / "s.csv"
+    write_spectrum_csv(path, qnmr_spectrum, config=config)
+    comments = [line for line in path.read_text().splitlines() if line.startswith("#")]
+    expected = [] if config is None else ["# config: " + json.dumps(config, sort_keys=True)]
+    if config and "figure" in config:
+        expected.insert(0, "# figure: x")
+    assert comments == expected
 
 
 class TestSweepCommand:

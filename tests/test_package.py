@@ -1,7 +1,10 @@
 """The package namespace re-exports each model-side module's ``__all__``,
 and every name in a module's ``__all__`` is bound; the documented
-argument checks of the package's public functions raise ValueError."""
+argument checks of the package's public functions raise ValueError; and
+every import and private module-level name in the package is read."""
 
+import ast
+import pathlib
 import re
 
 import numpy as np
@@ -9,6 +12,9 @@ import pytest
 
 import qspectra
 from qspectra import classical, constants, estimate, io, models, params, squid, svg
+
+_SOURCES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(pathlib.Path(qspectra.__file__).parent.glob("*.py"))}
 
 
 @pytest.mark.parametrize("module", [constants, params, models, squid, classical, estimate],
@@ -49,11 +55,10 @@ _MECHANICAL = dict(mass=1e-18, omega_b=2e9, length=1e-5, field=0.1)
     (lambda: qspectra.stlr_qubit_coupling(1e-7, 1e-12, 1e-2, 1e-12, -2e9),
      "omega_r must be > 0"),
     (lambda: qspectra.qubit_truncation_check(
-        qspectra.EigenSolution(energies=np.zeros(1), wavefunctions=np.zeros((1, 3)),
-                               flux_grid=np.arange(3.0), flux_step=1.0, omega0=0.0,
-                               persistent_current=0.0, current_diag_0=0.0,
-                               current_diag_1=0.0),
-        qspectra.CircuitSpec(**_CIRCUIT)),
+        qspectra.EigenSolution(spec=qspectra.CircuitSpec(**_CIRCUIT), energies=np.zeros(1),
+                               wavefunctions=np.zeros((1, 3)), flux_grid=np.arange(3.0),
+                               flux_step=1.0, omega0=0.0, persistent_current=0.0,
+                               current_diag_0=0.0, current_diag_1=0.0)),
      "need at least two states"),
     (lambda: qspectra.phonon_number_from_dip(2.1e9, 2.1e9, 3e7, 0.0),
      "phonon readout needs a nonzero detuning"),
@@ -64,3 +69,53 @@ _MECHANICAL = dict(mass=1e-18, omega_b=2e9, length=1e-5, field=0.1)
 def test_documented_value_errors(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def _loaded_names(tree) -> set:
+    """Every name a module reads: bare names, attribute names and the
+    names it imports from another module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", list(_SOURCES))
+def test_every_import_is_used(name):
+    """A name a module imports is read in that module, so code deleted
+    around an import takes the import with it."""
+    tree = _SOURCES[name]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    assert sorted(imported - used) == []
+
+
+def test_every_private_name_is_referenced():
+    """Each private module-level name is read somewhere in the package
+    (cli reads io._write_csv and io._write_sweep_csv, for example), so a
+    helper whose last caller goes does not stay behind."""
+    loaded = set().union(*map(_loaded_names, _SOURCES.values()))
+    unread = []
+    for name, tree in _SOURCES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{name}:{d}" for d in defined
+                       if d.startswith("_") and not d.startswith("__") and d not in loaded]
+    assert unread == []

@@ -239,13 +239,13 @@ class TestCurrents:
 
 class TestTruncation:
     def test_offdiagonal_energy_negligible(self, solution):
-        spec, sol = solution
-        report = qubit_truncation_check(sol, spec)
+        _, sol = solution
+        report = qubit_truncation_check(sol)
         assert report.offdiag_ratio < 1e-6
 
     def test_circulating_states_localized(self, solution):
-        spec, sol = solution
-        report = qubit_truncation_check(sol, spec)
+        _, sol = solution
+        report = qubit_truncation_check(sol)
         assert report.left_state_left_fraction > 0.9
         assert report.right_state_right_fraction > 0.9
         assert abs(report.left_right_overlap) < 1e-8
