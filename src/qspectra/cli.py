@@ -4,8 +4,10 @@ Subcommands: spectrum | estimate | squid | sweep | figures.  Every
 option of spectrum, estimate, squid and sweep can also come from a JSON
 config file (--config); a config value is converted by its flag's type,
 and explicit flags override file values; a real-valued option must be a
-finite number.  QSPECTRA_THREADS caps sweep parallelism.  Outputs are
-byte-identical for identical configurations, including the noise seed.
+finite number.  A sweep runs min(QSPECTRA_THREADS, CPUs, steps) workers,
+QSPECTRA_THREADS defaulting to the CPU count; one worker runs the steps
+in the calling thread.  Outputs are byte-identical for identical
+configurations, including the noise seed.
 
 Each artifact has one writer, which its subcommand and `figures` share:
 ``_write_spectrum`` and ``_write_squid``.  The estimate and squid JSON
@@ -80,7 +82,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def thread_cap() -> int:
+    """The most sweep workers: QSPECTRA_THREADS, at most the CPU count,
+    or the CPU count when it is unset.  The steps are GIL-bound, so more
+    threads than CPUs only add switching."""
     raw = os.environ.get("QSPECTRA_THREADS", "")
+    cpus = os.cpu_count() or 1
     if raw.strip():
         try:
             value = int(raw)
@@ -88,8 +94,8 @@ def thread_cap() -> int:
             raise UsageError(f"QSPECTRA_THREADS must be an integer, got {raw!r}") from exc
         if value < 1:
             raise UsageError("QSPECTRA_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
+        return min(value, cpus)
+    return cpus
 
 
 PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ModelParams))
@@ -352,9 +358,17 @@ def cmd_sweep(args) -> int:
     values = np.linspace(start, stop, steps)
     grid = options.get("grid") or None
     freqs = _parse_grid(grid) if grid else None
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(values))) as pool:
-        results = list(pool.map(
-            lambda v: _sweep_rows(kind, params, name, float(v), freqs), values))
+    workers = min(thread_cap(), len(values))
+
+    def step(value):
+        return _sweep_rows(kind, params, name, float(value), freqs)
+
+    if workers == 1:
+        # a pool of one would run the same steps in order, plus a handoff each
+        results = list(map(step, values))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(step, values))
     config = {"command": "sweep", "model": kind.value, "param": name, "start": start,
               "stop": stop, "steps": steps, "params": params.to_dict(), "grid": grid}
     qio._write_sweep_csv(output, name, [row for rows in results for row in rows], config)

@@ -26,7 +26,10 @@ max(depth_threshold, 6 * sigma_noise), where sigma_noise is the median
 absolute deviation of the spectrum's first differences scaled to a
 Gaussian sigma.  On noise-free spectra 6 * sigma_noise stays near 0.02
 even at 401 points, so clean detection is unchanged; under noise the
-gate keeps single-sample wiggles from being fitted as dips.
+gate keeps single-sample wiggles from being fitted as dips.  When more
+than half of the differences are small enough to bound 6 * sigma_noise
+below half the threshold (see _prominence), the gate is the threshold
+and the two medians are not taken.
 
 Fit contract: every reported DipFeature has depth in
 [depth_threshold, 1], a FWHM of at least half a grid step and a center
@@ -71,7 +74,7 @@ from scipy.signal import find_peaks
 from .params import Frequency, Spectrum
 from .squid import classical_amplitude
 
-# a dip candidate must be this many noise sigmas prominent (see _noise_sigma)
+# a dip candidate must be this many noise sigmas prominent (see _prominence)
 _NOISE_GATE = 6.0
 # depth of the dips whose outermost pair bounds the full-transmission search
 _OUTER_DIP_DEPTH = 0.5
@@ -138,35 +141,90 @@ class DipFeature:
         return dict(vars(self))
 
 
-def _noise_sigma(trans: np.ndarray) -> float:
-    """Robust white-noise sigma of the transmission: the median absolute
-    deviation of the first differences, scaled to a Gaussian sigma.  A
-    smooth spectrum changes little between most neighbouring samples, so
-    its dips do not inflate the estimate."""
-    diffs = np.diff(trans)
+def _noise_sigma(diffs: np.ndarray) -> float:
+    """Robust white-noise sigma of a transmission from its first
+    differences: their median absolute deviation, scaled to a Gaussian
+    sigma.  A smooth spectrum changes little between most neighbouring
+    samples, so its dips do not inflate the estimate."""
     return _MAD_TO_SIGMA * float(np.median(np.abs(diffs - np.median(diffs))))
+
+
+def _prominence(trans: np.ndarray, depth_threshold: float) -> float:
+    """The candidate gate, max(depth_threshold, 6 * sigma_noise), without
+    the two medians of _noise_sigma where the noise term cannot bind.
+
+    Let b = depth_threshold / (4 * 6 * _MAD_TO_SIGMA), and let more than
+    half of the n first differences d lie in (-b, b): at least k + 1 of
+    them, for n = 2k + 1 or n = 2k.  Then at most k (odd n) or k - 1
+    (even n) lie at or below -b, and as many at or above b.  For odd n
+    the median is the (k+1)-th smallest difference, so it lies in
+    (-b, b).  For even n it is the mean of the k-th and (k+1)-th
+    smallest, both in (-b, b), and rounding keeps their mean in [-b, b].
+    Each of the k + 1 or more differences in (-b, b) then has
+    |d - median| < 2b, at most 2b after rounding, so at least k + 1 of
+    the n deviations are at most 2b and, by the same counting, so is
+    their median, the MAD.  So 6 * sigma_noise = 6 * _MAD_TO_SIGMA * MAD
+    <= depth_threshold / 2, with the factor 2 to spare for the rounding
+    of b and of the products, and the gate is depth_threshold exactly.
+    Otherwise _noise_sigma takes its medians of the same differences.
+    """
+    diffs = np.diff(trans)
+    bound = depth_threshold / (4.0 * _NOISE_GATE * _MAD_TO_SIGMA)
+    if 2 * np.count_nonzero(np.abs(diffs) < bound) > diffs.size:
+        return depth_threshold
+    return max(depth_threshold, _NOISE_GATE * _noise_sigma(diffs))
+
+
+def _crossing(trans: np.ndarray, level: float, i: int, direction: int) -> int:
+    """The sample nearest i in the given direction (-1 or +1), i
+    excluded, at or above level; -1 when there is none.  The search grows
+    outward in doubling chunks, so it reads about as many samples as lie
+    between i and the crossing, not the whole half of the grid."""
+    size = 128
+    if direction < 0:
+        stop = i
+        while stop > 0:
+            start = max(0, stop - size)
+            above = trans[start:stop] >= level
+            k = stop - 1 - int(above[::-1].argmax())
+            if trans[k] >= level:
+                return k
+            stop, size = start, 2 * size
+    else:
+        start, n = i + 1, len(trans)
+        while start < n:
+            above = trans[start:start + size] >= level
+            k = start + int(above.argmax())
+            if trans[k] >= level:
+                return k
+            start, size = start + size, 2 * size
+    return -1
 
 
 def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int) -> float:
     """Distance from sample i to the half-depth crossings, averaged over
     the sides where a crossing exists.  The crossing on each side is the
     sample nearest i at or above the half level; none exists when sample
-    i itself is (T[i] >= 1)."""
-    half_level = 0.5 * (1.0 + trans[i])
+    i itself is (T[i] >= 1).  The arithmetic is on Python floats, the
+    same double operations as on numpy scalars."""
+    low = float(trans[i])
+    half_level = 0.5 * (1.0 + low)
     widths = []
-    above = np.flatnonzero(trans[:i + 1] >= half_level)
-    if above.size and above[-1] < i:
-        j = above[-1]
-        frac = (half_level - trans[j + 1]) / max(trans[j] - trans[j + 1], 1e-300)
-        widths.append(freqs[i] - (freqs[j + 1] - frac * (freqs[j + 1] - freqs[j])))
-    above = np.flatnonzero(trans[i:] >= half_level)
-    if above.size and above[0] > 0:
-        j = i + above[0]
-        frac = (half_level - trans[j - 1]) / max(trans[j] - trans[j - 1], 1e-300)
-        widths.append((freqs[j - 1] + frac * (freqs[j] - freqs[j - 1])) - freqs[i])
+    if low < half_level:
+        center = float(freqs[i])
+        j = _crossing(trans, half_level, i, -1)
+        if j >= 0:
+            (t0, t1), (f0, f1) = trans[j:j + 2].tolist(), freqs[j:j + 2].tolist()
+            frac = (half_level - t1) / max(t0 - t1, 1e-300)
+            widths.append(center - (f1 - frac * (f1 - f0)))
+        j = _crossing(trans, half_level, i, 1)
+        if j >= 0:
+            (t0, t1), (f0, f1) = trans[j - 1:j + 1].tolist(), freqs[j - 1:j + 1].tolist()
+            frac = (half_level - t0) / max(t1 - t0, 1e-300)
+            widths.append((f0 + frac * (f1 - f0)) - center)
     if not widths:
         return float(freqs[1] - freqs[0])
-    return float(sum(widths) / len(widths))
+    return sum(widths) / len(widths)
 
 
 def least_squares(fun, x0, jac) -> OptimizeResult:
@@ -182,9 +240,13 @@ def least_squares(fun, x0, jac) -> OptimizeResult:
     entry fails there.
 
     jac returns the Jacobian column-major, shape (n, m), which is
-    MINPACK's own layout.  fun must return a new float64 array of length
-    m >= n on every call: MINPACK keeps one returned array as its
-    residual buffer and writes into it.  Returns x, cost = 0.5 * |f|**2,
+    MINPACK's own layout.  fun returns a float64 array of length m >= n.
+    The extension calls it twice at x0, once to size the residual buffer
+    and once as MINPACK's first evaluation.  The first array returned
+    becomes that buffer, which MINPACK writes into, so fun must neither
+    keep nor return it again; every later result is copied into the
+    buffer, so fun may return one array it keeps (such as a copy of the
+    first) more than once.  Returns x, cost = 0.5 * |f|**2,
     nfev and status, MINPACK's info code (5: the 100 * n evaluations of
     maxfev were used up; the last iterate is returned, without a
     warning).
@@ -218,34 +280,47 @@ def _fit_lorentzian_dip(freqs: np.ndarray, trans: np.ndarray,
     there.  For a true Lorentzian g1 fits to zero and the symmetric
     result is recovered exactly.  The Jacobian is analytic; MINPACK asks
     for the residuals and then the Jacobian at the same parameters, so
-    both share the terms of the last parameter vector seen.
+    both share the terms of the last parameter vector seen.  The repeat
+    call at the start point (see least_squares) gets a copy of the first
+    call's residuals.  The callbacks take the parameters as Python
+    floats, which keeps every product and its order.
     """
     scale = max(half_width0, 1e-300)
     u = (freqs - center0) / scale
     jac = np.empty((4, len(u)))
     last = [None, None]  # parameter bytes, terms
+    start = []  # parameter bytes and a copy of the residuals of the first call
 
     def terms(theta):
         key = theta.tobytes()
         if key != last[0]:
-            v = u - theta[1]
-            width = theta[2] + theta[3] * v
+            depth, mu, g0, g1 = theta.tolist()
+            v = u - mu
+            width = g0 + g1 * v
             v2 = v**2
             w2 = width**2
-            last[:] = key, (v, width, v2, w2, v2 + w2)
+            last[:] = key, (depth, g0, v, width, v2, w2, v2 + w2)
         return last[1]
 
     def residuals(theta):
-        _, _, _, w2, denom = terms(theta)
-        return 1.0 - theta[0] * w2 / denom - trans
+        depth, _, _, _, _, w2, denom = terms(theta)
+        if start and last[0] == start[0]:
+            return start[1]
+        f = 1.0 - depth * w2 / denom - trans
+        if not start:
+            # MINPACK writes into the first array returned, and scipy's
+            # extension asks for the start point twice: the repeat and any
+            # later call there get this copy
+            start[:] = last[0], f.copy()
+        return f
 
     def jacobian(theta):
-        v, width, v2, w2, denom = terms(theta)
+        depth, g0, v, width, v2, w2, denom = terms(theta)
         # d/dG of G**2/denom is 2 G v**2/denom**2; moving the center
         # shifts v and G together, which leaves 2 G v g0/denom**2
-        common = -2.0 * theta[0] * width * v / denom**2
+        common = -2.0 * depth * width * v / denom**2
         np.divide(np.negative(w2, out=jac[0]), denom, out=jac[0])
-        np.multiply(common, theta[2], out=jac[1])
+        np.multiply(common, g0, out=jac[1])
         np.multiply(common, v, out=jac[2])
         np.multiply(common, v2, out=jac[3])
         return jac
@@ -335,8 +410,7 @@ def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature],
     if not 0.0 < depth_threshold < 1.0:
         raise ValueError("depth_threshold must be in (0, 1)")
     trans = spectrum.transmission
-    gate = _NOISE_GATE * _noise_sigma(trans)
-    indices, _ = find_peaks(-trans, prominence=max(depth_threshold, gate))
+    indices, _ = find_peaks(-trans, prominence=_prominence(trans, depth_threshold))
     members = list(zip(indices.tolist(), trans[indices].tolist()))
     fits = [_fit_candidate(spectrum.freqs, trans, _lowest_member(cluster), spectrum.grid_step,
                            depth_threshold)

@@ -505,11 +505,66 @@ class TestSinglePass:
         params = request.getfixturevalue(ALL_MODEL_FIXTURES[kind])
         for n in (401, 2001, 20001, 100001):
             s = compute_spectrum(kind, params, make_frequency_grid(1.8e9, 2.3e9, n))
-            assert _NOISE_GATE * _noise_sigma(s.transmission) < 0.1, n
+            assert _NOISE_GATE * _noise_sigma(np.diff(s.transmission)) < 0.1, n
             for tol in (0.01, 0.04):
                 report = estimate_report(s, unity_tol=tol)
                 assert list(report.unity_points) == detect_unity_points(s, tol), (n, tol)
                 assert not any("rejected" in note for note in report.notes)
+
+    def test_scan_prominence_is_the_gate(self, qnmr_spectrum, monkeypatch):
+        """_scan hands find_peaks max(depth_threshold, 6 * _noise_sigma(T)),
+        whether or not it skips the medians: on clean and noisy spectra,
+        with noise scaled to put the gate within 1 % of the threshold, on
+        first differences half of which sit just inside the skip bound,
+        on a constant T and on 2- and 3-point spectra."""
+        seen = []
+        real = estimate.find_peaks
+        monkeypatch.setattr(estimate, "find_peaks",
+                            lambda x, prominence: seen.append(prominence) or real(
+                                x, prominence=prominence))
+        rng = np.random.default_rng(77)
+        z = rng.normal(0.0, 1.0, 2001)
+        spectra = [qnmr_spectrum.transmission,
+                   add_measurement_noise(qnmr_spectrum, 0.01, 4).transmission,
+                   add_measurement_noise(qnmr_spectrum, 0.05, 4).transmission,
+                   np.full(2001, 0.3)]
+        for threshold in (0.1, 0.3):
+            for ratio in (0.99, 0.999, 1.0, 1.001, 1.01):
+                # 0.5 + s z keeps every sample inside [0, 1], unclipped
+                scale = ratio * threshold / (_NOISE_GATE * _noise_sigma(np.diff(z)))
+                spectra.append(0.5 + scale * z)
+            bound = threshold / (4.0 * _NOISE_GATE * estimate._MAD_TO_SIGMA)
+            # 1000 of 2000 differences inside the bound do not skip, 1001 do
+            for small in (1000, 1001):
+                steps = np.concatenate([bound * np.array([0.999, -0.999] * 1000)[:small],
+                                        np.array([0.2, -0.2] * 1000)[:2000 - small]])
+                spectra.append(0.5 + np.concatenate([[0.0], np.cumsum(steps)]))
+        spectra += [np.array([0.2, 0.9]), np.array([0.9, 0.2, 0.9]), np.array([0.5, 0.5])]
+        for trans in spectra:
+            spectrum = Spectrum(freqs=np.arange(float(len(trans))), transmission=trans,
+                                phase=np.zeros(len(trans)))
+            for threshold in (0.1, 0.3):
+                seen.clear()
+                estimate._scan(spectrum, threshold)
+                gate = max(threshold, _NOISE_GATE * _noise_sigma(np.diff(trans)))
+                assert seen == [gate], (len(trans), threshold)
+        # the ratios around 1 put the gate on both sides of the threshold
+        gates = [max(0.1, _NOISE_GATE * _noise_sigma(np.diff(t))) for t in spectra]
+        assert 0.1 in gates and any(0.1 < g < 0.102 for g in gates)
+
+    def test_clean_scan_takes_no_median(self, qnmr_params, monkeypatch):
+        """A clean 2001-point spectrum's differences are mostly far below
+        the threshold's share, so detect_dips takes no median; a 3 %-noise
+        one takes the two of _noise_sigma."""
+        calls = []
+        real = np.median
+        monkeypatch.setattr(np, "median", lambda *a, **k: calls.append(1) or real(*a, **k))
+        grid = make_frequency_grid(1.8e9, 2.3e9, 2001)
+        clean = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params, grid)
+        assert len(detect_dips(clean)) == 2
+        assert calls == []
+        detect_dips(add_measurement_noise(clean, 0.03, 1))
+        assert calls == [1, 1]
 
     def test_one_fit_per_candidate(self, qnmr_spectrum, monkeypatch):
         fits = []
@@ -969,6 +1024,48 @@ def test_naive_half_width_matches_loop(qnmr_spectrum):
     # its left is exactly at the level, and the level is 2/3 of the way
     # from 0.25 to 0.625 on its right
     assert estimate._naive_half_width(*cases[4], 2) == pytest.approx(0.5 * (1.0 + 5.0 / 3.0))
+
+
+def test_chunked_crossing_matches_whole_array(qnmr_spectrum):
+    """The outward chunked search finds the crossing the whole-array scan
+    finds, for crossings inside the first chunk, several doublings out,
+    exactly at a chunk boundary, on one side only or on neither."""
+    rng = np.random.default_rng(2025)
+    cases = [(qnmr_spectrum.freqs, qnmr_spectrum.transmission),
+             (qnmr_spectrum.freqs, add_measurement_noise(qnmr_spectrum, 0.05, 2).transmission)]
+    for n in (2, 3, 31, 32, 33, 97, 1000):
+        freqs = np.cumsum(rng.uniform(0.5, 2.0, n))
+        # wide dips, so crossings lie up to hundreds of samples out
+        width = rng.uniform(1.0, 0.3 * n + 1.0)
+        dip = 1.0 - 1.0 / (1.0 + ((np.arange(n) - rng.uniform(0, n)) / width) ** 2)
+        cases.append((freqs, dip))
+        # eighths: samples exactly at the half level, at T = 1, and runs
+        cases.append((freqs, rng.integers(0, 9, n) / 8.0))
+    # long runs below the level with the crossing on one side or neither
+    level_run = np.full(300, 0.25)
+    cases += [(np.arange(300.0), level_run),
+              (np.arange(300.0), np.concatenate([[1.0], level_run[1:]])),
+              (np.arange(300.0), np.concatenate([level_run[:-1], [1.0]])),
+              (np.arange(300.0), np.concatenate([[0.625], level_run[1:-1], [0.625]]))]
+    # one crossing per side at distances around the chunk edges (128 and
+    # 128 + 256 samples out) from sample 400
+    for d in (1, 127, 128, 129, 383, 384, 385):
+        trans = np.full(801, 0.25)
+        trans[[400 - d, 400 + d]] = 0.625
+        trans[400] = 0.0
+        cases.append((np.arange(801.0), trans))
+    for freqs, trans in cases:
+        n = len(trans)
+        picks = {0, 1, n - 2, n - 1, min(400, n - 1), *rng.integers(0, n, 40).tolist()}
+        for i in sorted(k for k in picks if 0 <= k < n):
+            half_level = 0.5 * (1.0 + trans[i])
+            for direction, side in ((-1, trans[:i]), (1, trans[i + 1:])):
+                hits = np.flatnonzero(side >= half_level)
+                expected = -1 if not hits.size else (
+                    int(hits[-1]) if direction < 0 else i + 1 + int(hits[0]))
+                assert estimate._crossing(trans, half_level, i, direction) == expected
+            got = estimate._naive_half_width(freqs, trans, i)
+            assert got == _loop_naive_half_width(freqs, trans, i), (n, i)
 
 
 def test_fit_window_matches_mask(qnmr_spectrum):

@@ -6,6 +6,7 @@ import pathlib
 import re
 import warnings
 import xml.dom.minidom
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -988,6 +989,80 @@ class TestSweepCommand:
         # the bytes written when the first step was evaluated twice
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "01c91da19748a2bae09abfe38a5947c226e9adee9cc38885a2b23f0c263c8066")
+
+    def test_gridded_stlr_sweep_bytes(self, tmp_path, monkeypatch):
+        """Three closed-form and three fitted dips per step, the second
+        model the sweep benchmark runs; the digest was recorded before the
+        one-worker sweep left the pool and the gate skipped its medians."""
+        out = tmp_path / "sweep.csv"
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QSPECTRA_THREADS", threads)
+            assert main(["sweep", "--model", "stlr-qubit-qnmr", "--omega0", "2.1e9",
+                         "--omega-b", "2e9", "--omega-r", "2e9", "--v-g", "3e8",
+                         "--v2", "1e8", "--g-rq", "1e8", "--param", "g_q",
+                         "--start", "3e7", "--stop", "1.5e8", "--steps", "5",
+                         "--grid", "1.8e9:2.3e9:1001", "--output", str(out)]) == 0
+            features = [line.split(",")[2] for line in out.read_text().splitlines()[2:]]
+            assert features.count("fitted-dip") == features.count("dip") == 15, threads
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                "cb8491cdccd8ef80681eb8c257310171eed57cf28f834268765381b3cf9fcc85"), threads
+
+    SWEEP_ARGS = ["sweep", "--model", "qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2e9",
+                  "--gamma-c", "3.3e7", "--param", "g_q", "--start", "5e7", "--stop", "2e8",
+                  "--grid", "1.8e9:2.3e9:401"]
+
+    @staticmethod
+    def _recording_pool(monkeypatch, built, real=False):
+        """Put a pool in place of cli.ThreadPoolExecutor that records its
+        max_workers and maps in the calling thread, or through the real
+        pool when real is set."""
+        class Recording:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                self.pool = ThreadPoolExecutor(max_workers) if real else None
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                if self.pool is not None:
+                    self.pool.shutdown()
+
+            def map(self, fn, values):
+                return self.pool.map(fn, values) if self.pool is not None else map(fn, values)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+
+    def test_one_worker_builds_no_pool(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-worker sweep built a pool")
+
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+        monkeypatch.setenv("QSPECTRA_THREADS", "1")
+        assert main(self.SWEEP_ARGS + ["--steps", "5", "--output", str(one)]) == 0
+        built = []
+        self._recording_pool(monkeypatch, built, real=True)
+        monkeypatch.setenv("QSPECTRA_THREADS", "2")
+        assert main(self.SWEEP_ARGS + ["--steps", "5", "--output", str(two)]) == 0
+        assert built == [2]
+        assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("threads, cpus, steps, workers", [
+        ("100000", 3, 5, 3), ("100000", None, 5, None), ("3", 8, 2, 2), ("4", 8, 5, 4)])
+    def test_workers_clamped_to_cpus(self, threads, cpus, steps, workers, tmp_path,
+                                     monkeypatch):
+        """min(QSPECTRA_THREADS, CPUs, steps) workers; os.cpu_count() of None
+        counts as one CPU, which runs in the calling thread.  The recording
+        pool starts no thread."""
+        built = []
+        self._recording_pool(monkeypatch, built)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("QSPECTRA_THREADS", threads)
+        assert main(self.SWEEP_ARGS + ["--steps", str(steps),
+                                       "--output", str(tmp_path / "s.csv")]) == 0
+        assert built == ([] if workers is None else [workers])
 
     def test_bad_thread_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "s.csv"
