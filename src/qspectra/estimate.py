@@ -21,15 +21,15 @@ One rule (_decide) maps those dips and points to a vibration class:
 estimate_report applies it and inverts what the class allows, and
 classify is its raising form.
 
-Noise gate: a dip candidate needs a prominence of at least
-max(depth_threshold, 6 * sigma_noise), where sigma_noise is the median
-absolute deviation of the spectrum's first differences scaled to a
-Gaussian sigma.  On noise-free spectra 6 * sigma_noise stays near 0.02
-even at 401 points, so clean detection is unchanged; under noise the
-gate keeps single-sample wiggles from being fitted as dips.  When more
-than half of the differences are small enough to bound 6 * sigma_noise
-below half the threshold (see _prominence), the gate is the threshold
-and the two medians are not taken.
+Phase gate: every kernel is t = x/(x + i y) (see models), so a dip of T
+is a zero of x, where t passes through 0 and its phase turns by pi.  A
+cluster is fitted only when the phase steps by at least pi/4, wrapped,
+between neighbouring samples or samples two apart somewhere from one
+half-depth crossing of its lowest sample to the other.  A wiggle of
+measurement noise turns the phase only by the phase noise, so it is not
+fitted; the report's notes count it as "no phase step".  The stride of
+two covers a sample on the zero itself: t = 0 there has phase 0, which
+splits the turn of pi into two smaller steps.
 
 Fit contract: every reported DipFeature has depth in
 [depth_threshold, 1], a FWHM of at least half a grid step and a center
@@ -74,17 +74,16 @@ from scipy.signal import find_peaks
 from .params import Frequency, Spectrum
 from .squid import classical_amplitude
 
-# a dip candidate must be this many noise sigmas prominent (see _prominence)
-_NOISE_GATE = 6.0
 # depth of the dips whose outermost pair bounds the full-transmission search
 _OUTER_DIP_DEPTH = 0.5
 # defaults: the depth of a reported dip, the T and phase tolerance of a unity point
 _DEPTH_THRESHOLD = 0.1
 _UNITY_TOL = 0.01
-# MAD of the differences of white noise of sigma s is s * sqrt(2) * 0.67449
-_MAD_TO_SIGMA = 1.0 / (0.6744897501960817 * math.sqrt(2.0))
+# a cluster is fitted when its phase steps by at least pi/4 (see _phase_step)
+_COS_PHASE_STEP = math.cos(0.25 * math.pi)
 # rejection reasons, in the order the report notes list them
 _REJECT_REASONS = (
+    "no phase step",
     "fit did not produce finite values",
     "depth below depth_threshold",
     "depth above 1 beyond the fit residual",
@@ -141,45 +140,13 @@ class DipFeature:
         return dict(vars(self))
 
 
-def _noise_sigma(diffs: np.ndarray) -> float:
-    """Robust white-noise sigma of a transmission from its first
-    differences: their median absolute deviation, scaled to a Gaussian
-    sigma.  A smooth spectrum changes little between most neighbouring
-    samples, so its dips do not inflate the estimate."""
-    return _MAD_TO_SIGMA * float(np.median(np.abs(diffs - np.median(diffs))))
-
-
-def _prominence(trans: np.ndarray, depth_threshold: float) -> float:
-    """The candidate gate, max(depth_threshold, 6 * sigma_noise), without
-    the two medians of _noise_sigma where the noise term cannot bind.
-
-    Let b = depth_threshold / (4 * 6 * _MAD_TO_SIGMA), and let more than
-    half of the n first differences d lie in (-b, b): at least k + 1 of
-    them, for n = 2k + 1 or n = 2k.  Then at most k (odd n) or k - 1
-    (even n) lie at or below -b, and as many at or above b.  For odd n
-    the median is the (k+1)-th smallest difference, so it lies in
-    (-b, b).  For even n it is the mean of the k-th and (k+1)-th
-    smallest, both in (-b, b), and rounding keeps their mean in [-b, b].
-    Each of the k + 1 or more differences in (-b, b) then has
-    |d - median| < 2b, at most 2b after rounding, so at least k + 1 of
-    the n deviations are at most 2b and, by the same counting, so is
-    their median, the MAD.  So 6 * sigma_noise = 6 * _MAD_TO_SIGMA * MAD
-    <= depth_threshold / 2, with the factor 2 to spare for the rounding
-    of b and of the products, and the gate is depth_threshold exactly.
-    Otherwise _noise_sigma takes its medians of the same differences.
-    """
-    diffs = np.diff(trans)
-    bound = depth_threshold / (4.0 * _NOISE_GATE * _MAD_TO_SIGMA)
-    if 2 * np.count_nonzero(np.abs(diffs) < bound) > diffs.size:
-        return depth_threshold
-    return max(depth_threshold, _NOISE_GATE * _noise_sigma(diffs))
-
-
 def _crossing(trans: np.ndarray, level: float, i: int, direction: int) -> int:
     """The sample nearest i in the given direction (-1 or +1), i
-    excluded, at or above level; -1 when there is none.  The search grows
-    outward in doubling chunks, so it reads about as many samples as lie
-    between i and the crossing, not the whole half of the grid."""
+    excluded, at or above level; -1 when there is none.  Past i's
+    neighbour the search grows outward in doubling chunks, so it reads
+    about as many samples as lie between i and the crossing."""
+    if 0 <= i + direction < len(trans) and trans[i + direction] >= level:
+        return i + direction
     size = 128
     if direction < 0:
         stop = i
@@ -201,30 +168,51 @@ def _crossing(trans: np.ndarray, level: float, i: int, direction: int) -> int:
     return -1
 
 
-def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int) -> float:
-    """Distance from sample i to the half-depth crossings, averaged over
-    the sides where a crossing exists.  The crossing on each side is the
-    sample nearest i at or above the half level; none exists when sample
-    i itself is (T[i] >= 1).  The arithmetic is on Python floats, the
-    same double operations as on numpy scalars."""
+def _half_crossings(trans: np.ndarray, i: int) -> tuple[int, int]:
+    """The half-depth crossings of sample i: on each side, the sample
+    nearest i at or above 0.5 * (1 + T[i]), or -1 where there is none.
+    Neither exists when sample i itself is at that level (T[i] >= 1)."""
     low = float(trans[i])
     half_level = 0.5 * (1.0 + low)
+    if low >= half_level:
+        return -1, -1
+    return _crossing(trans, half_level, i, -1), _crossing(trans, half_level, i, 1)
+
+
+def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int,
+                      left: int, right: int) -> float:
+    """Distance from sample i to its half-depth crossings left and right
+    (see _half_crossings), interpolated to the level, averaged over the
+    sides that have one; one grid step when neither does.  The arithmetic
+    is on Python floats, the same double operations as on numpy scalars."""
+    half_level = 0.5 * (1.0 + float(trans[i]))
+    center = float(freqs[i])
     widths = []
-    if low < half_level:
-        center = float(freqs[i])
-        j = _crossing(trans, half_level, i, -1)
+    # each crossing j with its neighbour k towards i, below the level
+    for j, k in ((left, left + 1), (right, right - 1)):
         if j >= 0:
-            (t0, t1), (f0, f1) = trans[j:j + 2].tolist(), freqs[j:j + 2].tolist()
-            frac = (half_level - t1) / max(t0 - t1, 1e-300)
-            widths.append(center - (f1 - frac * (f1 - f0)))
-        j = _crossing(trans, half_level, i, 1)
-        if j >= 0:
-            (t0, t1), (f0, f1) = trans[j - 1:j + 1].tolist(), freqs[j - 1:j + 1].tolist()
-            frac = (half_level - t0) / max(t1 - t0, 1e-300)
-            widths.append((f0 + frac * (f1 - f0)) - center)
+            tj, tk, fj, fk = float(trans[j]), float(trans[k]), float(freqs[j]), float(freqs[k])
+            frac = (half_level - tk) / max(tj - tk, 1e-300)
+            widths.append(abs(fk + frac * (fj - fk) - center))
     if not widths:
         return float(freqs[1] - freqs[0])
     return sum(widths) / len(widths)
+
+
+def _phase_step(phase: np.ndarray, i: int, left: int, right: int) -> bool:
+    """Whether the phase steps by at least pi/4 (cos <= cos(pi/4), so
+    wrapped) between neighbouring samples or samples two apart, from
+    sample left to sample right (the grid's ends where -1).  The steps
+    among samples i - 1 to i + 1, where a dip's turn mostly lies and a
+    noise dip's span often ends, are tried first, on Python floats."""
+    a, b, c = phase[i - 1:i + 2].tolist()
+    if min(math.cos(b - a), math.cos(c - b), math.cos(c - a)) <= _COS_PHASE_STEP:
+        return True
+    if (left, right) == (i - 1, i + 1):
+        return False
+    span = phase[max(left, 0):right + 1 if right >= 0 else len(phase)]
+    steps = np.concatenate((span[1:] - span[:-1], span[2:] - span[:-2]))
+    return bool(np.cos(steps).min() <= _COS_PHASE_STEP)
 
 
 def least_squares(fun, x0, jac) -> OptimizeResult:
@@ -347,27 +335,32 @@ def _fit_window(freqs: np.ndarray, i: int, half_width: float) -> slice:
     return slice(start, stop)
 
 
-def _fit_candidate(freqs: np.ndarray, trans: np.ndarray, i: int, step: float,
+def _fit_candidate(spectrum: Spectrum, i: int,
                    depth_threshold: float) -> Union[DipFeature, str]:
     """Fit the candidate minimum at sample i over +-3 naive half-widths
-    (at least 7 samples); its fit is the feature, or why the fit breaks
-    the DipFeature contract or lies below depth_threshold."""
-    half_width = _naive_half_width(freqs, trans, i)
+    (at least 7 samples) when the phase steps between its half-depth
+    crossings (see _phase_step); its fit is the feature, or why it was not
+    fitted, breaks the DipFeature contract or lies below depth_threshold."""
+    freqs, trans = spectrum.freqs, spectrum.transmission
+    left, right = _half_crossings(trans, i)
+    if not _phase_step(spectrum.phase, i, left, right):
+        return _REJECT_REASONS[0]
+    half_width = _naive_half_width(freqs, trans, i, left, right)
     window = _fit_window(freqs, i, half_width)
     wf = freqs[window]
     center, fwhm, depth, rms = _fit_lorentzian_dip(
         wf, trans[window], float(freqs[i]), half_width, 1.0 - float(trans[i]),
     )
     if not all(math.isfinite(x) for x in (center, fwhm, depth, rms)):
-        return _REJECT_REASONS[0]
-    if depth < depth_threshold:
         return _REJECT_REASONS[1]
-    if depth > 1.0 + 2.0 * rms:
+    if depth < depth_threshold:
         return _REJECT_REASONS[2]
-    if fwhm < 0.5 * step:
+    if depth > 1.0 + 2.0 * rms:
         return _REJECT_REASONS[3]
-    if not wf[0] <= center <= wf[-1]:
+    if fwhm < 0.5 * spectrum.grid_step:
         return _REJECT_REASONS[4]
+    if not wf[0] <= center <= wf[-1]:
+        return _REJECT_REASONS[5]
     return DipFeature(center=center, fwhm=fwhm, depth=min(depth, 1.0), fit_residual=rms)
 
 
@@ -402,18 +395,17 @@ def _lowest_member(cluster: list[tuple[int, float]]) -> int:
 
 def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature], list[str]]:
     """The in-contract dips of fitted depth >= depth_threshold, sorted by
-    center, and one note counting the rejected fits, if any.  One
-    prominence scan at max(depth_threshold, the noise gate) finds the
-    candidates; each cluster of them (see _clusters) is fitted once, from
-    its lowest sample.  A prominence never exceeds 1 - T, so every
+    center, and one note counting the clusters gated or rejected, if any.
+    One prominence scan at depth_threshold finds the candidates; each
+    cluster of them (see _clusters) with a phase step is fitted once,
+    from its lowest sample.  A prominence never exceeds 1 - T, so every
     candidate is at least depth_threshold deep, but its fit may not be."""
     if not 0.0 < depth_threshold < 1.0:
         raise ValueError("depth_threshold must be in (0, 1)")
     trans = spectrum.transmission
-    indices, _ = find_peaks(-trans, prominence=_prominence(trans, depth_threshold))
+    indices, _ = find_peaks(-trans, prominence=depth_threshold)
     members = list(zip(indices.tolist(), trans[indices].tolist()))
-    fits = [_fit_candidate(spectrum.freqs, trans, _lowest_member(cluster), spectrum.grid_step,
-                           depth_threshold)
+    fits = [_fit_candidate(spectrum, _lowest_member(cluster), depth_threshold)
             for cluster in _clusters(trans, members)]
     dips = sorted((fit for fit in fits if isinstance(fit, DipFeature)), key=lambda d: d.center)
     rejected = Counter(fit for fit in fits if isinstance(fit, str))
@@ -427,19 +419,17 @@ def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -
     """Locate transmission dips of depth >= depth_threshold and refine
     each by a local Lorentzian fit.
 
-    Candidate minima come from a prominence scan (so noise wiggles inside
-    one dip do not multiply) with the noise gate of the module doc: the
-    prominence needed is max(depth_threshold, 6 * sigma_noise).  The
-    candidates are grouped into clusters, consecutive ones sharing a
-    cluster while T between them stays below the half-depth level of the
-    shallower, 0.5 * (1 + max(T[i], T[j])).  Each cluster is fit once,
-    over a window of +-3 naive half-widths around its lowest sample (the
-    middle one of a tied run).  A fit depth up to twice the RMS residual
-    above 1 is reported as 1.0, and fits with a depth below
+    Candidate minima come from a scan at a prominence of depth_threshold
+    and are grouped into clusters, consecutive ones sharing a cluster
+    while T between them stays below the half-depth level of the
+    shallower, 0.5 * (1 + max(T[i], T[j])).  A cluster is fit once, over
+    a window of +-3 naive half-widths around its lowest sample (the
+    middle one of a tied run), and only when the phase turns there (the
+    phase gate of the module doc).  A fit depth up to twice the RMS
+    residual above 1 is reported as 1.0, and fits with a depth below
     depth_threshold (the fit can find a candidate shallower than its
     prominence), a larger overshoot, a FWHM below half a grid step or a
-    center outside the window are dropped; every other fit is returned,
-    so noise that splits one dip into two clusters gives two features.
+    center outside the window are dropped; every other fit is returned.
     Returns features sorted by center; empty list when nothing crosses
     the threshold.
     """
