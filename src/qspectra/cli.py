@@ -15,8 +15,9 @@ documents go to stdout when no output path is given.
 
 Exit codes, mapped in main alone: 0 success; 1 usage or configuration
 error, which takes in every out-of-range or wrongly typed value, from a
-flag or from the config file; 2 I/O error, where the only data error is
-a spectrum file that cannot be read or parsed; 3 numerical failure.
+flag or from the config file, and a grid or sweep too large to allocate;
+2 I/O error, where the only data error is a spectrum file that cannot be
+read or parsed; 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -560,6 +561,10 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         # MissingParameterError and every out-of-range value land here
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # a grid, sweep or flux grid too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

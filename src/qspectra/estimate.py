@@ -27,9 +27,10 @@ cluster is fitted only when the phase steps by at least pi/4, wrapped,
 between neighbouring samples or samples two apart somewhere from one
 half-depth crossing of its lowest sample to the other.  A wiggle of
 measurement noise turns the phase only by the phase noise, so it is not
-fitted; the report's notes count it as "no phase step".  The stride of
-two covers a sample on the zero itself: t = 0 there has phase 0, which
-splits the turn of pi into two smaller steps.
+fitted; the report's notes count such clusters in a note of their own,
+"N candidates without a phase step".  The stride of two covers a sample
+on the zero itself: t = 0 there has phase 0, which splits the turn of pi
+into two smaller steps.
 
 Fit contract: every reported DipFeature has depth in
 [depth_threshold, 1], a FWHM of at least half a grid step and a center
@@ -38,7 +39,8 @@ the fit may find it shallower: such a fit is rejected as "depth below
 depth_threshold".  A fitted depth above 1 by at most twice the fit's RMS
 residual (model mismatch and noise: clean hybridized dips overshoot by
 ~0.3-1.4 %) is reported as 1.0.  Any other violation rejects the fit;
-the report's notes count the rejected fits by reason.
+the report's notes count the rejected fits by reason, out of the fits
+that ran.
 
 Fit solver: every fit is MINPACK lmder (Moré 1978), called through
 scipy's _minpack extension, the entry scipy.optimize.leastsq and
@@ -54,6 +56,14 @@ tests/test_estimate.py::TestFitKernel compares them bit for bit with
 both public scipy calls, which guards against a scipy release that
 changes the private entry.
 
+Deferred imports: scipy.optimize and scipy.signal take a process over
+a second and about 75 MB to load, and only the dip scan needs them, so
+importing the package, or running a command that fits no dip, loads
+neither.  least_squares imports _minpack when it is called, and the
+module function find_peaks imports scipy.signal.find_peaks on its first
+call.  Both stay module functions, so a test or a profiler can replace
+the fit or the candidate scan by name.
+
 Uncertainty conventions: a fitted dip contributes FWHM/2 as its 1-sigma
 input uncertainty, a full-transmission point contributes one grid step,
 and no reported uncertainty is ever below half the grid spacing.
@@ -68,8 +78,6 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import OptimizeResult, _minpack
-from scipy.signal import find_peaks
 
 from .params import Frequency, Spectrum
 from .squid import classical_amplitude
@@ -81,9 +89,8 @@ _DEPTH_THRESHOLD = 0.1
 _UNITY_TOL = 0.01
 # a cluster is fitted when its phase steps by at least pi/4 (see _phase_step)
 _COS_PHASE_STEP = math.cos(0.25 * math.pi)
-# rejection reasons, in the order the report notes list them
+# rejection reasons of a fit, in the order the report notes list them
 _REJECT_REASONS = (
-    "no phase step",
     "fit did not produce finite values",
     "depth below depth_threshold",
     "depth above 1 beyond the fit residual",
@@ -215,7 +222,16 @@ def _phase_step(phase: np.ndarray, i: int, left: int, right: int) -> bool:
     return bool(np.cos(steps).min() <= _COS_PHASE_STEP)
 
 
-def least_squares(fun, x0, jac) -> OptimizeResult:
+def find_peaks(x, prominence):
+    """scipy.signal.find_peaks(x, prominence=prominence): the peak
+    indices and the properties dict, imported on the first call (see
+    the module doc)."""
+    from scipy.signal import find_peaks as scipy_find_peaks
+
+    return scipy_find_peaks(x, prominence=prominence)
+
+
+def least_squares(fun, x0, jac):
     """Levenberg-Marquardt least squares: MINPACK lmder, called through
     scipy's _minpack extension with the arguments scipy.optimize.leastsq
     passes it for ftol = xtol = gtol = 1e-8, maxfev = 100 * n,
@@ -234,11 +250,13 @@ def least_squares(fun, x0, jac) -> OptimizeResult:
     becomes that buffer, which MINPACK writes into, so fun must neither
     keep nor return it again; every later result is copied into the
     buffer, so fun may return one array it keeps (such as a copy of the
-    first) more than once.  Returns x, cost = 0.5 * |f|**2,
-    nfev and status, MINPACK's info code (5: the 100 * n evaluations of
-    maxfev were used up; the last iterate is returned, without a
-    warning).
+    first) more than once.  Returns an OptimizeResult with x,
+    cost = 0.5 * |f|**2, nfev and status, MINPACK's info code (5: the
+    100 * n evaluations of maxfev were used up; the last iterate is
+    returned, without a warning).
     """
+    from scipy.optimize import OptimizeResult, _minpack
+
     # MINPACK iterates in the array it is given and returns it as x
     x = np.array(x0, dtype=float)
     maxfev = 100 * len(x)
@@ -336,15 +354,16 @@ def _fit_window(freqs: np.ndarray, i: int, half_width: float) -> slice:
 
 
 def _fit_candidate(spectrum: Spectrum, i: int,
-                   depth_threshold: float) -> Union[DipFeature, str]:
+                   depth_threshold: float) -> Union[DipFeature, str, None]:
     """Fit the candidate minimum at sample i over +-3 naive half-widths
     (at least 7 samples) when the phase steps between its half-depth
-    crossings (see _phase_step); its fit is the feature, or why it was not
-    fitted, breaks the DipFeature contract or lies below depth_threshold."""
+    crossings (see _phase_step); its fit is the feature, or why it breaks
+    the DipFeature contract or lies below depth_threshold.  None when the
+    phase does not step, so nothing was fitted."""
     freqs, trans = spectrum.freqs, spectrum.transmission
     left, right = _half_crossings(trans, i)
     if not _phase_step(spectrum.phase, i, left, right):
-        return _REJECT_REASONS[0]
+        return None
     half_width = _naive_half_width(freqs, trans, i, left, right)
     window = _fit_window(freqs, i, half_width)
     wf = freqs[window]
@@ -352,15 +371,15 @@ def _fit_candidate(spectrum: Spectrum, i: int,
         wf, trans[window], float(freqs[i]), half_width, 1.0 - float(trans[i]),
     )
     if not all(math.isfinite(x) for x in (center, fwhm, depth, rms)):
-        return _REJECT_REASONS[1]
+        return _REJECT_REASONS[0]
     if depth < depth_threshold:
-        return _REJECT_REASONS[2]
+        return _REJECT_REASONS[1]
     if depth > 1.0 + 2.0 * rms:
-        return _REJECT_REASONS[3]
+        return _REJECT_REASONS[2]
     if fwhm < 0.5 * spectrum.grid_step:
-        return _REJECT_REASONS[4]
+        return _REJECT_REASONS[3]
     if not wf[0] <= center <= wf[-1]:
-        return _REJECT_REASONS[5]
+        return _REJECT_REASONS[4]
     return DipFeature(center=center, fwhm=fwhm, depth=min(depth, 1.0), fit_residual=rms)
 
 
@@ -395,11 +414,12 @@ def _lowest_member(cluster: list[tuple[int, float]]) -> int:
 
 def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature], list[str]]:
     """The in-contract dips of fitted depth >= depth_threshold, sorted by
-    center, and one note counting the clusters gated or rejected, if any.
-    One prominence scan at depth_threshold finds the candidates; each
-    cluster of them (see _clusters) with a phase step is fitted once,
-    from its lowest sample.  A prominence never exceeds 1 - T, so every
-    candidate is at least depth_threshold deep, but its fit may not be."""
+    center, and the notes counting the clusters without a phase step and
+    the fits rejected, each where there are any.  One prominence scan at
+    depth_threshold finds the candidates; each cluster of them (see
+    _clusters) with a phase step is fitted once, from its lowest sample.
+    A prominence never exceeds 1 - T, so every candidate is at least
+    depth_threshold deep, but its fit may not be."""
     if not 0.0 < depth_threshold < 1.0:
         raise ValueError("depth_threshold must be in (0, 1)")
     trans = spectrum.transmission
@@ -409,10 +429,13 @@ def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature],
             for cluster in _clusters(trans, members)]
     dips = sorted((fit for fit in fits if isinstance(fit, DipFeature)), key=lambda d: d.center)
     rejected = Counter(fit for fit in fits if isinstance(fit, str))
-    if not rejected:
-        return dips, []
-    reasons = ", ".join(f"{rejected[r]} {r}" for r in _REJECT_REASONS if r in rejected)
-    return dips, [f"{len(fits) - len(dips)} of {len(fits)} dip fits rejected ({reasons})"]
+    gated = fits.count(None)
+    notes = [f"{gated} candidates without a phase step"] if gated else []
+    if rejected:
+        reasons = ", ".join(f"{rejected[r]} {r}" for r in _REJECT_REASONS if r in rejected)
+        ran = len(fits) - gated
+        notes.append(f"{ran - len(dips)} of {ran} dip fits rejected ({reasons})")
+    return dips, notes
 
 
 def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -> list[DipFeature]:
@@ -480,7 +503,7 @@ def _observe(spectrum: Spectrum, depth_threshold: float,
              unity_tol: float) -> tuple[list[DipFeature], list[float], list[str]]:
     """One scan of the spectrum: the dips of depth >= depth_threshold,
     the full-transmission points between the outer ones of depth >= 0.5,
-    and the notes counting rejected fits."""
+    and the notes of the scan (see _scan)."""
     if not 0.0 < unity_tol < 0.1:
         raise ValueError("tol must be in (0, 0.1)")
     dips, notes = _scan(spectrum, depth_threshold)

@@ -86,41 +86,44 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
     config = None
     header = None
     first_row = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle):
-            line = raw.strip()
-            if not line:
-                continue
-            if header is None and line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("config:"):
-                    try:
-                        config = json.loads(body[len("config:"):])
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"{path}: malformed config line: {exc}") from exc
-            elif header is None:
-                header = [c.strip() for c in line.split(",")]
-            elif not line.startswith("#"):
-                first_row = number
-                break
-        if first_row is None:
-            raise ValueError(f"{path}: no data rows found")
-        for name in header:
-            if header.count(name) > 1:
-                raise ValueError(f"{path}: duplicate column '{name}'")
-        for required in ("omega", "T", "phase_rad"):
-            if required not in header:
-                raise ValueError(f"{path}: missing column '{required}'")
-        try:
-            data = np.loadtxt(itertools.chain([raw], handle), dtype=float,
-                              delimiter=",", comments="#", ndmin=2)
-        except ValueError:
-            handle.seek(0)
-            rows = (line.split("#", 1)[0].rstrip("\n")
-                    for line in itertools.islice(handle, first_row, None))
-            if {row.count(",") for row in rows if row} != {len(header) - 1}:
-                raise ValueError(f"{path}: ragged rows") from None
-            raise ValueError(f"{path}: non-numeric value") from None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, raw in enumerate(handle):
+                line = raw.strip()
+                if not line:
+                    continue
+                if header is None and line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("config:"):
+                        try:
+                            config = json.loads(body[len("config:"):])
+                        except json.JSONDecodeError as exc:
+                            raise ValueError(f"{path}: malformed config line: {exc}") from exc
+                elif header is None:
+                    header = [c.strip() for c in line.split(",")]
+                elif not line.startswith("#"):
+                    first_row = number
+                    break
+            if first_row is None:
+                raise ValueError(f"{path}: no data rows found")
+            for name in header:
+                if header.count(name) > 1:
+                    raise ValueError(f"{path}: duplicate column '{name}'")
+            for required in ("omega", "T", "phase_rad"):
+                if required not in header:
+                    raise ValueError(f"{path}: missing column '{required}'")
+            try:
+                data = np.loadtxt(itertools.chain([raw], handle), dtype=float,
+                                  delimiter=",", comments="#", ndmin=2)
+            except ValueError:
+                handle.seek(0)
+                rows = (line.split("#", 1)[0].rstrip("\n")
+                        for line in itertools.islice(handle, first_row, None))
+                if {row.count(",") for row in rows if row} != {len(header) - 1}:
+                    raise ValueError(f"{path}: ragged rows") from None
+                raise ValueError(f"{path}: non-numeric value") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: ragged rows")
     column = {name: data[:, i] for i, name in enumerate(header)}

@@ -18,6 +18,11 @@ extrapolation).  At the symmetric bias Phi_e = Phi0/2 and the matched
 critical current I_c = Phi0/(pi L), U is a shallow symmetric double well
 and the two lowest states form the tunneling doublet that encodes the
 qubit.
+
+The solver is scipy.linalg.eigh_tridiagonal, reached through the module
+function eigh_tridiagonal, which imports it on its first call: the
+package imports this module, and most processes that import the package
+solve no circuit, so they need not load scipy.linalg.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .constants import FLUX_QUANTUM, HBAR
 from .params import Frequency
@@ -153,6 +157,15 @@ def _hamiltonian(spec: CircuitSpec, phi: np.ndarray) -> tuple[np.ndarray, np.nda
     the uniform flux grid phi, in joules."""
     kinetic = HBAR**2 / (2.0 * spec.capacitance * (phi[1] - phi[0]) ** 2)
     return 2.0 * kinetic + potential(phi, spec), np.full(len(phi) - 1, -kinetic)
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigh_tridiagonal(*args, **kwargs), imported on the
+    first call (see the module doc).  As a module function it is also
+    the one place a test or a profiler replaces the solver."""
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(*args, **kwargs)
 
 
 def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:

@@ -569,7 +569,7 @@ class TestPhaseGate:
             report = estimate_report(Spectrum(freqs=freqs, transmission=trans, phase=phase),
                                      reference_omega0=OMEGA0)
             assert report.dips == () and fits == []
-            assert report.notes == ("1 of 1 dip fits rejected (1 no phase step)",)
+            assert report.notes == ("1 candidates without a phase step",)
         report = estimate_report(Spectrum(freqs=freqs, transmission=trans, phase=np.angle(t)),
                                  reference_omega0=OMEGA0)
         assert len(fits) == 1 and report.notes == ()
@@ -604,6 +604,30 @@ class TestPhaseGate:
         assert not estimate._phase_step(s.phase, i + 1, i, i + 2)
         assert estimate._phase_step(s.phase, i + 1, left, right)
         assert len(detect_dips(clipped)) == 1
+
+    def test_gated_clusters_are_not_counted_as_fits(self, monkeypatch):
+        """A 5 %-noise bare-qubit report gates 120 noise clusters and
+        fits the one dip: the gated clusters have their own note, and the
+        fit note, when a fit is rejected, counts only the fits that ran."""
+        fits = _count_fits(monkeypatch)
+        clean = compute_spectrum(ModelKind.QUBIT_ONLY, ModelParams(omega0=OMEGA0, gamma_c=GAMMA_C),
+                                 make_frequency_grid(1.8e9, 2.3e9, 2001))
+        noisy = add_measurement_noise(clean, 0.05, 0)
+        report = estimate_report(noisy, reference_omega0=OMEGA0)
+        assert len(fits) == 1 and len(report.dips) == 1
+        assert report.notes == ("120 candidates without a phase step",)
+        real = estimate.least_squares
+
+        def shallow(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.x[0] = 0.0
+            return result
+
+        monkeypatch.setattr(estimate, "least_squares", shallow)
+        report = estimate_report(noisy, reference_omega0=OMEGA0)
+        assert report.dips == ()
+        assert report.notes == ("120 candidates without a phase step",
+                                "1 of 1 dip fits rejected (1 depth below depth_threshold)")
 
     def test_span_reaches_the_crossings(self, qnmr_spectrum):
         """Demo 06's seed-0 draw (1 % noise, 4001 points): the lower dip's
@@ -640,7 +664,7 @@ def test_dip_contract_under_noise(monkeypatch):
     rng = np.random.default_rng(2210)
     draws = 3
     quantum_at_5 = []
-    rejection_notes = []
+    scan_notes = []
     for kind, refs in references.items():
         for n in (2001, 4001):
             grid = make_frequency_grid(1.8e9, 2.3e9, n)
@@ -672,7 +696,8 @@ def test_dip_contract_under_noise(monkeypatch):
                         dips = detect_dips(s)
                     else:
                         dips = report.dips
-                        rejection_notes += [x for x in report.notes if "rejected" in x]
+                        scan_notes += [x for x in report.notes
+                                       if "rejected" in x or "phase step" in x]
                     for d in dips:
                         assert 0.0 <= d.depth <= 1.0, d
                         assert d.fwhm >= 0.5 * step, d
@@ -684,9 +709,10 @@ def test_dip_contract_under_noise(monkeypatch):
                             and abs(report.g_est.value - values["g_q"])
                             <= 3 * report.g_est.sigma)
     assert sum(quantum_at_5) >= 0.8 * len(quantum_at_5)
-    assert rejection_notes
-    for note in rejection_notes:
-        assert re.fullmatch(r"\d+ of \d+ dip fits rejected \(.+\)", note)
+    assert scan_notes
+    for note in scan_notes:
+        assert re.fullmatch(r"\d+ candidates without a phase step"
+                            r"|\d+ of \d+ dip fits rejected \(.+\)", note)
 
 
 def test_rejection_note_names_unfinished_and_empty_fits(qnmr_spectrum, monkeypatch):
@@ -1374,7 +1400,8 @@ def test_report_bytes_pinned():
     """Every report of a fixed table, serialized as the estimate command
     writes it (or the inversion error it raises), hashes to the pinned
     bytes: those of the reports since the dip scan fits only the
-    candidate clusters whose phase steps."""
+    candidate clusters whose phase steps and counts the others in a note
+    of their own."""
     digest = hashlib.sha256()
     classes = set()
     for s in _pinned_spectra():
@@ -1389,7 +1416,7 @@ def test_report_bytes_pinned():
             digest.update(text.encode())
     assert classes == set(ModelClass)
     assert digest.hexdigest() == (
-        "2f6e6806d8724848aa67170112daa822b069f782e79f82ba342d3bb8a1601a8f")
+        "6adf0fec7f899bfc8c5ffa07e521fc63e5567991ff770af864312460e5a2fea7")
 
 
 @pytest.mark.filterwarnings("ignore:.*dispersive approximation")

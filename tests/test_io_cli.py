@@ -227,6 +227,18 @@ class TestSpectrumCsv:
         assert main(["estimate", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfeomega,T,phase_rad\n1,0.5,0\n",  # a UTF-16 byte order mark
+        b"omega,T,phase_rad\n1,0.5,0\n2,0.5\xff,0\n",  # a bad byte in a data row
+    ], ids=["header", "row"])
+    def test_undecodable_csv_names_the_file(self, content, tmp_path, capsys):
+        bad = tmp_path / "binary.csv"
+        bad.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: not UTF-8 text")):
+            read_spectrum_csv(bad)
+        assert main(["estimate", str(bad)]) == 2
+        assert f"i/o error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
 
 REFERENCE_DIGESTS = pathlib.Path(__file__).parent.parent / "bench" / "reference_digests.json"
 
@@ -1288,6 +1300,28 @@ _SWEEP_OMEGA0 = ["sweep", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma
                  "--param", "omega0", "--output", "OUT"]
 _SPECTRUM_QUBIT = ["spectrum", "--model", "qubit-only", "--gamma-c", "3.3e7",
                    "--grid", "1.8e9:2.3e9:11"]
+
+
+@pytest.mark.parametrize("argv, callee, error, message", [
+    (["spectrum", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma-c", "3.3e7",
+      "--grid", "1e9:2e9:10000000000000", "--output", "OUT"], "make_frequency_grid",
+     MemoryError("Unable to allocate 72.8 TiB"), "error: Unable to allocate 72.8 TiB"),
+    (_SWEEP_OMEGA0 + ["--start", "2e9", "--stop", "2.1e9", "--steps", "3"],
+     "analytic_features", MemoryError(), "error: out of memory"),
+    (["squid", "--grid-points", "100000000001", "--output-json", "OUT"], "solve_eigensystem",
+     MemoryError(), "error: out of memory"),
+], ids=["spectrum", "sweep", "squid"])
+def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_path,
+                                           monkeypatch, capsys):
+    """A grid, sweep or flux grid too large to allocate exits 1 with a
+    message, not a traceback; the callee raises as numpy would."""
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, callee, refuse)
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("argv, config, field", [

@@ -1,11 +1,16 @@
 """The package namespace re-exports each model-side module's ``__all__``,
 and every name in a module's ``__all__`` is bound; the documented
-argument checks of the package's public functions raise ValueError; and
-every import and private module-level name in the package is read."""
+argument checks of the package's public functions raise ValueError;
+every import and private module-level name in the package is read; and
+scipy is loaded only by the commands that use it."""
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -119,3 +124,52 @@ def test_every_private_name_is_referenced():
             unread += [f"{name}:{d}" for d in defined
                        if d.startswith("_") and not d.startswith("__") and d not in loaded]
     assert unread == []
+
+
+_IMPORT_STEPS = r"""
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+steps = {}
+import qspectra, qspectra.cli, qspectra.io, qspectra.svg
+from qspectra.cli import main
+steps["import"] = scipy_modules()
+qnmr = ["--model", "qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2.0e9",
+        "--gamma-c", "3.3e7", "--g-q", "1e8"]
+codes = [
+    main(["spectrum", *qnmr, "--grid", "1.8e9:2.3e9:401", "--noise-sigma", "0.01",
+          "--seed", "1", "--output", out + "/noisy.csv"]),
+    main(["sweep", *qnmr, "--param", "g_q", "--start", "5e7", "--stop", "1e8",
+          "--steps", "3", "--output", out + "/sweep.csv"]),
+    main(["figures", "--which", "fig3", "--outdir", out]),
+]
+steps["forward"] = scipy_modules()
+codes.append(main(["squid", "--output-json", out + "/squid.json"]))
+steps["squid"] = scipy_modules()
+codes.append(main(["estimate", out + "/noisy.csv", "--output", out + "/report.json"]))
+steps["estimate"] = scipy_modules()
+print(json.dumps({"codes": codes, "steps": steps}))
+"""
+
+
+def test_scipy_is_imported_by_the_commands_that_use_it(tmp_path):
+    """In a fresh interpreter, importing the package and running the
+    forward commands (spectrum with noise, sweep without --grid, a
+    spectrum figure) load no scipy; squid loads scipy.linalg alone of
+    the three scipy modules the package uses, and estimate the other two."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(qspectra.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_STEPS, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    steps = result["steps"]
+    assert steps["import"] == [] and steps["forward"] == []
+    assert "scipy.linalg" in steps["squid"]
+    assert not {"scipy.optimize", "scipy.signal"} & set(steps["squid"])
+    assert {"scipy.optimize", "scipy.signal"} <= set(steps["estimate"])
