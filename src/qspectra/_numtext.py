@@ -7,12 +7,29 @@ rows in whole-array numpy instead of one value at a time.
 Fast path.  ``%.8e`` scales ``|x|`` into the window ``[1e8, 1e9)`` with a
 table of correctly rounded powers of ten, ``s = |x| * 10**(8 - e)`` where
 ``e = floor(log10|x|)``.  ``%.2f`` takes ``s = |x| * 100``.  The integer
-nearest ``s`` holds the digits.  Table lookups turn the digits, the sign
-and the exponent into 4-byte words of a fixed-width slot per value, which
-ends in the value's separator; the bytes a value does not use (the ``-``
-sign, a third exponent digit, leading zeros) are NUL, and each block is
-joined with its NULs deleted.  ``table_blocks`` yields those block bytes,
-which the CSV and SVG writers write as they are.
+nearest ``s`` holds the digits.  Table gathers turn the digits, the sign
+and the exponent into the 4-byte words of a fixed-width slot per value,
+which ends in the value's separator; the bytes a value does not use are
+NUL, and each block is joined with its NULs deleted.
+
+Slots.  A ``%.8e`` value takes four words: ``[sign] d . d``, four digits,
+three digits and ``e``, then the exponent's sign and two digits with the
+separator in the last byte.  The sign byte is NUL for a positive value.
+A block in which a fast-path exponent has three digits gives every slot a
+fifth word: the exponent word is full, and the fifth holds three NULs and
+the separator.  A ``%.2f`` value takes three words: the sign and the high
+digits of the integer part, its low four digits (no leading zeros), and
+``.``, the cents and the separator.  A fallback text longer than the
+fast-path words widens its block's slots in the same way.
+
+One buffer per table.  ``table_blocks`` lays every block out in one
+``bytearray``, resized to the block's slots and viewed by numpy, so each
+gathered word goes straight into its slots.  The words past the gathered
+ones (a fifth word, or more for a long text) are cleared in every block,
+since the buffer still holds the previous block.  Each block is compacted
+by one ``bytearray.translate`` that deletes the NULs, and
+``table_blocks`` yields that new ``bytearray``, which the CSV and SVG
+writers write as it is.
 
 Why it is exact.  ``s`` comes from at most two correctly rounded float64
 operations on a value below ``1e9``, so it lies within about ``2.3e-7``
@@ -26,8 +43,9 @@ of the half-integer, with exact ties to even as CPython rounds them.
 ``%.8e`` cannot do the same, because its scale ``10**(8 - e)`` is itself
 rounded.
 
-Exact fallback.  NaN, infinities and values outside the fast-path range,
-and for ``%.8e`` zeros, values inside the guard band and values whose
+Exact fallback.  NaN, infinities and values outside the fast-path range
+(``%.8e``: below ``1e-299``, so zeros and subnormals; ``%.2f``: from
+``1e6``), and for ``%.8e`` values inside the guard band and values whose
 ``s`` left the window (``log10`` one off near a power of ten), are
 formatted by CPython itself, once per distinct bit pattern in a block,
 and written into their own slots; the rest of the block keeps the fast
@@ -39,20 +57,22 @@ from __future__ import annotations
 
 import numpy as np
 
-# rows formatted per block; bounds the slot buffers and the temporaries
+# rows formatted per block; bounds the slot buffer and the temporaries
 _BLOCK_ROWS = 4096
 
 # s this close to a half-integer may round either way
 _GUARD = 1e-6
 
-# fast-path magnitude ranges: %.8e keeps 10**(8 - e) a normal float, and
-# %.2f keeps the integer part within the slot's seven digits
-_SCI_MIN, _SCI_MAX = 1e-280, 1e280
+# fast-path magnitude ranges: %.8e keeps 10**(8 - e) a normal float for
+# every finite |x| from _SCI_MIN, and %.2f keeps the integer part within
+# the slot's seven digits
+_SCI_MIN, _SCI_MAX = 1e-299, np.finfo(np.float64).max
 _FIXED_MAX = 1e6
 
-# correctly rounded 10**k (float() of a decimal literal rounds correctly)
+# correctly rounded 10**k (float() of a decimal literal rounds correctly),
+# for the scales 10**(8 - e) of the fast path's exponents e = -300 ... 308
 _POW10_MIN = -300
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 301)])
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 309)])
 
 
 def _words(texts) -> np.ndarray:
@@ -65,21 +85,17 @@ def _nul_padded(text: str) -> str:
     return text.rjust(4, "\0")
 
 
-def _exponent(k: int) -> str:
-    """'e+05', 'e-123': the exponent as '%.8e' writes it, with a NUL in
-    place of a missing hundreds digit."""
-    text = f"e{k:+03d}"
-    return text if len(text) == 5 else text[:2] + "\0" + text[2:]
-
-
 _QUADS = _words(f"{i:04d}" for i in range(10000))
 
-# %.8e: [-][lead digit][.] for lead + 10 * negative, and the exponent
-# e + 999 as [e][sign][hundreds][tens] and [units]
-_LEADS = _words(f"{sign}{d}.\0" for sign in ("\0", "-") for d in range(10))
-_EXPONENTS = [_exponent(k) for k in range(-999, 1000)]
-_EXP_HEADS = _words(text[:4] for text in _EXPONENTS)
-_EXP_TAILS = _words(text[4] + "\0\0\0" for text in _EXPONENTS)
+# %.8e: [sign][lead digit][.][first decimal] for the leading two digits +
+# 100 * negative (a NUL sign when positive); the last three decimals and
+# the [e]; and the exponent e - _EXP_MIN (e <= 309 after a carry) as
+# [sign][digits], NUL-padded on the right where a two-digit exponent
+# leaves room for the separator
+_HEADS = _words(f"{sign}{q // 10}.{q % 10}" for sign in ("\0", "-") for q in range(100))
+_TRIPLES = _words(f"{i:03d}e" for i in range(1000))
+_EXP_MIN = -300
+_EXPONENTS = _words(f"{k:+03d}".ljust(4, "\0") for k in range(_EXP_MIN, 310))
 
 # %.2f: the integer part's high digits with the sign, for high + 101 *
 # negative (high <= 100); its low four digits, for low + 10000 * (high == 0)
@@ -97,29 +113,33 @@ def _divmod(n: np.ndarray, d: int):
 
 
 def _scientific(x: np.ndarray):
-    """Slot words of '%.8e' and the mask of values they hold exactly."""
+    """Slot words of '%.8e', as (table, index) gathers, and the mask of
+    values they hold exactly.  A None word is all NUL: it follows the
+    gathers when a value's exponent has three digits."""
     a = np.abs(x)
     fast = (a >= _SCI_MIN) & (a <= _SCI_MAX)  # False for NaN
     a[~fast] = 1.0  # placeholder; the fallback overwrites its slot
-    e = np.floor(np.log10(a)).astype(np.int64)
+    e = np.floor(np.log10(a)).astype(np.int32)
     s = a * _POW10[8 - _POW10_MIN - e]
     m = np.rint(s)
     # near a power of ten log10 can put s just outside the window; such
-    # values take the fallback, so the lead below is one digit
+    # values take the fallback, and the gathers clip their indices
     exact = fast & (np.abs(s - m) <= 0.5 - _GUARD) & (s >= 1e8) & (s < 1e9)
     carry = m == 1e9  # rounded up across a decade
     m[carry] = 1e8
     e += carry
-    lead, rest = _divmod(m.astype(np.int64), 100_000_000)
-    high, low = _divmod(rest, 10_000)
-    lead += 10 * (x < 0)
-    e += 999
-    words = [_LEADS[lead], _QUADS[high], _QUADS[low], _EXP_HEADS[e], _EXP_TAILS[e]]
+    high, low = _divmod(m.astype(np.uint32), 1000)
+    lead, mid = _divmod(high, 10_000)
+    lead += (x < 0) * np.uint32(100)
+    words = [(_HEADS, lead), (_QUADS, mid), (_TRIPLES, low), (_EXPONENTS, e - _EXP_MIN)]
+    if e.size and (e.min() <= -100 or e.max() >= 100):
+        words.append(None)
     return words, exact
 
 
 def _fixed(x: np.ndarray):
-    """Slot words of '%.2f' and the mask of values they hold exactly."""
+    """Slot words of '%.2f', as (table, index) gathers, and the mask of
+    values they hold exactly."""
     a = np.abs(x)
     exact = a < _FIXED_MAX  # False for NaN
     a[~exact] = 0.0
@@ -128,11 +148,11 @@ def _fixed(x: np.ndarray):
     near = np.abs(s - m) > 0.5 - _GUARD
     if near.any():
         m[near] = _round_near_tie(a[near], s[near])
-    whole, cents = _divmod(m.astype(np.int64), 100)
+    whole, cents = _divmod(m.astype(np.uint32), 100)
     high, low = _divmod(whole, 10_000)
     # the sign of -0.0 and of small negatives that round to zero prints
-    words = [_SIGNED_HIGHS[high + 101 * np.signbit(x)],
-             _LOWS[low + 10_000 * (high == 0)], _CENTS[cents]]
+    words = [(_SIGNED_HIGHS, high + np.signbit(x) * np.uint32(101)),
+             (_LOWS, low + (high == 0) * np.uint32(10_000)), (_CENTS, cents)]
     return words, exact
 
 
@@ -165,11 +185,12 @@ def _padded(texts, width: int) -> np.ndarray:
 
 
 def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str,
-                  varying, constants: dict) -> bytes:
-    """ASCII bytes of one block of rows.  `x` holds the block's values of
-    the columns `varying` (an index or a slice); `constants` maps every
-    other column to the text of its one value, which fills that column's
-    slot on every row."""
+                  varying, constants: dict, buffer: bytearray) -> bytearray:
+    """ASCII bytes of one block of rows, laid out in `buffer` (resized to
+    the block's slots; no view of it may be alive).  `x` holds the block's
+    values of the columns `varying` (an index or a slice); `constants`
+    maps every other column to the text of its one value, which fills
+    that column's slot on every row."""
     words, exact = _CONVERSIONS[conversion](x)
     fallback = ~exact
     texts = []
@@ -182,10 +203,16 @@ def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str,
     # last byte, which the fast-path words leave NUL
     n_words = max([len(words)] + [len(text) // 4 + 1
                                   for text in texts + list(constants.values())])
-    slots = np.zeros(separators.shape + (n_words,), "<u4")
-    for k, word in enumerate(words):
-        slots[:, varying, k] = word
-    chars = slots.view(np.uint8)
+    size = separators.size * 4 * n_words
+    del buffer[size:]
+    buffer.extend(bytes(size - len(buffer)))
+    chars = np.frombuffer(buffer, np.uint8).reshape(separators.shape + (4 * n_words,))
+    slots = chars.view("<u4")
+    gathers = [word for word in words if word is not None]
+    for k, (table, index) in enumerate(gathers):
+        slots[:, varying, k] = table.take(index, mode="clip")
+    # the buffer holds the last block's bytes; clear the words no gather wrote
+    slots[:, :, len(gathers):] = 0
     chars[..., -1] = separators
     if texts:
         written = np.zeros(separators.shape, bool)
@@ -193,7 +220,7 @@ def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str,
         chars[written, :-1] = _padded(texts, 4 * n_words - 1)[where.ravel()]
     for column, text in constants.items():
         chars[:, column, :-1] = _padded([text], 4 * n_words - 1)
-    return chars.tobytes().translate(None, b"\0")
+    return buffer.translate(None, b"\0")
 
 
 def table_blocks(columns, conversion: str, separators):
@@ -204,7 +231,9 @@ def table_blocks(columns, conversion: str, separators):
     broadcast views; a broadcast column (stride 0, such as the NaN
     amplitude of a noisy spectrum) is formatted once for the whole table.
     `separators` is a string with one character per column, or an array
-    of ASCII codes that broadcasts to the shape (rows, columns)."""
+    of ASCII codes that broadcasts to the shape (rows, columns).  Every
+    block is laid out in one slot buffer, and each is yielded as its own
+    bytearray."""
     n_rows = len(columns[0])
     if isinstance(separators, str):
         separators = np.frombuffer(separators.encode("ascii"), np.uint8)
@@ -215,9 +244,10 @@ def table_blocks(columns, conversion: str, separators):
     varying = [j for j in range(len(columns)) if j not in constants]
     # without constant columns a slice keeps the slot writes plain views
     slots = varying if constants else slice(None)
+    buffer = bytearray()
     for i in range(0, n_rows, _BLOCK_ROWS):
         rows = separators[i:i + _BLOCK_ROWS]
         block = np.empty((len(rows), len(varying)))
         for k, j in enumerate(varying):
             block[:, k] = columns[j][i:i + _BLOCK_ROWS]
-        yield _format_block(block, rows, conversion, slots, constants)
+        yield _format_block(block, rows, conversion, slots, constants, buffer)

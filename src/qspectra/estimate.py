@@ -459,12 +459,13 @@ def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -
     return _scan(spectrum, depth_threshold)[0]
 
 
-def _local_maxima(values: np.ndarray) -> list[int]:
-    """Interior samples no lower than either neighbour and higher than at
-    least one: each edge of a flat top counts, its inside does not."""
+def _local_maxima(values: np.ndarray) -> np.ndarray:
+    """Indices of the interior samples no lower than either neighbour and
+    higher than at least one: each edge of a flat top counts, its inside
+    does not."""
     mid, left, right = values[1:-1], values[:-2], values[2:]
     peak = (mid >= left) & (mid >= right) & ((mid > left) | (mid > right))
-    return (np.flatnonzero(peak) + 1).tolist()
+    return np.flatnonzero(peak) + 1
 
 
 def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> list[float]:
@@ -473,8 +474,12 @@ def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> lis
     trans = spectrum.transmission
     phase = spectrum.phase
     freqs = spectrum.freqs
-    peaks = np.array(_local_maxima(trans), dtype=np.intp)
+    peaks = _local_maxima(trans)
     i = peaks[(trans[peaks] >= 1.0 - tol) & (np.abs(phase[peaks]) <= tol)]
+    # two adjacent maxima are the edges of a flat top of two samples (such
+    # as two noisy samples clipped to T = 1), whose parabolas both peak at
+    # its midpoint: list that point once, from the left edge
+    i = i[np.diff(i, prepend=-2) > 1]
     points = freqs[i]
     # parabolic vertex through the three samples around each maximum
     denom = trans[i - 1] - 2.0 * trans[i] + trans[i + 1]
@@ -490,7 +495,9 @@ def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> lis
 
 def detect_unity_points(spectrum: Spectrum, tol: float = _UNITY_TOL) -> list[float]:
     """Frequencies where the probe passes completely: local maxima with
-    T >= 1 - tol and |phase| <= tol, refined by parabolic interpolation.
+    T >= 1 - tol and |phase| <= tol, refined by parabolic interpolation,
+    in increasing order.  A flat top of two samples is one point, its
+    midpoint.
 
     When detect_dips finds two or more dips of depth >= 0.5, only points
     strictly between the outermost of their centers are reported; this

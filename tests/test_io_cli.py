@@ -23,7 +23,7 @@ from qspectra import (
 )
 from qspectra import cli
 from qspectra.cli import main
-from qspectra._numtext import _BLOCK_ROWS, _fixed, table_blocks
+from qspectra._numtext import _BLOCK_ROWS, _fixed, _scientific, table_blocks
 from qspectra.estimate import estimate_report
 from qspectra.io import (
     SCHEMA_VERSION,
@@ -456,6 +456,67 @@ class TestGoldenBytes:
         expected = (_reference_polylines(x, y, 0) + _reference_polylines(x, y, 250))
         assert len(expected) == 8  # four runs per panel; the run at 901 is one point
         assert polylines == expected
+
+
+class TestSlots:
+    """The slot layout of table_blocks: four words per '%.8e' value, a
+    fifth in a block with a three-digit exponent or a longer text, and one
+    buffer that every block of a table reuses.  Each case is compared with
+    CPython formatting each value."""
+
+    @staticmethod
+    def _reference(columns, conversion, separators) -> bytes:
+        return "".join(conversion % v + sep for row in zip(*(c.tolist() for c in columns))
+                       for v, sep in zip(row, separators)).encode()
+
+    @pytest.mark.parametrize("value, text", [
+        (1e-99, "1.00000000e-99"),
+        (9.99999999e-100, "9.99999999e-100"),  # just below 1e-99
+        (9.9999999995e98, "1.00000000e+99"),  # rounds up across a decade
+        (9.9999999995e99, "1.00000000e+100"),  # ... into three digits
+    ])
+    def test_exponent_boundaries(self, value, text):
+        assert "%.8e" % value == text
+        values = np.array([1.5, value, -value, 2.5e-7])
+        _, exact = _scientific(values.copy())
+        assert exact.all()  # the fast path, not CPython, writes these
+        columns = (values, values[::-1])
+        assert b"".join(table_blocks(columns, "%.8e", ",\n")) == self._reference(
+            columns, "%.8e", ",\n")
+
+    @pytest.mark.parametrize("wide", [1.5e-150, -1e-300], ids=["three-digit", "fallback"])
+    def test_slot_width_changes_between_blocks(self, wide):
+        """Blocks 1 and 3 hold a value that takes a fifth word, a fast-path
+        three-digit exponent or a 16-byte CPython text; block 2 holds none,
+        so its four-word slots sit where block 3's fifth words go."""
+        rng = np.random.default_rng(28)
+        n_rows = 3 * _BLOCK_ROWS + 5
+        # two-digit exponents only, of either sign
+        columns = tuple(rng.choice([-1.0, 1.0], (3, n_rows)) * rng.uniform(1.0, 10.0, (3, n_rows))
+                        * 10.0 ** rng.integers(-99, 99, (3, n_rows)))
+        for block in (0, 2):
+            columns[1][block * _BLOCK_ROWS + 7] = wide
+        blocks = list(table_blocks(columns, "%.8e", ",,\n"))
+        assert len(blocks) == 4
+        assert b"".join(blocks) == self._reference(columns, "%.8e", ",,\n")
+        middle = slice(_BLOCK_ROWS, 2 * _BLOCK_ROWS)
+        assert blocks[1] == self._reference([c[middle] for c in columns], "%.8e", ",,\n")
+
+    def test_fixed_series_spans_blocks(self):
+        """'%.2f' points with SVG-like separators over three blocks, whose
+        first and last hold a 13-byte CPython text that widens the slots."""
+        rng = np.random.default_rng(29)
+        n_rows = 2 * _BLOCK_ROWS + 100
+        x = rng.uniform(-1e3, 1e3, n_rows) * 10.0 ** rng.integers(-3, 4, n_rows)
+        y = rng.uniform(0.0, 250.0, n_rows)
+        x[[3, n_rows - 4]] = [-1e8, 1.5e9]
+        y[[5, _BLOCK_ROWS + 9]] = math.nan
+        separators = np.full((n_rows, 2), (ord(","), ord(" ")), np.uint8)
+        separators[rng.integers(0, n_rows, 40), 1] = ord("\n")
+        separators[-1, 1] = ord('"')
+        expected = "".join("%.2f%s%.2f%s" % (a, chr(s), b, chr(t)) for a, b, (s, t)
+                           in zip(x.tolist(), y.tolist(), separators.tolist()))
+        assert b"".join(table_blocks((x, y), "%.2f", separators)) == expected.encode()
 
 
 class TestSchema:
