@@ -15,17 +15,15 @@ NUL, and each block is joined with its NULs deleted.
 Slots.  A ``%.8e`` value takes four words: ``[sign] d . d``, four digits,
 three digits and ``e``, then the exponent's sign and two digits with the
 separator in the last byte.  The sign byte is NUL for a positive value.
-A block in which a fast-path exponent has three digits gives every slot a
-fifth word: the exponent word is full, and the fifth holds three NULs and
-the separator.  A ``%.2f`` value takes three words: the sign and the high
-digits of the integer part, its low four digits (no leading zeros), and
-``.``, the cents and the separator.  A fallback text longer than the
-fast-path words widens its block's slots in the same way.
+A ``%.2f`` value takes two words: the integer part, NUL-padded on the
+left, then ``.``, the cents and the separator.  A fallback text longer
+than the fast-path words widens its block's slots by as many words as
+it needs.
 
 One buffer per table.  ``table_blocks`` lays every block out in one
 ``bytearray``, resized to the block's slots and viewed by numpy, so each
 gathered word goes straight into its slots.  The words past the gathered
-ones (a fifth word, or more for a long text) are cleared in every block,
+ones (in a block widened by a long text) are cleared in every block,
 since the buffer still holds the previous block.  Each block is compacted
 by one ``bytearray.translate`` that deletes the NULs, and
 ``table_blocks`` yields that new ``bytearray``, which the CSV and SVG
@@ -44,13 +42,14 @@ of the half-integer, with exact ties to even as CPython rounds them.
 rounded.
 
 Exact fallback.  NaN, infinities and values outside the fast-path range
-(``%.8e``: below ``1e-299``, so zeros and subnormals; ``%.2f``: from
-``1e6``), and for ``%.8e`` values inside the guard band and values whose
-``s`` left the window (``log10`` one off near a power of ten), are
-formatted by CPython itself, once per distinct bit pattern in a block,
-and written into their own slots; the rest of the block keeps the fast
-path.  A broadcast column (stride 0) holds one value: it is formatted
-once per table, and its text fills the column's slot in every block.
+(``%.8e``: ``1e-99 <= |x| < 1e99``, the two-digit exponents; ``%.2f``:
+non-negative values, sign bit clear, that round below ``10000.00``), and
+for ``%.8e`` values inside the guard band and values whose ``s`` left
+the window (``log10`` one off near a power of ten), are formatted by
+CPython itself, once per distinct bit pattern in a block, and written
+into their own slots; the rest of the block keeps the fast path.  A
+broadcast column (stride 0) holds one value: it is formatted once per
+table, and its text fills the column's slot in every block.
 """
 
 from __future__ import annotations
@@ -63,16 +62,16 @@ _BLOCK_ROWS = 4096
 # s this close to a half-integer may round either way
 _GUARD = 1e-6
 
-# fast-path magnitude ranges: %.8e keeps 10**(8 - e) a normal float for
-# every finite |x| from _SCI_MIN, and %.2f keeps the integer part within
-# the slot's seven digits
-_SCI_MIN, _SCI_MAX = 1e-299, np.finfo(np.float64).max
-_FIXED_MAX = 1e6
+# fast-path ranges: %.8e exponents of two digits (e <= 99 after a carry),
+# and non-negative %.2f values whose integer part has at most four digits
+_SCI_MIN, _SCI_MAX = 1e-99, 1e99
+_FIXED_MAX = 1e4
 
-# correctly rounded 10**k (float() of a decimal literal rounds correctly),
-# for the scales 10**(8 - e) of the fast path's exponents e = -300 ... 308
-_POW10_MIN = -300
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 309)])
+# correctly rounded scales 10**(8 - e) (float() of a decimal literal rounds
+# correctly) for e = floor(log10|x|) = -100 ... 99: log10 may put 1e-99 at
+# e = -100, where s rounds up to 1e9 and carries
+_E_MIN = -100
+_SCALES = np.array([float(f"1e{8 - e}") for e in range(_E_MIN, 100)])
 
 
 def _words(texts) -> np.ndarray:
@@ -81,28 +80,19 @@ def _words(texts) -> np.ndarray:
     return np.frombuffer("".join(texts).encode("ascii"), "<u4")
 
 
-def _nul_padded(text: str) -> str:
-    return text.rjust(4, "\0")
-
-
 _QUADS = _words(f"{i:04d}" for i in range(10000))
 
 # %.8e: [sign][lead digit][.][first decimal] for the leading two digits +
 # 100 * negative (a NUL sign when positive); the last three decimals and
-# the [e]; and the exponent e - _EXP_MIN (e <= 309 after a carry) as
-# [sign][digits], NUL-padded on the right where a two-digit exponent
-# leaves room for the separator
+# the [e]; and the exponent, for e - _E_MIN, as [sign][two digits] and a
+# NUL that the separator overwrites (the row of e = -100 repeats -99: only
+# a fallback slot reaches it)
 _HEADS = _words(f"{sign}{q // 10}.{q % 10}" for sign in ("\0", "-") for q in range(100))
 _TRIPLES = _words(f"{i:03d}e" for i in range(1000))
-_EXP_MIN = -300
-_EXPONENTS = _words(f"{k:+03d}".ljust(4, "\0") for k in range(_EXP_MIN, 310))
+_EXPONENTS = _words(f"{max(k, -99):+03d}\0" for k in range(_E_MIN, 100))
 
-# %.2f: the integer part's high digits with the sign, for high + 101 *
-# negative (high <= 100); its low four digits, for low + 10000 * (high == 0)
-# (without leading zeros, but at least one digit); and the cents
-_SIGNED_HIGHS = _words(_nul_padded(sign + (str(high) if high else ""))
-                       for sign in ("", "-") for high in range(101))
-_LOWS = _words([f"{i:04d}" for i in range(10000)] + [_nul_padded(str(i)) for i in range(10000)])
+# %.2f: the integer part, NUL-padded on the left; and the cents
+_WHOLES = _words(str(i).rjust(4, "\0") for i in range(10000))
 _CENTS = _words(f".{c:02d}\0" for c in range(100))
 
 
@@ -114,13 +104,12 @@ def _divmod(n: np.ndarray, d: int):
 
 def _scientific(x: np.ndarray):
     """Slot words of '%.8e', as (table, index) gathers, and the mask of
-    values they hold exactly.  A None word is all NUL: it follows the
-    gathers when a value's exponent has three digits."""
+    values they hold exactly."""
     a = np.abs(x)
-    fast = (a >= _SCI_MIN) & (a <= _SCI_MAX)  # False for NaN
+    fast = (a >= _SCI_MIN) & (a < _SCI_MAX)  # False for NaN
     a[~fast] = 1.0  # placeholder; the fallback overwrites its slot
-    e = np.floor(np.log10(a)).astype(np.int32)
-    s = a * _POW10[8 - _POW10_MIN - e]
+    e = np.floor(np.log10(a)).astype(np.int32) - _E_MIN
+    s = a * _SCALES[e]
     m = np.rint(s)
     # near a power of ten log10 can put s just outside the window; such
     # values take the fallback, and the gathers clip their indices
@@ -131,35 +120,29 @@ def _scientific(x: np.ndarray):
     high, low = _divmod(m.astype(np.uint32), 1000)
     lead, mid = _divmod(high, 10_000)
     lead += (x < 0) * np.uint32(100)
-    words = [(_HEADS, lead), (_QUADS, mid), (_TRIPLES, low), (_EXPONENTS, e - _EXP_MIN)]
-    if e.size and (e.min() <= -100 or e.max() >= 100):
-        words.append(None)
-    return words, exact
+    return [(_HEADS, lead), (_QUADS, mid), (_TRIPLES, low), (_EXPONENTS, e)], exact
 
 
 def _fixed(x: np.ndarray):
     """Slot words of '%.2f', as (table, index) gathers, and the mask of
     values they hold exactly."""
-    a = np.abs(x)
-    exact = a < _FIXED_MAX  # False for NaN
-    a[~exact] = 0.0
+    # the sign bit, not x >= 0: -0.0 prints its sign; NaN fails x < 1e4
+    fast = (x < _FIXED_MAX) & ~np.signbit(x)
+    a = np.where(fast, x, 0.0)
     s = a * 100.0
     m = np.rint(s)
     near = np.abs(s - m) > 0.5 - _GUARD
     if near.any():
         m[near] = _round_near_tie(a[near], s[near])
     whole, cents = _divmod(m.astype(np.uint32), 100)
-    high, low = _divmod(whole, 10_000)
-    # the sign of -0.0 and of small negatives that round to zero prints
-    words = [(_SIGNED_HIGHS, high + np.signbit(x) * np.uint32(101)),
-             (_LOWS, low + (high == 0) * np.uint32(10_000)), (_CENTS, cents)]
-    return words, exact
+    # 9999.995 rounds to 10000.00, past the four-digit words
+    return [(_WHOLES, whole), (_CENTS, cents)], fast & (m < 100 * _FIXED_MAX)
 
 
 def _round_near_tie(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The integer nearest the exact product a * 100, ties to even, where
     s = fl(a * 100) lies within _GUARD of the half-integer floor(s) + 0.5
-    (so 0.004 < a < 1e6, far from underflow and overflow).  Dekker's
+    (so 0.004 < a < 1e4, far from underflow and overflow).  Dekker's
     product: a Veltkamp split a = ah + al into 26-bit halves makes
     ah * 100 and al * 100 exact, so err is exact and a * 100 = s + err.
     The sum d is rounded, but keeps the sign of the exact distance to the
@@ -208,11 +191,10 @@ def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str,
     buffer.extend(bytes(size - len(buffer)))
     chars = np.frombuffer(buffer, np.uint8).reshape(separators.shape + (4 * n_words,))
     slots = chars.view("<u4")
-    gathers = [word for word in words if word is not None]
-    for k, (table, index) in enumerate(gathers):
+    for k, (table, index) in enumerate(words):
         slots[:, varying, k] = table.take(index, mode="clip")
     # the buffer holds the last block's bytes; clear the words no gather wrote
-    slots[:, :, len(gathers):] = 0
+    slots[:, :, len(words):] = 0
     chars[..., -1] = separators
     if texts:
         written = np.zeros(separators.shape, bool)

@@ -15,7 +15,8 @@ documents go to stdout when no output path is given.
 
 Exit codes, mapped in main alone: 0 success; 1 usage or configuration
 error, which takes in every out-of-range or wrongly typed value, from a
-flag or from the config file, and a grid or sweep too large to allocate;
+flag or from the config file, a grid or sweep too large to allocate, and
+a value whose arithmetic leaves the float range;
 2 I/O error, where the only data error is a spectrum file that cannot be
 read or parsed; 3 numerical failure.
 """
@@ -565,6 +566,13 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # a grid, sweep or flux grid too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        # a value whose Python-float arithmetic leaves the float range, such
+        # as --g-q 1e300 squared; the errno form is (34, 'Numerical result
+        # out of range')
+        print(f"error: value out of range: {exc.args[-1] if exc.args else exc}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

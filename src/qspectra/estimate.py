@@ -688,14 +688,24 @@ def phonon_number_from_dip(dip_center: Frequency, omega0: Frequency,
 
     Inverts dip = omega0 + (g_q**2/delta)(n + 1/2) and rounds to the
     nearest rung; raises OffLadderError when the dip lands more than a
-    quarter spacing from every rung or implies a negative count.
+    quarter spacing from every rung or implies a negative count, and
+    ValueError when the spacing g_q**2/delta is zero, not finite or so
+    small that the rung count overflows.
     """
     if g_q == 0:
         raise ValueError("phonon readout needs g_q != 0")
     if delta == 0:
         raise ValueError("phonon readout needs a nonzero detuning")
-    spacing = g_q**2 / delta
-    rungs = (dip_center - omega0 - 0.5 * spacing) / spacing
+    try:
+        spacing = g_q**2 / delta
+    except OverflowError:  # a Python float g_q**2 past the largest float
+        spacing = math.inf
+    # divided as Python floats, so that a spacing that under- or overflows
+    # gives a count that is not finite rather than a numpy warning
+    rungs = float(dip_center - omega0 - 0.5 * spacing) / spacing if spacing else math.inf
+    if not math.isfinite(rungs):
+        raise ValueError(f"phonon ladder spacing g_q**2/delta = {spacing:.6g} "
+                         "gives no finite rung count")
     n = round(rungs)
     residual = abs(rungs - n)
     if residual > 0.25:

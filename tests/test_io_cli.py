@@ -392,6 +392,9 @@ class TestGoldenBytes:
             # rounding up across a decade
             9.9999999995 * powers[300:340], 9.99999999949 * powers[300:340],
             [9.995, 99.995, 9.996, 999999.995, 999999.996, 9999999.996, 1e15, 1e300],
+            # the ends of the fast paths: %.2f below 10000.00, %.8e in [1e-99, 1e99)
+            [9999.995, 9999.996, 9999.9949999, np.nextafter(1e4, 0.0), 1e4, -0.004],
+            [9.9999999995e98, 1e99, np.nextafter(1e-99, 0.0), 9.9999999995e99],
             # subnormals and three-digit exponents
             rng.integers(1, 2**52, 64).view(np.float64),
             rng.uniform(1.0, 10.0, 64) * 10.0 ** rng.integers(-320, 309, 64),
@@ -420,13 +423,16 @@ class TestGoldenBytes:
             half_cents, np.nextafter(half_cents, 0.0), np.nextafter(half_cents, np.inf),
             rng.integers(1, 8 * 10**6, 20_000) / 8.0,
             [0.005, 0.015, 0.125, 0.375, 2.675, 999999.995, 999999.985],
+            [9999.995, 9999.996, 9999.9949999, np.nextafter(1e4, 0.0), 1e4, 0.0],
         ])
         values = np.concatenate([values, -values])
         assert b"".join(table_blocks((values,), "%.2f", "\n")) == "".join(
             "%.2f\n" % v for v in values.tolist()).encode()
-        # no CPython call for a finite value below 1e6
+        # no CPython call for a value with its sign bit clear that prints
+        # below 10000.00
         _, exact = _fixed(values)
-        assert np.all(exact == (np.abs(values) < 1e6))
+        assert exact.tolist() == [math.copysign(1.0, v) > 0 and float("%.2f" % v) < 1e4
+                                  for v in values.tolist()]
 
     def test_broadcast_column_matches_copy(self):
         n_rows = 2 * _BLOCK_ROWS + 3
@@ -459,10 +465,11 @@ class TestGoldenBytes:
 
 
 class TestSlots:
-    """The slot layout of table_blocks: four words per '%.8e' value, a
-    fifth in a block with a three-digit exponent or a longer text, and one
-    buffer that every block of a table reuses.  Each case is compared with
-    CPython formatting each value."""
+    """The slot layout of table_blocks: four words per '%.8e' value with a
+    two-digit exponent, two per '%.2f' value below 10000.00, more in a
+    block with a longer CPython text, and one buffer that every block of a
+    table reuses.  Each case is compared with CPython formatting each
+    value."""
 
     @staticmethod
     def _reference(columns, conversion, separators) -> bytes:
@@ -472,23 +479,29 @@ class TestSlots:
     @pytest.mark.parametrize("value, text", [
         (1e-99, "1.00000000e-99"),
         (9.99999999e-100, "9.99999999e-100"),  # just below 1e-99
+        (float(np.nextafter(1e-99, 0.0)), "1.00000000e-99"),
         (9.9999999995e98, "1.00000000e+99"),  # rounds up across a decade
+        (1e99, "1.00000000e+99"),
         (9.9999999995e99, "1.00000000e+100"),  # ... into three digits
     ])
     def test_exponent_boundaries(self, value, text):
         assert "%.8e" % value == text
         values = np.array([1.5, value, -value, 2.5e-7])
         _, exact = _scientific(values.copy())
-        assert exact.all()  # the fast path, not CPython, writes these
+        # the fast path writes [1e-99, 1e99), whose exponents have two
+        # digits; CPython writes the rest
+        fast = 1e-99 <= value < 1e99
+        assert exact.tolist() == [True, fast, fast, True]
         columns = (values, values[::-1])
         assert b"".join(table_blocks(columns, "%.8e", ",\n")) == self._reference(
             columns, "%.8e", ",\n")
 
     @pytest.mark.parametrize("wide", [1.5e-150, -1e-300], ids=["three-digit", "fallback"])
     def test_slot_width_changes_between_blocks(self, wide):
-        """Blocks 1 and 3 hold a value that takes a fifth word, a fast-path
-        three-digit exponent or a 16-byte CPython text; block 2 holds none,
-        so its four-word slots sit where block 3's fifth words go."""
+        """Blocks 1 and 3 hold a CPython text with a three-digit exponent:
+        15 bytes, which fits the four words, or 16 bytes, which takes a
+        fifth word; block 2 holds none, so its four-word slots sit where
+        block 3's fifth words go."""
         rng = np.random.default_rng(28)
         n_rows = 3 * _BLOCK_ROWS + 5
         # two-digit exponents only, of either sign
@@ -517,6 +530,38 @@ class TestSlots:
         expected = "".join("%.2f%s%.2f%s" % (a, chr(s), b, chr(t)) for a, b, (s, t)
                            in zip(x.tolist(), y.tolist(), separators.tolist()))
         assert b"".join(table_blocks((x, y), "%.2f", separators)) == expected.encode()
+
+    def test_package_output_stays_on_the_fast_paths(self, tmp_path, monkeypatch):
+        """Every number the package writes through table_blocks lies in its
+        conversion's fast-path range: a finite, non-zero '%.8e' value in
+        [1e-99, 1e99), and a '%.2f' SVG coordinate with its sign bit clear
+        and below 1e4.  The fast paths cover these ranges and no more; this
+        checks that premise over the figures, a squid run with every output
+        and a noisy spectrum with its chart."""
+        seen = {"%.8e": [0, []], "%.2f": [0, []]}
+
+        def recording(columns, conversion, separators):
+            values = np.concatenate([np.ravel(column) for column in columns])
+            if conversion == "%.8e":
+                a = np.abs(values)
+                outside = values[np.isfinite(a) & (a != 0) & ((a < 1e-99) | (a >= 1e99))]
+            else:
+                outside = values[~((values < 1e4) & ~np.signbit(values))]
+            seen[conversion][0] += values.size
+            seen[conversion][1].extend(outside.tolist())
+            return table_blocks(columns, conversion, separators)
+
+        monkeypatch.setattr("qspectra.io.table_blocks", recording)
+        monkeypatch.setattr("qspectra.svg.table_blocks", recording)
+        out = tmp_path / "out"
+        assert main(["figures", "--which", "all", "--outdir", str(out), "--svg"]) == 0
+        assert main(["squid", "--output-json", str(out / "c.json"),
+                     "--output-csv", str(out / "w.csv"), "--svg", str(out / "w.svg")]) == 0
+        assert main(FIG3_ARGS + ["--noise-sigma", "0.01", "--seed", "3", "--output",
+                                 str(out / "n.csv"), "--svg", str(out / "n.svg")]) == 0
+        # both writers were recorded: 391091 and 320080 values when written
+        assert seen["%.8e"][0] > 3 * 10**5 and seen["%.2f"][0] > 3 * 10**5
+        assert seen["%.8e"][1] == [] and seen["%.2f"][1] == []
 
 
 class TestSchema:
@@ -855,18 +900,28 @@ class TestEstimateCommand:
         assert main(argv) == 0
         assert calls == [expected]
 
-    @pytest.mark.parametrize("flag", ["--ref-g-q", "--ref-delta"])
-    def test_zero_reference_hint_is_usage_error(self, flag, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ref-g-q", "0", "--ref-g-q must be nonzero"),
+        ("--ref-delta", "0", "--ref-delta must be nonzero"),
+        # the ladder spacing g_q**2/delta overflows or underflows
+        ("--ref-g-q", "1e300",
+         "phonon ladder spacing g_q**2/delta = inf gives no finite rung count"),
+        ("--ref-g-q", "1e-200",
+         "phonon ladder spacing g_q**2/delta = 0 gives no finite rung count"),
+    ], ids=["--ref-g-q", "--ref-delta", "overflow-ref-g-q", "underflow-ref-g-q"])
+    def test_zero_reference_hint_is_usage_error(self, flag, value, message, tmp_path, capsys):
+        """A hint that makes the phonon ladder spacing zero or not finite
+        exits 1 with an error line, not a traceback."""
         csv = tmp_path / "dispersive.csv"
         assert main(["spectrum", "--model", "dispersive", "--omega0", "2.1e9",
                      "--g-q", "3e7", "--v-g", "3e8", "--gamma-c", "1e6",
                      "--omega-b", "2e9", "--mean-n", "1",
                      "--grid", "2.09e9:2.13e9:2001", "--output", str(csv)]) == 0
         hints = {"--ref-omega0": "2.1e9", "--ref-g-q": "3e7", "--ref-delta": "1e8"}
-        hints[flag] = "0"
+        hints[flag] = value
         argv = ["estimate", str(csv)] + [x for item in hints.items() for x in item]
         assert main(argv) == 1
-        assert f"{flag} must be nonzero" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("case", ["nan-transmission", "decreasing-omega",
                                       "decreasing-omega-no-amplitude"])
@@ -1361,6 +1416,8 @@ _SWEEP_OMEGA0 = ["sweep", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma
                  "--param", "omega0", "--output", "OUT"]
 _SPECTRUM_QUBIT = ["spectrum", "--model", "qubit-only", "--gamma-c", "3.3e7",
                    "--grid", "1.8e9:2.3e9:11"]
+_SPECTRUM_QNMR = ["spectrum", "--model", "qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2e9",
+                  "--gamma-c", "3.3e7", "--grid", "1.8e9:2.3e9:11"]
 
 
 @pytest.mark.parametrize("argv, callee, error, message", [
@@ -1417,6 +1474,14 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
      "grid"),
     (_SPECTRUM_QUBIT + ["--omega0", "2.1e9"], None, "output"),
     (_SWEEP_OMEGA0 + ["--start", "2e9", "--stop", "2.1e9", "--steps", "0"], None, "steps"),
+    # values whose Python-float arithmetic leaves the float range
+    (_SPECTRUM_QNMR + ["--g-q", "1e300", "--output", "OUT"], None, "out of range"),
+    (["spectrum", "--model", "stlr-qubit", "--omega0", "2.1e9", "--omega-r", "2e9",
+      "--v1", "1e300", "--v-g", "3e8", "--grid", "1.8e9:2.3e9:11", "--output", "OUT"], None,
+     "out of range"),
+    (["sweep", "--model", "qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2e9",
+      "--gamma-c", "3.3e7", "--g-q", "3e7", "--param", "g_q", "--start", "2e7",
+      "--stop", "1e300", "--steps", "3", "--output", "OUT"], None, "out of range"),
 ], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "n-states-above-grid-flag",
         "zero-inductance-flag", "steps-config", "start-config", "n-states-config",
         "null-depth-config",
@@ -1425,10 +1490,13 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
         "inf-ref-g-q-flag", "inf-ref-omega0-flag", "inf-c-j-config",
         "bool-c-j-config", "bool-omega0-config", "int-output-config",
         "non-json-config", "array-config", "unknown-key-config", "two-part-grid-flag",
-        "non-numeric-grid-flag", "missing-output", "zero-steps-flag"])
+        "non-numeric-grid-flag", "missing-output", "zero-steps-flag",
+        "overflow-g-q-flag", "overflow-v1-flag", "overflow-stop-flag"])
 def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
     """An out-of-range or wrongly typed value exits 1 naming its field,
-    whether it comes from a flag or from the config file."""
+    whether it comes from a flag or from the config file; a value whose
+    arithmetic leaves the float range exits 1 saying so, not with a
+    traceback."""
     csv, out = tmp_path / "s.csv", tmp_path / "out"
     write_spectrum_csv(csv, qnmr_spectrum)
     argv = [{"CSV": str(csv), "OUT": str(out)}.get(arg, arg) for arg in argv]

@@ -67,6 +67,8 @@ _MECHANICAL = dict(mass=1e-18, omega_b=2e9, length=1e-5, field=0.1)
      "need at least two states"),
     (lambda: qspectra.phonon_number_from_dip(2.1e9, 2.1e9, 3e7, 0.0),
      "phonon readout needs a nonzero detuning"),
+    (lambda: qspectra.phonon_number_from_dip(2.1e9, 2.1e9, 1e-200, 1e8),
+     "phonon ladder spacing g_q**2/delta = 0 gives no finite rung count"),
     (lambda: qspectra.dispersive_dip_frequency(
         qspectra.ModelParams(omega0=2.1e9, omega_b=2.0e9, g_q=3e7)),
      "mean phonon number not set"),
