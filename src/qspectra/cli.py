@@ -568,9 +568,9 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:
-        # a value whose Python-float arithmetic leaves the float range, such
-        # as --g-q 1e300 squared; the errno form is (34, 'Numerical result
-        # out of range')
+        # a value whose Python-float arithmetic leaves the float range (a
+        # coupling whose square does is a ValueError of ModelParams); the
+        # errno form is (34, 'Numerical result out of range')
         print(f"error: value out of range: {exc.args[-1] if exc.args else exc}",
               file=sys.stderr)
         return EXIT_USAGE

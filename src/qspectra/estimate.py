@@ -6,36 +6,36 @@ a local Lorentzian least-squares fit, classify the mechanical vibration
 relations to the underlying frequencies and couplings with first-order
 uncertainty propagation.
 
-One report scans the spectrum for dip candidates once, groups them into
-clusters and fits each cluster once.  Consecutive candidates i < j share
-a cluster when T[i..j] stays below 0.5 * (1 + max(T[i], T[j])), the
-half-depth level of the shallower one: such minima are not two dips
-resolved at half maximum.  Measurement noise clipped to T = 0 at a dip
-bottom makes one candidate per zero run, and all of them share one
-cluster, fitted from its lowest sample (the middle one of a tied run).
-That one selection is the report's: every in-contract fit is a reported
-dip, and the outer dips that bound the full-transmission search are the
-reported dips of fitted depth >= 0.5.
+One report takes its dip candidates from one pass over the phase (see
+"Dip candidates" below), groups them into clusters and fits each
+cluster once.  Consecutive candidates i < j share a cluster when T[i..j]
+stays below 0.5 * (1 + max(T[i], T[j])), the half-depth level of the
+shallower one: such minima are not two dips resolved at half maximum.
+A cluster is fitted from its lowest sample (the middle one of a tied
+run).  That one selection is the report's: every in-contract fit is a
+reported dip, and the outer dips that bound the full-transmission
+search are the reported dips of fitted depth >= 0.5.
 
 One rule (_decide) maps those dips and points to a vibration class:
 estimate_report applies it and inverts what the class allows, and
 classify is its raising form.
 
-Phase gate: every kernel is t = x/(x + i y) (see models), so a dip of T
-is a zero of x, where t passes through 0 and its phase turns by pi.  A
-cluster is fitted only when the phase steps by at least pi/4, wrapped,
-between neighbouring samples or samples two apart somewhere from one
-half-depth crossing of its lowest sample to the other.  A wiggle of
-measurement noise turns the phase only by the phase noise, so it is not
-fitted; the report's notes count such clusters in a note of their own,
-"N candidates without a phase step".  The stride of two covers a sample
-on the zero itself: t = 0 there has phase 0, which splits the turn of pi
-into two smaller steps.
+Dip candidates: every kernel is t = x/(x + i y) (see models), so a dip
+of T is a zero of x, where t passes through 0 and its phase turns by
+pi.  One pass over the whole array marks each wrapped phase step of at
+least pi/4 between neighbouring samples or samples two apart.  Each run
+of samples that the steps join is one candidate, its lowest sample,
+kept where T <= 1 - depth_threshold.  A wiggle of measurement noise
+turns the phase only by the phase noise, so however deep it dips in T
+it makes no candidate until the phase noise itself steps by pi/4, at
+15-20 % noise.  The stride of two covers a sample on the zero itself:
+t = 0 there has phase 0, which splits the turn of pi into two smaller
+steps, and the step over two samples joins that middle sample too.
 
 Fit contract: every reported DipFeature has depth in
 [depth_threshold, 1], a FWHM of at least half a grid step and a center
-inside its fit window.  The threshold gates a candidate's prominence and
-the fit may find it shallower: such a fit is rejected as "depth below
+inside its fit window.  The threshold gates a candidate's T and the fit
+may find it shallower: such a fit is rejected as "depth below
 depth_threshold".  A fitted depth above 1 by at most twice the fit's RMS
 residual (model mismatch and noise: clean hybridized dips overshoot by
 ~0.3-1.4 %) is reported as 1.0.  Any other violation rejects the fit;
@@ -57,12 +57,14 @@ both public scipy calls, which guards against a scipy release that
 changes the private entry.
 
 Deferred imports: scipy.optimize and scipy.signal take a process over
-a second and about 75 MB to load, and only the dip scan needs them, so
-importing the package, or running a command that fits no dip, loads
-neither.  least_squares imports _minpack when it is called, and the
-module function find_peaks imports scipy.signal.find_peaks on its first
-call.  Both stay module functions, so a test or a profiler can replace
-the fit or the candidate scan by name.
+a second and about 75 MB to load, and only the dip fits and the
+full-transmission scan need them, so importing the package, or running
+a command that neither fits a dip nor estimates, loads neither.
+least_squares imports _minpack when it is called, and the module
+function find_peaks imports scipy.signal.find_peaks on its first call,
+from the full-transmission scan; detect_dips alone, as a gridded sweep
+runs it, loads scipy.optimize only.  Both stay module functions, so a
+test or a profiler can replace the fit or the maxima scan by name.
 
 Uncertainty conventions: a fitted dip contributes FWHM/2 as its 1-sigma
 input uncertainty, a full-transmission point contributes one grid step,
@@ -87,8 +89,8 @@ _OUTER_DIP_DEPTH = 0.5
 # defaults: the depth of a reported dip, the T and phase tolerance of a unity point
 _DEPTH_THRESHOLD = 0.1
 _UNITY_TOL = 0.01
-# a cluster is fitted when its phase steps by at least pi/4 (see _phase_step)
-_COS_PHASE_STEP = math.cos(0.25 * math.pi)
+# the smallest wrapped phase step that marks a dip (see _step_runs)
+_PHASE_STEP = 0.25 * math.pi
 # rejection reasons of a fit, in the order the report notes list them
 _REJECT_REASONS = (
     "fit did not produce finite values",
@@ -147,34 +149,6 @@ class DipFeature:
         return dict(vars(self))
 
 
-def _crossing(trans: np.ndarray, level: float, i: int, direction: int) -> int:
-    """The sample nearest i in the given direction (-1 or +1), i
-    excluded, at or above level; -1 when there is none.  Past i's
-    neighbour the search grows outward in doubling chunks, so it reads
-    about as many samples as lie between i and the crossing."""
-    if 0 <= i + direction < len(trans) and trans[i + direction] >= level:
-        return i + direction
-    size = 128
-    if direction < 0:
-        stop = i
-        while stop > 0:
-            start = max(0, stop - size)
-            above = trans[start:stop] >= level
-            k = stop - 1 - int(above[::-1].argmax())
-            if trans[k] >= level:
-                return k
-            stop, size = start, 2 * size
-    else:
-        start, n = i + 1, len(trans)
-        while start < n:
-            above = trans[start:start + size] >= level
-            k = start + int(above.argmax())
-            if trans[k] >= level:
-                return k
-            start, size = start + size, 2 * size
-    return -1
-
-
 def _half_crossings(trans: np.ndarray, i: int) -> tuple[int, int]:
     """The half-depth crossings of sample i: on each side, the sample
     nearest i at or above 0.5 * (1 + T[i]), or -1 where there is none.
@@ -183,7 +157,10 @@ def _half_crossings(trans: np.ndarray, i: int) -> tuple[int, int]:
     half_level = 0.5 * (1.0 + low)
     if low >= half_level:
         return -1, -1
-    return _crossing(trans, half_level, i, -1), _crossing(trans, half_level, i, 1)
+    above = np.flatnonzero(trans >= half_level)
+    # sample i lies below the level, so it splits the crossings in two
+    k = int(np.searchsorted(above, i))
+    return (int(above[k - 1]) if k > 0 else -1), (int(above[k]) if k < len(above) else -1)
 
 
 def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int,
@@ -206,29 +183,35 @@ def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int,
     return sum(widths) / len(widths)
 
 
-def _phase_step(phase: np.ndarray, i: int, left: int, right: int) -> bool:
-    """Whether the phase steps by at least pi/4 (cos <= cos(pi/4), so
-    wrapped) between neighbouring samples or samples two apart, from
-    sample left to sample right (the grid's ends where -1).  The steps
-    among samples i - 1 to i + 1, where a dip's turn mostly lies and a
-    noise dip's span often ends, are tried first, on Python floats."""
-    a, b, c = phase[i - 1:i + 2].tolist()
-    if min(math.cos(b - a), math.cos(c - b), math.cos(c - a)) <= _COS_PHASE_STEP:
-        return True
-    if (left, right) == (i - 1, i + 1):
-        return False
-    span = phase[max(left, 0):right + 1 if right >= 0 else len(phase)]
-    steps = np.concatenate((span[1:] - span[:-1], span[2:] - span[:-2]))
-    return bool(np.cos(steps).min() <= _COS_PHASE_STEP)
+def _step_runs(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of samples that phase steps join, as start and stop
+    (exclusive) index arrays in increasing order.  A step is a change of
+    at least pi/4, wrapped, between neighbouring samples, which joins
+    the two, or between samples two apart, which joins those and the
+    sample between.  Phases lie in (-pi, pi], so a wrapped change of at
+    least pi/4 is a difference d with pi/4 <= |d| <= 7 pi/4."""
+    def steps(d):
+        d = np.abs(d)
+        return (d >= _PHASE_STEP) & (d <= 2.0 * np.pi - _PHASE_STEP)
+
+    # joined[k]: samples k - 1 and k lie in one run (k = 0 and n pad the ends)
+    joined = np.zeros(len(phase) + 1, dtype=bool)
+    joined[1:-1] = steps(np.diff(phase))
+    far = steps(phase[2:] - phase[:-2])
+    joined[1:-2] |= far
+    joined[2:-1] |= far
+    edges = np.flatnonzero(joined[1:] != joined[:-1])
+    return edges[::2], edges[1::2] + 1
 
 
-def find_peaks(x, prominence):
-    """scipy.signal.find_peaks(x, prominence=prominence): the peak
-    indices and the properties dict, imported on the first call (see
-    the module doc)."""
+def find_peaks(x):
+    """scipy.signal.find_peaks(x): the indices of the local maxima, one
+    per maximum (the middle sample of a flat top, the left of its two
+    middle samples when it is even), and the properties dict, imported
+    on the first call (see the module doc)."""
     from scipy.signal import find_peaks as scipy_find_peaks
 
-    return scipy_find_peaks(x, prominence=prominence)
+    return scipy_find_peaks(x)
 
 
 def least_squares(fun, x0, jac):
@@ -354,17 +337,12 @@ def _fit_window(freqs: np.ndarray, i: int, half_width: float) -> slice:
 
 
 def _fit_candidate(spectrum: Spectrum, i: int,
-                   depth_threshold: float) -> Union[DipFeature, str, None]:
+                   depth_threshold: float) -> Union[DipFeature, str]:
     """Fit the candidate minimum at sample i over +-3 naive half-widths
-    (at least 7 samples) when the phase steps between its half-depth
-    crossings (see _phase_step); its fit is the feature, or why it breaks
-    the DipFeature contract or lies below depth_threshold.  None when the
-    phase does not step, so nothing was fitted."""
+    (at least 7 samples); its fit is the feature, or why it breaks the
+    DipFeature contract or lies below depth_threshold."""
     freqs, trans = spectrum.freqs, spectrum.transmission
-    left, right = _half_crossings(trans, i)
-    if not _phase_step(spectrum.phase, i, left, right):
-        return None
-    half_width = _naive_half_width(freqs, trans, i, left, right)
+    half_width = _naive_half_width(freqs, trans, i, *_half_crossings(trans, i))
     window = _fit_window(freqs, i, half_width)
     wf = freqs[window]
     center, fwhm, depth, rms = _fit_lorentzian_dip(
@@ -389,7 +367,7 @@ def _clusters(trans: np.ndarray,
     order, split into clusters: consecutive candidates i < j share one
     when T[i..j] stays below 0.5 * (1 + max(T[i], T[j])), the half-depth
     level of the shallower one.  Such minima are not two dips resolved at
-    half maximum; the noise clipped to T = 0 at a dip bottom makes them."""
+    half maximum."""
     if not members:
         return []
     # max(T[i:j]) for each consecutive pair; T[j] is below the level anyway
@@ -414,58 +392,50 @@ def _lowest_member(cluster: list[tuple[int, float]]) -> int:
 
 def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature], list[str]]:
     """The in-contract dips of fitted depth >= depth_threshold, sorted by
-    center, and the notes counting the clusters without a phase step and
-    the fits rejected, each where there are any.  One prominence scan at
-    depth_threshold finds the candidates; each cluster of them (see
-    _clusters) with a phase step is fitted once, from its lowest sample.
-    A prominence never exceeds 1 - T, so every candidate is at least
-    depth_threshold deep, but its fit may not be."""
+    center, and the note counting the fits rejected, where there are
+    any.  Each run of samples that phase steps join (see _step_runs)
+    gives one candidate, its lowest sample, where T <= 1 -
+    depth_threshold; each cluster of candidates (see _clusters) is
+    fitted once, from its lowest sample.  The fit may find a candidate
+    shallower than depth_threshold."""
     if not 0.0 < depth_threshold < 1.0:
         raise ValueError("depth_threshold must be in (0, 1)")
     trans = spectrum.transmission
-    indices, _ = find_peaks(-trans, prominence=depth_threshold)
-    members = list(zip(indices.tolist(), trans[indices].tolist()))
+    members = []
+    for start, stop in zip(*_step_runs(spectrum.phase)):
+        i = _lowest_member(list(enumerate(trans[start:stop].tolist(), start)))
+        if trans[i] <= 1.0 - depth_threshold:
+            members.append((i, float(trans[i])))
     fits = [_fit_candidate(spectrum, _lowest_member(cluster), depth_threshold)
             for cluster in _clusters(trans, members)]
     dips = sorted((fit for fit in fits if isinstance(fit, DipFeature)), key=lambda d: d.center)
     rejected = Counter(fit for fit in fits if isinstance(fit, str))
-    gated = fits.count(None)
-    notes = [f"{gated} candidates without a phase step"] if gated else []
-    if rejected:
-        reasons = ", ".join(f"{rejected[r]} {r}" for r in _REJECT_REASONS if r in rejected)
-        ran = len(fits) - gated
-        notes.append(f"{ran - len(dips)} of {ran} dip fits rejected ({reasons})")
-    return dips, notes
+    if not rejected:
+        return dips, []
+    reasons = ", ".join(f"{rejected[r]} {r}" for r in _REJECT_REASONS if r in rejected)
+    return dips, [f"{len(fits) - len(dips)} of {len(fits)} dip fits rejected ({reasons})"]
 
 
 def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -> list[DipFeature]:
     """Locate transmission dips of depth >= depth_threshold and refine
     each by a local Lorentzian fit.
 
-    Candidate minima come from a scan at a prominence of depth_threshold
-    and are grouped into clusters, consecutive ones sharing a cluster
-    while T between them stays below the half-depth level of the
-    shallower, 0.5 * (1 + max(T[i], T[j])).  A cluster is fit once, over
-    a window of +-3 naive half-widths around its lowest sample (the
-    middle one of a tied run), and only when the phase turns there (the
-    phase gate of the module doc).  A fit depth up to twice the RMS
-    residual above 1 is reported as 1.0, and fits with a depth below
-    depth_threshold (the fit can find a candidate shallower than its
-    prominence), a larger overshoot, a FWHM below half a grid step or a
-    center outside the window are dropped; every other fit is returned.
+    Each run of samples that phase steps of at least pi/4 join gives one
+    candidate, its lowest sample, where T <= 1 - depth_threshold (the
+    dip candidates of the module doc).  Candidates are grouped into
+    clusters, consecutive ones sharing a cluster while T between them
+    stays below the half-depth level of the shallower, 0.5 * (1 +
+    max(T[i], T[j])).  A cluster is fit once, over a window of +-3 naive
+    half-widths around its lowest sample (the middle one of a tied run).
+    A fit depth up to twice the RMS residual above 1 is reported as 1.0,
+    and fits with a depth below depth_threshold (the fit can find a
+    candidate shallower than its lowest sample), a larger overshoot, a
+    FWHM below half a grid step or a center outside the window are
+    dropped; every other fit is returned.
     Returns features sorted by center; empty list when nothing crosses
     the threshold.
     """
     return _scan(spectrum, depth_threshold)[0]
-
-
-def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices of the interior samples no lower than either neighbour and
-    higher than at least one: each edge of a flat top counts, its inside
-    does not."""
-    mid, left, right = values[1:-1], values[:-2], values[2:]
-    peak = (mid >= left) & (mid >= right) & ((mid > left) | (mid > right))
-    return np.flatnonzero(peak) + 1
 
 
 def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> list[float]:
@@ -474,12 +444,8 @@ def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> lis
     trans = spectrum.transmission
     phase = spectrum.phase
     freqs = spectrum.freqs
-    peaks = _local_maxima(trans)
+    peaks, _ = find_peaks(trans)
     i = peaks[(trans[peaks] >= 1.0 - tol) & (np.abs(phase[peaks]) <= tol)]
-    # two adjacent maxima are the edges of a flat top of two samples (such
-    # as two noisy samples clipped to T = 1), whose parabolas both peak at
-    # its midpoint: list that point once, from the left edge
-    i = i[np.diff(i, prepend=-2) > 1]
     points = freqs[i]
     # parabolic vertex through the three samples around each maximum
     denom = trans[i - 1] - 2.0 * trans[i] + trans[i + 1]
@@ -496,8 +462,9 @@ def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> lis
 def detect_unity_points(spectrum: Spectrum, tol: float = _UNITY_TOL) -> list[float]:
     """Frequencies where the probe passes completely: local maxima with
     T >= 1 - tol and |phase| <= tol, refined by parabolic interpolation,
-    in increasing order.  A flat top of two samples is one point, its
-    midpoint.
+    in increasing order.  Each maximum is one point, a flat top included:
+    a top of two samples gives its midpoint, a wider one its middle
+    sample (the left of the two middle ones when it is even).
 
     When detect_dips finds two or more dips of depth >= 0.5, only points
     strictly between the outermost of their centers are reported; this

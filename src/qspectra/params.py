@@ -19,6 +19,8 @@ import numpy as np
 Frequency = float  # angular frequency, rad/s
 
 _COUPLING_FIELDS = ("gamma_c", "v1", "v2", "g_q", "g_c", "g_rq")
+# the couplings the models square
+_SQUARED_FIELDS = ("v1", "v2", "g_q", "g_c", "g_rq")
 
 
 class MissingParameterError(ValueError):
@@ -40,6 +42,18 @@ def make_frequency_grid(start: Frequency, stop: Frequency, n_points: int) -> np.
     return np.linspace(float(start), float(stop), int(n_points))
 
 
+def _checked(name: str, value: float, source: str = "") -> float:
+    """value, given or derived (from source) for the field name, when it
+    is finite and, for a coupling the models square, its square is too;
+    ValueError naming the field otherwise."""
+    label = f"parameter '{name}'" + (f" = {source}" if source else "")
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value}")
+    if name in _SQUARED_FIELDS and not math.isfinite(value * value):
+        raise ValueError(f"{label} = {value} is out of range: its square leaves the float range")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters shared by all scattering models.
@@ -49,6 +63,9 @@ class ModelParams:
     missing.  ``gamma_c`` is the qubit decay rate into the feedline and is
     tied to the feedline coupling by gamma_c = v1**2 / v_g; whichever of
     the two is given, the other is derived so they can never disagree.
+    Every field, given or derived, must be finite, and so must the square
+    of each coupling the models square (v1, v2, g_q, g_c, g_rq); a
+    ValueError names the field that is not.
 
     Fields
     ------
@@ -80,12 +97,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None:
-                continue
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"parameter '{f.name}' must be finite, got {value}")
-            object.__setattr__(self, f.name, value)
+            if value is not None:
+                object.__setattr__(self, f.name, _checked(f.name, float(value)))
         for name in _COUPLING_FIELDS + ("mean_n", "omega0", "omega_b", "omega_r"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -94,7 +107,7 @@ class ModelParams:
             raise ValueError(f"group speed v_g must be > 0, got {self.v_g}")
         if self.v_g is not None:
             if self.v1 is not None:
-                derived = self.v1**2 / self.v_g
+                derived = _checked("gamma_c", self.v1**2 / self.v_g, "v1**2/v_g")
                 if self.gamma_c is None:
                     object.__setattr__(self, "gamma_c", derived)
                 elif not math.isclose(self.gamma_c, derived, rel_tol=1e-9, abs_tol=1e-300):
@@ -103,7 +116,8 @@ class ModelParams:
                         f"({self.gamma_c} vs {derived}); set only one of them"
                     )
             elif self.gamma_c is not None:
-                object.__setattr__(self, "v1", math.sqrt(self.gamma_c * self.v_g))
+                v1 = _checked("v1", math.sqrt(self.gamma_c * self.v_g), "sqrt(gamma_c * v_g)")
+                object.__setattr__(self, "v1", v1)
 
     def require(self, *names: str) -> None:
         """Raise MissingParameterError naming the first unset field in `names`."""

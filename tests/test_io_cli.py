@@ -1474,14 +1474,16 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
      "grid"),
     (_SPECTRUM_QUBIT + ["--omega0", "2.1e9"], None, "output"),
     (_SWEEP_OMEGA0 + ["--start", "2e9", "--stop", "2.1e9", "--steps", "0"], None, "steps"),
-    # values whose Python-float arithmetic leaves the float range
-    (_SPECTRUM_QNMR + ["--g-q", "1e300", "--output", "OUT"], None, "out of range"),
+    # couplings whose square leaves the float range
+    (_SPECTRUM_QNMR + ["--g-q", "1e300", "--output", "OUT"], None,
+     "parameter 'g_q' = 1e+300 is out of range"),
     (["spectrum", "--model", "stlr-qubit", "--omega0", "2.1e9", "--omega-r", "2e9",
       "--v1", "1e300", "--v-g", "3e8", "--grid", "1.8e9:2.3e9:11", "--output", "OUT"], None,
-     "out of range"),
+     "parameter 'v1' = 1e+300 is out of range"),
     (["sweep", "--model", "qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2e9",
       "--gamma-c", "3.3e7", "--g-q", "3e7", "--param", "g_q", "--start", "2e7",
-      "--stop", "1e300", "--steps", "3", "--output", "OUT"], None, "out of range"),
+      "--stop", "1e300", "--steps", "3", "--output", "OUT"], None,
+     "parameter 'g_q' = 5e+299 is out of range"),
 ], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "n-states-above-grid-flag",
         "zero-inductance-flag", "steps-config", "start-config", "n-states-config",
         "null-depth-config",
@@ -1494,9 +1496,9 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
         "overflow-g-q-flag", "overflow-v1-flag", "overflow-stop-flag"])
 def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
     """An out-of-range or wrongly typed value exits 1 naming its field,
-    whether it comes from a flag or from the config file; a value whose
-    arithmetic leaves the float range exits 1 saying so, not with a
-    traceback."""
+    whether it comes from a flag or from the config file; a coupling
+    whose square leaves the float range exits 1 naming its field and
+    saying so, not with a traceback."""
     csv, out = tmp_path / "s.csv", tmp_path / "out"
     write_spectrum_csv(csv, qnmr_spectrum)
     argv = [{"CSV": str(csv), "OUT": str(out)}.get(arg, arg) for arg in argv]

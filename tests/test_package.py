@@ -72,6 +72,17 @@ _MECHANICAL = dict(mass=1e-18, omega_b=2e9, length=1e-5, field=0.1)
     (lambda: qspectra.dispersive_dip_frequency(
         qspectra.ModelParams(omega0=2.1e9, omega_b=2.0e9, g_q=3e7)),
      "mean phonon number not set"),
+    # a derived field that leaves the float range, and couplings whose square does
+    (lambda: qspectra.ModelParams(gamma_c=1e300, v_g=1e300),
+     "parameter 'v1' = sqrt(gamma_c * v_g) must be finite, got inf"),
+    (lambda: qspectra.ModelParams(v1=1e150, v_g=1e-300),
+     "parameter 'gamma_c' = v1**2/v_g must be finite, got inf"),
+    (lambda: qspectra.ModelParams(v1=1e160, v_g=3e8), "parameter 'v1' = 1e+160 is out of range"),
+    (lambda: qspectra.ModelParams(v2=2e154), "parameter 'v2' = 2e+154 is out of range"),
+    (lambda: qspectra.ModelParams(g_q=1e300), "parameter 'g_q' = 1e+300 is out of range"),
+    (lambda: qspectra.ModelParams(g_c=1e155), "parameter 'g_c' = 1e+155 is out of range"),
+    (lambda: qspectra.ModelParams(omega0=2.1e9).replace(g_rq=1e200),
+     "parameter 'g_rq' = 1e+200 is out of range"),
 ])
 def test_documented_value_errors(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -151,6 +162,10 @@ codes = [
 steps["forward"] = scipy_modules()
 codes.append(main(["squid", "--output-json", out + "/squid.json"]))
 steps["squid"] = scipy_modules()
+codes.append(main(["sweep", *qnmr, "--param", "g_q", "--start", "5e7", "--stop", "1e8",
+                   "--steps", "3", "--grid", "1.8e9:2.3e9:401",
+                   "--output", out + "/sweep-grid.csv"]))
+steps["sweep-grid"] = scipy_modules()
 codes.append(main(["estimate", out + "/noisy.csv", "--output", out + "/report.json"]))
 steps["estimate"] = scipy_modules()
 print(json.dumps({"codes": codes, "steps": steps}))
@@ -161,7 +176,9 @@ def test_scipy_is_imported_by_the_commands_that_use_it(tmp_path):
     """In a fresh interpreter, importing the package and running the
     forward commands (spectrum with noise, sweep without --grid, a
     spectrum figure) load no scipy; squid loads scipy.linalg alone of
-    the three scipy modules the package uses, and estimate the other two."""
+    the three scipy modules the package uses; sweep --grid, which fits
+    dips but lists no unity point, adds scipy.optimize but not
+    scipy.signal; and estimate loads scipy.signal."""
     env = dict(os.environ)
     src = str(pathlib.Path(qspectra.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -169,9 +186,11 @@ def test_scipy_is_imported_by_the_commands_that_use_it(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0]
     steps = result["steps"]
     assert steps["import"] == [] and steps["forward"] == []
     assert "scipy.linalg" in steps["squid"]
     assert not {"scipy.optimize", "scipy.signal"} & set(steps["squid"])
+    assert "scipy.optimize" in steps["sweep-grid"]
+    assert "scipy.signal" not in steps["sweep-grid"]
     assert {"scipy.optimize", "scipy.signal"} <= set(steps["estimate"])
