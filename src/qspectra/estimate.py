@@ -56,15 +56,12 @@ tests/test_estimate.py::TestFitKernel compares them bit for bit with
 both public scipy calls, which guards against a scipy release that
 changes the private entry.
 
-Deferred imports: scipy.optimize and scipy.signal take a process over
-a second and about 75 MB to load, and only the dip fits and the
-full-transmission scan need them, so importing the package, or running
-a command that neither fits a dip nor estimates, loads neither.
-least_squares imports _minpack when it is called, and the module
-function find_peaks imports scipy.signal.find_peaks on its first call,
-from the full-transmission scan; detect_dips alone, as a gridded sweep
-runs it, loads scipy.optimize only.  Both stay module functions, so a
-test or a profiler can replace the fit or the maxima scan by name.
+Deferred imports: scipy.optimize takes a process over half a second and
+about 50 MB to load, and only the dip fits need it, so importing the
+package, or running a command that fits no dip, does not load it.
+least_squares imports _minpack when it is called.  It and the maxima
+scan find_peaks stay module functions, so a test or a profiler can
+replace the fit or the scan by name.
 
 Uncertainty conventions: a fitted dip contributes FWHM/2 as its 1-sigma
 input uncertainty, a full-transmission point contributes one grid step,
@@ -205,13 +202,20 @@ def _step_runs(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def find_peaks(x):
-    """scipy.signal.find_peaks(x): the indices of the local maxima, one
-    per maximum (the middle sample of a flat top, the left of its two
-    middle samples when it is even), and the properties dict, imported
-    on the first call (see the module doc)."""
-    from scipy.signal import find_peaks as scipy_find_peaks
-
-    return scipy_find_peaks(x)
+    """The local maxima of x: the index of each, the middle sample of a
+    flat top (the left of its two middle samples when it is even), and a
+    dict of their first and last samples, "left_edges" and
+    "right_edges".  A run of equal samples is a maximum when it is
+    higher than the samples on both sides of it; a run at either end of
+    the array is not, and a NaN sample ends a run and is no neighbour
+    that a run is higher than."""
+    x = np.asarray(x)
+    # the last sample of each run but the final one
+    moves = np.flatnonzero(x[1:] != x[:-1])
+    after = x[moves + 1]
+    top = np.flatnonzero((x[moves[:-1]] < after[:-1]) & (after[:-1] > after[1:]))
+    left, right = moves[top] + 1, moves[top + 1]
+    return (left + right) // 2, {"left_edges": left, "right_edges": right}
 
 
 def least_squares(fun, x0, jac):

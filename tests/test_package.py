@@ -168,7 +168,12 @@ codes.append(main(["sweep", *qnmr, "--param", "g_q", "--start", "5e7", "--stop",
 steps["sweep-grid"] = scipy_modules()
 codes.append(main(["estimate", out + "/noisy.csv", "--output", out + "/report.json"]))
 steps["estimate"] = scipy_modules()
-print(json.dumps({"codes": codes, "steps": steps}))
+from qspectra.estimate import classify, detect_unity_points
+from qspectra.io import read_spectrum_csv
+spectrum, _ = read_spectrum_csv(out + "/noisy.csv")
+library = [classify(spectrum, unity_tol=0.04).value, len(detect_unity_points(spectrum, 0.04))]
+steps["library"] = scipy_modules()
+print(json.dumps({"codes": codes, "library": library, "steps": steps}))
 """
 
 
@@ -176,9 +181,10 @@ def test_scipy_is_imported_by_the_commands_that_use_it(tmp_path):
     """In a fresh interpreter, importing the package and running the
     forward commands (spectrum with noise, sweep without --grid, a
     spectrum figure) load no scipy; squid loads scipy.linalg alone of
-    the three scipy modules the package uses; sweep --grid, which fits
-    dips but lists no unity point, adds scipy.optimize but not
-    scipy.signal; and estimate loads scipy.signal."""
+    the two scipy modules the package uses; sweep --grid, which fits
+    dips, adds scipy.optimize; and estimate, then the library's classify
+    and detect_unity_points, load nothing more: no step loads
+    scipy.signal."""
     env = dict(os.environ)
     src = str(pathlib.Path(qspectra.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -187,10 +193,12 @@ def test_scipy_is_imported_by_the_commands_that_use_it(tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0, 0, 0]
+    assert result["library"][0] == "quantum-nmr" and result["library"][1] > 0
     steps = result["steps"]
     assert steps["import"] == [] and steps["forward"] == []
     assert "scipy.linalg" in steps["squid"]
-    assert not {"scipy.optimize", "scipy.signal"} & set(steps["squid"])
+    assert "scipy.optimize" not in steps["squid"]
     assert "scipy.optimize" in steps["sweep-grid"]
-    assert "scipy.signal" not in steps["sweep-grid"]
-    assert {"scipy.optimize", "scipy.signal"} <= set(steps["estimate"])
+    # estimate and the library calls load nothing that sweep --grid did not
+    assert steps["estimate"] == steps["library"] == steps["sweep-grid"]
+    assert not any(m.startswith("scipy.signal") for m in steps["estimate"])
