@@ -448,15 +448,17 @@ def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> lis
     trans = spectrum.transmission
     phase = spectrum.phase
     freqs = spectrum.freqs
-    peaks, _ = find_peaks(trans)
-    i = peaks[(trans[peaks] >= 1.0 - tol) & (np.abs(phase[peaks]) <= tol)]
-    points = freqs[i]
-    # parabolic vertex through the three samples around each maximum
+    peaks, edges = find_peaks(trans)
+    full = (trans[peaks] >= 1.0 - tol) & (np.abs(phase[peaks]) <= tol)
+    left, right = edges["left_edges"][full], edges["right_edges"][full]
+    points = 0.5 * (freqs[left] + freqs[right])
+    # a single-sample maximum: the parabolic vertex through it and its two
+    # lower neighbours, whose curvature rounds to a negative number too
+    single = left == right
+    i = left[single]
     denom = trans[i - 1] - 2.0 * trans[i] + trans[i + 1]
-    curved = denom < 0
-    i = i[curved]
     step = freqs[i + 1] - freqs[i]
-    points[curved] += 0.5 * (trans[i - 1] - trans[i + 1]) / denom[curved] * step
+    points[single] += 0.5 * (trans[i - 1] - trans[i + 1]) / denom * step
     outer = [d.center for d in dips if d.depth >= _OUTER_DIP_DEPTH]
     if len(outer) >= 2:
         points = points[(outer[0] < points) & (points < outer[-1])]
@@ -465,10 +467,11 @@ def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> lis
 
 def detect_unity_points(spectrum: Spectrum, tol: float = _UNITY_TOL) -> list[float]:
     """Frequencies where the probe passes completely: local maxima with
-    T >= 1 - tol and |phase| <= tol, refined by parabolic interpolation,
-    in increasing order.  Each maximum is one point, a flat top included:
-    a top of two samples gives its midpoint, a wider one its middle
-    sample (the left of the two middle ones when it is even).
+    T >= 1 - tol and |phase| <= tol (at the middle sample of a flat top,
+    the left of the two middle ones when it is even), in increasing
+    order.  Each maximum is one point: a single-sample maximum gives the
+    vertex of the parabola through it and its neighbours, and a flat top
+    of equal samples, however many, the midpoint of its first and last.
 
     When detect_dips finds two or more dips of depth >= 0.5, only points
     strictly between the outermost of their centers are reported; this

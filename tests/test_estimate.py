@@ -870,7 +870,7 @@ def test_noisy_unity_points_listed_once():
     however many samples it spans.  The report lists at most one unity
     point on each top, so its unity points strictly increase; the tops
     of two samples and those of three or more that it lists are each
-    listed once."""
+    listed once, at the midpoint of the top's first and last sample."""
     grid = make_frequency_grid(1.8e9, 2.3e9, 2001)
     listed_once = Counter()
     for kind, values in ((ModelKind.QUBIT_QNMR, _README_QNMR),
@@ -888,8 +888,10 @@ def test_noisy_unity_points_listed_once():
                     on_top = (s.freqs[first] <= unity) & (unity <= s.freqs[last])
                     assert np.count_nonzero(on_top) <= 1, (kind, sigma, seed, first, last)
                     if on_top.any():
-                        listed_once[min(last - first + 1, 3)] += 1
-    assert listed_once[2] > 1000 and listed_once[3] > 1000, listed_once
+                        assert unity[on_top][0] == 0.5 * (s.freqs[first] + s.freqs[last])
+                        listed_once[min(last - first + 1, 4)] += 1
+    # tops of 2, 3 and 4 or more samples
+    assert listed_once[2] > 1000 and listed_once[3] > 500 and listed_once[4] > 500, listed_once
 
 
 @pytest.mark.parametrize("kind, values, n, seed", [
@@ -1168,18 +1170,20 @@ def _loop_unity_points(spectrum, tol, dips):
     phase = spectrum.phase
     freqs = spectrum.freqs
     candidates = [
-        i for i in _loop_local_maxima(trans)
-        if trans[i] >= 1.0 - tol and abs(phase[i]) <= tol
+        (first, last) for first, last in _loop_maximum_runs(trans)
+        if trans[(first + last) // 2] >= 1.0 - tol and abs(phase[(first + last) // 2]) <= tol
     ]
     points = []
-    for i in candidates:
+    for i, last in candidates:
+        if i < last:
+            # a flat top: the midpoint of its first and last sample
+            points.append(float(0.5 * (freqs[i] + freqs[last])))
+            continue
         denom = trans[i - 1] - 2.0 * trans[i] + trans[i + 1]
-        if denom < 0:
-            step = freqs[i + 1] - freqs[i]
-            offset = 0.5 * (trans[i - 1] - trans[i + 1]) / denom * step
-            points.append(float(freqs[i] + offset))
-        else:
-            points.append(float(freqs[i]))
+        assert denom < 0
+        step = freqs[i + 1] - freqs[i]
+        offset = 0.5 * (trans[i - 1] - trans[i + 1]) / denom * step
+        points.append(float(freqs[i] + offset))
     if len(outer_dips) >= 2:
         lo = outer_dips[0].center
         hi = outer_dips[-1].center
@@ -1209,7 +1213,9 @@ def test_unity_points_match_loop(qnmr_spectrum, dispersive_params):
                             transmission=np.round(rounded.transmission, 2),
                             phase=np.round(rounded.phase, 2)))
     freqs = np.cumsum(np.random.default_rng(5).uniform(0.5, 2.0, 12))
-    below = 1.0 - 2.0**-53  # (below - 2.0) + 1.0 rounds to a zero curvature
+    # (below - 2.0) + 1.0 rounds to 0: no parabola through the left sample
+    # of the top at samples 2-3 has a vertex
+    below = 1.0 - 2.0**-53
     for trans in (
         [0.9, 1.0, 0.9, 0.5, 0.2, 0.5, 0.99, 0.6, 0.2, 0.7, 0.995, 0.99],  # maxima at the edges
         [0.2, 0.5, 1.0, 1.0, 1.0, 0.5, 0.2, 0.999, 0.999, 0.3, 1.0, 1.0],  # plateaus
@@ -1218,8 +1224,8 @@ def test_unity_points_match_loop(qnmr_spectrum, dispersive_params):
     ):
         for phase in (np.zeros(12), np.linspace(-0.05, 0.05, 12)):
             spectra.append(Spectrum(freqs=freqs, transmission=trans, phase=phase))
-    # the zero-curvature maximum at freqs[2] sits on the lower dip center
-    fake_pair = [estimate.DipFeature(freqs[2], 1.0, 0.8, 0.0),
+    # the centre of that top sits on the lower dip center
+    fake_pair = [estimate.DipFeature(0.5 * (freqs[2] + freqs[3]), 1.0, 0.8, 0.0),
                  estimate.DipFeature(freqs[9], 1.0, 0.8, 0.0)]
     # a dip shallower than 0.5 does not bound the search
     shallow = fake_pair + [estimate.DipFeature(freqs[11], 1.0, 0.4, 0.0)]
@@ -1406,8 +1412,8 @@ def test_report_bytes_pinned():
     """Every report of a fixed table, serialized as the estimate command
     writes it (or the inversion error it raises), hashes to the pinned
     bytes: those of the reports since dip candidates come from the runs
-    of phase steps and each maximum of T, a flat top included, gives at
-    most one unity point."""
+    of phase steps and each flat top of T gives its centre as a unity
+    point."""
     digest = hashlib.sha256()
     classes = set()
     for s in _pinned_spectra():
@@ -1422,7 +1428,7 @@ def test_report_bytes_pinned():
             digest.update(text.encode())
     assert classes == set(ModelClass)
     assert digest.hexdigest() == (
-        "d8b27c6fcba8328507928697f6319be9d60563bf25a7f2ff0447ad22bf784468")
+        "c81faad002fbc74c26c6333ceaf315b25181a4a416d0b6b02a9b47fab19cb885")
 
 
 @pytest.mark.filterwarnings("ignore:.*dispersive approximation")
