@@ -95,6 +95,7 @@ _REJECT_REASONS = (
     "depth above 1 beyond the fit residual",
     "FWHM below half a grid step",
     "center outside the fit window",
+    "fit window below 4 samples",
 )
 
 
@@ -344,11 +345,15 @@ def _fit_candidate(spectrum: Spectrum, i: int,
                    depth_threshold: float) -> Union[DipFeature, str]:
     """Fit the candidate minimum at sample i over +-3 naive half-widths
     (at least 7 samples); its fit is the feature, or why it breaks the
-    DipFeature contract or lies below depth_threshold."""
+    DipFeature contract or lies below depth_threshold.  A window of
+    fewer samples than the fit's 4 parameters, which a spectrum of 2 or
+    3 points gives, is not fitted: MINPACK returns the start point."""
     freqs, trans = spectrum.freqs, spectrum.transmission
     half_width = _naive_half_width(freqs, trans, i, *_half_crossings(trans, i))
     window = _fit_window(freqs, i, half_width)
     wf = freqs[window]
+    if len(wf) < 4:
+        return _REJECT_REASONS[5]
     center, fwhm, depth, rms = _fit_lorentzian_dip(
         wf, trans[window], float(freqs[i]), half_width, 1.0 - float(trans[i]),
     )
@@ -435,7 +440,8 @@ def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -
     and fits with a depth below depth_threshold (the fit can find a
     candidate shallower than its lowest sample), a larger overshoot, a
     FWHM below half a grid step or a center outside the window are
-    dropped; every other fit is returned.
+    dropped, as is a window of fewer than 4 samples, which is not
+    fitted; every other fit is returned.
     Returns features sorted by center; empty list when nothing crosses
     the threshold.
     """

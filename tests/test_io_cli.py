@@ -823,6 +823,25 @@ class TestEstimateCommand:
         assert main(["estimate", str(path), "--output", str(report_path)]) == 0
         assert load_report(report_path)["model_class"] == "no-features"
 
+    @pytest.mark.parametrize("rows", [
+        ["1.0e9,0.95,-1.2", "1.1e9,0.05,0.0", "1.2e9,0.95,1.2"],
+        ["1.0e9,0.95,-1.2", "1.1e9,0.05,0.0"],
+    ], ids=["3-points", "2-points"])
+    def test_dip_on_short_spectrum_is_not_fitted(self, rows, tmp_path):
+        """The dip of a 2- or 3-point spectrum leaves a fit window of fewer
+        samples than the fit's 4 parameters, where MINPACK returns the
+        start point unfitted: the fit is rejected for that reason, and no
+        dip is reported."""
+        path = tmp_path / "short.csv"
+        path.write_text("\n".join(["omega,T,phase_rad", *rows]) + "\n")
+        report_path = tmp_path / "r.json"
+        assert main(["estimate", str(path), "--ref-omega0", "1.1e9",
+                     "--output", str(report_path)]) == 0
+        document = load_report(report_path)
+        assert document["model_class"] == "no-features"
+        assert document["raw_features"]["dips"] == []
+        assert document["notes"] == ["1 of 1 dip fits rejected (1 fit window below 4 samples)"]
+
     def test_ambiguous_is_data_not_failure(self, tmp_path):
         csv = tmp_path / "bare.csv"
         assert main(["spectrum", "--model", "qubit-only", "--omega0", "2.1e9",
