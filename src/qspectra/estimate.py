@@ -408,7 +408,7 @@ def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature],
     fitted once, from its lowest sample.  The fit may find a candidate
     shallower than depth_threshold."""
     if not 0.0 < depth_threshold < 1.0:
-        raise ValueError("depth_threshold must be in (0, 1)")
+        raise ValueError(f"depth_threshold must be in (0, 1), got {depth_threshold}")
     trans = spectrum.transmission
     members = []
     for start, stop in zip(*_step_runs(spectrum.phase)):
@@ -492,7 +492,7 @@ def _observe(spectrum: Spectrum, depth_threshold: float,
     the full-transmission points between the outer ones of depth >= 0.5,
     and the notes of the scan (see _scan)."""
     if not 0.0 < unity_tol < 0.1:
-        raise ValueError("tol must be in (0, 0.1)")
+        raise ValueError(f"unity_tol must be in (0, 0.1), got {unity_tol}")
     dips, notes = _scan(spectrum, depth_threshold)
     return dips, _unity_points(spectrum, unity_tol, dips), notes
 

@@ -1464,6 +1464,10 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
 @pytest.mark.parametrize("argv, config, field", [
     (["estimate", "CSV", "--depth-threshold", "2"], None, "depth_threshold"),
     (["estimate", "CSV", "--unity-tol", "0.5"], None, "tol"),
+    (["estimate", "CSV", "--unity-tol", "0.2"], None,
+     "unity_tol must be in (0, 0.1), got 0.2"),
+    (["estimate", "CSV", "--depth-threshold", "1.5"], None,
+     "depth_threshold must be in (0, 1), got 1.5"),
     (["squid", "--n-states", "1", "--output-json", "OUT"], None, "n_states"),
     (["squid", "--n-states", "1002", "--output-json", "OUT"], None, "n_states"),
     (["squid", "--l", "0", "--output-json", "OUT"], None, "inductance"),
@@ -1503,7 +1507,8 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
       "--gamma-c", "3.3e7", "--g-q", "3e7", "--param", "g_q", "--start", "2e7",
       "--stop", "1e300", "--steps", "3", "--output", "OUT"], None,
      "parameter 'g_q' = 5e+299 is out of range"),
-], ids=["depth-flag", "unity-tol-flag", "n-states-flag", "n-states-above-grid-flag",
+], ids=["depth-flag", "unity-tol-flag", "unity-tol-value-flag", "depth-value-flag",
+        "n-states-flag", "n-states-above-grid-flag",
         "zero-inductance-flag", "steps-config", "start-config", "n-states-config",
         "null-depth-config",
         "fractional-steps-config", "fractional-grid-points-config",
