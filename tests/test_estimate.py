@@ -1058,15 +1058,29 @@ def test_local_maxima_matches_loop(qnmr_spectrum):
         np.array([1.0, 2.0]),
         np.array([1.0]),
         np.array([]),
+        # flat tops at either end, which are no maxima
+        np.array([1.0, 1.0, 0.0, 0.5, 0.0, 1.0, 1.0]),
+        # a flat top next to NaN is no maximum, and NaNs make no run
+        np.array([0.0, 1.0, 1.0, np.nan, 0.0, 1.0, 1.0, 0.0, np.nan, np.nan, 0.0]),
+        np.array([0.0, np.inf, np.inf, 0.0, -np.inf, 1.0, -np.inf]),
+        np.full(50, 0.5),  # all equal: one run at both ends
+        np.array([2.0, 1.0]),
+        np.array([1.0, 1.0]),
     ]
     for values in cases:
-        got, _ = estimate.find_peaks(values)
-        assert got.dtype == np.intp
+        got, edges = estimate.find_peaks(values)
+        assert got.dtype == edges["left_edges"].dtype == edges["right_edges"].dtype == np.intp
         assert got.tolist() == _loop_local_maxima(values), values
+        runs = _loop_maximum_runs(values)
+        assert edges["left_edges"].tolist() == [first for first, _ in runs], values
+        assert edges["right_edges"].tolist() == [last for _, last in runs], values
     # flat tops of two, three and four samples: one index each, the left
     # middle of an even one
     assert _loop_local_maxima(cases[4]) == [2] and _loop_local_maxima(cases[5]) == [2]
     assert _loop_local_maxima(cases[6]) == [1, 6]
+    assert _loop_maximum_runs(cases[15]) == [(3, 3)]
+    assert _loop_maximum_runs(cases[16]) == [(5, 6)]
+    assert _loop_maximum_runs(cases[17]) == [(1, 2), (5, 5)]
 
 
 def _loop_naive_half_width(freqs, trans, i):
