@@ -210,7 +210,6 @@ def find_peaks(x):
     higher than the samples on both sides of it; a run at either end of
     the array is not, and a NaN sample ends a run and is no neighbour
     that a run is higher than."""
-    x = np.asarray(x)
     # the last sample of each run but the final one
     moves = np.flatnonzero(x[1:] != x[:-1])
     after = x[moves + 1]
