@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -30,16 +31,20 @@ class MissingParameterError(ValueError):
 def make_frequency_grid(start: Frequency, stop: Frequency, n_points: int) -> np.ndarray:
     """Evenly spaced frequency grid, endpoints inclusive.
 
-    Rejects degenerate or reversed ranges, non-finite bounds, and grids
-    with fewer than two points.
+    Rejects degenerate or reversed ranges, non-finite bounds, a point
+    count that is not an integer (a float, bool or str), and grids with
+    fewer than two points.
     """
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("grid bounds must be finite")
+    if isinstance(n_points, bool) or not hasattr(n_points, "__index__"):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
+    n_points = operator.index(n_points)
     if n_points < 2:
         raise ValueError(f"grid needs at least 2 points, got {n_points}")
     if not start < stop:
         raise ValueError(f"grid start must be below stop, got [{start}, {stop}]")
-    return np.linspace(float(start), float(stop), int(n_points))
+    return np.linspace(float(start), float(stop), n_points)
 
 
 def _checked(name: str, value: float, source: str = "") -> float:

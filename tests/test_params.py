@@ -62,6 +62,17 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             make_frequency_grid(math.nan, 1, 10)
 
+    @pytest.mark.parametrize("n_points, shown", [
+        (2.9, "2.9"), (3.0, "3.0"), (math.nan, "nan"), (True, "True"), ("5", "'5'"),
+        (np.float64(4.0), "np.float64(4.0)"),
+    ], ids=["fraction", "integral-float", "nan", "bool", "str", "numpy-float"])
+    def test_non_integer_count_rejected(self, n_points, shown):
+        with pytest.raises(ValueError, match=re.escape(f"n_points must be an integer, got {shown}")):
+            make_frequency_grid(0.0, 1.0, n_points)
+
+    def test_numpy_integer_count_accepted(self):
+        assert make_frequency_grid(0, 10, np.int64(3)).tolist() == [0, 5, 10]
+
 
 class TestModelParams:
     def test_gamma_c_derived_from_v1(self):
