@@ -64,7 +64,7 @@ class TestFrequencyGrid:
 
     @pytest.mark.parametrize("n_points, shown", [
         (2.9, "2.9"), (3.0, "3.0"), (math.nan, "nan"), (True, "True"), ("5", "'5'"),
-        (np.float64(4.0), "np.float64(4.0)"),
+        (np.float64(4.0), repr(np.float64(4.0))),
     ], ids=["fraction", "integral-float", "nan", "bool", "str", "numpy-float"])
     def test_non_integer_count_rejected(self, n_points, shown):
         with pytest.raises(ValueError, match=re.escape(f"n_points must be an integer, got {shown}")):
