@@ -1,8 +1,11 @@
-"""Correctly rounded ``%.8e`` and ``%.2f`` text for whole float tables.
+"""Correctly rounded ``%.8e`` and ``%.2f`` text for whole float tables,
+and the exact parse of such ``%.8e`` text back into floats.
 
 ``table_blocks`` gives, byte for byte, what formatting each value with
 CPython's ``"%.8e" % x`` or ``"%.2f" % x`` gives, but works on blocks of
 rows in whole-array numpy instead of one value at a time.
+``parse_scientific`` reads the ``%.8e`` tables it writes back, bit for
+bit as ``numpy.loadtxt`` does, also in whole-array numpy.
 
 Fast path.  ``%.8e`` scales ``|x|`` into the window ``[1e8, 1e9)`` with a
 table of correctly rounded powers of ten, ``s = |x| * 10**(8 - e)`` where
@@ -20,14 +23,12 @@ left, then ``.``, the cents and the separator.  A fallback text longer
 than the fast-path words widens its block's slots by as many words as
 it needs.
 
-One buffer per table.  ``table_blocks`` lays every block out in one
-``bytearray``, resized to the block's slots and viewed by numpy, so each
-gathered word goes straight into its slots.  The words past the gathered
-ones (in a block widened by a long text) are cleared in every block,
-since the buffer still holds the previous block.  Each block is compacted
-by one ``bytearray.translate`` that deletes the NULs, and
-``table_blocks`` yields that new ``bytearray``, which the CSV and SVG
-writers write as it is.
+One buffer per block.  Each block is laid out in a fresh zero-filled
+``bytearray`` of the block's slots, viewed by numpy, so each gathered
+word goes straight into its slots and the words no gather writes stay
+NUL.  Each block is compacted by one ``bytearray.translate`` that deletes
+the NULs, and ``table_blocks`` yields that new ``bytearray``, which the
+CSV and SVG writers write as it is.
 
 Why it is exact.  ``s`` comes from at most two correctly rounded float64
 operations on a value below ``1e9``, so it lies within about ``2.3e-7``
@@ -50,13 +51,32 @@ CPython itself, once per distinct bit pattern in a block, and written
 into their own slots; the rest of the block keeps the fast path.  A
 broadcast column (stride 0) holds one value: it is formatted once per
 table, and its text fills the column's slot in every block.
+
+Parsing.  ``parse_scientific`` takes only the writer's own form: rows of
+cells ``[-]d.dddddddde[+-]dd``, ``nan``, ``inf`` or ``-inf``, separated by
+``,`` and ended by ``\\n``.  It cuts the text into blocks of whole rows,
+finds every separator of a block in one pass, and checks that each row
+has its cells and ends in a line end.  A cell's 14 bytes after its sign,
+with the byte before them and the separator, are gathered as two
+little-endian words; XOR with the form's own bytes and one add per word
+check all of a word's bytes at once (SIMD within a register, SWAR), and
+three multiply-shift steps fold the eight decimals into an integer.  The nine digits give an exact integer
+``m < 1e9``.  With ``k = exponent - 8`` the value is ``m * 10**k`` or
+``m / 10**-k``: for ``|k| <= 22`` both operands are exact doubles, so
+the one IEEE operation is correctly rounded (Clinger's fast path), which
+is what ``strtod`` and ``numpy.loadtxt`` give.  CPython's ``float()``
+parses a cell with ``|k| > 22``, as CPython formats the values that the
+writer's fast path leaves.  Any other text (another byte, a cell of
+another width such as a three-digit exponent, a comment, a blank line,
+a carriage return, an uppercase ``E``) gives None, and the caller parses
+the rows another way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# rows formatted per block; bounds the slot buffer and the temporaries
+# rows formatted per block; bounds the slot buffers and the temporaries
 _BLOCK_ROWS = 4096
 
 # s this close to a half-integer may round either way
@@ -168,12 +188,11 @@ def _padded(texts, width: int) -> np.ndarray:
 
 
 def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str,
-                  varying, constants: dict, buffer: bytearray) -> bytearray:
-    """ASCII bytes of one block of rows, laid out in `buffer` (resized to
-    the block's slots; no view of it may be alive).  `x` holds the block's
-    values of the columns `varying` (an index or a slice); `constants`
-    maps every other column to the text of its one value, which fills
-    that column's slot on every row."""
+                  varying, constants: dict) -> bytearray:
+    """ASCII bytes of one block of rows.  `x` holds the block's values of
+    the columns `varying` (an index or a slice); `constants` maps every
+    other column to the text of its one value, which fills that column's
+    slot on every row."""
     words, exact = _CONVERSIONS[conversion](x)
     fallback = ~exact
     texts = []
@@ -186,15 +205,11 @@ def _format_block(x: np.ndarray, separators: np.ndarray, conversion: str,
     # last byte, which the fast-path words leave NUL
     n_words = max([len(words)] + [len(text) // 4 + 1
                                   for text in texts + list(constants.values())])
-    size = separators.size * 4 * n_words
-    del buffer[size:]
-    buffer.extend(bytes(size - len(buffer)))
+    buffer = bytearray(separators.size * 4 * n_words)
     chars = np.frombuffer(buffer, np.uint8).reshape(separators.shape + (4 * n_words,))
     slots = chars.view("<u4")
     for k, (table, index) in enumerate(words):
         slots[:, varying, k] = table.take(index, mode="clip")
-    # the buffer holds the last block's bytes; clear the words no gather wrote
-    slots[:, :, len(words):] = 0
     chars[..., -1] = separators
     if texts:
         written = np.zeros(separators.shape, bool)
@@ -213,9 +228,8 @@ def table_blocks(columns, conversion: str, separators):
     broadcast views; a broadcast column (stride 0, such as the NaN
     amplitude of a noisy spectrum) is formatted once for the whole table.
     `separators` is a string with one character per column, or an array
-    of ASCII codes that broadcasts to the shape (rows, columns).  Every
-    block is laid out in one slot buffer, and each is yielded as its own
-    bytearray."""
+    of ASCII codes that broadcasts to the shape (rows, columns).  Each
+    block is yielded as its own bytearray."""
     n_rows = len(columns[0])
     if isinstance(separators, str):
         separators = np.frombuffer(separators.encode("ascii"), np.uint8)
@@ -226,10 +240,192 @@ def table_blocks(columns, conversion: str, separators):
     varying = [j for j in range(len(columns)) if j not in constants]
     # without constant columns a slice keeps the slot writes plain views
     slots = varying if constants else slice(None)
-    buffer = bytearray()
     for i in range(0, n_rows, _BLOCK_ROWS):
         rows = separators[i:i + _BLOCK_ROWS]
         block = np.empty((len(rows), len(varying)))
         for k, j in enumerate(varying):
             block[:, k] = columns[j][i:i + _BLOCK_ROWS]
-        yield _format_block(block, rows, conversion, slots, constants, buffer)
+        yield _format_block(block, rows, conversion, slots, constants)
+
+
+# parse_scientific: rows parsed per block, about this many bytes cut at a
+# line end; bounds the separator mask, the cell windows and the temporaries
+_PARSE_BYTES = 1 << 18
+
+_COMMA, _NEWLINE, _MINUS = ord(","), ord("\n"), ord("-")
+
+
+def _ascii_word(text: str) -> int:
+    """Eight ASCII characters as one little-endian word."""
+    return int.from_bytes(text.encode("ascii"), "little")
+
+
+# A cell 'd.dddddddde[+-]dd' (14 bytes after its sign) is read from the 16
+# bytes that end with its separator: its '-' or the previous separator,
+# the cell, its separator; as two words.  XOR with the form below leaves
+# a '-' sign, '.' and 'e' 0, each digit 0-9 and the exponent sign 0 ('+')
+# or 6 ('-'); adding the bound of each byte sets the byte's top bit
+# exactly when it exceeds that maximum (0x76 + 9 = 0x7f).  The first
+# byte (sign or separator) and the separator go unchecked here.
+_LO_FORM, _HI_FORM = _ascii_word("-0.00000"), _ascii_word("000e+00\0")
+_LO_BOUND, _HI_BOUND = _ascii_word("\0\x76\x7f\x76\x76\x76\x76\x76"), _ascii_word(
+    "\x76\x76\x76\x7f\x79\x76\x76\0")
+_TOP_BITS = 0x8080808080808080
+
+
+def _exponent_scales():
+    """The factors of a cell, x = m * numerator / denominator, indexed by
+    the XORed exponent sign, tens and units and the cell's sign as
+    ``units + 16 tens + 256 sign + 2048 negative``.  With k = exponent - 8
+    one factor is 10**|k| and the other 1, both exact for |k| <= 22, so x
+    is one correctly rounded operation on exact operands (Clinger's fast
+    path).  The numerator is NaN for |k| > 22 and for an exponent sign
+    byte of 1-5 (neither '+' nor '-')."""
+    numerators = np.full(4096, np.nan)
+    denominators = np.ones(4096)
+    for sign_byte, sign in ((0, 1), (6, -1)):
+        for exponent in range(100):
+            k = sign * exponent - 8
+            if abs(k) > 22:
+                continue
+            for negative in (0, 1):
+                i = exponent % 10 + 16 * (exponent // 10) + 256 * sign_byte + 2048 * negative
+                numerators[i] = (-1.0) ** negative * 10.0 ** max(k, 0)
+                denominators[i] = 10.0 ** max(-k, 0)
+    return numerators, denominators
+
+
+_NUMERATORS, _DENOMINATORS = _exponent_scales()
+
+# the three letters of a special cell, after its '-' or previous separator
+_NAN_WORD, _INF_WORD = _ascii_word("nan\0\0\0\0\0"), _ascii_word("inf\0\0\0\0\0")
+
+
+def parse_scientific(text: bytes, ncols: int, start: int = 0):
+    """The float64 table, of shape (rows, ncols), of the rows in
+    ``text[start:]`` (`start` 0 or just after a line end), or None
+    unless they are in the exact form that
+    ``table_blocks(..., "%.8e", ...)`` writes: each row `ncols` cells
+    separated by ',' and ended by '\\n', each cell '[-]d.dddddddde[+-]dd',
+    'nan', 'inf' or '-inf'.  The values are bit-identical to
+    ``numpy.loadtxt``: see ``_exponent_scales``; a cell with |k| > 22 is
+    parsed by CPython's float()."""
+    if start == 0:
+        # every cell's window starts at most one byte before the cell
+        text, start = b"\n" + text, 1
+    bounds = [start]
+    while bounds[-1] < len(text):
+        bounds.append(text.find(b"\n", bounds[-1] + _PARSE_BYTES) + 1 or len(text))
+    chars = np.frombuffer(text, np.uint8)
+    counts = [np.count_nonzero(chars[a:b] == _NEWLINE) for a, b in zip(bounds, bounds[1:])]
+    if not counts or 0 in counts:
+        return None
+    out = np.empty((sum(counts), ncols))
+    row = 0
+    for a, b, count in zip(bounds, bounds[1:], counts):
+        if not _parse_rows(text, a, b, out[row:row + count]):
+            return None
+        row += count
+    return out
+
+
+def _parse_rows(text: bytes, a: int, b: int, out: np.ndarray) -> bool:
+    """parse_scientific of the rows ``text[a:b]``, which follow a line end,
+    into `out`, one row per line end."""
+    ncols = out.shape[1]
+    out = out.reshape(-1)
+    chars = np.frombuffer(text, np.uint8)
+    body = chars[a - 1:b]
+    # the line end before the rows, then the end of every cell
+    ends = np.flatnonzero((body == _COMMA) | (body == _NEWLINE))
+    ends += a - 1
+    if ends.size != out.size + 1 or ends[-1] != b - 1:
+        return False
+    width = ends[1:] - ends[:-1]  # a cell and its separator: 15, or 16 with a '-'
+    ends = ends[1:]
+    # every separator is ',' or '\n', and n_rows of them are line ends
+    if not (chars[ends[ncols - 1::ncols]] == _NEWLINE).all():
+        return False
+    fixed = width >= 15
+    if fixed.all():
+        return _fixed_cells(text, ends, width, out)
+    cells = np.flatnonzero(fixed)
+    values = np.empty(cells.size)
+    if not _fixed_cells(text, ends[cells], width[cells], values):
+        return False
+    out[cells] = values
+    cells = np.flatnonzero(~fixed)
+    return _special_cells(text, ends[cells], width[cells], out, cells)
+
+
+def _fixed_cells(text: bytes, ends: np.ndarray, width: np.ndarray, out: np.ndarray) -> bool:
+    """Parse the 'd.dddddddde[+-]dd' cells that end at `ends` into `out`;
+    False if one is not in that form."""
+    windows = np.ndarray((max(len(text) - 15, 0),), "V16", text, 0, (1,))
+    lo, hi = windows[ends - 15].view("<u8").reshape(-1, 2).T.copy()
+    lo ^= _LO_FORM
+    hi ^= _HI_FORM
+    negative = (lo & 0xFF) == 0
+    if not (width - negative == 15).all():
+        return False
+    bad = lo + _LO_BOUND
+    bad |= lo
+    high = hi + _HI_BOUND
+    high |= hi
+    bad |= high
+    bad &= _TOP_BITS
+    if bad.any():
+        return False
+    # the eight decimals, first digit in the lowest byte, folded into one
+    # integer in three steps of multiply-shift (SWAR), then the lead digit
+    m = np.right_shift(lo, 24, out=bad)
+    m |= np.left_shift(hi, 40, out=high)
+    m *= 10 * 256 + 1
+    m >>= 8
+    m &= 0x00FF00FF00FF00FF
+    m *= 100 * 65536 + 1
+    m >>= 16
+    m &= 0x0000FFFF0000FFFF
+    m *= 10000 * 2**32 + 1
+    m >>= 32
+    lo >>= 8
+    lo &= 0xFF
+    lo *= 10**8
+    m += lo
+    # exponent sign, tens and units (bytes 4-6 of hi) to units + 16 tens +
+    # 256 sign: one multiply puts the three at bits 16, 20 and 24
+    hi >>= 32
+    hi &= 0xFFFFFF
+    hi *= 2**24 + 2**12 + 1
+    hi >>= 16
+    hi &= 0x7FF
+    hi |= np.left_shift(negative, 11, dtype=np.uint64)
+    out[...] = m
+    scale = high.view(np.float64)
+    out *= _NUMERATORS.take(hi, out=scale, mode="clip")
+    out /= _DENOMINATORS.take(hi, out=scale, mode="clip")
+    far = np.isnan(out)
+    if far.any():
+        for i in np.flatnonzero(far).tolist():
+            end = int(ends[i])
+            if text[end - 3] not in b"+-":
+                return False
+            # |k| > 22: CPython's correctly rounded parse of the cell
+            out[i] = float(text[end - 14 - int(negative[i]):end])
+    return True
+
+
+def _special_cells(text: bytes, ends: np.ndarray, width: np.ndarray,
+                   out: np.ndarray, cells: np.ndarray) -> bool:
+    """Write the 'nan', 'inf' and '-inf' cells that end at `ends` to
+    `out[cells]`; False if one is something else."""
+    words = np.ndarray((max(len(text) - 3, 0),), "<u4", text, 0, (1,))[ends - 4]
+    negative = (words & 0xFF) == _MINUS
+    words >>= 8
+    nan = (words == _NAN_WORD) & (width == 4)
+    inf = (words == _INF_WORD) & (width - negative == 4)
+    if not (nan | inf).all():
+        return False
+    out[cells] = np.nan
+    out[cells[inf]] = np.where(negative[inf], -np.inf, np.inf)
+    return True

@@ -8,20 +8,26 @@ CSV file is written here, as bytes, below the comment and header lines of
 ``_csv_head``.  The numeric tables (spectrum, wavefunction, ``fig12``) are
 the blocks of rows ``_numtext.table_blocks`` formats in whole-array numpy
 with CPython's bytes.  The sweep table mixes names and numbers, so CPython
-formats it row by row.  JSON documents carry a schema_version and readers
-reject unknown major versions.  A figure CSV's config names its figure
-in a "figure" key, and ``_csv_head`` repeats it in a '# figure:' line.
+formats it row by row.  ``read_spectrum_csv`` reads a file once, as
+bytes; rows in the writers' exact ``%.8e`` form are parsed in whole-array
+numpy by ``_numtext.parse_scientific``, bit-identical to numpy.loadtxt,
+and any other rows by numpy.loadtxt.  JSON documents carry a
+schema_version and readers reject unknown major versions.  A figure
+CSV's config names its figure in a "figure" key, and ``_csv_head``
+repeats it in a '# figure:' line.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import itertools
 import json
 from typing import Optional
 
 import numpy as np
 
-from ._numtext import table_blocks
+from ._numtext import parse_scientific, table_blocks
 from .constants import FLUX_QUANTUM
 from .params import Spectrum
 from .squid import EigenSolution, potential
@@ -79,39 +85,48 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
     (None when the file carries none).  Raises ValueError on malformed
     content.
 
-    Blank and '#' comment lines above the header row are skipped, and a
-    '# config:' line among them is the config.  Below the header the rows
-    go to numpy.loadtxt as they stand: a '#' starts a comment anywhere in
-    a line and empty lines are skipped."""
+    The file is read once, as bytes; one leading UTF-8 byte order mark is
+    dropped.  Blank and '#' comment lines above the header row are
+    skipped, and a '# config:' line among them is the config.  Rows in
+    the exact form the writers give them ('%.8e' cells, ',' and '\\n') are
+    parsed in whole-array numpy by ``_numtext.parse_scientific``, which
+    gives numpy.loadtxt's values bit for bit.  Any other rows go to
+    numpy.loadtxt as they stand: a '#' starts a comment anywhere in a line
+    and empty lines are skipped."""
+    with open(path, "rb") as source:
+        content = source.read()
+    # utf-8-sig drops one leading byte order mark and decodes as utf-8
+    handle = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig")
     config = None
     header = None
     first_row = None
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle):
-                line = raw.strip()
-                if not line:
-                    continue
-                if header is None and line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("config:"):
-                        try:
-                            config = json.loads(body[len("config:"):])
-                        except json.JSONDecodeError as exc:
-                            raise ValueError(f"{path}: malformed config line: {exc}") from exc
-                elif header is None:
-                    header = [c.strip() for c in line.split(",")]
-                elif not line.startswith("#"):
-                    first_row = number
-                    break
-            if first_row is None:
-                raise ValueError(f"{path}: no data rows found")
-            for name in header:
-                if header.count(name) > 1:
-                    raise ValueError(f"{path}: duplicate column '{name}'")
-            for required in ("omega", "T", "phase_rad"):
-                if required not in header:
-                    raise ValueError(f"{path}: missing column '{required}'")
+        for number, raw in enumerate(handle):
+            line = raw.strip()
+            if not line:
+                continue
+            if header is None and line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("config:"):
+                    try:
+                        config = json.loads(body[len("config:"):])
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"{path}: malformed config line: {exc}") from exc
+            elif header is None:
+                header = [c.strip() for c in line.split(",")]
+            elif not line.startswith("#"):
+                first_row = number
+                break
+        if first_row is None:
+            raise ValueError(f"{path}: no data rows found")
+        for name in header:
+            if header.count(name) > 1:
+                raise ValueError(f"{path}: duplicate column '{name}'")
+        for required in ("omega", "T", "phase_rad"):
+            if required not in header:
+                raise ValueError(f"{path}: missing column '{required}'")
+        data = parse_scientific(content, len(header), _row_offset(content, first_row))
+        if data is None:
             try:
                 data = np.loadtxt(itertools.chain([raw], handle), dtype=float,
                                   delimiter=",", comments="#", ndmin=2)
@@ -124,6 +139,8 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
                 raise ValueError(f"{path}: non-numeric value") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    # a large file's bytes would outlive their parse while the spectrum is built
+    del content, handle
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: ragged rows")
     column = {name: data[:, i] for i, name in enumerate(header)}
@@ -165,6 +182,19 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _row_offset(content: bytes, first_row: int) -> int:
+    """The byte offset of line `first_row` of `content`, counting lines as
+    text mode does, after a leading byte order mark; len(content) when a
+    carriage return above it could end a line there, so that no row goes
+    to parse_scientific."""
+    offset = len(codecs.BOM_UTF8) if content.startswith(codecs.BOM_UTF8) else 0
+    for _ in range(first_row):
+        offset = content.find(b"\n", offset) + 1
+        if offset == 0:  # the lines end in carriage returns alone
+            return len(content)
+    return len(content) if b"\r" in content[:offset] else offset
 
 
 def _json_text(document: dict) -> str:

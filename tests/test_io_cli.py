@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import hashlib
 import json
@@ -23,7 +24,14 @@ from qspectra import (
 )
 from qspectra import cli
 from qspectra.cli import main
-from qspectra._numtext import _BLOCK_ROWS, _fixed, _scientific, table_blocks
+from qspectra import _numtext
+from qspectra._numtext import (
+    _BLOCK_ROWS,
+    _fixed,
+    _scientific,
+    parse_scientific,
+    table_blocks,
+)
 from qspectra.estimate import estimate_report
 from qspectra.io import (
     SCHEMA_VERSION,
@@ -181,6 +189,94 @@ class TestSpectrumCsv:
         else:
             assert np.array_equal(loaded.amplitude, expected.amplitude)
 
+    def test_package_files_skip_loadtxt(self, qnmr_spectrum, tmp_path, monkeypatch):
+        """The package's own clean and noisy files are parsed in numpy:
+        numpy.loadtxt is never called for them."""
+        def no_loadtxt(*args, **kwargs):
+            raise AssertionError("numpy.loadtxt called")
+
+        monkeypatch.setattr("qspectra.io.np.loadtxt", no_loadtxt)
+        noisy = add_measurement_noise(qnmr_spectrum, 0.02, 11)
+        for name, spectrum in (("clean", qnmr_spectrum), ("noisy", noisy)):
+            path = tmp_path / f"{name}.csv"
+            write_spectrum_csv(path, spectrum, config={"model": "qubit-qnmr"})
+            loaded, config = read_spectrum_csv(path)
+            expected, expected_config = _float_reader(path)
+            assert config == expected_config
+            _assert_same_spectrum(loaded, expected)
+
+    @pytest.mark.parametrize("variant", ["crlf", "cr", "no-final-newline", "comment-in-row",
+                                         "blank-line", "uppercase-e"])
+    def test_other_row_text_goes_to_loadtxt(self, variant, qnmr_params, tmp_path, monkeypatch):
+        """Rows the writer would not write go to numpy.loadtxt, which reads
+        them to the same spectrum as the file they were edited from."""
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, 201))
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum, config={"model": "qubit-qnmr"})
+        expected, expected_config = _float_reader(path)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[1] == b"omega,T,phase_rad,re_t,im_t" and lines[-1] == b""
+        if variant in ("crlf", "cr"):
+            text = (b"\r\n" if variant == "crlf" else b"\r").join(lines)
+        elif variant == "no-final-newline":
+            text = b"\n".join(lines[:-1])
+        else:
+            if variant == "comment-in-row":
+                lines[5] += b" # note"
+            elif variant == "blank-line":
+                lines.insert(11, b"")
+            else:
+                lines[7] = lines[7].replace(b"e", b"E")
+            text = b"\n".join(lines)
+        path.write_bytes(text)
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr("qspectra.io.np.loadtxt", counting)
+        loaded, config = read_spectrum_csv(path)
+        assert calls == [1]
+        assert config == expected_config
+        _assert_same_spectrum(loaded, expected)
+
+    @pytest.mark.parametrize("content", [None, b"omega,T,phase_rad\n1,0.5,0\n2,0.25,0.5\n3,1,0\n"],
+                             ids=["written-with-config", "three-rows"])
+    def test_byte_order_mark_is_dropped(self, content, qnmr_spectrum, tmp_path):
+        """A UTF-8 byte order mark (Excel's "CSV UTF-8") before the first
+        line is not part of it: the file reads as it does without one."""
+        plain = tmp_path / "plain.csv"
+        if content is None:
+            write_spectrum_csv(plain, qnmr_spectrum, config={"model": "qubit-qnmr"})
+        else:
+            plain.write_bytes(content)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        expected, expected_config = read_spectrum_csv(plain)
+        loaded, config = read_spectrum_csv(marked)
+        assert config == expected_config
+        _assert_same_spectrum(loaded, expected)
+
+    @pytest.mark.parametrize("row", [3, 3000], ids=["first-chunk", "later-chunk"])
+    def test_undecodable_row_gives_the_text_mode_error(self, row, qnmr_spectrum, tmp_path):
+        """A byte that is not UTF-8 below the header gives the message that
+        reading the file as UTF-8 text line by line gives."""
+        path = tmp_path / "bad.csv"
+        write_spectrum_csv(path, qnmr_spectrum)
+        lines = path.read_bytes().split(b"\n")
+        lines[row] = lines[row][:5] + b"\xff" + lines[row][6:]
+        path.write_bytes(b"\n".join(lines))
+        with open(path, "r", encoding="utf-8") as handle:
+            with pytest.raises(UnicodeDecodeError) as decoding:
+                for _ in handle:
+                    pass
+        with pytest.raises(ValueError) as info:
+            read_spectrum_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: {decoding.value}"
+
     def test_comments_below_header(self, tmp_path):
         # the config comes from the comments above the header, where blank
         # lines are skipped; below it numpy.loadtxt skips comments and
@@ -281,6 +377,12 @@ def _float_reader(path):
         return Spectrum.from_amplitude(column["omega"], amp), config
     return Spectrum(freqs=column["omega"], transmission=np.clip(column["T"], 0.0, 1.0),
                     phase=column["phase_rad"]), config
+
+
+def _assert_same_spectrum(loaded, expected) -> None:
+    for name in ("freqs", "transmission", "phase", "amplitude"):
+        a, b = getattr(loaded, name), getattr(expected, name)
+        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), name
 
 
 def _reference_rows(columns) -> str:
@@ -467,9 +569,8 @@ class TestGoldenBytes:
 class TestSlots:
     """The slot layout of table_blocks: four words per '%.8e' value with a
     two-digit exponent, two per '%.2f' value below 10000.00, more in a
-    block with a longer CPython text, and one buffer that every block of a
-    table reuses.  Each case is compared with CPython formatting each
-    value."""
+    block with a longer CPython text, and a fresh buffer for each block.
+    Each case is compared with CPython formatting each value."""
 
     @staticmethod
     def _reference(columns, conversion, separators) -> bytes:
@@ -562,6 +663,71 @@ class TestSlots:
         # both writers were recorded: 391091 and 320080 values when written
         assert seen["%.8e"][0] > 3 * 10**5 and seen["%.2f"][0] > 3 * 10**5
         assert seen["%.8e"][1] == [] and seen["%.2f"][1] == []
+
+
+class TestParseScientific:
+    """parse_scientific reads the '%.8e' tables of table_blocks back bit for
+    bit as numpy.loadtxt does, and gives None for any other text."""
+
+    @staticmethod
+    def _loadtxt(text: bytes) -> np.ndarray:
+        return np.loadtxt(text.decode("ascii").splitlines(), delimiter=",", ndmin=2)
+
+    @pytest.mark.parametrize("block_bytes", [None, 997], ids=["one-block", "many-blocks"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loadtxt_bit_for_bit(self, seed, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(_numtext, "_PARSE_BYTES", block_bytes)
+        rng = np.random.default_rng([seed, 33])
+        shape = (2000, 4)
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-99, 99, shape)
+        special = rng.random(shape) < 0.03
+        x[special] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf],
+                                np.count_nonzero(special))
+        text = bytes(b"".join(table_blocks([x[:, j] for j in range(4)], "%.8e", ",,,\n")))
+        parsed = parse_scientific(text, 4)
+        assert parsed is not None
+        assert np.array_equal(parsed.view(np.int64), self._loadtxt(text).view(np.int64))
+        # both paths ran: one IEEE operation for exponents in [-14, 30], and
+        # CPython's float() outside them
+        exponent = np.array([int(cell.split(b"e")[1]) for cell in text.replace(b"\n", b",").split(b",")
+                             if b"e" in cell])
+        inside = (exponent >= -14) & (exponent <= 30)
+        assert inside.any() and not inside.all()
+
+    def test_start_offset_and_special_cells(self):
+        text = b"head\nnan,-inf\ninf,-0.00000000e+00\n-1.23456789e-30,9.99999999e+30\n"
+        parsed = parse_scientific(text, 2, start=5)
+        expected = self._loadtxt(text[5:])
+        assert np.array_equal(parsed.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("value", [1e-100, 1e100, 1.5e-150, 5e-324, 1e-310, 1e300])
+    def test_three_digit_exponent_not_parsed(self, value):
+        """Subnormals and other magnitudes outside [1e-99, 1e99) are written
+        with three exponent digits, which only numpy.loadtxt reads."""
+        text = bytes(b"".join(table_blocks([np.array([1.5, value, -2.5])], "%.8e", "\n")))
+        assert len(text.splitlines()[1]) == 15
+        assert parse_scientific(text, 1) is None
+
+    @pytest.mark.parametrize("cell", [
+        "1.0000000e+09", "1.00000000E+09", " 1.00000000e+09", "1.00000000e+9",
+        "+1.00000000e+09", "x1.00000000e+09", "--1.0000000e+09", "1.0000000x0e+09",
+        "1,00000000e+09", "1.00000000e*09", "1.00000000e/09", "1.00000000e+09 ",
+        "-nan", "Inf", "nan ", "", "1.00000000e+099",
+    ])
+    def test_other_cells_not_parsed(self, cell):
+        text = f"1.00000000e+00,-2.50000000e-03\n{cell},nan\n".encode()
+        assert parse_scientific(text, 2) is None
+
+    @pytest.mark.parametrize("text", [
+        b"", b"1.00000000e+00\n", b"1.00000000e+00,2.00000000e+00",
+        b"1.00000000e+00,2.00000000e+00\r\n", b"1.00000000e+00\n2.00000000e+00,nan\n",
+        b"1.00000000e+00,2.00000000e+00,\n", b"1.00000000e+00,2.00000000e+00\n\n",
+        b"1.00000000e+00\xff,2.00000000e+00\n",
+    ], ids=["empty", "one-column", "no-line-end", "crlf", "ragged", "trailing-comma",
+            "blank-line", "non-ascii"])
+    def test_other_rows_not_parsed(self, text):
+        assert parse_scientific(text, 2) is None
 
 
 class TestSchema:
