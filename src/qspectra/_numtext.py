@@ -301,18 +301,15 @@ _NUMERATORS, _DENOMINATORS = _exponent_scales()
 _NAN_WORD, _INF_WORD = _ascii_word("nan\0\0\0\0\0"), _ascii_word("inf\0\0\0\0\0")
 
 
-def parse_scientific(text: bytes, ncols: int, start: int = 0):
+def parse_scientific(text: bytes, ncols: int, start: int):
     """The float64 table, of shape (rows, ncols), of the rows in
-    ``text[start:]`` (`start` 0 or just after a line end), or None
+    ``text[start:]`` (`start` must follow a line end), or None
     unless they are in the exact form that
     ``table_blocks(..., "%.8e", ...)`` writes: each row `ncols` cells
     separated by ',' and ended by '\\n', each cell '[-]d.dddddddde[+-]dd',
     'nan', 'inf' or '-inf'.  The values are bit-identical to
     ``numpy.loadtxt``: see ``_exponent_scales``; a cell with |k| > 22 is
     parsed by CPython's float()."""
-    if start == 0:
-        # every cell's window starts at most one byte before the cell
-        text, start = b"\n" + text, 1
     bounds = [start]
     while bounds[-1] < len(text):
         bounds.append(text.find(b"\n", bounds[-1] + _PARSE_BYTES) + 1 or len(text))

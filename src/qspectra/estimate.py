@@ -231,16 +231,11 @@ def least_squares(fun, x0, jac):
     entry fails there.
 
     jac returns the Jacobian column-major, shape (n, m), which is
-    MINPACK's own layout.  fun returns a float64 array of length m >= n.
-    The extension calls it twice at x0, once to size the residual buffer
-    and once as MINPACK's first evaluation.  The first array returned
-    becomes that buffer, which MINPACK writes into, so fun must neither
-    keep nor return it again; every later result is copied into the
-    buffer, so fun may return one array it keeps (such as a copy of the
-    first) more than once.  Returns an OptimizeResult with x,
-    cost = 0.5 * |f|**2, nfev and status, MINPACK's info code (5: the
-    100 * n evaluations of maxfev were used up; the last iterate is
-    returned, without a warning).
+    MINPACK's own layout.  fun returns a new float64 array of length
+    m >= n on each call; MINPACK writes into the first one.  Returns an
+    OptimizeResult with x, cost = 0.5 * |f|**2, nfev and status,
+    MINPACK's info code (5: the 100 * n evaluations of maxfev were used
+    up; the last iterate is returned, without a warning).
     """
     from scipy.optimize import OptimizeResult, _minpack
 
@@ -271,44 +266,29 @@ def _fit_lorentzian_dip(freqs: np.ndarray, trans: np.ndarray,
     dips (their effective linewidth varies across the line); a symmetric
     3-parameter fit biases the center by several percent of the FWHM
     there.  For a true Lorentzian g1 fits to zero and the symmetric
-    result is recovered exactly.  The Jacobian is analytic; MINPACK asks
-    for the residuals and then the Jacobian at the same parameters, so
-    both share the terms of the last parameter vector seen.  The repeat
-    call at the start point (see least_squares) gets a copy of the first
-    call's residuals.  The callbacks take the parameters as Python
-    floats, which keeps every product and its order.
+    result is recovered exactly.  The Jacobian is analytic and reuses
+    the terms of the last residual call: MINPACK asks for the Jacobian
+    only at the parameters of its last residual evaluation.  The
+    callbacks take the parameters as Python floats, which keeps every
+    product and its order.
     """
     scale = max(half_width0, 1e-300)
     u = (freqs - center0) / scale
     jac = np.empty((4, len(u)))
-    last = [None, None]  # parameter bytes, terms
-    start = []  # parameter bytes and a copy of the residuals of the first call
-
-    def terms(theta):
-        key = theta.tobytes()
-        if key != last[0]:
-            depth, mu, g0, g1 = theta.tolist()
-            v = u - mu
-            width = g0 + g1 * v
-            v2 = v**2
-            w2 = width**2
-            last[:] = key, (depth, g0, v, width, v2, w2, v2 + w2)
-        return last[1]
+    last = []  # the terms of the last residual call
 
     def residuals(theta):
-        depth, _, _, _, _, w2, denom = terms(theta)
-        if start and last[0] == start[0]:
-            return start[1]
-        f = 1.0 - depth * w2 / denom - trans
-        if not start:
-            # MINPACK writes into the first array returned, and scipy's
-            # extension asks for the start point twice: the repeat and any
-            # later call there get this copy
-            start[:] = last[0], f.copy()
-        return f
+        depth, mu, g0, g1 = theta.tolist()
+        v = u - mu
+        width = g0 + g1 * v
+        v2 = v**2
+        w2 = width**2
+        denom = v2 + w2
+        last[:] = depth, g0, v, width, v2, w2, denom
+        return 1.0 - depth * w2 / denom - trans
 
     def jacobian(theta):
-        depth, g0, v, width, v2, w2, denom = terms(theta)
+        depth, g0, v, width, v2, w2, denom = last
         # d/dG of G**2/denom is 2 G v**2/denom**2; moving the center
         # shifts v and G together, which leaves 2 G v g0/denom**2
         common = -2.0 * depth * width * v / denom**2
@@ -547,7 +527,9 @@ def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
     reference_omega0 and classically driven when shifted from it.  Where
     that report would be ambiguous or find no dips, or where more than
     two dips pass depth_threshold, AmbiguousClassificationError carries
-    the class and the report's notes.
+    the class and the report's notes.  depth_threshold defaults to 0.5
+    here and to 0.1 in estimate_report: the two agree only when they are
+    given the same threshold.
     """
     dips, unity, _ = _observe(spectrum, depth_threshold, unity_tol)
     model_class, pair, notes = _decide(spectrum, dips, unity, reference_omega0, False)

@@ -975,13 +975,35 @@ def _maxfev_windows():
         yield freqs, trans, float(freqs[20]), 5e5, 1.0 - float(trans[20])
 
 
+def _narrow_seven_sample_windows(monkeypatch):
+    """The fit arguments of every 7-sample window that reports on the
+    narrow qubit-qnmr spectrum fit: clean on 2001 and 4001 points, and
+    15 % draws of seeds 3 and 5."""
+    windows = []
+    real = estimate._fit_lorentzian_dip
+    monkeypatch.setattr(estimate, "_fit_lorentzian_dip",
+                        lambda *args: windows.append(args) or real(*args))
+    for n in (2001, 4001):
+        clean = compute_spectrum(ModelKind.QUBIT_QNMR, ModelParams(**_NARROW_QNMR),
+                                 make_frequency_grid(1.8e9, 2.3e9, n))
+        for s in (clean, add_measurement_noise(clean, 0.15, 3),
+                  add_measurement_noise(clean, 0.15, 5)):
+            estimate_report(s)
+    monkeypatch.setattr(estimate, "_fit_lorentzian_dip", real)
+    return [args for args in windows if len(args[0]) == 7]
+
+
 def test_one_callback_per_minpack_evaluation(qnmr_spectrum, monkeypatch):
     """A dip fit calls its residuals once per MINPACK evaluation (nfev)
     plus once more at the start point, where scipy's _minpack extension
     sizes the residual buffer before MINPACK starts; nothing else around
     the solver calls the residuals or the Jacobian.  Each Jacobian is
     asked for at the parameters of the residual call just before it,
-    which the dip fit's shared terms rely on."""
+    whose terms the dip fit's Jacobian reuses.  That holds on the
+    narrow spectrum's 7-sample windows too, where MINPACK stops with
+    status 1, 2, 3 and 5 and one fit collapses below 0.02 grid steps."""
+    narrow = _narrow_seven_sample_windows(monkeypatch)
+    assert len(narrow) == 6
     counts = []
     real = estimate.least_squares
 
@@ -1005,8 +1027,11 @@ def test_one_callback_per_minpack_evaluation(qnmr_spectrum, monkeypatch):
         estimate_report(add_measurement_noise(qnmr_spectrum, sigma, 1))
     for window in _maxfev_windows():
         estimate._fit_lorentzian_dip(*window)
+    fwhm = [estimate._fit_lorentzian_dip(*window)[1] for window in narrow]
     assert len(counts) > 2
     assert any(result.status == 5 for *_, result in counts)
+    assert {result.status for *_, result in counts[-6:]} == {1, 2, 3, 5}
+    assert min(w / (window[0][1] - window[0][0]) for w, window in zip(fwhm, narrow)) < 0.02
     for start, calls, result in counts:
         kinds = [kind for kind, _ in calls]
         assert kinds.count("fun") == result.nfev + 1

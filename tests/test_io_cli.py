@@ -685,7 +685,7 @@ class TestParseScientific:
         x[special] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf],
                                 np.count_nonzero(special))
         text = bytes(b"".join(table_blocks([x[:, j] for j in range(4)], "%.8e", ",,,\n")))
-        parsed = parse_scientific(text, 4)
+        parsed = parse_scientific(b"\n" + text, 4, 1)
         assert parsed is not None
         assert np.array_equal(parsed.view(np.int64), self._loadtxt(text).view(np.int64))
         # both paths ran: one IEEE operation for exponents in [-14, 30], and
@@ -707,7 +707,7 @@ class TestParseScientific:
         with three exponent digits, which only numpy.loadtxt reads."""
         text = bytes(b"".join(table_blocks([np.array([1.5, value, -2.5])], "%.8e", "\n")))
         assert len(text.splitlines()[1]) == 15
-        assert parse_scientific(text, 1) is None
+        assert parse_scientific(b"\n" + text, 1, 1) is None
 
     @pytest.mark.parametrize("cell", [
         "1.0000000e+09", "1.00000000E+09", " 1.00000000e+09", "1.00000000e+9",
@@ -717,7 +717,7 @@ class TestParseScientific:
     ])
     def test_other_cells_not_parsed(self, cell):
         text = f"1.00000000e+00,-2.50000000e-03\n{cell},nan\n".encode()
-        assert parse_scientific(text, 2) is None
+        assert parse_scientific(b"\n" + text, 2, 1) is None
 
     @pytest.mark.parametrize("text", [
         b"", b"1.00000000e+00\n", b"1.00000000e+00,2.00000000e+00",
@@ -727,7 +727,7 @@ class TestParseScientific:
     ], ids=["empty", "one-column", "no-line-end", "crlf", "ragged", "trailing-comma",
             "blank-line", "non-ascii"])
     def test_other_rows_not_parsed(self, text):
-        assert parse_scientific(text, 2) is None
+        assert parse_scientific(b"\n" + text, 2, 1) is None
 
 
 class TestSchema:
