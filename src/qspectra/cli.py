@@ -39,7 +39,6 @@ from . import io as qio
 from . import svg
 from .constants import FLUX_QUANTUM
 from .estimate import (
-    AmbiguousClassificationError,
     InconsistentFeaturesError,
     add_measurement_noise,
     detect_dips,
@@ -552,8 +551,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # the numerical classes subclass ValueError, so they are caught first
     except (BoundaryLeakageError, ConvergenceError, InconsistentFeaturesError,
-            AmbiguousClassificationError, ModelDomainError,
-            np.linalg.LinAlgError) as exc:
+            ModelDomainError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, _FileFormatError) as exc:

@@ -147,35 +147,27 @@ class DipFeature:
         return dict(vars(self))
 
 
-def _half_crossings(trans: np.ndarray, i: int) -> tuple[int, int]:
-    """The half-depth crossings of sample i: on each side, the sample
-    nearest i at or above 0.5 * (1 + T[i]), or -1 where there is none.
-    Neither exists when sample i itself is at that level (T[i] >= 1)."""
+def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int) -> float:
+    """Distance from sample i to its half-depth crossings, on each side
+    the sample nearest i at or above 0.5 * (1 + T[i]), interpolated to
+    the level and averaged over the sides that have one; one grid step
+    when neither does, as when sample i itself is at the level (T[i] >=
+    1).  The arithmetic is on Python floats, the same double operations
+    as on numpy scalars."""
     low = float(trans[i])
     half_level = 0.5 * (1.0 + low)
-    if low >= half_level:
-        return -1, -1
-    above = np.flatnonzero(trans >= half_level)
-    # sample i lies below the level, so it splits the crossings in two
-    k = int(np.searchsorted(above, i))
-    return (int(above[k - 1]) if k > 0 else -1), (int(above[k]) if k < len(above) else -1)
-
-
-def _naive_half_width(freqs: np.ndarray, trans: np.ndarray, i: int,
-                      left: int, right: int) -> float:
-    """Distance from sample i to its half-depth crossings left and right
-    (see _half_crossings), interpolated to the level, averaged over the
-    sides that have one; one grid step when neither does.  The arithmetic
-    is on Python floats, the same double operations as on numpy scalars."""
-    half_level = 0.5 * (1.0 + float(trans[i]))
-    center = float(freqs[i])
     widths = []
-    # each crossing j with its neighbour k towards i, below the level
-    for j, k in ((left, left + 1), (right, right - 1)):
-        if j >= 0:
-            tj, tk, fj, fk = float(trans[j]), float(trans[k]), float(freqs[j]), float(freqs[k])
-            frac = (half_level - tk) / max(tj - tk, 1e-300)
-            widths.append(abs(fk + frac * (fj - fk) - center))
+    if low < half_level:
+        center = float(freqs[i])
+        above = np.flatnonzero(trans >= half_level)
+        # sample i lies below the level, so it splits the crossings in two
+        k = int(np.searchsorted(above, i))
+        # each crossing j with its neighbour n towards i, below the level
+        for j in above[max(k - 1, 0):k + 1].tolist():
+            n = j + 1 if j < i else j - 1
+            tj, tn, fj, fn = float(trans[j]), float(trans[n]), float(freqs[j]), float(freqs[n])
+            frac = (half_level - tn) / max(tj - tn, 1e-300)
+            widths.append(abs(fn + frac * (fj - fn) - center))
     if not widths:
         return float(freqs[1] - freqs[0])
     return sum(widths) / len(widths)
@@ -203,19 +195,16 @@ def _step_runs(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def find_peaks(x):
-    """The local maxima of x: the index of each, the middle sample of a
-    flat top (the left of its two middle samples when it is even), and a
-    dict of their first and last samples, "left_edges" and
-    "right_edges".  A run of equal samples is a maximum when it is
-    higher than the samples on both sides of it; a run at either end of
-    the array is not, and a NaN sample ends a run and is no neighbour
+    """The local maxima of x, as the index arrays of the first and of
+    the last sample of each.  A run of equal samples is a maximum when it
+    is higher than the samples on both sides of it; a run at either end
+    of the array is not, and a NaN sample ends a run and is no neighbour
     that a run is higher than."""
     # the last sample of each run but the final one
     moves = np.flatnonzero(x[1:] != x[:-1])
     after = x[moves + 1]
     top = np.flatnonzero((x[moves[:-1]] < after[:-1]) & (after[:-1] > after[1:]))
-    left, right = moves[top] + 1, moves[top + 1]
-    return (left + right) // 2, {"left_edges": left, "right_edges": right}
+    return moves[top] + 1, moves[top + 1]
 
 
 def least_squares(fun, x0, jac):
@@ -328,7 +317,7 @@ def _fit_candidate(spectrum: Spectrum, i: int,
     fewer samples than the fit's 4 parameters, which a spectrum of 2 or
     3 points gives, is not fitted: MINPACK returns the start point."""
     freqs, trans = spectrum.freqs, spectrum.transmission
-    half_width = _naive_half_width(freqs, trans, i, *_half_crossings(trans, i))
+    half_width = _naive_half_width(freqs, trans, i)
     window = _fit_window(freqs, i, half_width)
     wf = freqs[window]
     if len(wf) < 4:
@@ -371,8 +360,8 @@ def _clusters(trans: np.ndarray,
 
 def _lowest_member(cluster: list[tuple[int, float]]) -> int:
     """The cluster's sample of lowest T; of a tied run (a clipped bottom),
-    the middle one by position, the lower of two as find_peaks takes the
-    middle of a plateau."""
+    the middle one by position, the lower of two as _unity_points takes
+    the middle of a flat top."""
     low = min(t for _, t in cluster)
     tied = [i for i, t in cluster if t == low]
     return tied[(len(tied) - 1) // 2]
@@ -433,9 +422,11 @@ def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> lis
     trans = spectrum.transmission
     phase = spectrum.phase
     freqs = spectrum.freqs
-    peaks, edges = find_peaks(trans)
-    full = (trans[peaks] >= 1.0 - tol) & (np.abs(phase[peaks]) <= tol)
-    left, right = edges["left_edges"][full], edges["right_edges"][full]
+    left, right = find_peaks(trans)
+    # each maximum is judged at its middle sample, the left of two
+    middle = (left + right) // 2
+    full = (trans[middle] >= 1.0 - tol) & (np.abs(phase[middle]) <= tol)
+    left, right = left[full], right[full]
     points = 0.5 * (freqs[left] + freqs[right])
     # a single-sample maximum: the parabolic vertex through it and its two
     # lower neighbours, whose curvature rounds to a negative number too
@@ -517,7 +508,7 @@ def _decide(spectrum: Spectrum, dips: list[DipFeature], unity: list[float],
 
 
 def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
-             depth_threshold: float = 0.5,
+             depth_threshold: float = _DEPTH_THRESHOLD,
              unity_tol: float = _UNITY_TOL) -> ModelClass:
     """Classify the mechanical vibration from the dip/window structure.
 
@@ -527,9 +518,7 @@ def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
     reference_omega0 and classically driven when shifted from it.  Where
     that report would be ambiguous or find no dips, or where more than
     two dips pass depth_threshold, AmbiguousClassificationError carries
-    the class and the report's notes.  depth_threshold defaults to 0.5
-    here and to 0.1 in estimate_report: the two agree only when they are
-    given the same threshold.
+    the class and the report's notes.
     """
     dips, unity, _ = _observe(spectrum, depth_threshold, unity_tol)
     model_class, pair, notes = _decide(spectrum, dips, unity, reference_omega0, False)

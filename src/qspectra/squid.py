@@ -103,18 +103,16 @@ class CircuitSpec:
         return np.linspace(self.bias_flux - half, self.bias_flux + half, self.grid_points)
 
 
-def reference_circuit(grid_points: int = CircuitSpec.grid_points,
-                      flux_window: float = CircuitSpec.flux_window) -> CircuitSpec:
+def reference_circuit() -> CircuitSpec:
     """The canonical demo circuit: C_J = 17 fF, L = 6 nH, matched critical
-    current, symmetric bias at half a flux quantum."""
+    current, symmetric bias at half a flux quantum, on CircuitSpec's
+    default grid (dataclasses.replace gives another)."""
     inductance = 6e-9
     return CircuitSpec(
         capacitance=1.7e-14,
         inductance=inductance,
         critical_current=matched_critical_current(inductance),
         bias_flux=0.5 * FLUX_QUANTUM,
-        grid_points=grid_points,
-        flux_window=flux_window,
     )
 
 

@@ -799,11 +799,12 @@ CLEAN_SIZES = (401, 2001, 20001, 100001)
 
 @pytest.mark.parametrize("kind", list(ALL_MODEL_FIXTURES))
 def test_clusters_single_on_clean_spectra(kind, request, monkeypatch):
-    """On noise-free spectra no two candidates share a cluster, so the
-    report fits each candidate once, as it fitted every candidate before
-    clustering: the clean spectra of every model on 401-100001 points,
-    and a g_q sweep of the two quantum models across and below the
-    resolved splitting."""
+    """On these noise-free spectra no two candidates share a cluster, so
+    the report fits each candidate once, as it fitted every candidate
+    before clustering: the clean spectra of every model on 401-100001
+    points, and a g_q sweep of the two quantum models across and below
+    the resolved splitting.  Not every clean spectrum is like these:
+    see test_clusters_merge_on_weak_stlr_qnmr."""
     params = request.getfixturevalue(ALL_MODEL_FIXTURES[kind])
     spectra = [compute_spectrum(kind, params, make_frequency_grid(1.8e9, 2.3e9, n))
                for n in CLEAN_SIZES]
@@ -829,6 +830,38 @@ def test_clusters_single_on_clean_spectra(kind, request, monkeypatch):
         estimate_report(s)
         assert set(sizes) <= {1}, s.n_points
         assert len(fits) == sum(candidates) > 0, s.n_points
+
+
+@pytest.mark.parametrize("coupling, n_points, merged", [
+    (3e7, 401, [148, 151]),
+    (2e7, 2001, [770, 783]),
+])
+def test_clusters_merge_on_weak_stlr_qnmr(coupling, n_points, merged, stlr_qnmr_params,
+                                          monkeypatch):
+    """Clustering is live on noise-free spectra too: on stlr-qubit-qnmr
+    with g_rq = g_q weak, a second phase-step run lies within the
+    half-depth level of its neighbouring dip and shares its cluster.  The
+    report lists 3 dips, where fitting every candidate adds a fourth
+    between the first two."""
+    params = stlr_qnmr_params.replace(g_rq=coupling, g_q=coupling)
+    s = compute_spectrum(ModelKind.STLR_QUBIT_QNMR, params,
+                         make_frequency_grid(1.8e9, 2.3e9, n_points))
+    found = []
+    real_clusters = estimate._clusters
+
+    def clusters(trans, members):
+        result = real_clusters(trans, members)
+        found.extend(result)
+        return result
+
+    monkeypatch.setattr(estimate, "_clusters", clusters)
+    report = estimate_report(s)
+    assert [[i for i, _ in c] for c in found if len(c) > 1] == [merged]
+    assert len(report.dips) == 3
+    monkeypatch.setattr(estimate, "_clusters", lambda trans, members: [[m] for m in members])
+    extra = [d for d in detect_dips(s) if d not in report.dips]
+    assert len(extra) == 1
+    assert report.dips[0].center < extra[0].center < report.dips[1].center
 
 
 _NARROW_QNMR = dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=2e6, g_q=2.5e7)
@@ -1061,7 +1094,7 @@ def _loop_maximum_runs(values):
 def _loop_local_maxima(values):
     """One index per local maximum, the middle sample of its run, the
     left of the two middle ones when the run is even: the reference for
-    estimate.find_peaks."""
+    the sample that estimate._unity_points judges each maximum by."""
     return [(first + last) // 2 for first, last in _loop_maximum_runs(values)]
 
 
@@ -1093,12 +1126,13 @@ def test_local_maxima_matches_loop(qnmr_spectrum):
         np.array([1.0, 1.0]),
     ]
     for values in cases:
-        got, edges = estimate.find_peaks(values)
-        assert got.dtype == edges["left_edges"].dtype == edges["right_edges"].dtype == np.intp
-        assert got.tolist() == _loop_local_maxima(values), values
+        left, right = estimate.find_peaks(values)
+        assert left.dtype == right.dtype == np.intp
         runs = _loop_maximum_runs(values)
-        assert edges["left_edges"].tolist() == [first for first, _ in runs], values
-        assert edges["right_edges"].tolist() == [last for _, last in runs], values
+        assert left.tolist() == [first for first, _ in runs], values
+        assert right.tolist() == [last for _, last in runs], values
+        # the middle sample, which _unity_points judges each maximum by
+        assert ((left + right) // 2).tolist() == _loop_local_maxima(values), values
     # flat tops of two, three and four samples: one index each, the left
     # middle of an even one
     assert _loop_local_maxima(cases[4]) == [2] and _loop_local_maxima(cases[5]) == [2]
@@ -1141,11 +1175,6 @@ def _mask_window(freqs, i, half_width):
     return window
 
 
-def _naive_half_width(freqs, trans, i):
-    """estimate._naive_half_width from the crossings the scan finds."""
-    return estimate._naive_half_width(freqs, trans, i, *estimate._half_crossings(trans, i))
-
-
 def test_naive_half_width_matches_loop(qnmr_spectrum):
     rng = np.random.default_rng(1978)
     noisy = add_measurement_noise(qnmr_spectrum, 0.03, 5)
@@ -1173,12 +1202,12 @@ def test_naive_half_width_matches_loop(qnmr_spectrum):
     for freqs, trans in cases:
         # every sample, so i = 0 and i = n - 1 are included
         for i in range(len(freqs)):
-            got = _naive_half_width(freqs, trans, i)
+            got = estimate._naive_half_width(freqs, trans, i)
             assert got == _loop_naive_half_width(freqs, trans, i), (trans, i)
     # sample 2 of the 7-sample case sits at T = 0: the sample at 0.5 on
     # its left is exactly at the level, and the level is 2/3 of the way
     # from 0.25 to 0.625 on its right
-    assert _naive_half_width(*cases[4], 2) == pytest.approx(0.5 * (1.0 + 5.0 / 3.0))
+    assert estimate._naive_half_width(*cases[4], 2) == pytest.approx(0.5 * (1.0 + 5.0 / 3.0))
 
 
 def test_fit_window_matches_mask(qnmr_spectrum):
@@ -1506,7 +1535,7 @@ def test_classify_agrees_with_report():
     for s in spectra:
         for ref in (None, OMEGA0, OMEGA0 + 3e7):
             try:
-                report = estimate_report(s, reference_omega0=ref, depth_threshold=0.5)
+                report = estimate_report(s, reference_omega0=ref)
             except InconsistentFeaturesError:
                 # the class was decided; the inversion after it failed
                 continue
@@ -1516,9 +1545,9 @@ def test_classify_agrees_with_report():
             outcomes.add((report.model_class, raises))
             if raises:
                 with pytest.raises(AmbiguousClassificationError):
-                    classify(s, ref, depth_threshold=0.5)
+                    classify(s, ref)
             else:
-                assert classify(s, ref, depth_threshold=0.5) is report.model_class
+                assert classify(s, ref) is report.model_class
     assert {c for c, raises in outcomes if not raises} == {
         ModelClass.NO_NMR, ModelClass.CLASSICAL_NMR, ModelClass.QUANTUM_NMR}
     assert {c for c, raises in outcomes if raises} == {

@@ -724,8 +724,10 @@ class TestParseScientific:
         b"1.00000000e+00,2.00000000e+00\r\n", b"1.00000000e+00\n2.00000000e+00,nan\n",
         b"1.00000000e+00,2.00000000e+00,\n", b"1.00000000e+00,2.00000000e+00\n\n",
         b"1.00000000e+00\xff,2.00000000e+00\n",
+        # 4 cells for 2 rows of 2, with the first line end one cell early
+        b"1.00000000e+00\n2.00000000e+00,nan,3.00000000e+00\n",
     ], ids=["empty", "one-column", "no-line-end", "crlf", "ragged", "trailing-comma",
-            "blank-line", "non-ascii"])
+            "blank-line", "non-ascii", "misplaced-line-end"])
     def test_other_rows_not_parsed(self, text):
         assert parse_scientific(b"\n" + text, 2, 1) is None
 
@@ -1673,6 +1675,9 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
       "--gamma-c", "3.3e7", "--g-q", "3e7", "--param", "g_q", "--start", "2e7",
       "--stop", "1e300", "--steps", "3", "--output", "OUT"], None,
      "parameter 'g_q' = 5e+299 is out of range"),
+    # the quantum-nmr inversion squares omega0 - omega_b as a Python float
+    (["estimate", "CSV", "--ref-omega0", "1e160", "--output", "OUT"], None,
+     "value out of range"),
 ], ids=["depth-flag", "unity-tol-flag", "unity-tol-value-flag", "depth-value-flag",
         "n-states-flag", "n-states-above-grid-flag",
         "zero-inductance-flag", "steps-config", "start-config", "n-states-config",
@@ -1683,12 +1688,14 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
         "bool-c-j-config", "bool-omega0-config", "int-output-config",
         "non-json-config", "array-config", "unknown-key-config", "two-part-grid-flag",
         "non-numeric-grid-flag", "missing-output", "zero-steps-flag",
-        "overflow-g-q-flag", "overflow-v1-flag", "overflow-stop-flag"])
+        "overflow-g-q-flag", "overflow-v1-flag", "overflow-stop-flag",
+        "overflow-ref-omega0-flag"])
 def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
     """An out-of-range or wrongly typed value exits 1 naming its field,
     whether it comes from a flag or from the config file; a coupling
     whose square leaves the float range exits 1 naming its field and
-    saying so, not with a traceback."""
+    saying so, not with a traceback, and so does an inversion whose
+    arithmetic leaves it."""
     csv, out = tmp_path / "s.csv", tmp_path / "out"
     write_spectrum_csv(csv, qnmr_spectrum)
     argv = [{"CSV": str(csv), "OUT": str(out)}.get(arg, arg) for arg in argv]

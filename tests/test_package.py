@@ -6,6 +6,7 @@ scipy is loaded only by the commands that use it; and on glibc, repeated
 large spectra reuse the freed heap unless the user configured malloc."""
 
 import ast
+import ctypes
 import json
 import math
 import os
@@ -250,3 +251,41 @@ def test_large_spectra_reuse_freed_memory(env_vars, low, high):
     where glibc's dynamic thresholds took about 1335; with glibc's
     MALLOC_* variables set the package leaves malloc alone."""
     assert low <= _run_fresh(_FAULTS_PER_CALL, **env_vars) <= high
+
+
+def _no_confstr(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr, tunables, exports_mallopt, calls", [
+    (lambda name: "glibc 2.36", "", True, [(-3, 32 << 20), (-1, 64 << 20)]),
+    (lambda name: None, "", True, []),
+    (_no_confstr, "", True, []),
+    (None, "", True, []),
+    (lambda name: "glibc 2.36", "glibc.malloc.mmap_threshold=131072", True, []),
+    (lambda name: "glibc 2.36", "", False, []),
+], ids=["glibc", "no-libc-version", "unknown-confstr-name", "no-confstr",
+        "malloc-tunables", "no-mallopt"])
+def test_keep_freed_buffers_opt_outs(confstr, tunables, exports_mallopt, calls, monkeypatch):
+    """In process, with a libc that records its mallopt calls:
+    _keep_freed_buffers sets the mmap and then the trim threshold on
+    glibc, and calls no mallopt off glibc (no glibc version, an unknown
+    confstr name, no os.confstr), when GLIBC_TUNABLES configures
+    glibc.malloc, or when libc exports no mallopt."""
+    made = []
+
+    class Libc:
+        def __init__(self, name):
+            if exports_mallopt:
+                self.mallopt = lambda param, value: made.append((param, value)) or 1
+
+    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", Libc)
+    qspectra._keep_freed_buffers()
+    assert made == calls

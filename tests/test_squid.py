@@ -138,8 +138,9 @@ class TestEigensolver:
             assert kinetic > 0
 
     def test_grid_convergence(self):
-        e_coarse = solve_eigensystem(reference_circuit(grid_points=1001)).energies
-        e_fine = solve_eigensystem(reference_circuit(grid_points=2001)).energies
+        spec = reference_circuit()
+        e_coarse = solve_eigensystem(dataclasses.replace(spec, grid_points=1001)).energies
+        e_fine = solve_eigensystem(dataclasses.replace(spec, grid_points=2001)).energies
         assert abs(e_fine[0] - e_coarse[0]) / e_coarse[0] < 1e-4
         assert abs(e_fine[1] - e_coarse[1]) / e_coarse[1] < 1e-4
 
@@ -153,14 +154,15 @@ class TestEigensolver:
 
     def test_narrow_window_raises_leakage(self):
         with pytest.raises(BoundaryLeakageError):
-            solve_eigensystem(reference_circuit(flux_window=0.35))
+            solve_eigensystem(dataclasses.replace(reference_circuit(), flux_window=0.35))
 
     def test_coarse_grid_raises_convergence(self):
         # 201 points over +-4 flux quanta: the solve on every other point
         # predicts that doubling the grid moves E0 by 1.34e-3
+        spec = reference_circuit()
         with pytest.raises(ConvergenceError, match=r"moves by 1\.34e-03 relative"):
-            solve_eigensystem(reference_circuit(grid_points=201, flux_window=4.0))
-        solve_eigensystem(reference_circuit(grid_points=301, flux_window=4.0))
+            solve_eigensystem(dataclasses.replace(spec, grid_points=201, flux_window=4.0))
+        solve_eigensystem(dataclasses.replace(spec, grid_points=301, flux_window=4.0))
 
     def test_convergence_scale_ignores_potential_offset(self):
         """E0 near the arbitrary zero of U does not make a converged grid
@@ -179,7 +181,8 @@ class TestEigensolver:
     def test_outcome_table(self, grid_points, flux_window, outcome):
         """Which grids of the reference circuit solve, leak at the edge or
         are too coarse to converge."""
-        spec = reference_circuit(grid_points=grid_points, flux_window=flux_window)
+        spec = dataclasses.replace(reference_circuit(), grid_points=grid_points,
+                                   flux_window=flux_window)
         if outcome == "solves":
             solve_eigensystem(spec)
         else:
