@@ -106,7 +106,7 @@ _ESTIMATE_OPTIONS = {
     "ref_omega0": "reference_omega0", "ref_omega_b": "reference_omega_b",
     "ref_g_q": "reference_g_q", "ref_delta": "reference_delta",
     "b0": "field", "i_p": "persistent_current", "nmr_length": "nmr_length",
-    "depth_threshold": "depth_threshold", "unity_tol": "unity_tol",
+    "unity_tol": "unity_tol",
 }
 
 

@@ -25,20 +25,22 @@ of T is a zero of x, where t passes through 0 and its phase turns by
 pi.  One pass over the whole array marks each wrapped phase step of at
 least pi/4 between neighbouring samples or samples two apart.  Each run
 of samples that the steps join is one candidate, its lowest sample,
-kept where T <= 1 - depth_threshold.  A wiggle of measurement noise
+kept where T <= 0.9 (depth >= 0.1).  A wiggle of measurement noise
 turns the phase only by the phase noise, so however deep it dips in T
 it makes no candidate until the phase noise itself steps by pi/4, at
 15-20 % noise.  The stride of two covers a sample on the zero itself:
 t = 0 there has phase 0, which splits the turn of pi into two smaller
 steps, and the step over two samples joins that middle sample too.
 
-Fit contract: every reported DipFeature has depth in
-[depth_threshold, 1], a FWHM of at least half a grid step and a center
-inside its fit window.  The threshold gates a candidate's T and the fit
-may find it shallower: such a fit is rejected as "depth below
-depth_threshold".  A fitted depth above 1 by at most twice the fit's RMS
-residual (model mismatch and noise: clean hybridized dips overshoot by
-~0.3-1.4 %) is reported as 1.0.  Any other violation rejects the fit;
+Fit contract: every reported DipFeature has depth in [0.1, 1], a FWHM
+of at least half a grid step and a center inside its fit window.  The
+depth gate is a constant: every dip of the models is a zero of x, so a
+clean dip is about 1 deep, and the phase steps already choose the
+candidates.  The gate holds a candidate's T, and the fit may find it
+shallower: such a fit is rejected as "depth below depth_threshold".  A
+fitted depth above 1 by at most twice the fit's RMS residual (model
+mismatch and noise: clean hybridized dips overshoot by ~0.3-1.4 %) is
+reported as 1.0.  Any other violation rejects the fit;
 the report's notes count the rejected fits by reason, out of the fits
 that ran.
 
@@ -83,7 +85,7 @@ from .squid import classical_amplitude
 
 # depth of the dips whose outermost pair bounds the full-transmission search
 _OUTER_DIP_DEPTH = 0.5
-# defaults: the depth of a reported dip, the T and phase tolerance of a unity point
+# the least depth of a reported dip, and the default T and phase tolerance of a unity point
 _DEPTH_THRESHOLD = 0.1
 _UNITY_TOL = 0.01
 # the smallest wrapped phase step that marks a dip (see _step_runs)
@@ -309,13 +311,12 @@ def _fit_window(freqs: np.ndarray, i: int, half_width: float) -> slice:
     return slice(start, stop)
 
 
-def _fit_candidate(spectrum: Spectrum, i: int,
-                   depth_threshold: float) -> Union[DipFeature, str]:
+def _fit_candidate(spectrum: Spectrum, i: int) -> Union[DipFeature, str]:
     """Fit the candidate minimum at sample i over +-3 naive half-widths
     (at least 7 samples); its fit is the feature, or why it breaks the
-    DipFeature contract or lies below depth_threshold.  A window of
-    fewer samples than the fit's 4 parameters, which a spectrum of 2 or
-    3 points gives, is not fitted: MINPACK returns the start point."""
+    DipFeature contract or is shallower than _DEPTH_THRESHOLD.  A window
+    of fewer samples than the fit's 4 parameters, which a spectrum of 2
+    or 3 points gives, is not fitted: MINPACK returns the start point."""
     freqs, trans = spectrum.freqs, spectrum.transmission
     half_width = _naive_half_width(freqs, trans, i)
     window = _fit_window(freqs, i, half_width)
@@ -327,7 +328,7 @@ def _fit_candidate(spectrum: Spectrum, i: int,
     )
     if not all(math.isfinite(x) for x in (center, fwhm, depth, rms)):
         return _REJECT_REASONS[0]
-    if depth < depth_threshold:
+    if depth < _DEPTH_THRESHOLD:
         return _REJECT_REASONS[1]
     if depth > 1.0 + 2.0 * rms:
         return _REJECT_REASONS[2]
@@ -367,23 +368,21 @@ def _lowest_member(cluster: list[tuple[int, float]]) -> int:
     return tied[(len(tied) - 1) // 2]
 
 
-def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature], list[str]]:
-    """The in-contract dips of fitted depth >= depth_threshold, sorted by
-    center, and the note counting the fits rejected, where there are
+def _scan(spectrum: Spectrum) -> tuple[list[DipFeature], list[str]]:
+    """The in-contract dips of fitted depth >= _DEPTH_THRESHOLD, sorted
+    by center, and the note counting the fits rejected, where there are
     any.  Each run of samples that phase steps join (see _step_runs)
     gives one candidate, its lowest sample, where T <= 1 -
-    depth_threshold; each cluster of candidates (see _clusters) is
+    _DEPTH_THRESHOLD; each cluster of candidates (see _clusters) is
     fitted once, from its lowest sample.  The fit may find a candidate
-    shallower than depth_threshold."""
-    if not 0.0 < depth_threshold < 1.0:
-        raise ValueError(f"depth_threshold must be in (0, 1), got {depth_threshold}")
+    shallower than the threshold."""
     trans = spectrum.transmission
     members = []
     for start, stop in zip(*_step_runs(spectrum.phase)):
         i = _lowest_member(list(enumerate(trans[start:stop].tolist(), start)))
-        if trans[i] <= 1.0 - depth_threshold:
+        if trans[i] <= 1.0 - _DEPTH_THRESHOLD:
             members.append((i, float(trans[i])))
-    fits = [_fit_candidate(spectrum, _lowest_member(cluster), depth_threshold)
+    fits = [_fit_candidate(spectrum, _lowest_member(cluster))
             for cluster in _clusters(trans, members)]
     dips = sorted((fit for fit in fits if isinstance(fit, DipFeature)), key=lambda d: d.center)
     rejected = Counter(fit for fit in fits if isinstance(fit, str))
@@ -393,27 +392,26 @@ def _scan(spectrum: Spectrum, depth_threshold: float) -> tuple[list[DipFeature],
     return dips, [f"{len(fits) - len(dips)} of {len(fits)} dip fits rejected ({reasons})"]
 
 
-def detect_dips(spectrum: Spectrum, depth_threshold: float = _DEPTH_THRESHOLD) -> list[DipFeature]:
-    """Locate transmission dips of depth >= depth_threshold and refine
-    each by a local Lorentzian fit.
+def detect_dips(spectrum: Spectrum) -> list[DipFeature]:
+    """Locate transmission dips of depth >= 0.1 and refine each by a
+    local Lorentzian fit.
 
     Each run of samples that phase steps of at least pi/4 join gives one
-    candidate, its lowest sample, where T <= 1 - depth_threshold (the
-    dip candidates of the module doc).  Candidates are grouped into
-    clusters, consecutive ones sharing a cluster while T between them
-    stays below the half-depth level of the shallower, 0.5 * (1 +
-    max(T[i], T[j])).  A cluster is fit once, over a window of +-3 naive
-    half-widths around its lowest sample (the middle one of a tied run).
-    A fit depth up to twice the RMS residual above 1 is reported as 1.0,
-    and fits with a depth below depth_threshold (the fit can find a
-    candidate shallower than its lowest sample), a larger overshoot, a
-    FWHM below half a grid step or a center outside the window are
-    dropped, as is a window of fewer than 4 samples, which is not
-    fitted; every other fit is returned.
+    candidate, its lowest sample, where T <= 0.9 (the dip candidates of
+    the module doc).  Candidates are grouped into clusters, consecutive
+    ones sharing a cluster while T between them stays below the
+    half-depth level of the shallower, 0.5 * (1 + max(T[i], T[j])).  A
+    cluster is fit once, over a window of +-3 naive half-widths around
+    its lowest sample (the middle one of a tied run).  A fit depth up to
+    twice the RMS residual above 1 is reported as 1.0, and fits with a
+    depth below 0.1 (the fit can find a candidate shallower than its
+    lowest sample), a larger overshoot, a FWHM below half a grid step or
+    a center outside the window are dropped, as is a window of fewer
+    than 4 samples, which is not fitted; every other fit is returned.
     Returns features sorted by center; empty list when nothing crosses
     the threshold.
     """
-    return _scan(spectrum, depth_threshold)[0]
+    return _scan(spectrum)[0]
 
 
 def _unity_points(spectrum: Spectrum, tol: float, dips: list[DipFeature]) -> list[float]:
@@ -453,17 +451,17 @@ def detect_unity_points(spectrum: Spectrum, tol: float = _UNITY_TOL) -> list[flo
     strictly between the outermost of their centers are reported; this
     drops the trivial far-detuned transparency of every scatterer.
     """
-    return _observe(spectrum, _DEPTH_THRESHOLD, tol)[1]
+    return _observe(spectrum, tol)[1]
 
 
-def _observe(spectrum: Spectrum, depth_threshold: float,
+def _observe(spectrum: Spectrum,
              unity_tol: float) -> tuple[list[DipFeature], list[float], list[str]]:
-    """One scan of the spectrum: the dips of depth >= depth_threshold,
+    """One scan of the spectrum: the dips of depth >= _DEPTH_THRESHOLD,
     the full-transmission points between the outer ones of depth >= 0.5,
     and the notes of the scan (see _scan)."""
     if not 0.0 < unity_tol < 0.1:
         raise ValueError(f"unity_tol must be in (0, 0.1), got {unity_tol}")
-    dips, notes = _scan(spectrum, depth_threshold)
+    dips, notes = _scan(spectrum)
     return dips, _unity_points(spectrum, unity_tol, dips), notes
 
 
@@ -508,7 +506,6 @@ def _decide(spectrum: Spectrum, dips: list[DipFeature], unity: list[float],
 
 
 def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
-             depth_threshold: float = _DEPTH_THRESHOLD,
              unity_tol: float = _UNITY_TOL) -> ModelClass:
     """Classify the mechanical vibration from the dip/window structure.
 
@@ -516,11 +513,11 @@ def classify(spectrum: Spectrum, reference_omega0: Optional[Frequency] = None,
     dips with a full-transmission point between them mean the mechanical
     mode is quantized; a single dip is the bare scatterer when it sits on
     reference_omega0 and classically driven when shifted from it.  Where
-    that report would be ambiguous or find no dips, or where more than
-    two dips pass depth_threshold, AmbiguousClassificationError carries
-    the class and the report's notes.
+    that report would be ambiguous or find no dips, or where it finds
+    more than two dips, AmbiguousClassificationError carries the class
+    and the report's notes.
     """
-    dips, unity, _ = _observe(spectrum, depth_threshold, unity_tol)
+    dips, unity, _ = _observe(spectrum, unity_tol)
     model_class, pair, notes = _decide(spectrum, dips, unity, reference_omega0, False)
     if model_class in (ModelClass.AMBIGUOUS, ModelClass.NO_FEATURES) or len(dips) > len(pair):
         raise AmbiguousClassificationError("; ".join([model_class.value, *notes]))
@@ -746,7 +743,6 @@ def estimate_report(spectrum: Spectrum,
                     field: Optional[float] = None,
                     persistent_current: Optional[float] = None,
                     nmr_length: Optional[float] = None,
-                    depth_threshold: float = _DEPTH_THRESHOLD,
                     unity_tol: float = _UNITY_TOL) -> EstimationReport:
     """Full estimation pipeline for spectra taken on the qubit-scattering
     configurations.
@@ -759,11 +755,11 @@ def estimate_report(spectrum: Spectrum,
     when field, persistent_current and nmr_length are supplied; with
     reference_g_q and reference_delta a single dip is read as a
     dispersive phonon-number measurement.  A hint given without its
-    partners is ignored, and a note names the missing ones.  When more dips
-    survive thresholding than the deepest two, the extras are reported in
-    raw features only and the classification proceeds on the deepest two.
+    partners is ignored, and a note names the missing ones.  Every dip
+    of depth >= 0.1 is reported in raw features; when there are more
+    than two, the classification proceeds on the deepest two.
     """
-    all_dips, unity, notes = _observe(spectrum, depth_threshold, unity_tol)
+    all_dips, unity, notes = _observe(spectrum, unity_tol)
     model_class, working, decision_notes = _decide(
         spectrum, all_dips, unity, reference_omega0,
         dispersive=reference_g_q is not None and reference_delta is not None,

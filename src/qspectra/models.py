@@ -120,13 +120,26 @@ def _kernel(kind: ModelKind | None, *names: str, features=None):
     """Declare an amplitude kernel ``(omega, p) -> t`` from a body that
     returns (x, y) on the checked grid; the kernel first requires `names`.
     With a kind, fills REQUIRED_PARAMS[kind] and AMPLITUDES[kind], and
-    files ``features(p) -> FeatureSet`` for ``analytic_features``."""
+    files ``features(p) -> FeatureSet`` for ``analytic_features``.  An
+    evaluation whose arithmetic overflows or turns invalid raises
+    ValueError naming the model, where numpy would only warn and return
+    a t of NaN; a caller's np.errstate that ignores those errors keeps
+    its NaN."""
 
     def declare(xy):
+        label = kind.value if kind is not None else xy.__name__
+
         @functools.wraps(xy)
         def amplitude(omega: ArrayLike, p: ModelParams):
             p.require(*names)
-            return _elastic(*xy(_checked(omega), p), omega)
+            chosen = np.geterr()
+            try:
+                with np.errstate(**{k: "raise" for k in ("over", "invalid")
+                                    if chosen[k] == "warn"}):
+                    return _elastic(*xy(_checked(omega), p), omega)
+            except FloatingPointError as exc:
+                raise ValueError(f"model {label}: the parameters put its amplitude "
+                                 f"out of the float range ({exc})") from None
 
         if kind is not None:
             REQUIRED_PARAMS[kind] = names

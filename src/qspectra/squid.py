@@ -70,7 +70,9 @@ class CircuitSpec:
     junction and loop; bias_flux (Wb) is the external flux.  The solver
     grid is symmetric about the bias with half-width flux_window in units
     of the flux quantum.  grid_points must be odd so the bias point lies
-    on the grid.
+    on the grid.  The grid step must not round to zero, and the kinetic
+    term and the potential at the window edges must stay in the float
+    range, so that the Hamiltonian is finite.
     """
 
     capacitance: float
@@ -97,6 +99,27 @@ class CircuitSpec:
             raise ValueError("grid_points must be odd (grid symmetric about the bias)")
         if not self.flux_window > 0:
             raise ValueError("flux_window must be > 0")
+        # Python floats, in flux_grid's and _hamiltonian's order of
+        # operations: an out-of-range value is named here, where numpy
+        # would warn and the solver fail on an inf
+        half = self.flux_window * FLUX_QUANTUM
+        low, high = self.bias_flux - half, self.bias_flux + half
+        step = low + (high - low) / (self.grid_points - 1) - low
+        if step == 0.0:
+            raise ValueError(f"flux_window {self.flux_window} is below the float "
+                             f"resolution at bias_flux {self.bias_flux}: the flux "
+                             "grid step rounds to 0")
+        denominator = 2.0 * self.capacitance * (step * step)
+        kinetic = HBAR**2 / denominator if denominator else math.inf
+        if not math.isfinite(2.0 * kinetic):
+            raise ValueError(f"capacitance {self.capacitance} with a flux grid step of "
+                             f"{step:.3e} Wb (flux_window {self.flux_window}, grid_points "
+                             f"{self.grid_points}) puts the kinetic term out of range")
+        edge = max(high - self.bias_flux, self.bias_flux - low)
+        if not math.isfinite(2.0 * kinetic + edge * edge / (2.0 * self.inductance)):
+            raise ValueError(f"flux_window {self.flux_window} with inductance "
+                             f"{self.inductance} puts the potential at the window edge "
+                             "out of range")
 
     def flux_grid(self) -> np.ndarray:
         half = self.flux_window * FLUX_QUANTUM

@@ -71,10 +71,6 @@ class TestDetectDips:
         dips = detect_dips(qnmr_spectrum)
         assert dips[0].fwhm + dips[1].fwhm == pytest.approx(2 * GAMMA_C, rel=0.05)
 
-    def test_depth_threshold_validated(self, qnmr_spectrum):
-        with pytest.raises(ValueError):
-            detect_dips(qnmr_spectrum, depth_threshold=0.0)
-
     def test_noise_does_not_duplicate_dips(self, qnmr_spectrum):
         noisy = add_measurement_noise(qnmr_spectrum, 0.01, 3)
         assert len(detect_dips(noisy)) == 2
@@ -722,7 +718,7 @@ def test_dip_contract_under_noise(monkeypatch):
 
 
 def test_rejection_note_names_unfinished_and_empty_fits(qnmr_spectrum, monkeypatch):
-    """A fit whose depth is NaN or below depth_threshold is rejected, and the note
+    """A fit whose depth is NaN or below 0.1 is rejected, and the note
     counts the reasons in their fixed order, not in the order the fits
     ran."""
     real = estimate.least_squares
@@ -872,9 +868,9 @@ _README_QNMR = dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=GAMMA_C, g_q=COUPLIN
 
 def test_report_unity_points_equal_detect_unity_points():
     """On noisy draws the report's unity points are detect_unity_points',
-    which bounds them by detect_dips at the default threshold.  On the
-    last four draws (5-15 % noise) the reported dips of depth >= 0.5 are
-    not the dips a scan at depth 0.5 alone selects."""
+    which bounds them by the dips of depth >= 0.5 that detect_dips
+    reports.  The last four draws (5-15 % noise) add the narrow and
+    single-dip models."""
     rng = np.random.default_rng(1980)
     draws = []
     for kind, values in PINNED_MODELS.items():
@@ -889,9 +885,7 @@ def test_report_unity_points_equal_detect_unity_points():
                                          (ModelKind.QUBIT_QNMR, _README_QNMR, 4001, 0.15, 35),
                                          (ModelKind.QUBIT_ONLY, _QUBIT_ONLY, 4001, 0.15, 69)):
         clean = compute_spectrum(kind, ModelParams(**values), make_frequency_grid(1.8e9, 2.3e9, n))
-        s = add_measurement_noise(clean, sigma, seed)
-        assert [d for d in detect_dips(s) if d.depth >= 0.5] != detect_dips(s, 0.5)
-        draws.append((kind, n, sigma, s))
+        draws.append((kind, n, sigma, add_measurement_noise(clean, sigma, seed)))
     for kind, n, sigma, s in draws:
         for tol in (0.01, 0.04):
             assert list(estimate_report(s, unity_tol=tol).unity_points) == (
@@ -964,9 +958,9 @@ _QUBIT_CNMR = dict(omega0=OMEGA0, omega_b=OMEGA_B, gamma_c=GAMMA_C, g_c=COUPLING
                  1, id="narrow-4001-20pct-seed1"),
 ])
 def test_reported_dips_reach_depth_threshold(kind, values, refs, want, n, sigma, seed):
-    """The threshold gates a candidate's T, and its fit can come out
-    shallower.  Such a fit is dropped, so every reported dip is at least
-    depth_threshold deep.  A noise dip is a candidate only when the phase
+    """The depth gate of 0.1 holds a candidate's T, and its fit can come
+    out shallower.  Such a fit is dropped, so every reported dip is at
+    least 0.1 deep.  A noise dip is a candidate only when the phase
     noise alone steps by pi/4, which takes 15-20 % noise; on these draws
     one such fit comes out below the threshold beside the real dips, and
     the report still names the true class."""

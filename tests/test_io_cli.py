@@ -3,8 +3,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 import xml.dom.minidom
 from concurrent.futures import ThreadPoolExecutor
@@ -1062,8 +1065,8 @@ class TestEstimateCommand:
         ([], None, {}),
         (["--ref-omega0", "2.1e9", "--unity-tol", "0.02"], None,
          {"reference_omega0": 2.1e9, "unity_tol": 0.02}),
-        (["--b0", "0.5"], {"i_p": 3e-7, "depth_threshold": 0.2, "ref_delta": 1e8},
-         {"field": 0.5, "persistent_current": 3e-7, "depth_threshold": 0.2,
+        (["--b0", "0.5"], {"i_p": 3e-7, "unity_tol": 0.02, "ref_delta": 1e8},
+         {"field": 0.5, "persistent_current": 3e-7, "unity_tol": 0.02,
           "reference_delta": 1e8}),
     ], ids=["none", "flags", "flag-and-config"])
     def test_only_given_options_reach_estimate_report(self, flags, config, expected,
@@ -1599,6 +1602,28 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 1
 
 
+def test_module_entry_point(tmp_path):
+    """`python -m qspectra.cli` exits with main's code: its spectrum has
+    the bytes of the same run in process, and an estimate of a missing
+    file exits 2."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "qspectra.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    spectrum = FIG3_ARGS + ["--noise-sigma", "0.01", "--seed", "2", "--output"]
+    assert main(spectrum + [str(tmp_path / "in-process.csv")]) == 0
+    module = run(*spectrum, str(tmp_path / "module.csv"))
+    assert (module.returncode, module.stderr) == (0, "")
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "in-process.csv").read_bytes()
+    missing = run("estimate", str(tmp_path / "missing.csv"))
+    assert missing.returncode == 2 and missing.stderr.startswith("i/o error: ")
+
+
 _SWEEP_OMEGA0 = ["sweep", "--model", "qubit-only", "--omega0", "2.1e9", "--gamma-c", "3.3e7",
                  "--param", "omega0", "--output", "OUT"]
 _SPECTRUM_QUBIT = ["spectrum", "--model", "qubit-only", "--gamma-c", "3.3e7",
@@ -1630,12 +1655,12 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
 
 
 @pytest.mark.parametrize("argv, config, field", [
-    (["estimate", "CSV", "--depth-threshold", "2"], None, "depth_threshold"),
+    # the depth gate is a constant, not an option
+    (["estimate", "CSV", "--depth-threshold", "0.2"], None,
+     "unrecognized arguments: --depth-threshold 0.2"),
     (["estimate", "CSV", "--unity-tol", "0.5"], None, "tol"),
     (["estimate", "CSV", "--unity-tol", "0.2"], None,
      "unity_tol must be in (0, 0.1), got 0.2"),
-    (["estimate", "CSV", "--depth-threshold", "1.5"], None,
-     "depth_threshold must be in (0, 1), got 1.5"),
     (["squid", "--n-states", "1", "--output-json", "OUT"], None, "n_states"),
     (["squid", "--n-states", "1002", "--output-json", "OUT"], None, "n_states"),
     (["squid", "--l", "0", "--output-json", "OUT"], None, "inductance"),
@@ -1678,7 +1703,23 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
     # the quantum-nmr inversion squares omega0 - omega_b as a Python float
     (["estimate", "CSV", "--ref-omega0", "1e160", "--output", "OUT"], None,
      "value out of range"),
-], ids=["depth-flag", "unity-tol-flag", "unity-tol-value-flag", "depth-value-flag",
+    # model evaluations whose array arithmetic leaves the float range
+    (_SPECTRUM_QNMR + ["--g-q", "1e8", "--omega0", "1e300", "--output", "OUT"], None,
+     "model qubit-qnmr"),
+    (_SPECTRUM_QNMR + ["--g-q", "1e8", "--gamma-c", "1e300", "--output", "OUT"], None,
+     "model qubit-qnmr"),
+    (["spectrum", "--model", "stlr-qubit-qnmr", "--omega0", "2.1e9", "--omega-b", "2e9",
+      "--omega-r", "2.05e9", "--g-rq", "5e7", "--g-q", "5e7", "--v2", "1e150", "--v-g", "3e8",
+      "--grid", "1.8e9:2.3e9:11", "--output", "OUT"], None, "model stlr-qubit-qnmr"),
+    # circuits whose Hamiltonian leaves the float range, or whose flux grid
+    # step rounds to 0 (about a bias of 1e30 flux quanta the grid is one value)
+    (["squid", "--c-j", "1e-300", "--output-json", "OUT"], None, "capacitance 1e-300"),
+    (["squid", "--flux-window", "1e-300", "--output-json", "OUT"], None,
+     "flux_window 1e-300"),
+    (["squid", "--flux-window", "1e300", "--output-json", "OUT"], None,
+     "flux_window 1e+300"),
+    (["squid", "--phi-e-over-phi0", "1e30", "--output-json", "OUT"], None, "bias_flux"),
+], ids=["depth-flag", "unity-tol-flag", "unity-tol-value-flag",
         "n-states-flag", "n-states-above-grid-flag",
         "zero-inductance-flag", "steps-config", "start-config", "n-states-config",
         "null-depth-config",
@@ -1689,13 +1730,15 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
         "non-json-config", "array-config", "unknown-key-config", "two-part-grid-flag",
         "non-numeric-grid-flag", "missing-output", "zero-steps-flag",
         "overflow-g-q-flag", "overflow-v1-flag", "overflow-stop-flag",
-        "overflow-ref-omega0-flag"])
+        "overflow-ref-omega0-flag", "overflow-omega0-flag", "overflow-gamma-c-flag",
+        "overflow-v2-flag", "tiny-c-j-flag", "tiny-flux-window-flag",
+        "huge-flux-window-flag", "collapsed-grid-flag"])
 def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
     """An out-of-range or wrongly typed value exits 1 naming its field,
     whether it comes from a flag or from the config file; a coupling
     whose square leaves the float range exits 1 naming its field and
-    saying so, not with a traceback, and so does an inversion whose
-    arithmetic leaves it."""
+    saying so, not with a traceback, and so does an inversion, a model
+    evaluation or a circuit whose arithmetic leaves it."""
     csv, out = tmp_path / "s.csv", tmp_path / "out"
     write_spectrum_csv(csv, qnmr_spectrum)
     argv = [{"CSV": str(csv), "OUT": str(out)}.get(arg, arg) for arg in argv]

@@ -431,6 +431,21 @@ class TestFeatureConsistency:
             analytic_features("not-a-model", qubit_params)
 
 
+class TestFloatRange:
+    @pytest.mark.parametrize("kind, fixture, changes", [
+        (ModelKind.QUBIT_QNMR, "qnmr_params", dict(omega0=1e300)),
+        (ModelKind.QUBIT_QNMR, "qnmr_params", dict(gamma_c=1e300)),
+        (ModelKind.STLR_QUBIT_QNMR, "stlr_qnmr_params", dict(v2=1e150)),
+    ], ids=["omega0", "gamma_c", "v2"])
+    def test_overflow_names_the_model(self, kind, fixture, changes, request):
+        """A kernel whose arithmetic overflows raises ValueError naming the
+        model, on a grid and at one frequency, instead of returning NaN."""
+        p = request.getfixturevalue(fixture).replace(**changes)
+        for omega in (_THROUGH_DECOUPLED, 2.3e9):
+            with pytest.raises(ValueError, match=f"model {kind.value}: .* float range"):
+                transmission_amplitude(kind, omega, p)
+
+
 class TestPhaseIdentities:
     """arg(t) equals -arctan(y/x) for each configuration's (x, y), at all
     non-singular grid points; the amplitude's real part is x**2/(x**2+y**2)

@@ -57,6 +57,19 @@ class TestCircuitSpec:
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(reference_circuit(), **{field: math.inf})
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(capacitance=1e-300), "kinetic term out of range"),
+        (dict(flux_window=1e-300), "grid step rounds to 0"),
+        (dict(flux_window=1e300), "potential at the window edge out of range"),
+        (dict(inductance=1e-300, flux_window=1e150), "potential at the window edge"),
+        (dict(bias_flux=1e30 * FLUX_QUANTUM), "grid step rounds to 0"),
+    ], ids=["capacitance", "narrow-window", "wide-window", "inductance", "bias"])
+    def test_out_of_float_range_rejected(self, changes, message):
+        """A circuit whose Hamiltonian would hold an inf, or whose grid
+        step rounds to 0, is refused when it is built, not by the solver."""
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(reference_circuit(), **changes)
+
     def test_zero_critical_current_allowed(self):
         CircuitSpec(1.7e-14, 6e-9, 0.0, 0.5 * FLUX_QUANTUM)
 
