@@ -1661,6 +1661,9 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
     (["estimate", "CSV", "--unity-tol", "0.5"], None, "tol"),
     (["estimate", "CSV", "--unity-tol", "0.2"], None,
      "unity_tol must be in (0, 0.1), got 0.2"),
+    # a value the removed range check refused is refused as an unknown flag
+    (["estimate", "CSV", "--depth-threshold", "1.5"], None,
+     "unrecognized arguments: --depth-threshold 1.5"),
     (["squid", "--n-states", "1", "--output-json", "OUT"], None, "n_states"),
     (["squid", "--n-states", "1002", "--output-json", "OUT"], None, "n_states"),
     (["squid", "--l", "0", "--output-json", "OUT"], None, "inductance"),
@@ -1719,7 +1722,7 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
     (["squid", "--flux-window", "1e300", "--output-json", "OUT"], None,
      "flux_window 1e+300"),
     (["squid", "--phi-e-over-phi0", "1e30", "--output-json", "OUT"], None, "bias_flux"),
-], ids=["depth-flag", "unity-tol-flag", "unity-tol-value-flag",
+], ids=["depth-flag", "unity-tol-flag", "unity-tol-value-flag", "depth-value-flag",
         "n-states-flag", "n-states-above-grid-flag",
         "zero-inductance-flag", "steps-config", "start-config", "n-states-config",
         "null-depth-config",
