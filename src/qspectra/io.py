@@ -8,13 +8,15 @@ CSV file is written here, as bytes, below the comment and header lines of
 ``_csv_head``.  The numeric tables (spectrum, wavefunction, ``fig12``) are
 the blocks of rows ``_numtext.table_blocks`` formats in whole-array numpy
 with CPython's bytes.  The sweep table mixes names and numbers, so CPython
-formats it row by row.  ``read_spectrum_csv`` reads a file once, as
-bytes; rows in the writers' exact ``%.8e`` form are parsed in whole-array
-numpy by ``_numtext.parse_scientific``, bit-identical to numpy.loadtxt,
-and any other rows by numpy.loadtxt.  JSON documents carry a
-schema_version and readers reject unknown major versions.  A figure
-CSV's config names its figure in a "figure" key, and ``_csv_head``
-repeats it in a '# figure:' line.
+formats it row by row.  ``read_spectrum_csv`` reads a file in blocks of
+about 256 KiB of bytes cut at line ends; rows in the writers' exact
+``%.8e`` form are parsed a block at a time in whole-array numpy by
+``_numtext.parse_scientific``, bit-identical to numpy.loadtxt.  A block
+in any other form sends the whole file, read again, to numpy.loadtxt.
+Each column is built once, and a clean spectrum keeps its omega column.
+JSON documents carry a schema_version and readers reject unknown major
+versions.  A figure CSV's config names its figure in a "figure" key, and
+``_csv_head`` repeats it in a '# figure:' line.
 """
 
 from __future__ import annotations
@@ -80,108 +82,201 @@ def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None) 
                (spectrum.freqs, spectrum.transmission, spectrum.phase, re, im), config)
 
 
+# bytes read_spectrum_csv reads at a time, then on to the next line end:
+# only one block's text and table are held while its rows are parsed
+_READ_BYTES = 1 << 18
+
+
 def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
     """Parse a spectrum CSV; returns the spectrum and the embedded config
     (None when the file carries none).  Raises ValueError on malformed
     content.
 
-    The file is read once, as bytes; one leading UTF-8 byte order mark is
-    dropped.  Blank and '#' comment lines above the header row are
-    skipped, and a '# config:' line among them is the config.  Rows in
-    the exact form the writers give them ('%.8e' cells, ',' and '\\n') are
-    parsed in whole-array numpy by ``_numtext.parse_scientific``, which
-    gives numpy.loadtxt's values bit for bit.  Any other rows go to
-    numpy.loadtxt as they stand: a '#' starts a comment anywhere in a line
-    and empty lines are skipped."""
+    One leading UTF-8 byte order mark is dropped.  Blank and '#' comment
+    lines above the header row are skipped, and a '# config:' line among
+    them is the config.  The file is read in blocks of about 256 KiB cut
+    at line ends; the first block, grown until it holds the header row
+    and the first data row, gives the head.  Rows in the exact form the
+    writers give them ('%.8e' cells, ',' and '\\n') are parsed block by
+    block in whole-array numpy by ``_numtext.parse_scientific``, which
+    gives numpy.loadtxt's values bit for bit.  The first block it
+    rejects sends the whole file, read again from its start, to
+    numpy.loadtxt, which reads the rows as they stand: a '#' starts a
+    comment anywhere in a line and empty lines are skipped.  An error in
+    the head is raised from the whole file read again too, so each
+    message is the one its whole text gives.  Either way each column is
+    built once, as its own array, and a clean spectrum keeps the omega
+    column and the amplitude built from re_t and im_t without copying
+    them."""
     with open(path, "rb") as source:
-        content = source.read()
-    # utf-8-sig drops one leading byte order mark and decodes as utf-8
-    handle = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig")
-    config = None
-    header = None
-    first_row = None
+        if not source.seekable():  # a pipe: held whole, so that it can be read again
+            source = io.BytesIO(source.read())
+        try:
+            config, columns = _parse_blocks(path, source)
+        except ValueError:  # UnicodeDecodeError too: the whole file's text gives the message
+            columns = None
+        if columns is None:
+            source.seek(0)
+            config, columns = _loadtxt_columns(path, source.read())
     try:
-        for number, raw in enumerate(handle):
-            line = raw.strip()
-            if not line:
-                continue
-            if header is None and line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("config:"):
-                    try:
-                        config = json.loads(body[len("config:"):])
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"{path}: malformed config line: {exc}") from exc
-            elif header is None:
-                header = [c.strip() for c in line.split(",")]
-            elif not line.startswith("#"):
-                first_row = number
-                break
-        if first_row is None:
-            raise ValueError(f"{path}: no data rows found")
-        for name in header:
-            if header.count(name) > 1:
-                raise ValueError(f"{path}: duplicate column '{name}'")
-        for required in ("omega", "T", "phase_rad"):
-            if required not in header:
-                raise ValueError(f"{path}: missing column '{required}'")
-        data = parse_scientific(content, len(header), _row_offset(content, first_row))
-        if data is None:
-            try:
-                data = np.loadtxt(itertools.chain([raw], handle), dtype=float,
-                                  delimiter=",", comments="#", ndmin=2)
-            except ValueError:
-                handle.seek(0)
-                rows = (line.split("#", 1)[0].rstrip("\n")
-                        for line in itertools.islice(handle, first_row, None))
-                if {row.count(",") for row in rows if row} != {len(header) - 1}:
-                    raise ValueError(f"{path}: ragged rows") from None
-                raise ValueError(f"{path}: non-numeric value") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    # a large file's bytes would outlive their parse while the spectrum is built
-    del content, handle
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
-    column = {name: data[:, i] for i, name in enumerate(header)}
-    trans = column["T"]
-    if not np.all((trans >= -1e-6) & (trans <= 1 + 1e-6)):  # false for NaN too
-        raise ValueError(f"{path}: transmission outside [0, 1] or not a number")
-    trans = np.clip(trans, 0.0, 1.0)
-    try:
-        if "re_t" in column and "im_t" in column:
-            amp = column["re_t"] + 1j * column["im_t"]
-            finite = np.isfinite(amp)
-            if np.all(finite):
-                # rounding re_t/im_t to 9 digits can lift |t|**2 a few 1e-10
-                # above 1; put such points back on the unit circle so that T
-                # rebuilt from the amplitude stays |amplitude|**2 in [0, 1]
-                magnitude = np.abs(amp)
-                if np.any(magnitude > 1 + 1e-6):
-                    raise ValueError("|amplitude| above 1")
-                if np.any(np.abs(column["T"] - magnitude**2) > 1e-6):
-                    raise ValueError("T disagrees with |re_t + i im_t|**2")
-                over = magnitude > 1.0
-                amp[over] /= magnitude[over]
-                # rebuild T/phase from the amplitude: the rounded T/phase
-                # columns may disagree with it at the last digit
-                spectrum = Spectrum.from_amplitude(column["omega"], amp)
-                # the difference modulo 2 pi, so that phases pi and -pi
-                # agree; a NaN phase_rad disagrees too
-                drift = column["phase_rad"] - spectrum.phase
-                drift -= 2.0 * np.pi * np.round(drift / (2.0 * np.pi))
-                if not np.all(np.abs(drift) <= 1e-6):
-                    raise ValueError("phase_rad disagrees with arg(re_t + i im_t)")
-                return spectrum, config
-            if np.any(finite):
-                raise ValueError("re_t/im_t are finite on some rows only")
-        return (
-            Spectrum(freqs=column["omega"], transmission=trans,
-                     phase=column["phase_rad"], amplitude=None),
-            config,
-        )
+        return _spectrum(columns), config
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _spectrum(column: dict) -> Spectrum:
+    """The spectrum of a file's columns by name, which it adopts or
+    overwrites."""
+    trans = column["T"]
+    if not np.all((trans >= -1e-6) & (trans <= 1 + 1e-6)):  # false for NaN too
+        raise ValueError("transmission outside [0, 1] or not a number")
+    amp = _amplitude(column)
+    if amp is None:
+        return Spectrum(freqs=column["omega"], transmission=np.clip(trans, 0.0, 1.0),
+                        phase=column["phase_rad"], amplitude=None)
+    # rounding re_t/im_t to 9 digits can lift |t|**2 a few 1e-10 above 1;
+    # put such points back on the unit circle so that T rebuilt from the
+    # amplitude stays |amplitude|**2 in [0, 1]
+    magnitude = np.abs(amp)
+    if np.any(magnitude > 1 + 1e-6):
+        raise ValueError("|amplitude| above 1")
+    gap = np.square(magnitude)
+    np.subtract(trans, gap, out=gap)
+    if np.any(np.abs(gap, out=gap) > 1e-6):
+        raise ValueError("T disagrees with |re_t + i im_t|**2")
+    del gap
+    over = magnitude > 1.0
+    amp[over] /= magnitude[over]
+    del magnitude
+    # rebuild T/phase from the amplitude: the rounded T/phase columns may
+    # disagree with it at the last digit
+    spectrum = Spectrum._adopt_amplitude(column["omega"], amp)
+    # the difference modulo 2 pi, so that phases pi and -pi agree; a NaN
+    # or infinite phase_rad disagrees too (inf - inf is NaN, unwarned)
+    drift = np.subtract(column["phase_rad"], spectrum.phase, out=column["phase_rad"])
+    turns = np.divide(drift, 2.0 * np.pi)
+    np.round(turns, out=turns)
+    turns *= 2.0 * np.pi
+    with np.errstate(invalid="ignore"):
+        drift -= turns
+    if not np.all(np.abs(drift, out=drift) <= 1e-6):
+        raise ValueError("phase_rad disagrees with arg(re_t + i im_t)")
+    return spectrum
+
+
+def _amplitude(column: dict) -> Optional[np.ndarray]:
+    """re_t + 1j * im_t, bit for bit and signed zeros too, from the columns
+    it takes out of `column`; None without those columns, or when they are
+    not finite on any row (the noisy format)."""
+    if "re_t" not in column or "im_t" not in column:
+        return None
+    amp = np.multiply(1j, column.pop("im_t"))
+    amp += column.pop("re_t")
+    finite = np.isfinite(amp)
+    if np.all(finite):
+        return amp
+    if np.any(finite):
+        raise ValueError("re_t/im_t are finite on some rows only")
+    return None
+
+
+def _parse_blocks(path, source):
+    """The config and the columns by name of the file `source`, read a
+    block at a time; the columns are None when parse_scientific rejects a
+    block.  Raises ValueError, or UnicodeDecodeError, when the head is
+    malformed or the file has no data row."""
+    block = _read_block(source, _READ_BYTES)
+    config, header, first_row, _ = _head(path, _text(block))
+    while first_row is None and (more := _read_block(source, len(block))):
+        block += more
+        config, header, first_row, _ = _head(path, _text(block))
+    _check_header(path, header, first_row)
+    tables = []
+    text, start = block, _row_offset(block, first_row)
+    del block
+    while text:
+        table = parse_scientific(text, len(header), start)
+        if table is None:
+            return config, None
+        tables.append(table)
+        text = _read_block(source, _READ_BYTES)
+        if text:  # parse_scientific reads the line end before a block's first row
+            text, start = b"\n" + text, 1
+    return config, {name: np.concatenate([table[:, i] for table in tables])
+                    for i, name in enumerate(header)}
+
+
+def _read_block(source, size: int) -> bytes:
+    """The next `size` bytes of `source` and the rest of the line they end
+    in; empty at the end of the file."""
+    return source.read(size) + source.readline()
+
+
+def _text(content: bytes) -> io.TextIOWrapper:
+    # utf-8-sig drops one leading byte order mark and decodes as utf-8
+    return io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig")
+
+
+def _head(path, handle):
+    """The config, the header and the line number and line of the first
+    data row (None, None when `handle` has no data row) of the lines of
+    `handle`."""
+    config = None
+    header = None
+    for number, raw in enumerate(handle):
+        line = raw.strip()
+        if not line:
+            continue
+        if header is None and line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("config:"):
+                try:
+                    config = json.loads(body[len("config:"):])
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: malformed config line: {exc}") from exc
+        elif header is None:
+            header = [c.strip() for c in line.split(",")]
+        elif not line.startswith("#"):
+            return config, header, number, raw
+    return config, header, None, None
+
+
+def _check_header(path, header, first_row) -> None:
+    """ValueError unless there is a data row and the header names each
+    column once, omega, T and phase_rad among them."""
+    if first_row is None:
+        raise ValueError(f"{path}: no data rows found")
+    for name in header:
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: duplicate column '{name}'")
+    for required in ("omega", "T", "phase_rad"):
+        if required not in header:
+            raise ValueError(f"{path}: missing column '{required}'")
+
+
+def _loadtxt_columns(path, content: bytes):
+    """The config and the columns by name of the file `content`, its rows
+    read by numpy.loadtxt; each column is its own array, which a spectrum
+    may adopt."""
+    handle = _text(content)
+    try:
+        config, header, first_row, raw = _head(path, handle)
+        _check_header(path, header, first_row)
+        try:
+            data = np.loadtxt(itertools.chain([raw], handle), dtype=float,
+                              delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            handle.seek(0)
+            rows = (line.split("#", 1)[0].rstrip("\n")
+                    for line in itertools.islice(handle, first_row, None))
+            if {row.count(",") for row in rows if row} != {len(header) - 1}:
+                raise ValueError(f"{path}: ragged rows") from None
+            raise ValueError(f"{path}: non-numeric value") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: ragged rows")
+    return config, {name: data[:, i].copy() for i, name in enumerate(header)}
 
 
 def _row_offset(content: bytes, first_row: int) -> int:

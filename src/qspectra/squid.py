@@ -70,9 +70,10 @@ class CircuitSpec:
     junction and loop; bias_flux (Wb) is the external flux.  The solver
     grid is symmetric about the bias with half-width flux_window in units
     of the flux quantum.  grid_points must be odd so the bias point lies
-    on the grid.  The grid step must not round to zero, and the kinetic
-    term and the potential at the window edges must stay in the float
-    range, so that the Hamiltonian is finite.
+    on the grid.  The grid step must not round to zero, the float spacing
+    at the grid's largest |flux| must stay within 1e-6 of the step, and
+    the kinetic term and the potential at the window edges must stay in
+    the float range, so that the Hamiltonian is finite.
     """
 
     capacitance: float
@@ -109,6 +110,16 @@ class CircuitSpec:
             raise ValueError(f"flux_window {self.flux_window} is below the float "
                              f"resolution at bias_flux {self.bias_flux}: the flux "
                              "grid step rounds to 0")
+        # the grid points, and so the Josephson cosine's argument, are
+        # rounded to the float spacing at the largest |flux|; omega0 moves
+        # by about that spacing over the step, relative (by 6.3e-7 where
+        # the ratio is 8.0e-7, at a bias of 1e7 flux quanta)
+        spacing = math.ulp(max(abs(low), abs(high))) / step
+        if spacing > 1e-6:
+            raise ValueError(f"bias_flux {self.bias_flux} with flux_window "
+                             f"{self.flux_window} and grid_points {self.grid_points}: "
+                             f"the float spacing of the flux grid is {spacing:.1e} of "
+                             "its step, above 1e-6")
         denominator = 2.0 * self.capacitance * (step * step)
         kinetic = HBAR**2 / denominator if denominator else math.inf
         if not math.isfinite(2.0 * kinetic):
@@ -189,13 +200,29 @@ def eigh_tridiagonal(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
+def _solve(spec: CircuitSpec, phi: np.ndarray, **options):
+    """eigh_tridiagonal of the Hamiltonian on the grid phi; a solver that
+    fails, as LAPACK's bisection can on a finite matrix whose kinetic
+    term is near the float range, raises ConvergenceError naming the
+    circuit values that set that term."""
+    try:
+        return eigh_tridiagonal(*_hamiltonian(spec, phi), **options)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"the eigensolver failed ({exc}) on {len(phi)} flux grid points with "
+            f"capacitance {spec.capacitance}, grid_points {spec.grid_points} and "
+            f"flux_window {spec.flux_window}"
+        ) from exc
+
+
 def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
     """Lowest n_states eigenpairs of the flux-basis circuit Hamiltonian.
 
     Raises BoundaryLeakageError when the lowest two states have not
     decayed at the grid edge (the flux window is too narrow for the
     results to be trusted), and ConvergenceError when doubling the grid
-    would move the ground energy by more than 0.1% of max(|E0|, E0 - min U).
+    would move the ground energy by more than 0.1% of max(|E0|, E0 - min U)
+    or when the solver fails.
     That shift is predicted without a second grid: it is a quarter of the
     shift of the ground energy solved on every other grid point.
     """
@@ -205,8 +232,7 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
         raise ValueError(f"n_states must be <= grid_points ({spec.grid_points}), got {n_states}")
     phi = spec.flux_grid()
     step = phi[1] - phi[0]
-    energies, vectors = eigh_tridiagonal(*_hamiltonian(spec, phi), select="i",
-                                         select_range=(0, n_states - 1))
+    energies, vectors = _solve(spec, phi, select="i", select_range=(0, n_states - 1))
     # L2-normalize under the grid quadrature and fix a sign gauge
     states = vectors.T / math.sqrt(step)
     for psi in states:
@@ -223,8 +249,7 @@ def solve_eigensystem(spec: CircuitSpec, n_states: int = 2) -> EigenSolution:
             )
     # an O(step**2) error moves E0 on every other point (both edges kept,
     # as grid_points is odd) by 4 times what halving the step would
-    coarse = eigh_tridiagonal(*_hamiltonian(spec, phi[::2]), eigvals_only=True,
-                              select="i", select_range=(0, 0))
+    coarse = _solve(spec, phi[::2], eigvals_only=True, select="i", select_range=(0, 0))
     scale = max(abs(energies[0]), energies[0] - np.min(potential(phi, spec)))
     shift = abs(coarse[0] - energies[0]) / 4.0 / scale
     if shift > CONVERGENCE_LIMIT:

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.dom.minidom
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +27,7 @@ from qspectra import (
     stlr_amplitude,
 )
 from qspectra import cli
+from qspectra import io as qio
 from qspectra.cli import main
 from qspectra import _numtext
 from qspectra._numtext import (
@@ -159,10 +161,11 @@ class TestSpectrumCsv:
                     "1,1,-3.141592653589793,-1,1e-300"):
             path.write_text(f"{header}{row}\n2,1,0,1,0\n")
             assert read_spectrum_csv(path)[0].n_points == 2, row
-        for row in ("1,1,3.0,1,0", "1,1,nan,1,0"):
+        for row in ("1,1,3.0,1,0", "1,1,nan,1,0", "1,1,-1e900,1,0"):
             path.write_text(f"{header}{row}\n2,1,0,1,0\n")
-            with pytest.raises(ValueError, match=re.escape(
+            with warnings.catch_warnings(), pytest.raises(ValueError, match=re.escape(
                     f"{path}: phase_rad disagrees with arg(re_t + i im_t)")):
+                warnings.simplefilter("error")  # an infinite phase warns nothing
                 read_spectrum_csv(path)
             assert main(["estimate", str(path)]) == 2
 
@@ -280,6 +283,122 @@ class TestSpectrumCsv:
             read_spectrum_csv(path)
         assert str(info.value) == f"{path}: not UTF-8 text: {decoding.value}"
 
+    @pytest.mark.parametrize("case, blocks, loadtxt_calls", [
+        ("one-row-short", 1, 0), ("at-block-end", 1, 0), ("one-row-past", 2, 0),
+        ("100001-points", None, 0), ("long-head", None, 0), ("crlf-row", 2, 1),
+        ("comment", 2, 1), ("uppercase-e", 2, 1), ("no-final-newline", None, 1),
+    ])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    def test_blocks_match_loadtxt(self, case, blocks, loadtxt_calls, noisy, qnmr_params,
+                                  tmp_path, monkeypatch):
+        """The file is read in blocks of about qspectra.io._READ_BYTES cut at
+        line ends, and each goes to parse_scientific until one is rejected.
+        Rows around the first block's end, a file of many blocks, a head
+        longer than a block, and text the writer does not write past the
+        first block all read to the bits of numpy.loadtxt's table of the
+        whole file; only the latter go to numpy.loadtxt."""
+        n_points = 100001 if case == "100001-points" else 10001
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, n_points))
+        if noisy:
+            spectrum = add_measurement_noise(spectrum, 0.02, 3)
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum, config={"model": "qubit-qnmr"})
+        lines = path.read_bytes().splitlines(keepends=True)
+        # the first block ends with the line that holds byte _READ_BYTES
+        ends = np.cumsum([len(line) for line in lines])
+        last = int(np.searchsorted(ends, qio._READ_BYTES, side="right"))
+        past = last + 5
+        assert len(lines) > past + 1 and lines[last].endswith(b"\n")
+        cut = {"one-row-short": last, "at-block-end": last + 1, "one-row-past": last + 2}
+        if case in cut:
+            lines = lines[:cut[case]]
+        elif case == "crlf-row":
+            lines[past] = lines[past][:-1] + b"\r\n"
+        elif case == "comment":
+            lines[past] = lines[past][:-1] + b" # note\n"
+        elif case == "uppercase-e":
+            lines[past] = lines[past].replace(b"e", b"E")
+        elif case == "no-final-newline":
+            lines[-1] = lines[-1][:-1]
+        elif case == "long-head":
+            lines[:0] = [b"# a comment line above the config\n"] * 8000
+        path.write_bytes(b"".join(lines))
+        calls = []
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr("qspectra.io.np.loadtxt", counted("loadtxt", np.loadtxt))
+        monkeypatch.setattr(qio, "parse_scientific", counted("parse", parse_scientific))
+        loaded, config = read_spectrum_csv(path)
+        assert calls.count("loadtxt") == loadtxt_calls
+        assert blocks is None or calls.count("parse") == blocks
+        expected, expected_config = _loadtxt_reader(path)
+        assert config == expected_config == {"model": "qubit-qnmr"}
+        assert (loaded.amplitude is None) == noisy
+        _assert_same_bits(loaded, expected)
+
+    def test_undecodable_row_past_the_first_block(self, qnmr_params, tmp_path):
+        """A byte that is not UTF-8 in a row past the first block gives the
+        message of reading the whole file as text."""
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, 10001))
+        path = tmp_path / "bad.csv"
+        write_spectrum_csv(path, spectrum)
+        content = path.read_bytes()
+        at = content.index(b"\n", qio._READ_BYTES + 1000) + 6
+        path.write_bytes(content[:at] + b"\xff" + content[at + 1:])
+        with open(path, "r", encoding="utf-8") as handle:
+            with pytest.raises(UnicodeDecodeError) as decoding:
+                for _ in handle:
+                    pass
+        with pytest.raises(ValueError) as info:
+            read_spectrum_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 text: {decoding.value}"
+
+    def test_pipe_reads_as_the_file(self, qnmr_params, tmp_path):
+        """A pipe, which cannot be read twice, reads as the file it carries,
+        also when a row past the first block sends it to numpy.loadtxt."""
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, 10001))
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum, config={"model": "qubit-qnmr"})
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[-2] = lines[-2][:-1] + b"\r\n"
+        path.write_bytes(b"".join(lines))
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        with ThreadPoolExecutor(1) as pool:
+            writing = pool.submit(fifo.write_bytes, path.read_bytes())
+            loaded, config = read_spectrum_csv(fifo)
+            writing.result(timeout=60)
+        expected, expected_config = read_spectrum_csv(path)
+        assert config == expected_config
+        _assert_same_bits(loaded, expected)
+
+    def test_read_peak_memory(self, qnmr_params, tmp_path):
+        """Reading a 100001-point clean file (7.6 MB) holds one block of its
+        text at a time, and the spectrum keeps the columns it builds: the
+        tracemalloc peak rises by at most 8 MiB (13.2 MiB when the whole
+        file's bytes were held beside the parsed table)."""
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, 100001))
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum)
+        del spectrum
+        tracemalloc.start()
+        try:
+            loaded, _ = read_spectrum_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_points == 100001
+        assert peak <= 8 * 2**20
+
     def test_comments_below_header(self, tmp_path):
         # the config comes from the comments above the header, where blank
         # lines are skipped; below it numpy.loadtxt skips comments and
@@ -371,21 +490,49 @@ def _float_reader(path):
                 header = line.split(",")
                 continue
             rows.append([float(v) for v in line.split(",")])
-    column = dict(zip(header, np.asarray(rows, dtype=float).T))
+    return _reference_spectrum(dict(zip(header, np.asarray(rows, dtype=float).T))), config
+
+
+def _loadtxt_reader(path):
+    """Reference reader: numpy.loadtxt parses every line below the header
+    row of the whole file."""
+    config, header = None, None
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        for skip, raw in enumerate(handle, 1):
+            line = raw.strip()
+            if line.startswith("# config:"):
+                config = json.loads(line[len("# config:"):])
+            elif line and not line.startswith("#"):
+                header = line.split(",")
+                break
+    table = np.loadtxt(path, dtype=float, delimiter=",", comments="#", skiprows=skip,
+                       ndmin=2, encoding="utf-8-sig")
+    return _reference_spectrum(dict(zip(header, table.T))), config
+
+
+def _reference_spectrum(column) -> Spectrum:
+    """The spectrum of a file's columns, built as read_spectrum_csv builds it."""
     amp = column["re_t"] + 1j * column["im_t"]
     if np.all(np.isfinite(amp)):
         magnitude = np.abs(amp)
         over = magnitude > 1.0
         amp[over] /= magnitude[over]
-        return Spectrum.from_amplitude(column["omega"], amp), config
+        return Spectrum.from_amplitude(column["omega"], amp)
     return Spectrum(freqs=column["omega"], transmission=np.clip(column["T"], 0.0, 1.0),
-                    phase=column["phase_rad"]), config
+                    phase=column["phase_rad"])
 
 
 def _assert_same_spectrum(loaded, expected) -> None:
     for name in ("freqs", "transmission", "phase", "amplitude"):
         a, b = getattr(loaded, name), getattr(expected, name)
         assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), name
+
+
+def _assert_same_bits(loaded, expected) -> None:
+    for name in ("freqs", "transmission", "phase", "amplitude"):
+        a, b = getattr(loaded, name), getattr(expected, name)
+        assert (a is None and b is None) or np.array_equal(a.view(np.int64),
+                                                           b.view(np.int64)), name
 
 
 def _reference_rows(columns) -> str:
@@ -1175,6 +1322,20 @@ class TestSquidCommand:
         assert main(["squid", "--i-c", "1.81e-8", "--phi-e-over-phi0", "0",
                      "--output-json", str(tmp_path / "x.json")]) == 0
 
+    @pytest.mark.parametrize("c_j", ["1e-285", "1e-270"])
+    def test_solver_failure_names_the_circuit(self, c_j, tmp_path, capsys):
+        """LAPACK's bisection fails on these finite Hamiltonians: exit 3
+        with a message that names the capacitance and the grid."""
+        out = tmp_path / "x.json"
+        assert main(["squid", "--c-j", c_j, "--output-json", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and not out.exists()
+        assert f"capacitance {float(c_j)}, grid_points 1001 and flux_window 1.0" in err
+
+    def test_bias_of_a_million_flux_quanta_solves(self, tmp_path):
+        assert main(["squid", "--phi-e-over-phi0", "1e6",
+                     "--output-json", str(tmp_path / "x.json")]) == 0
+
     def test_narrow_window_is_numerical_failure(self, tmp_path):
         code = main(["squid", "--flux-window", "0.35",
                      "--output-json", str(tmp_path / "x.json")])
@@ -1638,7 +1799,7 @@ _SPECTRUM_QNMR = ["spectrum", "--model", "qubit-qnmr", "--omega0", "2.1e9", "--o
      MemoryError("Unable to allocate 72.8 TiB"), "error: Unable to allocate 72.8 TiB"),
     (_SWEEP_OMEGA0 + ["--start", "2e9", "--stop", "2.1e9", "--steps", "3"],
      "analytic_features", MemoryError(), "error: out of memory"),
-    (["squid", "--grid-points", "100000000001", "--output-json", "OUT"], "solve_eigensystem",
+    (["squid", "--grid-points", "10000000001", "--output-json", "OUT"], "solve_eigensystem",
      MemoryError(), "error: out of memory"),
 ], ids=["spectrum", "sweep", "squid"])
 def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_path,
@@ -1722,6 +1883,11 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
     (["squid", "--flux-window", "1e300", "--output-json", "OUT"], None,
      "flux_window 1e+300"),
     (["squid", "--phi-e-over-phi0", "1e30", "--output-json", "OUT"], None, "bias_flux"),
+    # the float spacing of the flux grid is above 1e-6 of its step
+    (["squid", "--phi-e-over-phi0", "1e10", "--output-json", "OUT"], None,
+     "bias_flux 2.067833848e-05 with flux_window 1.0"),
+    (["squid", "--phi-e-over-phi0", "1e13", "--output-json", "OUT"], None,
+     "with flux_window 1.0 and grid_points 1001: the float spacing"),
 ], ids=["depth-flag", "unity-tol-flag", "unity-tol-value-flag", "depth-value-flag",
         "n-states-flag", "n-states-above-grid-flag",
         "zero-inductance-flag", "steps-config", "start-config", "n-states-config",
@@ -1735,7 +1901,8 @@ def test_allocation_failure_is_usage_error(argv, callee, error, message, tmp_pat
         "overflow-g-q-flag", "overflow-v1-flag", "overflow-stop-flag",
         "overflow-ref-omega0-flag", "overflow-omega0-flag", "overflow-gamma-c-flag",
         "overflow-v2-flag", "tiny-c-j-flag", "tiny-flux-window-flag",
-        "huge-flux-window-flag", "collapsed-grid-flag"])
+        "huge-flux-window-flag", "collapsed-grid-flag", "coarse-bias-flag",
+        "coarser-bias-flag"])
 def test_bad_value_is_usage_error(argv, config, field, qnmr_spectrum, tmp_path, capsys):
     """An out-of-range or wrongly typed value exits 1 naming its field,
     whether it comes from a flag or from the config file; a coupling

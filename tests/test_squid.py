@@ -70,6 +70,15 @@ class TestCircuitSpec:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(reference_circuit(), **changes)
 
+    @pytest.mark.parametrize("quanta", [1e8, 1e10, 1e13])
+    def test_bias_beyond_the_grid_resolution_rejected(self, quanta):
+        """About 1e8 flux quanta of bias the float spacing of the flux grid
+        exceeds 1e-6 of its step, and omega0 drifts by 4e-6 or more."""
+        with pytest.raises(ValueError, match=r"bias_flux .* with flux_window 1\.0 and "
+                                             r"grid_points 1001: the float spacing"):
+            dataclasses.replace(reference_circuit(),
+                                bias_flux=(0.5 + quanta) * FLUX_QUANTUM)
+
     def test_zero_critical_current_allowed(self):
         CircuitSpec(1.7e-14, 6e-9, 0.0, 0.5 * FLUX_QUANTUM)
 
@@ -164,6 +173,37 @@ class TestEigensolver:
         for n in range(5):
             exact = HBAR * omega_lc * (n + 0.5)
             assert sol.energies[n] == pytest.approx(exact, rel=1e-3)
+
+    def test_whole_flux_quanta_keep_omega0(self, solution):
+        """The spectrum is periodic in the bias: whole flux quanta added to
+        it, up to the largest the grid resolves, move omega0 by less than
+        1e-6 relative (6.3e-7 at 1e7 quanta)."""
+        spec, sol = solution
+        for quanta in (1.0, 1e6, 1e7):
+            moved = solve_eigensystem(dataclasses.replace(
+                spec, bias_flux=(0.5 + quanta) * FLUX_QUANTUM))
+            assert moved.omega0 == pytest.approx(sol.omega0, rel=1e-6), quanta
+
+    @pytest.mark.parametrize("failing_call", [1, 2], ids=["full", "every-other-point"])
+    def test_solver_failure_is_convergence_error(self, failing_call, monkeypatch):
+        """A solve that LAPACK fails raises ConvergenceError naming the
+        circuit values that set the Hamiltonian's scale."""
+        calls = []
+        solve = squid.eigh_tridiagonal
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise np.linalg.LinAlgError("stebz did not converge")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(squid, "eigh_tridiagonal", failing)
+        with pytest.raises(ConvergenceError, match=r"stebz did not converge.* capacitance "
+                                                   r"1\.7e-14, grid_points 1001 and "
+                                                   r"flux_window 1\.0") as info:
+            solve_eigensystem(reference_circuit())
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert len(calls) == failing_call
 
     def test_narrow_window_raises_leakage(self):
         with pytest.raises(BoundaryLeakageError):
