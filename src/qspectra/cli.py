@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
@@ -77,6 +78,14 @@ class _FileFormatError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument that matches this for a negative number,
+        # not a flag; its own pattern has no exponent, which would make the
+        # -1e8 of '--start -1e8' a flag.  The subcommands' parsers are of
+        # this class too.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on bad usage; this tool reserves 2 for I/O
     def error(self, message):
         raise UsageError(message)
@@ -272,11 +281,11 @@ def cmd_spectrum(args) -> int:
     kind = _model_kind(options)
     params = ModelParams(**{k: options.get(k) for k in PARAM_FIELDS})
     grid_text, output = _require(options, "grid", "output")
-    freqs = _parse_grid(grid_text)
-
     sigma = options.get("noise_sigma", 0.0)
     seed = options.get("seed", 0)
-    spectrum = compute_spectrum(kind, params, freqs)
+    # no name holds the parsed grid: compute_spectrum frees it once it has
+    # taken the spectrum's own copy
+    spectrum = compute_spectrum(kind, params, _parse_grid(grid_text))
     if sigma > 0:
         spectrum = add_measurement_noise(spectrum, sigma, seed)
     config = {

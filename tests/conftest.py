@@ -5,6 +5,8 @@ feedline decay 3.3e7, couplings 1e8 (all angular frequencies), group
 speed 3e8.  These match the reference figure data emitted by the CLI.
 """
 
+import tracemalloc
+
 import pytest
 
 from qspectra import ModelKind, ModelParams, compute_spectrum, make_frequency_grid
@@ -15,6 +17,20 @@ OMEGA_R = 2.0e9
 GAMMA_C = 3.3e7
 V_G = 3e8
 COUPLING = 1e8
+
+MIB = 2**20
+
+
+def tracemalloc_peak(function, *args):
+    """function(*args) and the peak, in bytes, of the memory allocated
+    while it ran (tracemalloc: Python objects and numpy arrays)."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture
