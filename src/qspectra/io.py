@@ -109,7 +109,9 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
     gives numpy.loadtxt's values bit for bit.  A file longer than its
     first block has its line ends counted first, in a pass over the rest
     of it, so that each column is allocated once at its final length and
-    each block's table is copied into its rows and dropped.  The first
+    each block's table is copied into its rows and dropped; the blocks
+    are read to the end of the file, past the rows counted, so that a
+    last row with no line end is parsed, and rejected, too.  The first
     block parse_scientific rejects sends the whole file, read again from
     its start, to numpy.loadtxt, which reads the rows as they stand: a
     '#' starts a comment anywhere in a line and empty lines are skipped.
@@ -258,13 +260,16 @@ def _parse_blocks(path, source):
     columns = _Columns(header, n_rows)
     columns.add(table)
     del table
-    while columns.filled < n_rows:
+    # on to the end of the file, so that a last row with no line end, which
+    # the count missed, reaches parse_scientific and is rejected there
+    while len(block := b"\n" + _read_block(source, _READ_BYTES)) > 1:
         # parse_scientific reads the line end before a block's first row;
-        # its table is dropped once its rows are copied
-        if not columns.add(parse_scientific(b"\n" + _read_block(source, _READ_BYTES),
-                                            len(header), 1)):
+        # the block and its table are dropped once its rows are copied
+        if not columns.add(parse_scientific(block, len(header), 1)):
             return config, None
-    return config, columns
+        del block
+    # fewer rows than counted only when the file shrank in between
+    return config, columns if columns.filled == n_rows else None
 
 
 def _read_block(source, size: int) -> bytes:

@@ -291,7 +291,8 @@ class TestSpectrumCsv:
         ("100001-points", None, 0), ("long-head", None, 0), ("signed-zeros", 3, 0),
         ("reordered-columns", None, 0), ("extra-column", None, 0), ("crlf-row", 2, 1),
         ("crlf-row-in-third-block", 3, 1), ("comment", 2, 1), ("uppercase-e", 2, 1),
-        ("no-final-newline", None, 1),
+        ("no-final-newline", None, 1), ("unended-row-after-first-block", 2, 1),
+        ("unended-row-after-second-block", 3, 1), ("unended-comment", 3, 1),
     ])
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
     def test_blocks_match_loadtxt(self, case, blocks, loadtxt_calls, noisy, qnmr_params,
@@ -303,7 +304,8 @@ class TestSpectrumCsv:
         columns in another order or with one more, and text the writer
         does not write past the first block all read to the bits of
         numpy.loadtxt's table of the whole file; only the latter go to
-        numpy.loadtxt."""
+        numpy.loadtxt.  A last row or comment with no line end right after
+        a block's end, which counting line ends misses, is one of them."""
         n_points = 100001 if case == "100001-points" else 10001
         spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
                                     make_frequency_grid(1.8e9, 2.3e9, n_points))
@@ -358,6 +360,11 @@ class TestSpectrumCsv:
             lines[past] = lines[past].replace(b"e", b"E")
         elif case == "no-final-newline":
             lines[-1] = lines[-1][:-1]
+        elif case.startswith("unended-row"):
+            lines = lines[:(last if "first" in case else second) + 2]
+            lines[-1] = lines[-1][:-1]
+        elif case == "unended-comment":
+            lines[second + 1:] = [b"# end"]
         elif case == "long-head":
             lines[:0] = [b"# a comment line above the config\n"] * 8000
         path.write_bytes(b"".join(lines))
@@ -378,6 +385,24 @@ class TestSpectrumCsv:
         assert config == expected_config == {"model": "qubit-qnmr"}
         assert (loaded.amplitude is None) == noisy
         _assert_same_bits(loaded, expected)
+
+    @pytest.mark.parametrize("block", ["first", "second"])
+    def test_truncated_last_row_after_a_block_is_ragged(self, block, qnmr_params, tmp_path):
+        """A half-written last row with no line end right after the first or
+        second block's end is a ragged row, not a row dropped unread."""
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, 10001))
+        path = tmp_path / "cut.csv"
+        write_spectrum_csv(path, spectrum)
+        lines = path.read_bytes().splitlines(keepends=True)
+        ends = np.cumsum([len(line) for line in lines])
+        end = int(np.searchsorted(ends, qio._READ_BYTES, side="right"))
+        if block == "second":
+            end = int(np.searchsorted(ends, ends[end] + qio._READ_BYTES, side="right"))
+        path.write_bytes(b"".join(lines[:end + 1]) + lines[end + 1][:20])
+        with pytest.raises(ValueError) as info:
+            read_spectrum_csv(path)
+        assert str(info.value) == f"{path}: ragged rows"
 
     def test_undecodable_row_past_the_first_block(self, qnmr_params, tmp_path):
         """A byte that is not UTF-8 in a row past the first block gives the
