@@ -54,8 +54,8 @@ table, and its text fills the column's slot in every block.
 
 Parsing.  ``parse_scientific`` takes only the writer's own form: rows of
 cells ``[-]d.dddddddde[+-]dd``, ``nan``, ``inf`` or ``-inf``, separated by
-``,`` and ended by ``\\n``.  It cuts the text into blocks of whole rows,
-finds every separator of a block in one pass, and checks that each row
+``,`` and ended by ``\\n``.  It parses the one block of whole rows it
+is given: it finds every separator in one pass, and checks that each row
 has its cells and ends in a line end.  A cell's 14 bytes after its sign,
 with the byte before them and the separator, are gathered as two
 little-endian words; XOR with the form's own bytes and one add per word
@@ -248,10 +248,6 @@ def table_blocks(columns, conversion: str, separators):
         yield _format_block(block, rows, conversion, slots, constants)
 
 
-# parse_scientific: rows parsed per block, about this many bytes cut at a
-# line end; bounds the separator mask, the cell windows and the temporaries
-_PARSE_BYTES = 1 << 18
-
 _COMMA, _NEWLINE, _MINUS = ord(","), ord("\n"), ord("-")
 
 
@@ -310,49 +306,32 @@ def parse_scientific(text: bytes, ncols: int, start: int):
     'nan', 'inf' or '-inf'.  The values are bit-identical to
     ``numpy.loadtxt``: see ``_exponent_scales``; a cell with |k| > 22 is
     parsed by CPython's float()."""
-    bounds = [start]
-    while bounds[-1] < len(text):
-        bounds.append(text.find(b"\n", bounds[-1] + _PARSE_BYTES) + 1 or len(text))
     chars = np.frombuffer(text, np.uint8)
-    counts = [np.count_nonzero(chars[a:b] == _NEWLINE) for a, b in zip(bounds, bounds[1:])]
-    if not counts or 0 in counts:
-        return None
-    out = np.empty((sum(counts), ncols))
-    row = 0
-    for a, b, count in zip(bounds, bounds[1:], counts):
-        if not _parse_rows(text, a, b, out[row:row + count]):
-            return None
-        row += count
-    return out
-
-
-def _parse_rows(text: bytes, a: int, b: int, out: np.ndarray) -> bool:
-    """parse_scientific of the rows ``text[a:b]``, which follow a line end,
-    into `out`, one row per line end."""
-    ncols = out.shape[1]
-    out = out.reshape(-1)
-    chars = np.frombuffer(text, np.uint8)
-    body = chars[a - 1:b]
+    body = chars[start - 1:]
     # the line end before the rows, then the end of every cell
     ends = np.flatnonzero((body == _COMMA) | (body == _NEWLINE))
-    ends += a - 1
-    if ends.size != out.size + 1 or ends[-1] != b - 1:
-        return False
+    ends += start - 1
+    n_rows = (ends.size - 1) // ncols
+    if n_rows < 1 or ends.size != n_rows * ncols + 1 or ends[-1] != len(text) - 1:
+        return None
     width = ends[1:] - ends[:-1]  # a cell and its separator: 15, or 16 with a '-'
     ends = ends[1:]
-    # every separator is ',' or '\n', and n_rows of them are line ends
-    if not (chars[ends[ncols - 1::ncols]] == _NEWLINE).all():
-        return False
+    # every row's last separator is a line end, and no other one is
+    line_ends = chars[ends] == _NEWLINE
+    if not line_ends[ncols - 1::ncols].all() or np.count_nonzero(line_ends) != n_rows:
+        return None
+    out = np.empty(n_rows * ncols)
     fixed = width >= 15
     if fixed.all():
-        return _fixed_cells(text, ends, width, out)
-    cells = np.flatnonzero(fixed)
-    values = np.empty(cells.size)
-    if not _fixed_cells(text, ends[cells], width[cells], values):
-        return False
-    out[cells] = values
-    cells = np.flatnonzero(~fixed)
-    return _special_cells(text, ends[cells], width[cells], out, cells)
+        parsed = _fixed_cells(text, ends, width, out)
+    else:
+        cells = np.flatnonzero(fixed)
+        values = np.empty(cells.size)
+        parsed = _fixed_cells(text, ends[cells], width[cells], values)
+        out[cells] = values
+        cells = np.flatnonzero(~fixed)
+        parsed = parsed and _special_cells(text, ends[cells], width[cells], out, cells)
+    return out.reshape(n_rows, ncols) if parsed else None
 
 
 def _fixed_cells(text: bytes, ends: np.ndarray, width: np.ndarray, out: np.ndarray) -> bool:

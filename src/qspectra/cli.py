@@ -81,10 +81,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes an argument that matches this for a negative number,
-        # not a flag; its own pattern has no exponent, which would make the
-        # -1e8 of '--start -1e8' a flag.  The subcommands' parsers are of
-        # this class too.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # not a flag; its own pattern has no exponent and no -inf or -nan,
+        # which would make the -1e8 of '--start -1e8' a flag.  The
+        # subcommands' parsers are of this class too.
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
     # argparse exits with 2 on bad usage; this tool reserves 2 for I/O
     def error(self, message):

@@ -8,15 +8,15 @@ CSV file is written here, as bytes, below the comment and header lines of
 ``_csv_head``.  The numeric tables (spectrum, wavefunction, ``fig12``) are
 the blocks of rows ``_numtext.table_blocks`` formats in whole-array numpy
 with CPython's bytes.  The sweep table mixes names and numbers, so CPython
-formats it row by row.  ``read_spectrum_csv`` reads a file in blocks of
-about 256 KiB of bytes cut at line ends; rows in the writers' exact
-``%.8e`` form are parsed a block at a time in whole-array numpy by
+formats it row by row.  ``read_spectrum_csv`` reads a file once, in
+blocks of about 256 KiB of bytes cut at line ends; rows in the writers'
+exact ``%.8e`` form are parsed a block at a time in whole-array numpy by
 ``_numtext.parse_scientific``, bit-identical to numpy.loadtxt.  A block
 in any other form sends the whole file, read again, to numpy.loadtxt.
-A file longer than one block has its rows counted first, so that each
-column and the complex amplitude are allocated once at their final
-length and filled a block at a time; the re_t and im_t columns are never
-held whole, and a clean spectrum keeps its omega column and amplitude.
+Each block's table is checked as it is parsed, and only the columns the
+spectrum keeps are kept of it (omega and the complex amplitude for a
+clean file; omega, T and phase_rad for a noisy one), each joined once at
+the end of the file.
 JSON documents carry a schema_version and readers reject unknown major
 versions.  A figure CSV's config names its figure in a "figure" key, and
 ``_csv_head`` repeats it in a '# figure:' line.
@@ -89,9 +89,11 @@ def write_spectrum_csv(path, spectrum: Spectrum, config: Optional[dict] = None) 
 # only one block's text and table are held while its rows are parsed
 _READ_BYTES = 1 << 18
 
-# rows _spectrum checks at a time, so that no check allocates temporaries
-# the length of a large file
-_CHECK_ROWS = 1 << 14
+_T_RANGE = "transmission outside [0, 1] or not a number"
+_PARTLY_FINITE = "re_t/im_t are finite on some rows only"
+_ABOVE_ONE = "|amplitude| above 1"
+_T_DISAGREES = "T disagrees with |re_t + i im_t|**2"
+_PHASE_DRIFT = "phase_rad disagrees with arg(re_t + i im_t)"
 
 
 def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
@@ -101,143 +103,135 @@ def read_spectrum_csv(path) -> tuple[Spectrum, Optional[dict]]:
 
     One leading UTF-8 byte order mark is dropped.  Blank and '#' comment
     lines above the header row are skipped, and a '# config:' line among
-    them is the config.  The file is read in blocks of about 256 KiB cut
-    at line ends; the first block, grown until it holds the header row
-    and the first data row, gives the head.  Rows in the exact form the
-    writers give them ('%.8e' cells, ',' and '\\n') are parsed block by
-    block in whole-array numpy by ``_numtext.parse_scientific``, which
-    gives numpy.loadtxt's values bit for bit.  A file longer than its
-    first block has its line ends counted first, in a pass over the rest
-    of it, so that each column is allocated once at its final length and
-    each block's table is copied into its rows and dropped; the blocks
-    are read to the end of the file, past the rows counted, so that a
-    last row with no line end is parsed, and rejected, too.  The first
-    block parse_scientific rejects sends the whole file, read again from
-    its start, to numpy.loadtxt, which reads the rows as they stand: a
-    '#' starts a comment anywhere in a line and empty lines are skipped.
-    An error in the head is raised from the whole file read again too, so
-    each message is the one its whole text gives.  Either way the rows
-    go into a ``_Columns``, which builds the amplitude ``re_t + 1j * im_t``
-    a table at a time, so that block reads never hold the re_t and im_t
-    columns whole, and a clean spectrum adopts the omega column and that
-    amplitude.  A 100001-point read peaks at 5.2 MiB of allocations
-    (tracemalloc) for a clean file, of which the spectrum keeps 3.8 MiB,
-    and at 4.7 MiB for a noisy one."""
+    them is the config.  The file is read once, front to back, in blocks
+    of about 256 KiB cut at line ends; the first block, grown until it
+    holds the header row and the first data row, gives the head.  Rows in
+    the exact form the writers give them ('%.8e' cells, ',' and '\\n') are
+    parsed block by block in whole-array numpy by
+    ``_numtext.parse_scientific``, which gives numpy.loadtxt's values bit
+    for bit; a last row with no line end is parsed, and rejected, too.
+    The first block parse_scientific rejects sends the whole file, read
+    again from its start, to numpy.loadtxt, which reads the rows as they
+    stand: a '#' starts a comment anywhere in a line and empty lines are
+    skipped.  An error in the head is raised from the whole file read
+    again too, so each message is the one its whole text gives.  Either
+    way the rows go into a ``_Rows``, which checks each parsed table as it
+    comes and keeps only the columns the spectrum keeps, each joined once
+    at the end of the file; a failed check is raised there, the first in
+    a fixed order whichever block it failed in.  A 100001-point read peaks
+    at 3.9 MiB of allocations (tracemalloc) for a clean file, of which
+    the spectrum keeps 3.8 MiB, and at 4.1 MiB for a noisy one."""
     with open(path, "rb") as source:
         if not source.seekable():  # a pipe: held whole, so that it can be read again
             source = io.BytesIO(source.read())
         try:
-            config, columns = _parse_blocks(path, source)
+            config, rows = _parse_blocks(path, source)
         except ValueError:  # UnicodeDecodeError too: the whole file's text gives the message
-            columns = None
-        if columns is None:
+            rows = None
+        if rows is None:
             source.seek(0)
-            config, columns = _loadtxt_columns(path, source.read())
+            config, rows = _loadtxt_rows(path, source.read())
     try:
-        return _spectrum(columns), config
+        return rows.spectrum(), config
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-class _Columns:
-    """The omega, T and phase_rad columns of a file of `n_rows` rows and
-    its amplitude, each allocated once and filled a parsed table of rows at
-    a time by `add`.  The file's re_t and im_t are not kept.  While every
-    row so far is finite in both, `amplitude` is re_t + 1j * im_t, built
-    per table as ``np.multiply(1j, im_t)`` and then ``+= re_t``, so the
-    bits, signed zeros too, are those of the whole columns; otherwise it
-    is None, and a noisy file's NaN columns are never made complex.
-    `finite` counts the rows finite in both (0 without those columns)."""
+class _Rows:
+    """The rows of a file with columns `header`, checked a parsed table at
+    a time by `add`, kept as the columns its spectrum keeps.  While every
+    row is finite in re_t and im_t (a clean file) those are the omega
+    column and the amplitude re_t + 1j * im_t, built per table as
+    ``np.multiply(1j, im_t)`` and then ``+= re_t``, so the bits, signed
+    zeros too, are those of the whole columns; while none is (a noisy
+    file, whose NaN columns are never made complex), omega, T clipped to
+    [0, 1] and phase_rad.  A file finite on some rows only keeps none.
+    `failed` holds the messages of the checks some table failed."""
 
-    def __init__(self, header, n_rows: int):
-        self.n_rows = n_rows
-        self.filled = self.finite = 0
-        self.index = {name: header.index(name) for name in ("omega", "T", "phase_rad")}
-        self.column = {name: np.empty(n_rows) for name in self.index}
-        has_amplitude = "re_t" in header and "im_t" in header
-        self.parts = (header.index("re_t"), header.index("im_t")) if has_amplitude else None
-        self.amplitude = None
+    def __init__(self, header):
+        names = SPECTRUM_COLUMNS if "re_t" in header and "im_t" in header else SPECTRUM_COLUMNS[:3]
+        self.index = [header.index(name) for name in names]
+        self.rows = self.finite = 0
+        self.failed = set()
+        self.kept = {}
 
     def add(self, table: Optional[np.ndarray]) -> bool:
-        """Copy the rows of `table` below the rows filled so far; False,
-        copying nothing, when it is None or has more rows than are left."""
-        if table is None or self.filled + len(table) > self.n_rows:
+        """Check the rows of `table` and keep their columns; False when it
+        is None."""
+        if table is None:
             return False
-        rows = slice(self.filled, self.filled + len(table))
-        for name, i in self.index.items():
-            self.column[name][rows] = table[:, i]
-        if self.parts is not None:
-            re_t, im_t = (table[:, i] for i in self.parts)
-            finite = np.count_nonzero(np.isfinite(re_t) & np.isfinite(im_t))
-            if finite == len(table) and self.finite == self.filled:
-                if self.amplitude is None:
-                    self.amplitude = np.empty(self.n_rows, complex)
-                amp = self.amplitude[rows]
-                np.multiply(1j, im_t, out=amp)
-                amp += re_t
-            else:
-                self.amplitude = None
-            self.finite += finite
-        self.filled = rows.stop
+        omega, trans, phase_rad, *parts = (table[:, i] for i in self.index)
+        if not np.all((trans >= -1e-6) & (trans <= 1 + 1e-6)):  # false for NaN too
+            self.failed.add(_T_RANGE)
+        finite = np.count_nonzero(np.isfinite(parts[0]) & np.isfinite(parts[1])) if parts else 0
+        self.rows += len(table)
+        self.finite += finite
+        if 0 < self.finite < self.rows:  # for good: no spectrum to keep
+            self.failed.add(_PARTLY_FINITE)
+            self.kept.clear()
+            return True
+        if finite:
+            kept = {"omega": omega, "amplitude": self._amplitude(trans, phase_rad, *parts)}
+        else:
+            kept = {"omega": omega, "T": np.clip(trans, 0.0, 1.0), "phase_rad": phase_rad}
+        for name, column in kept.items():
+            self.kept.setdefault(name, []).append(np.ascontiguousarray(column))
         return True
 
-
-def _row_slices(n_rows: int):
-    """Slices of `n_rows` rows, _CHECK_ROWS at a time."""
-    return (slice(i, i + _CHECK_ROWS) for i in range(0, n_rows, _CHECK_ROWS))
-
-
-def _spectrum(columns: _Columns) -> Spectrum:
-    """The spectrum of a file's columns, which it adopts or overwrites."""
-    column = columns.column
-    trans = column.pop("T")
-    if not np.all((trans >= -1e-6) & (trans <= 1 + 1e-6)):  # false for NaN too
-        raise ValueError("transmission outside [0, 1] or not a number")
-    if 0 < columns.finite < columns.n_rows:
-        raise ValueError("re_t/im_t are finite on some rows only")
-    amp = columns.amplitude
-    if amp is None:
-        return Spectrum(freqs=column["omega"], transmission=np.clip(trans, 0.0, 1.0, out=trans),
-                        phase=column["phase_rad"], amplitude=None)
-    # rounding re_t/im_t to 9 digits can lift |t|**2 a few 1e-10 above 1;
-    # put such points back on the unit circle so that T rebuilt from the
-    # amplitude stays |amplitude|**2 in [0, 1]
-    above = disagrees = False
-    for rows in _row_slices(columns.n_rows):
-        part = amp[rows]
-        magnitude = np.abs(part)
-        above |= bool(np.any(magnitude > 1 + 1e-6))
+    def _amplitude(self, trans, phase_rad, re_t, im_t) -> np.ndarray:
+        """re_t + 1j * im_t of one table's rows, on the unit circle where
+        its magnitude is above 1, after the checks against T and
+        phase_rad."""
+        amp = np.multiply(1j, im_t)
+        amp += re_t
+        magnitude = np.abs(amp)
+        if np.any(magnitude > 1 + 1e-6):
+            self.failed.add(_ABOVE_ONE)
         gap = np.square(magnitude)
-        np.subtract(trans[rows], gap, out=gap)
-        disagrees |= bool(np.any(np.abs(gap, out=gap) > 1e-6))
+        np.subtract(trans, gap, out=gap)
+        if np.any(np.abs(gap, out=gap) > 1e-6):
+            self.failed.add(_T_DISAGREES)
+        # rounding re_t/im_t to 9 digits can lift |t|**2 a few 1e-10 above 1;
+        # put such points back on the unit circle so that T rebuilt from the
+        # amplitude stays |amplitude|**2 in [0, 1]
         over = magnitude > 1.0
-        part[over] /= magnitude[over]
-    if above:
-        raise ValueError("|amplitude| above 1")
-    if disagrees:
-        raise ValueError("T disagrees with |re_t + i im_t|**2")
-    del trans
-    # rebuild T/phase from the amplitude: the rounded T/phase columns may
-    # disagree with it at the last digit
-    spectrum = Spectrum._adopt_amplitude(column.pop("omega"), amp)
-    # the difference modulo 2 pi, so that phases pi and -pi agree; a NaN
-    # or infinite phase_rad disagrees too (inf - inf is NaN, unwarned)
-    phase_rad = column.pop("phase_rad")
-    for rows in _row_slices(columns.n_rows):
-        drift = np.subtract(phase_rad[rows], spectrum.phase[rows], out=phase_rad[rows])
+        amp[over] /= magnitude[over]
+        # the spectrum rebuilds T and the phase from the amplitude, with
+        # which the rounded columns may disagree at the last digit; the
+        # phase difference is taken modulo 2 pi, so that phases pi and -pi
+        # agree; a NaN or infinite phase_rad disagrees too (inf - inf is
+        # NaN, unwarned)
+        drift = np.subtract(phase_rad, np.angle(amp))
         turns = np.divide(drift, 2.0 * np.pi)
         np.round(turns, out=turns)
         turns *= 2.0 * np.pi
         with np.errstate(invalid="ignore"):
             drift -= turns
         if not np.all(np.abs(drift, out=drift) <= 1e-6):
-            raise ValueError("phase_rad disagrees with arg(re_t + i im_t)")
-    return spectrum
+            self.failed.add(_PHASE_DRIFT)
+        return amp
+
+    def spectrum(self) -> Spectrum:
+        """The spectrum of the rows added, which adopts their joined
+        columns; ValueError with the first failed check's message."""
+        for message in (_T_RANGE, _PARTLY_FINITE, _ABOVE_ONE, _T_DISAGREES):
+            if message in self.failed:
+                raise ValueError(message)
+        # one column at a time, each joined once, so that only one column's
+        # pieces and its whole are held beside the others
+        column = {name: np.concatenate(self.kept.pop(name)) for name in list(self.kept)}
+        if "amplitude" not in column:
+            return Spectrum._adopt(column["omega"], column["T"], column["phase_rad"],
+                                   route="file")
+        spectrum = Spectrum._adopt_amplitude(column["omega"], column["amplitude"])
+        if _PHASE_DRIFT in self.failed:
+            raise ValueError(_PHASE_DRIFT)
+        return spectrum
 
 
 def _parse_blocks(path, source):
-    """The config and the columns of the file `source`, read a block at a
-    time; the columns are None when parse_scientific rejects a block.
+    """The config and the rows of the file `source`, read a block at a
+    time; the rows are None when parse_scientific rejects a block.
     Raises ValueError, or UnicodeDecodeError, when the head is malformed
     or the file has no data row."""
     block = _read_block(source, _READ_BYTES)
@@ -246,30 +240,16 @@ def _parse_blocks(path, source):
         block += more
         config, header, first_row, _ = _head(path, _text(block))
     _check_header(path, header, first_row)
-    table = parse_scientific(block, len(header), _row_offset(block, first_row))
-    del block
-    if table is None:
-        return config, None
-    # the rows past the first block, counted by their line ends: each row
-    # parse_scientific accepts ends in one
-    rest = source.tell()
-    n_rows = len(table)
-    while text := source.read(_READ_BYTES):
-        n_rows += np.count_nonzero(np.frombuffer(text, np.uint8) == ord("\n"))
-    source.seek(rest)
-    columns = _Columns(header, n_rows)
-    columns.add(table)
-    del table
-    # on to the end of the file, so that a last row with no line end, which
-    # the count missed, reaches parse_scientific and is rejected there
-    while len(block := b"\n" + _read_block(source, _READ_BYTES)) > 1:
-        # parse_scientific reads the line end before a block's first row;
-        # the block and its table are dropped once its rows are copied
-        if not columns.add(parse_scientific(block, len(header), 1)):
+    rows = _Rows(header)
+    start = _row_offset(block, first_row)
+    while len(block) > 1:
+        # the block and its table are dropped before the next block is read
+        if not rows.add(parse_scientific(block, len(header), start)):
             return config, None
         del block
-    # fewer rows than counted only when the file shrank in between
-    return config, columns if columns.filled == n_rows else None
+        # parse_scientific reads the line end before a block's first row
+        block, start = b"\n" + _read_block(source, _READ_BYTES), 1
+    return config, rows
 
 
 def _read_block(source, size: int) -> bytes:
@@ -320,8 +300,8 @@ def _check_header(path, header, first_row) -> None:
             raise ValueError(f"{path}: missing column '{required}'")
 
 
-def _loadtxt_columns(path, content: bytes):
-    """The config and the columns of the file `content`, its rows read by
+def _loadtxt_rows(path, content: bytes):
+    """The config and the rows of the file `content`, read by
     numpy.loadtxt as one table."""
     handle = _text(content)
     try:
@@ -341,9 +321,9 @@ def _loadtxt_columns(path, content: bytes):
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: ragged rows")
-    columns = _Columns(header, len(data))
-    columns.add(data)
-    return config, columns
+    rows = _Rows(header)
+    rows.add(data)
+    return config, rows
 
 
 def _row_offset(content: bytes, first_row: int) -> int:

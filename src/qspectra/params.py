@@ -176,11 +176,15 @@ class Spectrum:
     Every stored array is read-only.  Later changes to the arrays passed
     to the constructor do not reach the spectrum.  Arrays the package has
     just built itself (``from_amplitude``'s transmission and phase,
-    ``compute_spectrum``'s amplitude, ``add_measurement_noise``'s draws)
-    are stored as they are, and a noisy spectrum shares its source's grid.
+    ``compute_spectrum``'s amplitude, ``add_measurement_noise``'s draws,
+    ``read_spectrum_csv``'s columns) are stored as they are, and a noisy
+    spectrum shares its source's grid.
 
-    The constructor checks every array.  The two package routes skip the
-    checks that their construction cannot fail:
+    The constructor checks every array, and so does ``read_spectrum_csv``
+    when it adopts the omega, clipped T and phase_rad columns it has just
+    read from a noisy file (route "file"): a file's grid, transmission and
+    phase can each be wrong.  The two other package routes skip the checks
+    that their construction cannot fail:
 
     - ``from_amplitude`` and ``compute_spectrum`` derive the transmission
       as ``|amplitude|**2`` itself, so the comparison of the two runs only
@@ -206,8 +210,8 @@ class Spectrum:
         # the constructor calls this without a route: one owned copy per
         # array, to which clipping and the phase convention are applied in
         # place; _adopt calls it on arrays nothing else holds, with the
-        # route that built them ("amplitude" or "noise", see the class
-        # docstring), which skips the checks it cannot fail
+        # route that built them ("amplitude", "noise" or "file", see the
+        # class docstring), which skips the checks it cannot fail
         owned = np.array if route is None else np.asarray
         freqs = owned(self.freqs, dtype=float)
         trans = owned(self.transmission, dtype=float)

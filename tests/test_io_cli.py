@@ -1,6 +1,7 @@
 import codecs
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -28,7 +29,6 @@ from qspectra import (
 from qspectra import cli
 from qspectra import io as qio
 from qspectra.cli import main
-from qspectra import _numtext
 from qspectra._numtext import (
     _BLOCK_ROWS,
     _fixed,
@@ -305,7 +305,8 @@ class TestSpectrumCsv:
         does not write past the first block all read to the bits of
         numpy.loadtxt's table of the whole file; only the latter go to
         numpy.loadtxt.  A last row or comment with no line end right after
-        a block's end, which counting line ends misses, is one of them."""
+        a block's end, which reading only whole lines would miss, is one of
+        them."""
         n_points = 100001 if case == "100001-points" else 10001
         spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
                                     make_frequency_grid(1.8e9, 2.3e9, n_points))
@@ -444,10 +445,12 @@ class TestSpectrumCsv:
 
     def test_read_peak_memory(self, qnmr_params, tmp_path):
         """Reading a 100001-point file (7.6 MB clean) holds one block of its
-        text and table at a time, and builds each column and the amplitude
-        once, at its final length: the tracemalloc peak is at most 5.5 MiB
-        (5.2 clean, 4.7 noisy; 7.6 when each column was joined from the
-        block tables, 13.2 when the whole file's bytes were held beside
+        text and table at a time, keeps of each table only the columns the
+        spectrum keeps, and joins each of those once at the end: the
+        tracemalloc peak is at most 4.5 MiB (3.9 clean, of which the
+        spectrum keeps 3.8, and 4.1 noisy; 5.2 and 4.7 when every row was
+        counted first and the T and phase_rad columns kept for a second
+        pass of checks, 13.2 when the whole file's bytes were held beside
         the parsed table)."""
         clean = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
                                  make_frequency_grid(1.8e9, 2.3e9, 100001))
@@ -457,7 +460,79 @@ class TestSpectrumCsv:
             (loaded, _), peak = tracemalloc_peak(read_spectrum_csv, path)
             assert loaded.n_points == 100001
             assert (loaded.amplitude is None) == noisy
-            assert peak <= 5.5 * MIB
+            assert peak <= 4.5 * MIB
+
+    def test_file_is_read_once(self, qnmr_params, tmp_path, monkeypatch):
+        """A clean 100001-point file of many blocks is read once, front to
+        back: the bytes read from it add up to its size."""
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, 100001))
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum)
+        read = []
+
+        class Counted(io.BufferedReader):
+            def read(self, *args):
+                data = super().read(*args)
+                read.append(len(data))
+                return data
+
+            def readline(self, *args):
+                line = super().readline(*args)
+                read.append(len(line))
+                return line
+
+        monkeypatch.setattr(qio, "open", lambda name, mode: Counted(io.FileIO(name, mode)),
+                            raising=False)
+        loaded, _ = read_spectrum_csv(path)
+        assert loaded.n_points == 100001 and loaded.amplitude is not None
+        assert path.stat().st_size > 20 * qio._READ_BYTES
+        assert sum(read) == path.stat().st_size
+
+    @pytest.mark.parametrize("edits, message", [
+        ({("first", "T"): 0.0, ("third", "T"): 1.5}, "transmission outside [0, 1]"),
+        ({("first", "phase_rad"): 1.0, ("third", "omega"): None},
+         "frequency grid must be strictly increasing"),
+        ({("first", "T"): 0.0, ("third", "re_t"): 1.5}, "|amplitude| above 1"),
+    ], ids=["T-off-then-T-range", "phase-off-then-repeated-omega", "T-off-then-above-one"])
+    def test_first_check_in_order_across_blocks(self, edits, message, qnmr_params, tmp_path,
+                                                monkeypatch):
+        """Two faults in different blocks raise the check that comes first
+        in the order of the checks, not the one in the first block: the
+        message of the whole file's rows checked at once."""
+        spectrum = compute_spectrum(ModelKind.QUBIT_QNMR, qnmr_params,
+                                    make_frequency_grid(1.8e9, 2.3e9, 10001))
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(path, spectrum)
+        lines = path.read_bytes().splitlines(keepends=True)
+        ends = np.cumsum([len(line) for line in lines])
+        last = int(np.searchsorted(ends, qio._READ_BYTES, side="right"))
+        second = int(np.searchsorted(ends, ends[last] + qio._READ_BYTES, side="right"))
+        # well inside the first and the third block, whose ends the edits
+        # move by a byte at most
+        rows = {"first": last - 100, "third": second + 100}
+        assert len(lines) > rows["third"] + 100
+        for (block, name), value in edits.items():
+            row = rows[block]
+            cells = lines[row][:-1].split(b",")
+            column = qio.SPECTRUM_COLUMNS.index(name)
+            if value is None:  # the previous row's value
+                cells[column] = lines[row - 1].split(b",")[column]
+            else:
+                cells[column] = f"{value:.8e}".encode()
+            lines[row] = b",".join(cells) + b"\n"
+        path.write_bytes(b"".join(lines))
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return parse_scientific(*args)
+
+        monkeypatch.setattr(qio, "parse_scientific", counted)
+        with pytest.raises(ValueError) as info:
+            read_spectrum_csv(path)
+        assert len(calls) == 3
+        assert str(info.value).startswith(f"{path}: {message}")
 
     def test_comments_below_header(self, tmp_path):
         # the config comes from the comments above the header, where blank
@@ -883,11 +958,9 @@ class TestParseScientific:
     def _loadtxt(text: bytes) -> np.ndarray:
         return np.loadtxt(text.decode("ascii").splitlines(), delimiter=",", ndmin=2)
 
-    @pytest.mark.parametrize("block_bytes", [None, 997], ids=["one-block", "many-blocks"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_loadtxt_bit_for_bit(self, seed, block_bytes, monkeypatch):
-        if block_bytes is not None:
-            monkeypatch.setattr(_numtext, "_PARSE_BYTES", block_bytes)
+    # the whole table is parsed as the one block it is given
+    @pytest.mark.parametrize("seed", [0, 1, 2], ids=lambda seed: f"{seed}-one-block")
+    def test_matches_loadtxt_bit_for_bit(self, seed):
         rng = np.random.default_rng([seed, 33])
         shape = (2000, 4)
         x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-99, 99, shape)
@@ -2008,6 +2081,29 @@ def test_negative_e_notation_is_a_value(argv, flag, text, tmp_path):
     forms = [argv + [flag, text], argv + [f"{flag}={text}"], argv + ["--config", str(config)]]
     parse = cli._parser().parse_args
     assert [cli._merged(parse(form))[key] for form in forms] == [float(text)] * 3
+
+
+@pytest.mark.parametrize("text", ["-inf", "-Infinity", "-NaN"])
+@pytest.mark.parametrize("form", ["spaced", "equals", "config"])
+def test_negative_non_finite_is_a_value(form, text, qnmr_spectrum, tmp_path, capsys):
+    """-inf, -infinity and -nan, in any case, as float() reads them, are
+    the flag's value too, so each form names the problem: the value must
+    be finite."""
+    csv = tmp_path / "s.csv"
+    write_spectrum_csv(csv, qnmr_spectrum)
+    argv = ["estimate", str(csv)]
+    if form == "spaced":
+        argv += ["--ref-delta", text]
+    elif form == "equals":
+        argv += [f"--ref-delta={text}"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"ref_delta": float(text)}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "ref_delta" in err or "--ref-delta" in err
+    assert "must be finite" in err
 
 
 @pytest.mark.parametrize("argv, flag", [
